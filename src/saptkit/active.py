@@ -233,8 +233,6 @@ def renormalize_vp(
         nu1=dressed.nu1[a, b, b, a],
         nu2=dressed.nu2[a, a, b, a],
         nu3=dressed.nu3[a, b, b, b],
-        nubar_lock=dressed.nubar_lock[a, b, b, a],
-        nubar_dir=dressed.nubar_dir[a, a, b, b],
     )
     _accumulate_vp_buckets(bk, v_tt, s_tt, dressed_act)
 

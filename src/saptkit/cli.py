@@ -46,7 +46,6 @@ class RunConfig:
     eps_targ: float = 0.0016  # chemical accuracy
     truncation: float = 0.0
     observables: tuple[str, ...] = OBSERVABLES
-    output_dir: Path | None = None
     calibration: CalibrationConstants = CalibrationConstants()
 
     def __post_init__(self):
@@ -190,7 +189,6 @@ def cmd_estimate(args) -> int:
         eps_targ=args.eps_targ,
         truncation=args.truncation,
         observables=tuple(args.observables),
-        output_dir=Path(args.output) if args.output else None,
         calibration=_calibration(args.calibration),
     )
     archive = _load(args.archive) if args.archive else None

@@ -4,22 +4,26 @@ Monomer A and monomer B carry independent fermion algebras; the dimer space
 is their tensor product, so operators of different monomers commute exactly.
 Spin-orbital ordering inside a monomer is spatial-orbital-minor with the
 alpha block before the beta block; Jordan-Wigner strings stay inside each
-monomer.
+monomer.  A monomer whose tables would exceed ``MAX_MONOMER_TABLE_BYTES``
+(4 GiB, passed between 5 and 6 orbitals) is rejected before any allocation.
 
-Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i`` which
-keeps everything in the (at most) 64-dimensional monomer spaces until a dense
-dimer matrix is actually requested.
+Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i``.  Every
+coefficient family has the form sum_spins C * prod_k X^{sigma_k}(p_k q_k),
+with X the excitation operators E or the traceless quadratics w = E - delta/2,
+and one einsum-driven assembler builds them all.  Its pairs are keyed by the
+basis element X^sigma(p q) of the monomer carrying a single factor (B when
+both do), so spin sums accumulate into one pair per element; a family on one
+monomer is a single monomer pair.
 
 Two assembly routes exist for every observable: the ``excitation`` form
 contracts the dressed tensors against excitation-operator products, and the
-``majorana`` form assembles the coefficient-set families from the traceless
-quadratics ``w = E - delta/2`` (built out of the Jordan-Wigner Majorana
-matrices).  Their agreement to 1e-12 is the ground truth the rest of the
-package leans on.
+``majorana`` form assembles the coefficient-set families in the w basis.
+Their agreement to 1e-12 is the ground truth the rest of the package leans on.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +36,7 @@ from .tensors import (
     build_dressed_nu,
 )
 
-MAX_SPIN_ORBITALS = 16
+MAX_MONOMER_TABLE_BYTES = 4 * 2**30
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +47,7 @@ MAX_SPIN_ORBITALS = 16
 def _monomer_ops(n_orb: int):
     """Jordan-Wigner matrices and derived one-body operators for one monomer.
 
-    Returns (gamma0, gamma1, adag, E, w, number, sz, dim): gamma arrays have
+    Returns (gamma0, gamma1, adag, E, w, number, dim): gamma arrays have
     shape (2n, dim, dim); E and w have shape (2, n, n, dim, dim) indexed by
     [spin, p1, p2] with E[s, p1, p2] = a^dag_{p1 s} a_{p2 s}, w = E - delta/2.
     """
@@ -80,11 +84,7 @@ def _monomer_ops(n_orb: int):
             w[s, p, p] -= 0.5 * np.eye(dim)
 
     number = sum(adag[m] @ a[m] for m in range(n_modes))
-    sz = 0.5 * (
-        sum(adag[p] @ a[p] for p in range(n_orb))
-        - sum(adag[n_orb + p] @ a[n_orb + p] for p in range(n_orb))
-    )
-    return gamma0, gamma1, adag, E, w, number, sz, dim
+    return gamma0, gamma1, adag, E, w, number, dim
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,16 @@ class FockSpace:
     n_orb_B: int
 
     def __post_init__(self):
-        if 2 * (self.n_orb_A + self.n_orb_B) > MAX_SPIN_ORBITALS:
-            raise ShapeError(
-                f"oracle capped at {MAX_SPIN_ORBITALS} spin orbitals; "
-                f"got {2 * (self.n_orb_A + self.n_orb_B)}"
-            )
+        for which in "AB":
+            n = self.n_orb(which)
+            # complex tables of _monomer_ops: gamma0, gamma1, adag and a hold one
+            # matrix per mode, E and w one per spin and orbital pair, plus number
+            need = (8 * n + 4 * n**2 + 1) * 16 * 16**n
+            if need > MAX_MONOMER_TABLE_BYTES:
+                raise ShapeError(
+                    f"oracle tables of monomer {which} ({n} orbitals) need {need / 2**30:.1f} "
+                    f"GiB, over the {MAX_MONOMER_TABLE_BYTES / 2**30:.0f} GiB cap"
+                )
 
     @property
     def dim_A(self) -> int:
@@ -249,16 +254,12 @@ class PairSum:
         return float(np.linalg.norm(self.apply_block(vecs), axis=0).max())
 
 
-def operator_difference(op1: PairSum, op2: PairSum, rng: np.random.Generator) -> float:
-    return (op1 + op2.scaled(-1.0)).norm_estimate(rng)
-
-
 # ---------------------------------------------------------------------------
-# family assemblers (shared by the excitation and majorana routes)
+# family assembly (shared by the excitation and majorana routes)
 
 
 def _mats(space: FockSpace, which: str, basis: str):
-    _, _, _, E, w, _, _, _ = space.monomer(which)
+    _, _, _, E, w, _, _ = space.monomer(which)
     return E if basis == "E" else w
 
 
@@ -268,53 +269,59 @@ def one_body_matrix(space: FockSpace, which: str, h: np.ndarray, basis: str) -> 
     return np.einsum("ab,sabij->ij", h, mats, optimize=True)
 
 
+def _family(space: FockSpace, spec: str, tensors, factors, basis: str) -> PairSum:
+    """sum_spins einsum(spec, *tensors) * prod_k X^{spin_k}_{monomer_k}(pair_k).
+
+    ``factors`` lists (monomer, spin label, index pair) in product order, the
+    index pairs in the letters of ``spec``; each distinct spin label is summed
+    over both spins.  Pairs are keyed as the module docstring describes.
+    """
+    mats = {m: _mats(space, m, basis) for m in {m for m, _, _ in factors}}
+    singles = {f[0]: f for f in factors if sum(g[0] == f[0] for g in factors) == 1}
+    key = singles.get("B", singles.get("A"))
+    rest = [f for f in factors if f is not key]
+    labels = sorted({s for _, s, _ in factors})
+    chain = "IJKLMN"  # matrix-product indices of the non-keyed monomer
+    subs = [pq + chain[k : k + 2] for k, (_, _, pq) in enumerate(rest)]
+    expr = ",".join([spec, *subs]) + "->" + (key[2] if key else "") + chain[0] + chain[len(rest)]
+    acc = {}
+    for spins in itertools.product(range(2), repeat=len(labels)):
+        spin = dict(zip(labels, spins))
+        tables = [mats[m][spin[s]] for m, s, _ in rest]
+        # the greedy path contracts the overlap last, several times the work at 4x1
+        term = np.einsum(expr, *tensors, *tables, optimize="optimal")
+        k = spin[key[1]] if key else 0
+        acc[k] = acc.get(k, 0) + term
+    out = PairSum(space)
+    if key is None:
+        return out.add_monomer(rest[0][0], acc[0])
+    which = key[0]
+    for s, block in acc.items():
+        for p, q in np.ndindex(block.shape[:2]):
+            if block[p, q].any():
+                pair = (mats[which][s, p, q], block[p, q])
+                out.add(*(pair[::-1] if which == "B" else pair))
+    return out
+
+
 def family_lock(space: FockSpace, T: np.ndarray, basis: str) -> PairSum:
     """sum_sigma T[p1,p2,q1,q2] X^sigma_A(p1 p2) X^sigma_B(q1 q2)."""
-    out = PairSum(space)
-    mats_a = _mats(space, "A", basis)
-    mats_b = _mats(space, "B", basis)
-    n_b = space.n_orb_B
-    for s in range(2):
-        for q1 in range(n_b):
-            for q2 in range(n_b):
-                block = T[:, :, q1, q2]
-                if not block.any():
-                    continue
-                a_mat = np.einsum("ab,abij->ij", block, mats_a[s], optimize=True)
-                out.add(a_mat, mats_b[s, q1, q2])
-    return out
+    return _family(space, "abqr", [T], [("A", "s", "ab"), ("B", "s", "qr")], basis)
 
 
 def family_dir(space: FockSpace, T: np.ndarray, basis: str) -> PairSum:
     """sum_{sigma tau} T[p1,p2,q1,q2] X^sigma_A X^tau_B."""
-    out = PairSum(space)
-    mats_a = _mats(space, "A", basis)
-    mats_b = _mats(space, "B", basis)
-    n_b = space.n_orb_B
-    for q1 in range(n_b):
-        for q2 in range(n_b):
-            block = T[:, :, q1, q2]
-            if not block.any():
-                continue
-            a_mat = np.einsum("ab,sabij->ij", block, mats_a, optimize=True)
-            for t in range(2):
-                out.add(a_mat, mats_b[t, q1, q2])
-    return out
+    return _family(space, "abqr", [T], [("A", "s", "ab"), ("B", "t", "qr")], basis)
 
 
 def family_intra(space: FockSpace, which: str, T: np.ndarray, basis: str) -> PairSum:
     """sum_{sigma tau} T[a,b,c,d] X^sigma(a b) X^tau(c d), both on one monomer."""
-    mats = _mats(space, which, basis)
-    n = space.n_orb(which)
-    dim = mats.shape[-1]
-    op = np.zeros((dim, dim), dtype=complex)
-    for s in range(2):
-        first = np.einsum("abcd,abij->cdij", T, mats[s], optimize=True)
-        for t in range(2):
-            for c in range(n):
-                for d in range(n):
-                    op += first[c, d] @ mats[t, c, d]
-    return PairSum(space).add_monomer(which, op)
+    return _family(space, "abcd", [T], [(which, "s", "ab"), (which, "t", "cd")], basis)
+
+
+# X^{s1}_A(p1 p2) X^{s2}_A(p3 p4) X^{s2}_B(q1 q2) and its mirror image
+_G2_FACTORS = [("A", "s", "ab"), ("A", "t", "cd"), ("B", "t", "qr")]
+_G3_FACTORS = [("A", "t", "ab"), ("B", "s", "qr"), ("B", "t", "cd")]
 
 
 def family_g2(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
@@ -323,21 +330,7 @@ def family_g2(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> P
     sum_{s1 s2} lam[p1,p2,q1,p4] S[p3,q2]
         X^{s1}_A(p1 p2) X^{s2}_A(p3 p4) X^{s2}_B(q1 q2)
     """
-    out = PairSum(space)
-    mats_a = _mats(space, "A", basis)
-    mats_b = _mats(space, "B", basis)
-    n_a, n_b = space.n_orb_A, space.n_orb_B
-    for s1 in range(2):
-        first = np.einsum("abcd,abij->cdij", lam, mats_a[s1], optimize=True)  # [q1,p4]
-        for s2 in range(2):
-            second = np.einsum("ce,cdij->edij", S, mats_a[s2], optimize=True)  # [q2,p4]
-            for q1 in range(n_b):
-                for q2 in range(n_b):
-                    a_mat = np.zeros_like(first[0, 0])
-                    for p4 in range(n_a):
-                        a_mat += first[q1, p4] @ second[q2, p4]
-                    out.add(a_mat, mats_b[s2, q1, q2])
-    return out
+    return _family(space, "abqd,cr", [lam, S], _G2_FACTORS, basis)
 
 
 def family_g3(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
@@ -346,21 +339,7 @@ def family_g3(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> P
     sum_{s1 s2} lam[p1,q4,q1,q2] S[p2,q3]
         X^{s2}_A(p1 p2) X^{s1}_B(q1 q2) X^{s2}_B(q3 q4)
     """
-    out = PairSum(space)
-    mats_a = _mats(space, "A", basis)
-    mats_b = _mats(space, "B", basis)
-    n_a = space.n_orb_A
-    for s1 in range(2):
-        # mid[p1, q4] = sum_{q1 q2} lam[p1, q4, q1, q2] X^{s1}_B(q1 q2)
-        mid = np.einsum("pdab,abij->pdij", lam, mats_b[s1], optimize=True)
-        for s2 in range(2):
-            # last[p2, q4] = sum_{q3} S[p2, q3] X^{s2}_B(q3 q4)
-            last = np.einsum("pc,cdij->pdij", S, mats_b[s2], optimize=True)
-            for p1 in range(n_a):
-                for p2 in range(n_a):
-                    b_mat = np.einsum("dij,djk->ik", mid[p1], last[p2], optimize=True)
-                    out.add(mats_a[s2, p1, p2], b_mat)
-    return out
+    return _family(space, "adqr,bc", [lam, S], _G3_FACTORS, basis)
 
 
 def family_g2r(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
@@ -369,21 +348,7 @@ def family_g2r(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> 
     sum_{s1 s2} lam[p1,p2,q2,p3] S[p4,q1]
         X^{s1}_A(p1 p2) X^{s2}_A(p3 p4) X^{s2}_B(q1 q2)
     """
-    out = PairSum(space)
-    mats_a = _mats(space, "A", basis)
-    mats_b = _mats(space, "B", basis)
-    n_a, n_b = space.n_orb_A, space.n_orb_B
-    for s1 in range(2):
-        first = np.einsum("abcd,abij->cdij", lam, mats_a[s1], optimize=True)  # [q2,p3]
-        for s2 in range(2):
-            second = np.einsum("de,cdij->ecij", S, mats_a[s2], optimize=True)  # [q1,p3]
-            for q1 in range(n_b):
-                for q2 in range(n_b):
-                    a_mat = np.zeros_like(first[0, 0])
-                    for p3 in range(n_a):
-                        a_mat += first[q2, p3] @ second[q1, p3]
-                    out.add(a_mat, mats_b[s2, q1, q2])
-    return out
+    return _family(space, "abrc,dq", [lam, S], _G2_FACTORS, basis)
 
 
 def family_g3r(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
@@ -392,19 +357,7 @@ def family_g3r(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> 
     sum_{s1 s2} lam[p2,q3,q1,q2] S[p1,q4]
         X^{s2}_A(p1 p2) X^{s1}_B(q1 q2) X^{s2}_B(q3 q4)
     """
-    out = PairSum(space)
-    mats_a = _mats(space, "A", basis)
-    mats_b = _mats(space, "B", basis)
-    n_a = space.n_orb_A
-    for s1 in range(2):
-        mid = np.einsum("pcab,abij->pcij", lam, mats_b[s1], optimize=True)  # [p2,q3]
-        for s2 in range(2):
-            last = np.einsum("pd,cdij->pcij", S, mats_b[s2], optimize=True)  # [p1,q3]
-            for p1 in range(n_a):
-                for p2 in range(n_a):
-                    b_mat = np.einsum("cij,cjk->ik", mid[p2], last[p1], optimize=True)
-                    out.add(mats_a[s2, p1, p2], b_mat)
-    return out
+    return _family(space, "bcqr,ad", [lam, S], _G3_FACTORS, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +400,20 @@ def _one_body_pairsum(space: FockSpace, which: str, h: np.ndarray, basis: str) -
     return PairSum(space).add_monomer(which, one_body_matrix(space, which, h, basis))
 
 
-def assemble_modified_factors(space: FockSpace, coeffs: SaptCoefficients) -> tuple[PairSum, PairSum]:
-    """Pure two-body electrostatic factor and constant-free exchange factor."""
-    v_block = coeffs.two_body_blocks["v"]
-    S = coeffs.overlap
-    p_a = coeffs.vp4_one_body_A
-    p_b = coeffs.vp4_one_body_B
-    v_mod = family_dir(space, v_block, "w")
+def _exchange_form(space: FockSpace, p_a, p_b, S: np.ndarray) -> PairSum:
+    """-1/2 p_A - 1/2 p_B minus the spin-locked overlap pair, in the w basis."""
     t_ss = np.einsum("ad,bc->abcd", S, S)
-    p_mod = (
+    return (
         _one_body_pairsum(space, "A", -0.5 * p_a, "w")
         + _one_body_pairsum(space, "B", -0.5 * p_b, "w")
         + family_lock(space, t_ss, "w").scaled(-1.0)
     )
+
+
+def assemble_modified_factors(space: FockSpace, coeffs: SaptCoefficients) -> tuple[PairSum, PairSum]:
+    """Pure two-body electrostatic factor and constant-free exchange factor."""
+    v_mod = family_dir(space, coeffs.two_body_blocks["v"], "w")
+    p_mod = _exchange_form(space, coeffs.vp4_one_body_A, coeffs.vp4_one_body_B, coeffs.overlap)
     return v_mod, p_mod
 
 
@@ -489,20 +443,14 @@ def assemble_vp_majorana_families(space: FockSpace, coeffs: SaptCoefficients) ->
 
 def assemble_majorana(space: FockSpace, coeffs: SaptCoefficients) -> PairSum:
     """Operator matrix from a coefficient set (Majorana-representation route)."""
+    op = PairSum(space).add_scalar(coeffs.constant)
     if coeffs.observable == "V":
-        op = PairSum(space).add_scalar(coeffs.constant)
         op = op + _one_body_pairsum(space, "A", coeffs.one_body_A, "w")
         op = op + _one_body_pairsum(space, "B", coeffs.one_body_B, "w")
         return op + family_dir(space, coeffs.two_body_blocks["v"], "w")
     if coeffs.observable == "P":
-        S = coeffs.overlap
-        t_ss = np.einsum("ad,bc->abcd", S, S)
-        op = PairSum(space).add_scalar(coeffs.constant)
-        op = op + _one_body_pairsum(space, "A", -0.5 * coeffs.one_body_A, "w")
-        op = op + _one_body_pairsum(space, "B", -0.5 * coeffs.one_body_B, "w")
-        return op + family_lock(space, t_ss, "w").scaled(-1.0)
+        return op + _exchange_form(space, coeffs.one_body_A, coeffs.one_body_B, coeffs.overlap)
     if coeffs.observable == "VPs":
-        op = PairSum(space).add_scalar(coeffs.constant)
         for fam in assemble_vp_majorana_families(space, coeffs).values():
             op = op + fam
         return op
@@ -552,21 +500,10 @@ def assemble_monomer_hamiltonian(
     space: FockSpace, which: str, h1: np.ndarray, eri: np.ndarray
 ) -> PairSum:
     """Spin-free monomer Hamiltonian h1[p,q] E+_pq + 1/2 eri[pqrs] e_pqrs."""
-    mats = _mats(space, which, "E")
-    n = space.n_orb(which)
-    dim = mats.shape[-1]
-    op = np.einsum("ab,sabij->ij", h1, mats, optimize=True)
     # effective one-body from normal ordering: -1/2 sum_r eri[p r r q] E+_pq
-    h_eff = -0.5 * np.einsum("arrb->ab", eri)
-    op += np.einsum("ab,sabij->ij", h_eff, mats, optimize=True)
-    two = np.zeros((dim, dim), dtype=complex)
-    for s in range(2):
-        first = np.einsum("abcd,abij->cdij", eri, mats[s], optimize=True)
-        for t in range(2):
-            for c in range(n):
-                for d in range(n):
-                    two += first[c, d] @ mats[t, c, d]
-    op += 0.5 * two
+    h_eff = h1 - 0.5 * np.einsum("arrb->ab", eri)
+    a_mat, b_mat = family_intra(space, which, 0.5 * eri, "E").pairs[0]
+    op = one_body_matrix(space, which, h_eff, "E") + (a_mat if which == "A" else b_mat)
     return PairSum(space).add_monomer(which, op)
 
 
@@ -693,9 +630,9 @@ def embed_with_core(
     vacuum in both spaces, so the embedding is exact for any mode ordering.
     """
     n_full = space_full.n_orb(which)
-    _, _, adag_full, _, _, _, _, dim_full = space_full.monomer(which)
+    _, _, adag_full, _, _, _, dim_full = space_full.monomer(which)
     n_act = len(active)
-    _, _, adag_act, _, _, _, _, dim_act = _monomer_ops(n_act)
+    _, _, adag_act, _, _, _, dim_act = _monomer_ops(n_act)
     n_modes_act = 2 * n_act
     out = np.zeros(dim_full, dtype=complex)
     vac_full = np.zeros(dim_full, dtype=complex)
@@ -724,7 +661,3 @@ def embed_with_core(
             vec = adag_full[m] @ vec
         out += amp * sign * vec
     return out
-
-
-def product_state(space: FockSpace, psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
-    return np.kron(psi_a, psi_b)

@@ -43,7 +43,6 @@ class DimerBasis:
     n_orb_B: int
     n_elec_A: int
     n_elec_B: int
-    orbitals_real: bool = True
 
     def __post_init__(self):
         if self.n_orb_A < 1 or self.n_orb_B < 1:
@@ -83,17 +82,11 @@ class DressedTensors:
 
     ``nu1``/``nu2``/``nu3`` follow the plain (unsymmetrized) dressing; they
     are the ones the oracle certifies against the excitation-operator form.
-    ``nubar_lock``/``nubar_dir`` are the alternative half-weighted dressing
-    split into its spin-locked and spin-free channels; they are exposed for
-    comparison but do not enter the canonical decomposition (the oracle test
-    singles out the plain dressing -- see tests/test_fock.py).
     """
 
     nu1: np.ndarray  # [p1, q2, q1, p2]
     nu2: np.ndarray  # [p1, p2, q1, p4]
     nu3: np.ndarray  # [p1, q4, q1, q2]
-    nubar_lock: np.ndarray  # [p1, q2, q1, p2]
-    nubar_dir: np.ndarray  # separable: w[p1, q1] (x) S[p2, q2]
 
 
 @dataclass
@@ -267,13 +260,7 @@ def build_dressed_nu(
     )
     nu2 = mixed.m2 - np.einsum("abcy,dy->abcd", v, S, optimize=True)
     nu3 = mixed.m3 - np.einsum("axcd,xb->abcd", v, S, optimize=True)
-
-    w1 = np.einsum("axby,xy->ab", v, S, optimize=True)
-    w2 = np.einsum("ayby->ab", mixed.m3)
-    w3 = np.einsum("axbx->ab", mixed.m2)
-    nubar_lock = 0.5 * (mixed.m1 + nu1)
-    nubar_dir = 0.5 * np.einsum("ab,cd->acbd", w1 - w2 - w3, S)  # [p1,p2,q1,q2]
-    return DressedTensors(nu1, nu2, nu3, nubar_lock, nubar_dir)
+    return DressedTensors(nu1, nu2, nu3)
 
 
 # ---------------------------------------------------------------------------

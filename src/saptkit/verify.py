@@ -7,9 +7,9 @@ import numpy as np
 from .active import SpacePartition, renormalize_electrostatic, renormalize_exchange, renormalize_vp
 from .archive import TensorArchive, demo_archive
 from .costing import budget_errors, qrom_cost
+from .errors import ShapeError
 from .factorize import factorize_coefficients
 from .fock import (
-    MAX_SPIN_ORBITALS,
     FockSpace,
     PairSum,
     assemble_electrostatic,
@@ -112,7 +112,9 @@ def run_verification(archive: TensorArchive | None = None, verbose: bool = False
     archive = archive or demo_archive()
 
     oracle_archive = archive
-    if 2 * (archive.basis.n_orb_A + archive.basis.n_orb_B) > MAX_SPIN_ORBITALS:
+    try:
+        FockSpace(archive.basis.n_orb_A, archive.basis.n_orb_B)
+    except ShapeError:
         if verbose:
             print("archive exceeds the oracle size cap; using the built-in dimer")
         oracle_archive = demo_archive()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from saptkit.tensors import sym_v4
+from saptkit.tensors import build_dressed_nu, sym_v4
 
 
 @pytest.fixture
@@ -15,6 +15,18 @@ def random_dimer(rng, n_a, n_b, s_scale=0.5):
     s = rng.normal(size=(n_a, n_b))
     s = s_scale * s / max(1.0, np.abs(s).max())
     return v, s
+
+
+def half_weighted_dressing(v, s):
+    """Half-weighted (barred) dressing of the exchange expansion, no hybrid blocks.
+
+    Returns its spin-locked tensor [p1, q2, q1, p2] and its spin-free tensor
+    [p1, p2, q1, q2]; the plain dressing of build_dressed_nu is canonical.
+    """
+    nubar_lock = 0.5 * build_dressed_nu(v, s).nu1
+    w1 = np.einsum("axby,xy->ab", v, s, optimize=True)
+    nubar_dir = 0.5 * np.einsum("ab,cd->acbd", w1, s)
+    return nubar_lock, nubar_dir
 
 
 def random_sector_state(space, which, n_elec, rng, sz=None):

@@ -29,6 +29,12 @@ class TestVerify:
     def test_archive_passes(self, archive_path):
         assert main(["verify", str(archive_path)]) == 0
 
+    def test_oversized_archive_falls_back(self, tmp_path, capsys):
+        path = tmp_path / "wide.sapt"
+        save_archive(path, demo_archive(7, 1))
+        assert main(["verify", str(path)]) == 0
+        assert "using the built-in dimer" in capsys.readouterr().out
+
 
 class TestNorms:
     def test_both_representations(self, archive_path, capsys):

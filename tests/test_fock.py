@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
-from saptkit.errors import DomainError
+from saptkit import fock
+from saptkit.errors import DomainError, ShapeError
 from saptkit.fock import (
     FockSpace,
     PairSum,
@@ -22,7 +26,7 @@ from saptkit.fock import (
     verify_complete_basis,
 )
 from saptkit.tensors import build_majorana_coefficients, sym_v4
-from .conftest import random_dimer, random_sector_state
+from .conftest import half_weighted_dressing, random_dimer, random_sector_state
 
 
 def dense_ops(space, v, s, mixed=None):
@@ -121,12 +125,13 @@ class TestDressingVariant:
         v, s = random_dimer(rng, 2, 2)
         space = FockSpace(2, 2)
         d = build_dressed_nu(v, s)
+        nubar_lock, nubar_dir = half_weighted_dressing(v, s)
         canonical = assemble_vp_excitation(space, v, s)
 
-        t_bar = d.nubar_lock.transpose(0, 3, 2, 1)
+        t_bar = nubar_lock.transpose(0, 3, 2, 1)
         variant = (
             family_lock(space, t_bar, "E").scaled(-1.0)
-            + family_dir_tensor(space, d.nubar_dir)
+            + family_dir_tensor(space, nubar_dir)
             + family_g2(space, d.nu2, s, "E").scaled(-1.0)
             + family_g3(space, d.nu3, s, "E").scaled(-1.0)
             + (assemble_electrostatic(space, v) @ assemble_exchange(space, s))
@@ -152,6 +157,93 @@ def family_dir_tensor(space, tensor):
     from saptkit.fock import family_dir
 
     return family_dir(space, tensor, "E").scaled(-1.0)
+
+
+def _terms(name, T, S, na, nb):
+    """(coefficient, factors) of every term of one family, by brute-force loops.
+
+    A factor (monomer, spin, p, q) stands for X^spin_monomer(p q); the factors
+    of one term multiply in the listed order.
+    """
+    ra, rb, r2 = range(na), range(nb), range(2)
+    prod = itertools.product
+    if name == "lock":
+        for s, a, b, q, r in prod(r2, ra, ra, rb, rb):
+            yield T[a, b, q, r], [("A", s, a, b), ("B", s, q, r)]
+    elif name == "dir":
+        for s, t, a, b, q, r in prod(r2, r2, ra, ra, rb, rb):
+            yield T[a, b, q, r], [("A", s, a, b), ("B", t, q, r)]
+    elif name in ("intra_A", "intra_B"):
+        m = name[-1]
+        rm = ra if m == "A" else rb
+        for s, t, a, b, c, d in prod(r2, r2, rm, rm, rm, rm):
+            yield T[a, b, c, d], [(m, s, a, b), (m, t, c, d)]
+    elif name in ("g2", "g2r"):
+        for s, t, a, b, c, d, q, r in prod(r2, r2, ra, ra, ra, ra, rb, rb):
+            coef = T[a, b, q, d] * S[c, r] if name == "g2" else T[a, b, r, c] * S[d, q]
+            yield coef, [("A", s, a, b), ("A", t, c, d), ("B", t, q, r)]
+    else:  # g3, g3r
+        for s, t, a, b, q, r, c, d in prod(r2, r2, ra, ra, rb, rb, rb, rb):
+            coef = T[a, d, q, r] * S[b, c] if name == "g3" else T[b, c, q, r] * S[a, d]
+            yield coef, [("A", t, a, b), ("B", s, q, r), ("B", t, c, d)]
+
+
+def dense_family_reference(space, name, T, S, basis):
+    """Dense dimer matrix of one family from factors lifted by np.kron."""
+    slot = 3 if basis == "E" else 4
+    eye = {"A": np.eye(space.dim_A), "B": np.eye(space.dim_B)}
+    lifted = {}
+    for m in "AB":
+        for s, p, q in np.ndindex(space.monomer(m)[slot].shape[:3]):
+            x = space.monomer(m)[slot][s, p, q]
+            mat = np.kron(x, eye["B"]) if m == "A" else np.kron(eye["A"], x)
+            lifted[m, s, p, q] = sparse.csr_matrix(mat)
+    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+    for coef, factors in _terms(name, T, S, space.n_orb_A, space.n_orb_B):
+        term = sparse.identity(space.dim, dtype=complex, format="csr")
+        for f in factors:
+            term = term @ lifted[f]
+        out = out + coef * term
+    return out.toarray()
+
+
+FAMILY_SHAPES = {
+    "lock": "aabb", "dir": "aabb", "intra_A": "aaaa", "intra_B": "bbbb",
+    "g2": "aaba", "g2r": "aaba", "g3": "abbb", "g3r": "abbb",
+}
+
+
+class TestFamilyReference:
+    @pytest.mark.parametrize("basis", ["E", "w"])
+    @pytest.mark.parametrize("n_a,n_b", [(1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("name", list(FAMILY_SHAPES))
+    def test_matches_dense_loops(self, rng, name, n_a, n_b, basis):
+        space = FockSpace(n_a, n_b)
+        T = rng.normal(size=[n_a if c == "a" else n_b for c in FAMILY_SHAPES[name]])
+        S = rng.normal(size=(n_a, n_b))
+        if name.startswith("intra"):
+            op = fock.family_intra(space, name[-1], T, basis)
+        elif name in ("lock", "dir"):
+            op = getattr(fock, f"family_{name}")(space, T, basis)
+        else:
+            op = getattr(fock, f"family_{name}")(space, T, S, basis)
+        ref = dense_family_reference(space, name, T, S, basis)
+        assert np.abs(op.to_dense() - ref).max() < 1e-13 * max(1.0, np.abs(ref).max())
+        # pairs are keyed by the one-body basis of the monomer with one factor
+        n_key = n_a if name in ("g3", "g3r") else n_b
+        expected = 1 if name.startswith("intra") else 2 * n_key**2
+        assert len(op.pairs) == expected
+
+
+class TestSizeGuard:
+    def test_oversized_monomer_rejected_before_allocation(self):
+        misses = fock._monomer_ops.cache_info().misses
+        with pytest.raises(ShapeError):
+            FockSpace(1, 7)
+        assert fock._monomer_ops.cache_info().misses == misses
+
+    def test_former_dimer_cap_still_fits(self):
+        assert FockSpace(5, 3).dim == 2**16
 
 
 class TestCompleteBasis:

@@ -18,7 +18,7 @@ from saptkit.tensors import (
     symmetrize_v,
     validate_overlap,
 )
-from .conftest import random_dimer
+from .conftest import half_weighted_dressing, random_dimer
 
 
 class TestSymmetrize:
@@ -93,8 +93,9 @@ class TestDressed:
 
     def test_zero_coulomb_gives_zero(self, rng):
         _, s = random_dimer(rng, 2, 2)
-        d = build_dressed_nu(np.zeros((2, 2, 2, 2)), s)
-        for arr in (d.nu1, d.nu2, d.nu3, d.nubar_lock, d.nubar_dir):
+        v = np.zeros((2, 2, 2, 2))
+        d = build_dressed_nu(v, s)
+        for arr in (d.nu1, d.nu2, d.nu3, *half_weighted_dressing(v, s)):
             assert not arr.any()
 
     def test_against_index_loop_reference(self, rng):
