@@ -4,8 +4,10 @@ Monomer A and monomer B carry independent fermion algebras; the dimer space
 is their tensor product, so operators of different monomers commute exactly.
 Spin-orbital ordering inside a monomer is spatial-orbital-minor with the
 alpha block before the beta block; Jordan-Wigner strings stay inside each
-monomer.  A monomer whose tables would exceed ``MAX_MONOMER_TABLE_BYTES``
-(4 GiB, passed between 5 and 6 orbitals) is rejected before any allocation.
+monomer.  Two size limits are checked before anything is allocated: the
+dimer may hold at most ``MAX_SPIN_ORBITALS`` spin orbitals, which bounds the
+dimer operators (products such as V P) the oracle builds, and each monomer at
+most ``MAX_MONOMER_ORBITALS`` orbitals, which bounds its cached tables.
 
 Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i``.  Every
 coefficient family has the form sum_spins C * prod_k X^{sigma_k}(p_k q_k),
@@ -36,7 +38,9 @@ from .tensors import (
     build_dressed_nu,
 )
 
-MAX_MONOMER_TABLE_BYTES = 4 * 2**30
+MAX_SPIN_ORBITALS = 16
+# the cached tables of one monomer take 2.4 GB at 5 orbitals and 52 GB at 6
+MAX_MONOMER_ORBITALS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +99,12 @@ class FockSpace:
     n_orb_B: int
 
     def __post_init__(self):
-        for which in "AB":
-            n = self.n_orb(which)
-            # complex tables of _monomer_ops: gamma0, gamma1, adag and a hold one
-            # matrix per mode, E and w one per spin and orbital pair, plus number
-            need = (8 * n + 4 * n**2 + 1) * 16 * 16**n
-            if need > MAX_MONOMER_TABLE_BYTES:
-                raise ShapeError(
-                    f"oracle tables of monomer {which} ({n} orbitals) need {need / 2**30:.1f} "
-                    f"GiB, over the {MAX_MONOMER_TABLE_BYTES / 2**30:.0f} GiB cap"
-                )
+        n_a, n_b = self.n_orb_A, self.n_orb_B
+        if 2 * (n_a + n_b) > MAX_SPIN_ORBITALS or max(n_a, n_b) > MAX_MONOMER_ORBITALS:
+            raise ShapeError(
+                f"oracle capped at {MAX_SPIN_ORBITALS} spin orbitals and {MAX_MONOMER_ORBITALS} "
+                f"orbitals per monomer; got {n_a}x{n_b} orbitals"
+            )
 
     @property
     def dim_A(self) -> int:

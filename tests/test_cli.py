@@ -29,9 +29,10 @@ class TestVerify:
     def test_archive_passes(self, archive_path):
         assert main(["verify", str(archive_path)]) == 0
 
-    def test_oversized_archive_falls_back(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n_a, n_b", [(7, 1), (5, 4)])
+    def test_oversized_archive_falls_back(self, tmp_path, capsys, n_a, n_b):
         path = tmp_path / "wide.sapt"
-        save_archive(path, demo_archive(7, 1))
+        save_archive(path, demo_archive(n_a, n_b))
         assert main(["verify", str(path)]) == 0
         assert "using the built-in dimer" in capsys.readouterr().out
 

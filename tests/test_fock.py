@@ -242,7 +242,13 @@ class TestSizeGuard:
             FockSpace(1, 7)
         assert fock._monomer_ops.cache_info().misses == misses
 
-    def test_former_dimer_cap_still_fits(self):
+    def test_dimer_cap_rejects_5x4(self):
+        misses = fock._monomer_ops.cache_info().misses
+        with pytest.raises(ShapeError):
+            FockSpace(5, 4)
+        assert fock._monomer_ops.cache_info().misses == misses
+
+    def test_largest_allowed_dimer_constructs(self):
         assert FockSpace(5, 3).dim == 2**16
 
 

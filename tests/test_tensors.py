@@ -18,7 +18,7 @@ from saptkit.tensors import (
     symmetrize_v,
     validate_overlap,
 )
-from .conftest import half_weighted_dressing, random_dimer
+from .conftest import random_dimer
 
 
 class TestSymmetrize:
@@ -93,9 +93,8 @@ class TestDressed:
 
     def test_zero_coulomb_gives_zero(self, rng):
         _, s = random_dimer(rng, 2, 2)
-        v = np.zeros((2, 2, 2, 2))
-        d = build_dressed_nu(v, s)
-        for arr in (d.nu1, d.nu2, d.nu3, *half_weighted_dressing(v, s)):
+        d = build_dressed_nu(np.zeros((2, 2, 2, 2)), s)
+        for arr in (d.nu1, d.nu2, d.nu3):
             assert not arr.any()
 
     def test_against_index_loop_reference(self, rng):
