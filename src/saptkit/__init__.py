@@ -33,7 +33,6 @@ from .tensors import (
     SaptCoefficients,
     build_dressed_nu,
     build_majorana_coefficients,
-    symmetrize_tensors,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +67,6 @@ __all__ = [
     "renormalize_vp",
     "save_archive",
     "sparse_norms",
-    "symmetrize_tensors",
     "tf_norm",
     "tf_norms",
 ]

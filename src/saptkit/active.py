@@ -10,10 +10,13 @@ the full-space builder decomposes.  Each excitation factor either stays fully
 active, contracts internally over a core pair, or cross-contracts the outer
 creation/annihilation pair of a same-monomer product (which flips the index
 order of the surviving factor and locks its spin).  The resulting emissions
-reuse the full-space bucket converters; products of the two-body
-electrostatic factor with the core-dressed one-body exchange tensors are not
-emitted separately but absorbed into the product-form term through the
-dressed tensors p~ (the same bookkeeping the reference formulation builds
+go through the full-space bucket converters.  The operator is symmetric under
+exchanging the monomers, so the monomer-A half of the core contractions is
+written once and run again on ``_Buckets.swapped()`` with swapped tensors and
+``S.T``; only the self-mirrored terms stand on their own.  Products of the
+two-body electrostatic factor with the core-dressed one-body exchange tensors
+are not emitted separately but absorbed into the product-form term through
+the dressed tensors p~ (the same bookkeeping the reference formulation builds
 into its product-form exchange dressing).
 """
 
@@ -31,21 +34,17 @@ from .tensors import (
     _Buckets,
     _accumulate_vp_buckets,
     _coefficients_from_buckets,
+    _swap,
     build_dressed_nu,
     build_electrostatic_coefficients,
     convert_aa,
-    convert_bb,
     convert_const,
     convert_dir,
     convert_g2,
     convert_g2r,
-    convert_g3,
-    convert_g3r,
     convert_lock,
     convert_one_a,
-    convert_one_b,
     convert_t3a,
-    convert_t3b,
     sym_overlap_pair,
 )
 
@@ -201,6 +200,53 @@ def renormalize_exchange(S: np.ndarray, partition: SpacePartition) -> SaptCoeffi
     )
 
 
+def _core_terms_a(bk: _Buckets, vr, sr, t1, lam2, nta: int, ntb: int) -> None:
+    """Monomer-A half of the core contractions of :func:`renormalize_vp`: locked
+    pair t1[p1,p2,q1,q2], triple term lam2[p1,p2,q1,p4] and product term."""
+    a, b = slice(0, nta), slice(0, ntb)
+    ca, cb = slice(nta, None), slice(ntb, None)
+    v_tt, s_tt = vr[a, a, b, b], sr[a, b]
+    f_core_b, f_core_a, v0_core, ps_core_a, _, ss_cc = _core_pieces(vr, sr, nta, ntb)
+    bs = bk.swapped()  # one-body terms on monomer B
+
+    # ---- locked pair term: internal core contraction
+    convert_one_a(bk, -np.einsum("abjj->ab", t1[a, a, cb, cb]))
+
+    # ---- monomer-A triple term
+    convert_aa(bk, -np.einsum("abjd,cj->abcd", lam2[a, a, cb, a], sr[a, cb]))
+    convert_lock(bk, -2.0 * np.einsum("iicb,ad->abcd", lam2[ca, ca, b, a], s_tt))
+    convert_one_a(bk, -2.0 * np.einsum("iijb,aj->ab", lam2[ca, ca, cb, a], sr[a, cb]))
+    convert_dir(bk, -np.einsum("abci,id->abcd", lam2[a, a, b, ca], sr[ca, b]))
+    convert_one_a(bk, -2.0 * np.einsum("abji,ij->ab", lam2[a, a, cb, ca], sr[ca, cb]))
+    convert_one_a(bs, -2.0 * np.einsum("iicx,xd->cd", lam2[ca, ca, b, ca], sr[ca, b]))
+    convert_const(bk, -4.0 * np.einsum("iijx,xj->", lam2[ca, ca, cb, ca], sr[ca, cb]))
+    convert_one_a(bs, -np.einsum("itci,td->cd", lam2[ca, a, b, ca], s_tt))
+    convert_lock(bk, np.einsum("ibci,ad->abcd", lam2[ca, a, b, ca], s_tt))
+    convert_const(bk, -2.0 * np.einsum("itji,tj->", lam2[ca, a, cb, ca], sr[a, cb]))
+    convert_one_a(bk, np.einsum("ibji,aj->ab", lam2[ca, a, cb, ca], sr[a, cb]))
+
+    # ---- product term: core contractions of the electrostatic/exchange pair
+    convert_g2(bk, -2.0 * np.einsum("ab,dc->abcd", f_core_b, s_tt), s_tt)
+    convert_t3a(bk, -v_tt, ps_core_a)
+    convert_aa(bk, -2.0 * np.einsum("ab,cd->abcd", f_core_b, ps_core_a))
+    # outer cross contraction of the monomer-A pair
+    convert_aa(bk, -np.einsum("abju,cj,du->abcd", vr[a, a, cb, b], sr[a, cb], s_tt))
+    convert_g2r(bk, np.einsum("abjc,dj->abcd", vr[a, a, cb, b], sr[a, cb]), s_tt)
+    # doubly contracted cells
+    convert_dir(bk, -2.0 * np.einsum("ab,cd->abcd", ps_core_a, f_core_a))
+    convert_one_a(bk, -4.0 * v0_core * ps_core_a)
+    convert_one_a(bk, -4.0 * ss_cc * f_core_b)
+    # cross contractions paired with internal ones
+    convert_one_a(bk, -2.0 * np.einsum("iiju,aj,bu->ab", vr[ca, ca, cb, b], sr[a, cb], s_tt))
+    convert_lock(bk, 2.0 * np.einsum("iijd,aj,bc->abcd", vr[ca, ca, cb, b], sr[a, cb], s_tt))
+    convert_one_a(bk, -2.0 * np.einsum("abju,iu,ij->ab", vr[a, a, cb, b], sr[ca, b], sr[ca, cb]))
+    convert_dir(bk, np.einsum("abjd,ic,ij->abcd", vr[a, a, cb, b], sr[ca, b], sr[ca, cb]))
+    convert_const(bk, -4.0 * np.einsum("iiju,xu,xj->", vr[ca, ca, cb, b], sr[ca, b], sr[ca, cb]))
+    convert_one_a(bs, 2.0 * np.einsum("iijd,xc,xj->cd", vr[ca, ca, cb, b], sr[ca, b], sr[ca, cb]))
+    # both monomer pairs cross contracted
+    convert_one_a(bk, np.einsum("ibju,aj,iu->ab", vr[ca, a, cb, b], sr[a, cb], sr[ca, b]))
+
+
 def renormalize_vp(
     v: np.ndarray,
     S: np.ndarray,
@@ -220,10 +266,8 @@ def renormalize_vp(
     ca, cb = slice(nta, None), slice(ntb, None)
     dressed = build_dressed_nu(vr, sr, mr)
 
-    v_tt = vr[a, a, b, b]
-    s_tt = sr[a, b]
-    f_core_b, f_core_a, v0_core, ps_core_a, ps_core_b, ss_cc = _core_pieces(vr, sr, nta, ntb)
-    t_ss_tt = np.einsum("ad,bc->abcd", s_tt, s_tt)
+    v_tt, s_tt = vr[a, a, b, b], sr[a, b]
+    _, _, v0_core, ps_core_a, ps_core_b, ss_cc = _core_pieces(vr, sr, nta, ntb)
 
     bk = _Buckets.zeros(nta, ntb)
 
@@ -236,79 +280,18 @@ def renormalize_vp(
     )
     _accumulate_vp_buckets(bk, v_tt, s_tt, dressed_act)
 
-    # ---- locked pair term: internal core contractions
+    # core contractions: each monomer-A term and its monomer-B mirror ...
     t1 = dressed.nu1.transpose(0, 3, 2, 1)  # [p1,p2,q1,q2]
-    convert_one_b(bk, -np.einsum("iiab->ab", t1[ca, ca, b, b]))
-    convert_one_a(bk, -np.einsum("abjj->ab", t1[a, a, cb, cb]))
+    _core_terms_a(bk, vr, sr, t1, dressed.nu2, nta, ntb)
+    # contiguous copy: the plain three-operand einsums run ~2x slower on a view
+    vr_swapped = np.ascontiguousarray(_swap(vr))
+    _core_terms_a(bk.swapped(), vr_swapped, sr.T, _swap(t1), _swap(dressed.nu3), ntb, nta)
+    # ... and the self-mirrored terms
     convert_const(bk, -2.0 * np.einsum("iijj->", t1[ca, ca, cb, cb]))
-
-    # ---- monomer-A triple term
-    lam2 = dressed.nu2  # [p1,p2,q1,p4]
-    convert_aa(bk, -np.einsum("abjd,cj->abcd", lam2[a, a, cb, a], sr[a, cb]))
-    convert_lock(bk, -2.0 * np.einsum("iicb,ad->abcd", lam2[ca, ca, b, a], s_tt))
-    convert_one_a(bk, -2.0 * np.einsum("iijb,aj->ab", lam2[ca, ca, cb, a], sr[a, cb]))
-    convert_dir(bk, -np.einsum("abci,id->abcd", lam2[a, a, b, ca], sr[ca, b]))
-    convert_one_a(bk, -2.0 * np.einsum("abji,ij->ab", lam2[a, a, cb, ca], sr[ca, cb]))
-    convert_one_b(bk, -2.0 * np.einsum("iicx,xd->cd", lam2[ca, ca, b, ca], sr[ca, b]))
-    convert_const(bk, -4.0 * np.einsum("iijx,xj->", lam2[ca, ca, cb, ca], sr[ca, cb]))
-    convert_one_b(bk, -np.einsum("itci,td->cd", lam2[ca, a, b, ca], s_tt))
-    convert_lock(bk, np.einsum("ibci,ad->abcd", lam2[ca, a, b, ca], s_tt))
-    convert_const(bk, -2.0 * np.einsum("itji,tj->", lam2[ca, a, cb, ca], sr[a, cb]))
-    convert_one_a(bk, np.einsum("ibji,aj->ab", lam2[ca, a, cb, ca], sr[a, cb]))
-
-    # ---- monomer-B triple term
-    lam3 = dressed.nu3  # [p1,q4,q1,q2]
-    convert_bb(bk, -np.einsum("idab,ic->abcd", lam3[ca, b, b, b], sr[ca, b]))
-    convert_lock(bk, -2.0 * np.einsum("adjj,bc->abcd", lam3[a, b, cb, cb], s_tt))
-    convert_one_b(bk, -2.0 * np.einsum("idjj,ic->cd", lam3[ca, b, cb, cb], sr[ca, b]))
-    convert_dir(bk, -np.einsum("arcd,br->abcd", lam3[a, cb, b, b], sr[a, cb]))
-    convert_one_b(bk, -2.0 * np.einsum("ircd,ir->cd", lam3[ca, cb, b, b], sr[ca, cb]))
-    convert_one_a(bk, -2.0 * np.einsum("arjj,br->ab", lam3[a, cb, cb, cb], sr[a, cb]))
-    convert_const(bk, -4.0 * np.einsum("irjj,ir->", lam3[ca, cb, cb, cb], sr[ca, cb]))
-    convert_one_a(bk, -np.einsum("ajju,bu->ab", lam3[a, cb, cb, b], s_tt))
-    convert_lock(bk, np.einsum("ajjd,bc->abcd", lam3[a, cb, cb, b], s_tt))
-    convert_const(bk, -2.0 * np.einsum("ijju,iu->", lam3[ca, cb, cb, b], sr[ca, b]))
-    convert_one_b(bk, np.einsum("ijjd,ic->cd", lam3[ca, cb, cb, b], sr[ca, b]))
-
-    # ---- product term: core contractions of the electrostatic/exchange pair
-    convert_g2(bk, -2.0 * np.einsum("ab,dc->abcd", f_core_b, s_tt), s_tt)
-    convert_g3(bk, -2.0 * np.einsum("ab,cd->abcd", s_tt, f_core_a), s_tt)
-    convert_t3a(bk, -v_tt, ps_core_a)
-    convert_t3b(bk, -v_tt, ps_core_b)
-    convert_aa(bk, -2.0 * np.einsum("ab,cd->abcd", f_core_b, ps_core_a))
-    convert_bb(bk, -2.0 * np.einsum("ab,cd->abcd", f_core_a, ps_core_b))
-    # outer cross contraction of one monomer pair
-    convert_aa(bk, -np.einsum("abju,cj,du->abcd", vr[a, a, cb, b], sr[a, cb], s_tt))
-    convert_g2r(bk, np.einsum("abjc,dj->abcd", vr[a, a, cb, b], sr[a, cb]), s_tt)
-    convert_bb(bk, -np.einsum("itab,td,ic->abcd", vr[ca, a, b, b], s_tt, sr[ca, b]))
-    convert_g3r(bk, np.einsum("iacd,ib->abcd", vr[ca, a, b, b], sr[ca, b]), s_tt)
-    # doubly contracted cells
-    convert_lock(bk, -4.0 * v0_core * t_ss_tt)
-    convert_dir(bk, -2.0 * np.einsum("ab,cd->abcd", ps_core_a, f_core_a))
-    convert_dir(bk, -2.0 * np.einsum("ab,cd->abcd", f_core_b, ps_core_b))
+    convert_lock(bk, -4.0 * v0_core * np.einsum("ad,bc->abcd", s_tt, s_tt))
     convert_dir(bk, -2.0 * ss_cc * v_tt)
-    convert_one_a(bk, -4.0 * v0_core * ps_core_a)
-    convert_one_b(bk, -4.0 * v0_core * ps_core_b)
-    convert_one_a(bk, -4.0 * ss_cc * f_core_b)
-    convert_one_b(bk, -4.0 * ss_cc * f_core_a)
     convert_const(bk, -8.0 * v0_core * ss_cc)
-    # cross contractions paired with internal ones
-    convert_one_a(bk, -2.0 * np.einsum("iiju,aj,bu->ab", vr[ca, ca, cb, b], sr[a, cb], s_tt))
-    convert_lock(bk, 2.0 * np.einsum("iijd,aj,bc->abcd", vr[ca, ca, cb, b], sr[a, cb], s_tt))
-    convert_one_b(bk, -2.0 * np.einsum("itjj,td,ic->cd", vr[ca, a, cb, cb], s_tt, sr[ca, b]))
-    convert_lock(bk, 2.0 * np.einsum("ibjj,ic,ad->abcd", vr[ca, a, cb, cb], sr[ca, b], s_tt))
-    convert_one_b(bk, -2.0 * np.einsum("itcd,tj,ij->cd", vr[ca, a, b, b], sr[a, cb], sr[ca, cb]))
-    convert_dir(bk, np.einsum("ibcd,aj,ij->abcd", vr[ca, a, b, b], sr[a, cb], sr[ca, cb]))
-    convert_one_a(bk, -2.0 * np.einsum("abju,iu,ij->ab", vr[a, a, cb, b], sr[ca, b], sr[ca, cb]))
-    convert_dir(bk, np.einsum("abjd,ic,ij->abcd", vr[a, a, cb, b], sr[ca, b], sr[ca, cb]))
-    convert_const(bk, -4.0 * np.einsum("iiju,xu,xj->", vr[ca, ca, cb, b], sr[ca, b], sr[ca, cb]))
-    convert_one_b(bk, 2.0 * np.einsum("iijd,xc,xj->cd", vr[ca, ca, cb, b], sr[ca, b], sr[ca, cb]))
-    convert_const(bk, -4.0 * np.einsum("itjj,tx,ix->", vr[ca, a, cb, cb], sr[a, cb], sr[ca, cb]))
-    convert_one_a(bk, 2.0 * np.einsum("ibjj,ax,ix->ab", vr[ca, a, cb, cb], sr[a, cb], sr[ca, cb]))
-    # both monomer pairs cross contracted
     convert_const(bk, -2.0 * np.einsum("itju,tj,iu->", vr[ca, a, cb, b], sr[a, cb], sr[ca, b]))
-    convert_one_b(bk, np.einsum("itjd,tj,ic->cd", vr[ca, a, cb, b], sr[a, cb], sr[ca, b]))
-    convert_one_a(bk, np.einsum("ibju,aj,iu->ab", vr[ca, a, cb, b], sr[a, cb], sr[ca, b]))
     convert_lock(bk, -np.einsum("ibjd,aj,ic->abcd", vr[ca, a, cb, b], sr[a, cb], sr[ca, b]))
 
     p_tilde_a = s_tt @ s_tt.T + 2.0 * ps_core_a

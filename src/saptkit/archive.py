@@ -115,6 +115,14 @@ def save_archive(path, archive: TensorArchive) -> None:
         fh.write(payload)
 
 
+def _required(entry, keys: tuple[str, ...], where: str) -> list:
+    """Values of the required ``keys`` of one manifest entry, in order."""
+    missing = [k for k in keys if not isinstance(entry, dict) or k not in entry]
+    if missing:
+        raise ArchiveError("schema", f"{where} lacks {', '.join(missing)}")
+    return [entry[k] for k in keys]
+
+
 def load_archive(path) -> TensorArchive:
     path = Path(path)
     if not path.exists():
@@ -130,29 +138,29 @@ def load_archive(path) -> TensorArchive:
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ArchiveError("schema", f"unsupported schema {manifest.get('schema_version')}")
     payload = raw[16 + n :]
-    if len(payload) != manifest["payload_bytes"]:
+    payload_bytes, sha256, dimer, array_meta = _required(
+        manifest, ("payload_bytes", "payload_sha256", "dimer", "arrays"), "manifest"
+    )
+    if len(payload) != payload_bytes:
         raise ArchiveError("checksum", "payload length mismatch")
-    if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
+    if hashlib.sha256(payload).hexdigest() != sha256:
         raise ArchiveError("checksum", "payload checksum mismatch")
 
-    dimer = manifest["dimer"]
     basis = DimerBasis(
-        n_orb_A=dimer["n_orb_A"],
-        n_orb_B=dimer["n_orb_B"],
-        n_elec_A=dimer["n_elec_A"],
-        n_elec_B=dimer["n_elec_B"],
+        *_required(dimer, ("n_orb_A", "n_orb_B", "n_elec_A", "n_elec_B"), "manifest dimer")
     )
     declared = 0
     arrays = {}
-    for name, meta in manifest["arrays"].items():
-        if meta["dtype"] != "float64":
+    for name, meta in array_meta.items():
+        dtype, shape, offset = _required(meta, ("dtype", "shape", "offset"), f"array {name!r}")
+        if dtype != "float64":
             raise ArchiveError("schema", f"array {name!r} has unsupported dtype")
-        shape = tuple(meta["shape"])
+        shape = tuple(shape)
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         declared += 8 * count
-        arr = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=meta["offset"]
-        ).reshape(shape)
+        if not isinstance(offset, int) or not 0 <= offset <= offset + 8 * count <= len(payload):
+            raise ArchiveError("checksum", f"array {name!r} extends outside the payload")
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
         arrays[name] = np.array(arr)  # writable copy in native order
         rule = _SHAPE_RULES.get(name)
         if rule is not None and shape not in rule(basis.n_orb_A, basis.n_orb_B):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .tensors import (
 )
 
 MAX_SPIN_ORBITALS = 16
-# the cached tables of one monomer take 2.4 GB at 5 orbitals and 52 GB at 6
+# the cached tables of one monomer take 1.9 GB at 5 orbitals and 42 GB at 6
 MAX_MONOMER_ORBITALS = 5
 
 
@@ -47,14 +48,24 @@ MAX_MONOMER_ORBITALS = 5
 # single-monomer algebra
 
 
-@lru_cache(maxsize=16)
-def _monomer_ops(n_orb: int):
-    """Jordan-Wigner matrices and derived one-body operators for one monomer.
+class MonomerOps(NamedTuple):
+    """Jordan-Wigner tables of one monomer.
 
-    Returns (gamma0, gamma1, adag, E, w, number, dim): gamma arrays have
-    shape (2n, dim, dim); E and w have shape (2, n, n, dim, dim) indexed by
-    [spin, p1, p2] with E[s, p1, p2] = a^dag_{p1 s} a_{p2 s}, w = E - delta/2.
+    ``adag`` has shape (2n, dim, dim); ``E`` and ``w`` have shape
+    (2, n, n, dim, dim) indexed by [spin, p1, p2] with
+    E[s, p1, p2] = a^dag_{p1 s} a_{p2 s} and w = E - delta/2.
     """
+
+    adag: np.ndarray
+    E: np.ndarray
+    w: np.ndarray
+    number: np.ndarray
+    dim: int
+
+
+@lru_cache(maxsize=16)
+def _monomer_ops(n_orb: int) -> MonomerOps:
+    """Jordan-Wigner matrices and derived one-body operators for one monomer."""
     n_modes = 2 * n_orb
     dim = 2**n_modes
     X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -68,14 +79,13 @@ def _monomer_ops(n_orb: int):
             out = np.kron(out, m)
         return out
 
-    gamma0 = np.empty((n_modes, dim, dim), dtype=complex)
-    gamma1 = np.empty((n_modes, dim, dim), dtype=complex)
+    adag = np.empty((n_modes, dim, dim), dtype=complex)
+    a = np.empty((n_modes, dim, dim), dtype=complex)
     for m in range(n_modes):
-        gamma0[m] = chain([Z] * m + [X] + [eye] * (n_modes - m - 1))
-        gamma1[m] = chain([Z] * m + [Y] + [eye] * (n_modes - m - 1))
-
-    adag = 0.5 * (gamma0 - 1.0j * gamma1)
-    a = 0.5 * (gamma0 + 1.0j * gamma1)
+        gamma0 = chain([Z] * m + [X] + [eye] * (n_modes - m - 1))
+        gamma1 = chain([Z] * m + [Y] + [eye] * (n_modes - m - 1))
+        adag[m] = 0.5 * (gamma0 - 1.0j * gamma1)
+        a[m] = 0.5 * (gamma0 + 1.0j * gamma1)
 
     E = np.empty((2, n_orb, n_orb, dim, dim), dtype=complex)
     for s in range(2):
@@ -88,7 +98,7 @@ def _monomer_ops(n_orb: int):
             w[s, p, p] -= 0.5 * np.eye(dim)
 
     number = sum(adag[m] @ a[m] for m in range(n_modes))
-    return gamma0, gamma1, adag, E, w, number, dim
+    return MonomerOps(adag, E, w, number, dim)
 
 
 @dataclass(frozen=True)
@@ -121,7 +131,7 @@ class FockSpace:
     def n_orb(self, which: str) -> int:
         return self.n_orb_A if which == "A" else self.n_orb_B
 
-    def monomer(self, which: str):
+    def monomer(self, which: str) -> MonomerOps:
         return _monomer_ops(self.n_orb(which))
 
     def occupations(self, which: str) -> np.ndarray:
@@ -213,14 +223,6 @@ class PairSum:
         m = stack_a.T @ stack_b
         return m.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        da, db = self.space.dim_A, self.space.dim_B
-        psi = vec.reshape(da, db)
-        out = np.zeros_like(psi, dtype=complex)
-        for a, b in self.pairs:
-            out += a @ psi @ b.T
-        return out.reshape(da * db)
-
     def apply_block(self, vecs: np.ndarray) -> np.ndarray:
         """Apply to several state vectors at once (columns of ``vecs``)."""
         da, db = self.space.dim_A, self.space.dim_B
@@ -233,9 +235,6 @@ class PairSum:
             tmp = (a @ flat).reshape(da, db, k).transpose(0, 2, 1)
             out += tmp.reshape(da * k, db) @ b.T
         return out.reshape(da, k, db).transpose(0, 2, 1).reshape(da * db, k)
-
-    def expectation(self, vec: np.ndarray) -> complex:
-        return np.vdot(vec, self.apply(vec))
 
     def expectation_product(self, psi_a: np.ndarray, psi_b: np.ndarray) -> complex:
         val = 0.0 + 0.0j
@@ -259,8 +258,8 @@ class PairSum:
 
 
 def _mats(space: FockSpace, which: str, basis: str):
-    _, _, _, E, w, _, _ = space.monomer(which)
-    return E if basis == "E" else w
+    ops = space.monomer(which)
+    return ops.E if basis == "E" else ops.w
 
 
 def one_body_matrix(space: FockSpace, which: str, h: np.ndarray, basis: str) -> np.ndarray:
@@ -630,9 +629,9 @@ def embed_with_core(
     vacuum in both spaces, so the embedding is exact for any mode ordering.
     """
     n_full = space_full.n_orb(which)
-    _, _, adag_full, _, _, _, dim_full = space_full.monomer(which)
+    adag_full, *_, dim_full = space_full.monomer(which)
     n_act = len(active)
-    _, _, adag_act, _, _, _, dim_act = _monomer_ops(n_act)
+    adag_act, *_, dim_act = _monomer_ops(n_act)
     n_modes_act = 2 * n_act
     out = np.zeros(dim_full, dtype=complex)
     vac_full = np.zeros(dim_full, dtype=complex)

@@ -177,65 +177,6 @@ def sym_joint(T: np.ndarray) -> np.ndarray:
     return 0.5 * (T + T.transpose(1, 0, 3, 2))
 
 
-def sym_pairswap(T: np.ndarray) -> np.ndarray:
-    """Hermitizing symmetrization of an intra-monomer block."""
-    return 0.5 * (T + T.transpose(3, 2, 1, 0))
-
-
-def sym_product_vp2(lam: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Eight-fold sym of lam[p1,p2,q1,p4] S[p3,q2] as a 6-index array.
-
-    Output layout ``[p1, p2, p3, p4, q1, q2]``.  Exposed for the tensor-level
-    symmetry tests; the decomposition itself keeps the rank-4 part and the
-    overlap factor separate.
-    """
-    t = np.einsum("abcd,ef->abedcf", lam, S)  # [p1,p2,p3,p4,q1,q2]
-    g1 = t.transpose(1, 0, 3, 2, 4, 5)
-    g2 = t.transpose(2, 3, 0, 1, 4, 5)
-    g3 = g1.transpose(2, 3, 0, 1, 4, 5)
-    out = t + g1 + g2 + g3
-    out = out + out.transpose(0, 1, 2, 3, 5, 4)
-    return out / 8.0
-
-
-def sym_product_vp4(v: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Sixteen-fold sym of v[p1,p2,q1,q2] S[p3,q4] S[p4,q3] (8-index array).
-
-    Output layout ``[p1, p2, p3, p4, q1, q2, q3, q4]``.  Small-basis test
-    support only; scales as (NA*NB)^4.
-    """
-    t = np.einsum("abcd,eh,fg->abefcdgh", v, S, S)
-    acc = np.zeros_like(t)
-    for gp in (
-        (0, 1, 2, 3),
-        (1, 0, 3, 2),
-        (2, 3, 0, 1),
-        (3, 2, 1, 0),
-    ):
-        tp = t.transpose(*gp, 4, 5, 6, 7)
-        for gq in (
-            (4, 5, 6, 7),
-            (5, 4, 7, 6),
-            (6, 7, 4, 5),
-            (7, 6, 5, 4),
-        ):
-            acc = acc + tp.transpose(0, 1, 2, 3, *gq)
-    return acc / 16.0
-
-
-def symmetrize_tensors(v: np.ndarray, S: np.ndarray) -> dict[str, np.ndarray]:
-    """Symmetrized tensor products entering the self-inverse operator forms."""
-    v = np.asarray(v, dtype=float)
-    S = np.asarray(S, dtype=float)
-    if v.shape[:2] != (S.shape[0], S.shape[0]) or v.shape[2:] != (S.shape[1], S.shape[1]):
-        raise ShapeError("v and S describe different dimer bases")
-    return {
-        "v": sym_v4(v),
-        "SS": sym_overlap_pair(S),
-        "vSS": sym_product_vp4(v, S),
-    }
-
-
 # ---------------------------------------------------------------------------
 # dressed tensors
 
@@ -296,15 +237,24 @@ def build_exchange_coefficients(S: np.ndarray) -> SaptCoefficients:
     )
 
 
+def _swap(T: np.ndarray) -> np.ndarray:
+    """Exchange the monomer slots of a two-body block: [a,b,c,d] -> [c,d,a,b]."""
+    return T.transpose(2, 3, 0, 1)
+
+
 @dataclass
 class _Buckets:
     """Accumulators of the exchange-electrostatic decomposition.
 
     Each two-body bucket holds the non-Hermitian half ``M`` of its family;
-    the assembled operator is (M + M^dagger)/2 per family.
+    the assembled operator is (M + M^dagger)/2 per family.  :meth:`swapped`
+    views them with the monomers exchanged: ``h_a``/``h_b`` and ``aa``/``bb``
+    trade places, the inter-monomer blocks are transposed (2, 3, 0, 1), which
+    maps ``g2`` onto ``g3`` and ``g2r`` onto ``g3r``, and the 0-d ``const``
+    is shared.
     """
 
-    const: float
+    const: np.ndarray
     h_a: np.ndarray
     h_b: np.ndarray
     lock: np.ndarray
@@ -319,7 +269,7 @@ class _Buckets:
     @staticmethod
     def zeros(n_a: int, n_b: int) -> "_Buckets":
         return _Buckets(
-            const=0.0,
+            const=np.zeros(()),
             h_a=np.zeros((n_a, n_a)),
             h_b=np.zeros((n_b, n_b)),
             lock=np.zeros((n_a, n_a, n_b, n_b)),
@@ -332,6 +282,18 @@ class _Buckets:
             g3r=np.zeros((n_a, n_b, n_b, n_b)),
         )
 
+    def swapped(self) -> "_Buckets":
+        """Views of these accumulators with monomer B first.
+
+        Every ``+=`` on the view lands here, so each converter is written once,
+        for monomer A: run on the view with swapped tensors and ``S.T``, it
+        emits the mirrored monomer-B term.
+        """
+        return _Buckets(
+            self.const, self.h_b, self.h_a, _swap(self.lock), _swap(self.dir_), self.bb,
+            self.aa, _swap(self.g3), _swap(self.g2), _swap(self.g3r), _swap(self.g2r),
+        )
+
 
 def convert_const(bk: _Buckets, c: float) -> None:
     bk.const += c
@@ -341,11 +303,6 @@ def convert_one_a(bk: _Buckets, h: np.ndarray) -> None:
     """sum_sigma h[p1,p2] E^sigma on monomer A."""
     bk.const += float(np.trace(h))
     bk.h_a += h
-
-
-def convert_one_b(bk: _Buckets, h: np.ndarray) -> None:
-    bk.const += float(np.trace(h))
-    bk.h_b += h
 
 
 def convert_lock(bk: _Buckets, T: np.ndarray) -> None:
@@ -371,12 +328,6 @@ def convert_aa(bk: _Buckets, T: np.ndarray) -> None:
     bk.aa += T
 
 
-def convert_bb(bk: _Buckets, T: np.ndarray) -> None:
-    bk.const += np.einsum("pprr->", T)
-    bk.h_b += np.einsum("abrr->ab", T) + np.einsum("rrab->ab", T)
-    bk.bb += T
-
-
 def convert_g2(bk: _Buckets, lam: np.ndarray, S: np.ndarray) -> None:
     """sum_{s1 s2} lam[p1,p2,q1,p4] S[p3,q2] E^{s1}(p1p2) E^{s2}(p3p4) E^{s2}_B(q1q2)."""
     bk.const += 0.5 * np.einsum("ppqr,rq->", lam, S, optimize=True)
@@ -389,18 +340,6 @@ def convert_g2(bk: _Buckets, lam: np.ndarray, S: np.ndarray) -> None:
     bk.g2 += lam
 
 
-def convert_g3(bk: _Buckets, lam: np.ndarray, S: np.ndarray) -> None:
-    """sum_{s1 s2} lam[p1,q4,q1,q2] S[p2,q3] E^{s2}_A(p1p2) E^{s1}_B(q1q2) E^{s2}_B(q3q4)."""
-    bk.const += 0.5 * np.einsum("prqq,pr->", lam, S, optimize=True)
-    bk.h_a += 0.5 * np.einsum("arqq,br->ab", lam, S, optimize=True)
-    bk.h_b += 0.5 * np.einsum("prcd,pr->cd", lam, S, optimize=True)
-    bk.h_b += 0.5 * np.einsum("pdqq,pc->cd", lam, S, optimize=True)
-    bk.dir_ += 0.5 * np.einsum("arcd,br->abcd", lam, S, optimize=True)
-    bk.lock += np.einsum("adqq,bc->abcd", lam, S, optimize=True)
-    bk.bb += 0.5 * np.einsum("pdab,pc->abcd", lam, S, optimize=True)
-    bk.g3 += lam
-
-
 def convert_g2r(bk: _Buckets, lam: np.ndarray, S: np.ndarray) -> None:
     """Row-coupled variant: lam[p1,p2,q2,p3] S[p4,q1] with the same spins."""
     bk.const += 0.5 * np.einsum("ppqr,rq->", lam, S, optimize=True)
@@ -411,18 +350,6 @@ def convert_g2r(bk: _Buckets, lam: np.ndarray, S: np.ndarray) -> None:
     bk.dir_ += 0.5 * np.einsum("abdr,rc->abcd", lam, S, optimize=True)
     bk.aa += 0.5 * np.einsum("abqc,dq->abcd", lam, S, optimize=True)
     bk.g2r += lam
-
-
-def convert_g3r(bk: _Buckets, lam: np.ndarray, S: np.ndarray) -> None:
-    """Row-coupled variant: lam[p2,q3,q1,q2] S[p1,q4] with the same spins."""
-    bk.const += 0.5 * np.einsum("prqq,pr->", lam, S, optimize=True)
-    bk.h_a += 0.5 * np.einsum("brqq,ar->ab", lam, S, optimize=True)
-    bk.h_b += 0.5 * np.einsum("prcd,pr->cd", lam, S, optimize=True)
-    bk.h_b += 0.5 * np.einsum("pcqq,pd->cd", lam, S, optimize=True)
-    bk.dir_ += 0.5 * np.einsum("brcd,ar->abcd", lam, S, optimize=True)
-    bk.lock += np.einsum("bcqq,ad->abcd", lam, S, optimize=True)
-    bk.bb += 0.5 * np.einsum("pcab,pd->abcd", lam, S, optimize=True)
-    bk.g3r += lam
 
 
 def convert_t3a(bk: _Buckets, T: np.ndarray, h: np.ndarray) -> None:
@@ -443,19 +370,6 @@ def convert_t3a(bk: _Buckets, T: np.ndarray, h: np.ndarray) -> None:
     bk.dir_ += np.einsum("ab,cd->abcd", h, t_tr_a)
 
 
-def convert_t3b(bk: _Buckets, T: np.ndarray, h: np.ndarray) -> None:
-    """Mirror of convert_t3a: the one-body factor sits on monomer B (last)."""
-    tr_h = float(np.trace(h))
-    t_tr_b = np.einsum("abqq->ab", T)
-    t_tr_a = np.einsum("ppab->ab", T)
-    bk.const += np.einsum("ppqq->", T) * tr_h
-    bk.h_a += t_tr_b * tr_h
-    bk.h_b += t_tr_a * tr_h + np.einsum("ppqq->", T) * h
-    bk.bb += np.einsum("ab,cd->abcd", t_tr_a, h)
-    bk.dir_ += T * tr_h
-    bk.dir_ += np.einsum("ab,cd->abcd", t_tr_b, h)
-
-
 def _accumulate_vp_buckets(
     bk: _Buckets,
     v: np.ndarray,
@@ -467,34 +381,28 @@ def _accumulate_vp_buckets(
     The reduction splits every excitation factor into its scalar half and its
     traceless quadratic part; identity halves contract indices, the rest stays
     in its family.  No operator reordering is involved, so the bookkeeping is
-    exact; the Fock-space oracle pins it down term by term.
+    exact; the Fock-space oracle pins it down term by term.  The monomer-B
+    terms are the monomer-A ones on the swapped buckets and tensors.
     """
-    nu1, nu2, nu3 = dressed.nu1, dressed.nu2, dressed.nu3
-    t1 = nu1.transpose(0, 3, 2, 1)  # [p1,p2,q1,q2]
-
-    convert_lock(bk, -t1)
-    convert_g2(bk, -nu2, S)
-    convert_g3(bk, -nu3, S)
+    convert_lock(bk, -dressed.nu1.transpose(0, 3, 2, 1))  # [p1,p2,q1,q2]
 
     # symmetric product term, with the pure two-body factors kept as an
     # operator product (block 'v' against the exchange factors)
     v0 = float(np.einsum("ppqq->", v))
     p0 = float(-0.5 * np.sum(S * S))
-    f_a, f_b = one_body_f(v)
-    p_a, p_b = S @ S.T, S.T @ S
-    t_ss = np.einsum("ad,bc->abcd", S, S)
-
     bk.const += v0 * p0
-    bk.h_a += -0.5 * v0 * p_a + p0 * f_a
-    bk.h_b += -0.5 * v0 * p_b + p0 * f_b
-    bk.lock += -v0 * t_ss
+    bk.lock += -v0 * np.einsum("ad,bc->abcd", S, S)
     bk.dir_ += p0 * v
-    bk.aa += -0.5 * np.einsum("ab,cd->abcd", f_a, p_a)
-    bk.bb += -0.5 * np.einsum("ab,cd->abcd", f_b, p_b)
-    bk.dir_ += -0.5 * np.einsum("ab,cd->abcd", f_a, p_b)
-    bk.dir_ += -0.5 * np.einsum("ab,cd->abcd", p_a, f_b)
-    bk.g2 += -np.einsum("ab,dc->abcd", f_a, S)
-    bk.g3 += -np.einsum("ab,cd->abcd", S, f_b)
+    for side, vs, ss, lam in (
+        (bk, v, S, dressed.nu2),
+        (bk.swapped(), _swap(v), S.T, _swap(dressed.nu3)),
+    ):
+        convert_g2(side, -lam, ss)
+        f, p = np.einsum("abqq->ab", vs), ss @ ss.T
+        side.h_a += -0.5 * v0 * p + p0 * f
+        side.aa += -0.5 * np.einsum("ab,cd->abcd", f, p)
+        side.dir_ += -0.5 * np.einsum("ab,cd->abcd", f, ss.T @ ss)
+        side.g2 += -np.einsum("ab,dc->abcd", f, ss)
 
 
 def _coefficients_from_buckets(

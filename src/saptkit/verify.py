@@ -44,22 +44,20 @@ def _oracle_checks(rep: _Reporter, archive: TensorArchive, rng: np.random.Genera
     coeffs = build_majorana_coefficients(v, s)
     scale = max(np.abs(v).max(), 1.0)
 
-    ops = {}
-    for kind in ("V", "P", "VPs"):
-        exc = {
-            "V": assemble_electrostatic(space, v),
-            "P": assemble_exchange(space, s),
-            "VPs": assemble_vp_excitation(space, v, s),
-        }[kind]
+    ops = {
+        "V": assemble_electrostatic(space, v),
+        "P": assemble_exchange(space, s),
+        "VPs": assemble_vp_excitation(space, v, s),
+    }
+    for kind, exc in ops.items():
         maj = assemble_majorana(space, coeffs[kind])
-        ops[kind] = exc
         diff = (exc + maj.scaled(-1.0)).norm_estimate(rng)
         rep.check(f"{kind}: two assembly routes agree", diff < 1e-12 * scale, f"diff={diff:.2e}")
         herm = (exc + exc.dagger().scaled(-1.0)).norm_estimate(rng)
         rep.check(f"{kind}: Hermitian", herm < 1e-12 * scale, f"diff={herm:.2e}")
 
-    num_a = space.monomer("A")[5]
-    num_b = space.monomer("B")[5]
+    num_a = space.monomer("A").number
+    num_b = space.monomer("B").number
     n_op = PairSum(space).add_monomer("A", num_a) + PairSum(space).add_monomer("B", num_b)
     for kind, op in ops.items():
         comm = ((op @ n_op) + (n_op @ op).scaled(-1.0)).norm_estimate(rng)

@@ -85,8 +85,8 @@ def test_criterion_03_oracle_equivalence_bulk():
         v, s = random_dimer(rng, n_a, n_b)
         space = FockSpace(n_a, n_b)
         coeffs = build_majorana_coefficients(v, s)
-        num_a = space.monomer("A")[5]
-        num_b = space.monomer("B")[5]
+        num_a = space.monomer("A").number
+        num_b = space.monomer("B").number
         n_op = PairSum(space).add_monomer("A", num_a) + PairSum(space).add_monomer("B", num_b)
         for kind in ("V", "P", "VPs"):
             exc = {

@@ -138,3 +138,64 @@ class TestDegenerateCases:
         vp_op = assemble_majorana(space_act, renormalize_vp(v, s, part))
         assert p_op.norm_estimate(rng) < 1e-14
         assert vp_op.norm_estimate(rng) < 1e-14
+
+
+# block label -> label of its mirror when the monomers swap roles
+MIRROR_LABELS = {"A2": "B2", "B2": "A2", "2": "3", "3": "2", "2r": "3r", "3r": "2r"}
+
+
+def mirrored(c):
+    """Arrays of a coefficient set, relabelled as if the monomers swapped roles."""
+    out = {"constant": np.array(c.constant), "one_body_A": c.one_body_B,
+           "one_body_B": c.one_body_A, "overlap": c.overlap.T}
+    if c.vp4_one_body_A is not None:
+        out["vp4_one_body_A"], out["vp4_one_body_B"] = c.vp4_one_body_B, c.vp4_one_body_A
+    for label, block in c.two_body_blocks.items():
+        swapped = block if label in ("A2", "B2") else block.transpose(2, 3, 0, 1)
+        out[MIRROR_LABELS.get(label, label)] = swapped
+    return out
+
+
+def arrays(c):
+    out = {"constant": np.array(c.constant), "one_body_A": c.one_body_A,
+           "one_body_B": c.one_body_B, "overlap": c.overlap, **c.two_body_blocks}
+    if c.vp4_one_body_A is not None:
+        out["vp4_one_body_A"], out["vp4_one_body_B"] = c.vp4_one_body_A, c.vp4_one_body_B
+    return out
+
+
+class TestSwapCovariance:
+    """Exchanging the monomers, (v, S) -> (v[q,q,p,p], S.T), mirrors every coefficient set."""
+
+    CORES = {"none": ([], []), "A": ([1], []), "B": ([], [0, 2]), "both": ([1], [0, 2])}
+
+    @pytest.mark.parametrize("cores", ["full", *CORES])
+    def test_swapped_dimer_gives_mirrored_coefficients(self, rng, cores):
+        v, s = random_dimer(rng, 3, 4)
+        v_sw, s_sw = v.transpose(2, 3, 0, 1), s.T
+        if cores == "full":
+            pairs = zip(build_majorana_coefficients(v, s).values(),
+                        build_majorana_coefficients(v_sw, s_sw).values())
+        else:
+            core_a, core_b = self.CORES[cores]
+            # keep one orbital of B virtual so that active and total ranges differ
+            act_a = [p for p in range(3) if p not in core_a]
+            act_b = [q for q in range(3) if q not in core_b]
+            part = SpacePartition.from_counts(core_a, act_a, core_b, act_b, 2 * len(core_a) + 1,
+                                              2 * len(core_b) + 2)
+            part_sw = SpacePartition.from_counts(core_b, act_b, core_a, act_a, 2 * len(core_b) + 2,
+                                                 2 * len(core_a) + 1)
+            pairs = [
+                (renormalize_electrostatic(v, part), renormalize_electrostatic(v_sw, part_sw)),
+                (renormalize_exchange(s, part), renormalize_exchange(s_sw, part_sw)),
+                (renormalize_vp(v, s, part), renormalize_vp(v_sw, s_sw, part_sw)),
+            ]
+        for ref, got in pairs:
+            want, have = mirrored(ref), arrays(got)
+            assert set(have) == set(want), ref.observable
+            scale = max(np.abs(x).max(initial=0.0) for x in want.values())
+            for key, x in want.items():
+                diff = np.abs(have[key] - x).max(initial=0.0)
+                assert diff <= 1e-13 * scale, (ref.observable, key)
+        if cores == "both":
+            assert {"2r", "3r"} <= set(ref.two_body_blocks)

@@ -13,6 +13,16 @@ FCIDUMP_TEXT = """&FCI NORB=2,NELEC=2,MS2=0,
 """
 
 
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to the JSON manifest of a saved archive, payload untouched."""
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    manifest = json.loads(raw[16 : 16 + n])
+    edit(manifest)
+    blob = json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + n :])
+
+
 @pytest.fixture
 def archive_path(tmp_path):
     path = tmp_path / "dimer.sapt"
@@ -135,6 +145,16 @@ class TestErrors:
 
     def test_missing_archive_is_exit_3(self):
         assert main(["norms", "/definitely/not/here.sapt"]) == 3
+
+    def test_manifest_without_dimer_is_exit_3(self, archive_path, capsys):
+        rewrite_manifest(archive_path, lambda m: m.pop("dimer"))
+        assert main(["norms", str(archive_path)]) == 3
+        assert "[schema] manifest lacks dimer" in capsys.readouterr().err
+
+    def test_array_offset_past_payload_is_exit_3(self, archive_path, capsys):
+        rewrite_manifest(archive_path, lambda m: m["arrays"]["v"].update(offset=m["payload_bytes"]))
+        assert main(["norms", str(archive_path)]) == 3
+        assert "[checksum] array 'v' extends outside the payload" in capsys.readouterr().err
 
 
 class TestConvertFcidump:

@@ -65,8 +65,8 @@ class TestEquivalence:
     def test_number_conservation(self, rng):
         v, s = random_dimer(rng, 2, 2)
         space = FockSpace(2, 2)
-        num_a = space.monomer("A")[5]
-        num_b = space.monomer("B")[5]
+        num_a = space.monomer("A").number
+        num_b = space.monomer("B").number
         n_op = PairSum(space).add_monomer("A", num_a) + PairSum(space).add_monomer("B", num_b)
         for kind, (exc, _) in dense_ops(space, v, s).items():
             comm = (exc @ n_op) + (n_op @ exc).scaled(-1.0)
@@ -86,8 +86,8 @@ class TestHandCases:
         v = np.full((1, 1, 1, 1), c)
         space = FockSpace(1, 1)
         op = assemble_electrostatic(space, v).to_dense()
-        num_a = space.monomer("A")[5]
-        num_b = space.monomer("B")[5]
+        num_a = space.monomer("A").number
+        num_b = space.monomer("B").number
         assert np.abs(op - c * np.kron(num_a, num_b)).max() < 1e-13
 
     def test_exchange_expectation_identical_orbitals(self):
@@ -149,7 +149,7 @@ class TestDressingVariant:
         h1 = np.eye(2)
         eri = np.zeros((2, 2, 2, 2))
         h_op = build_operator_matrix(space, "H_A", (h1, eri))
-        num_a = space.monomer("A")[5]
+        num_a = space.monomer("A").number
         assert np.abs(h_op.pairs[0][0] - num_a).max() < 1e-12
 
 
@@ -190,12 +190,12 @@ def _terms(name, T, S, na, nb):
 
 def dense_family_reference(space, name, T, S, basis):
     """Dense dimer matrix of one family from factors lifted by np.kron."""
-    slot = 3 if basis == "E" else 4
     eye = {"A": np.eye(space.dim_A), "B": np.eye(space.dim_B)}
     lifted = {}
     for m in "AB":
-        for s, p, q in np.ndindex(space.monomer(m)[slot].shape[:3]):
-            x = space.monomer(m)[slot][s, p, q]
+        table = getattr(space.monomer(m), basis)
+        for s, p, q in np.ndindex(table.shape[:3]):
+            x = table[s, p, q]
             mat = np.kron(x, eye["B"]) if m == "A" else np.kron(eye["A"], x)
             lifted[m, s, p, q] = sparse.csr_matrix(mat)
     out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
@@ -344,5 +344,5 @@ class TestEmbedding:
         psi = random_sector_state(space_act, "A", 2, rng)
         emb = embed_with_core(space_full, "A", [0], [1, 2], psi)
         assert np.linalg.norm(emb) == pytest.approx(1.0)
-        num = space_full.monomer("A")[5]
+        num = space_full.monomer("A").number
         assert (emb.conj() @ num @ emb).real == pytest.approx(4.0)
