@@ -206,6 +206,7 @@ def _core_terms_a(bk: _Buckets, vr, sr, t1, lam2, nta: int, ntb: int) -> None:
     a, b = slice(0, nta), slice(0, ntb)
     ca, cb = slice(nta, None), slice(ntb, None)
     v_tt, s_tt = vr[a, a, b, b], sr[a, b]
+    s_tc, s_ct, s_cc = sr[a, cb], sr[ca, b], sr[ca, cb]
     f_core_b, f_core_a, v0_core, ps_core_a, _, ss_cc = _core_pieces(vr, sr, nta, ntb)
     bs = bk.swapped()  # one-body terms on monomer B
 
@@ -213,38 +214,48 @@ def _core_terms_a(bk: _Buckets, vr, sr, t1, lam2, nta: int, ntb: int) -> None:
     convert_one_a(bk, -np.einsum("abjj->ab", t1[a, a, cb, cb]))
 
     # ---- monomer-A triple term
-    convert_aa(bk, -np.einsum("abjd,cj->abcd", lam2[a, a, cb, a], sr[a, cb]))
+    convert_aa(bk, -np.einsum("abjd,cj->abcd", lam2[a, a, cb, a], s_tc))
     convert_lock(bk, -2.0 * np.einsum("iicb,ad->abcd", lam2[ca, ca, b, a], s_tt))
-    convert_one_a(bk, -2.0 * np.einsum("iijb,aj->ab", lam2[ca, ca, cb, a], sr[a, cb]))
-    convert_dir(bk, -np.einsum("abci,id->abcd", lam2[a, a, b, ca], sr[ca, b]))
-    convert_one_a(bk, -2.0 * np.einsum("abji,ij->ab", lam2[a, a, cb, ca], sr[ca, cb]))
-    convert_one_a(bs, -2.0 * np.einsum("iicx,xd->cd", lam2[ca, ca, b, ca], sr[ca, b]))
-    convert_const(bk, -4.0 * np.einsum("iijx,xj->", lam2[ca, ca, cb, ca], sr[ca, cb]))
+    convert_one_a(bk, -2.0 * np.einsum("iijb,aj->ab", lam2[ca, ca, cb, a], s_tc))
+    convert_dir(bk, -np.einsum("abci,id->abcd", lam2[a, a, b, ca], s_ct))
+    convert_one_a(bk, -2.0 * np.einsum("abji,ij->ab", lam2[a, a, cb, ca], s_cc))
+    convert_one_a(bs, -2.0 * np.einsum("iicx,xd->cd", lam2[ca, ca, b, ca], s_ct))
+    convert_const(bk, -4.0 * np.einsum("iijx,xj->", lam2[ca, ca, cb, ca], s_cc))
     convert_one_a(bs, -np.einsum("itci,td->cd", lam2[ca, a, b, ca], s_tt))
     convert_lock(bk, np.einsum("ibci,ad->abcd", lam2[ca, a, b, ca], s_tt))
-    convert_const(bk, -2.0 * np.einsum("itji,tj->", lam2[ca, a, cb, ca], sr[a, cb]))
-    convert_one_a(bk, np.einsum("ibji,aj->ab", lam2[ca, a, cb, ca], sr[a, cb]))
+    convert_const(bk, -2.0 * np.einsum("itji,tj->", lam2[ca, a, cb, ca], s_tc))
+    convert_one_a(bk, np.einsum("ibji,aj->ab", lam2[ca, a, cb, ca], s_tc))
 
     # ---- product term: core contractions of the electrostatic/exchange pair
     convert_g2(bk, -2.0 * np.einsum("ab,dc->abcd", f_core_b, s_tt), s_tt)
     convert_t3a(bk, -v_tt, ps_core_a)
     convert_aa(bk, -2.0 * np.einsum("ab,cd->abcd", f_core_b, ps_core_a))
     # outer cross contraction of the monomer-A pair
-    convert_aa(bk, -np.einsum("abju,cj,du->abcd", vr[a, a, cb, b], sr[a, cb], s_tt))
-    convert_g2r(bk, np.einsum("abjc,dj->abcd", vr[a, a, cb, b], sr[a, cb]), s_tt)
+    convert_aa(bk, -np.einsum("abju,cj,du->abcd", vr[a, a, cb, b], s_tc, s_tt, optimize=True))
+    convert_g2r(bk, np.einsum("abjc,dj->abcd", vr[a, a, cb, b], s_tc), s_tt)
     # doubly contracted cells
     convert_dir(bk, -2.0 * np.einsum("ab,cd->abcd", ps_core_a, f_core_a))
     convert_one_a(bk, -4.0 * v0_core * ps_core_a)
     convert_one_a(bk, -4.0 * ss_cc * f_core_b)
     # cross contractions paired with internal ones
-    convert_one_a(bk, -2.0 * np.einsum("iiju,aj,bu->ab", vr[ca, ca, cb, b], sr[a, cb], s_tt))
-    convert_lock(bk, 2.0 * np.einsum("iijd,aj,bc->abcd", vr[ca, ca, cb, b], sr[a, cb], s_tt))
-    convert_one_a(bk, -2.0 * np.einsum("abju,iu,ij->ab", vr[a, a, cb, b], sr[ca, b], sr[ca, cb]))
-    convert_dir(bk, np.einsum("abjd,ic,ij->abcd", vr[a, a, cb, b], sr[ca, b], sr[ca, cb]))
-    convert_const(bk, -4.0 * np.einsum("iiju,xu,xj->", vr[ca, ca, cb, b], sr[ca, b], sr[ca, cb]))
-    convert_one_a(bs, 2.0 * np.einsum("iijd,xc,xj->cd", vr[ca, ca, cb, b], sr[ca, b], sr[ca, cb]))
+    convert_one_a(
+        bk, -2.0 * np.einsum("iiju,aj,bu->ab", vr[ca, ca, cb, b], s_tc, s_tt, optimize=True)
+    )
+    convert_lock(
+        bk, 2.0 * np.einsum("iijd,aj,bc->abcd", vr[ca, ca, cb, b], s_tc, s_tt, optimize=True)
+    )
+    convert_one_a(
+        bk, -2.0 * np.einsum("abju,iu,ij->ab", vr[a, a, cb, b], s_ct, s_cc, optimize=True)
+    )
+    convert_dir(bk, np.einsum("abjd,ic,ij->abcd", vr[a, a, cb, b], s_ct, s_cc, optimize=True))
+    convert_const(
+        bk, -4.0 * np.einsum("iiju,xu,xj->", vr[ca, ca, cb, b], s_ct, s_cc, optimize=True)
+    )
+    convert_one_a(
+        bs, 2.0 * np.einsum("iijd,xc,xj->cd", vr[ca, ca, cb, b], s_ct, s_cc, optimize=True)
+    )
     # both monomer pairs cross contracted
-    convert_one_a(bk, np.einsum("ibju,aj,iu->ab", vr[ca, a, cb, b], sr[a, cb], sr[ca, b]))
+    convert_one_a(bk, np.einsum("ibju,aj,iu->ab", vr[ca, a, cb, b], s_tc, s_ct, optimize=True))
 
 
 def renormalize_vp(
@@ -267,6 +278,7 @@ def renormalize_vp(
     dressed = build_dressed_nu(vr, sr, mr)
 
     v_tt, s_tt = vr[a, a, b, b], sr[a, b]
+    s_tc, s_ct = sr[a, cb], sr[ca, b]
     _, _, v0_core, ps_core_a, ps_core_b, ss_cc = _core_pieces(vr, sr, nta, ntb)
 
     bk = _Buckets.zeros(nta, ntb)
@@ -283,16 +295,14 @@ def renormalize_vp(
     # core contractions: each monomer-A term and its monomer-B mirror ...
     t1 = dressed.nu1.transpose(0, 3, 2, 1)  # [p1,p2,q1,q2]
     _core_terms_a(bk, vr, sr, t1, dressed.nu2, nta, ntb)
-    # contiguous copy: the plain three-operand einsums run ~2x slower on a view
-    vr_swapped = np.ascontiguousarray(_swap(vr))
-    _core_terms_a(bk.swapped(), vr_swapped, sr.T, _swap(t1), _swap(dressed.nu3), ntb, nta)
+    _core_terms_a(bk.swapped(), _swap(vr), sr.T, _swap(t1), _swap(dressed.nu3), ntb, nta)
     # ... and the self-mirrored terms
     convert_const(bk, -2.0 * np.einsum("iijj->", t1[ca, ca, cb, cb]))
     convert_lock(bk, -4.0 * v0_core * np.einsum("ad,bc->abcd", s_tt, s_tt))
     convert_dir(bk, -2.0 * ss_cc * v_tt)
     convert_const(bk, -8.0 * v0_core * ss_cc)
-    convert_const(bk, -2.0 * np.einsum("itju,tj,iu->", vr[ca, a, cb, b], sr[a, cb], sr[ca, b]))
-    convert_lock(bk, -np.einsum("ibjd,aj,ic->abcd", vr[ca, a, cb, b], sr[a, cb], sr[ca, b]))
+    convert_const(bk, -2.0 * np.einsum("itju,tj,iu->", vr[ca, a, cb, b], s_tc, s_ct, optimize=True))
+    convert_lock(bk, -np.einsum("ibjd,aj,ic->abcd", vr[ca, a, cb, b], s_tc, s_ct, optimize=True))
 
     p_tilde_a = s_tt @ s_tt.T + 2.0 * ps_core_a
     p_tilde_b = s_tt.T @ s_tt + 2.0 * ps_core_b

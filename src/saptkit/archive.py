@@ -146,15 +146,20 @@ def load_archive(path) -> TensorArchive:
     if hashlib.sha256(payload).hexdigest() != sha256:
         raise ArchiveError("checksum", "payload checksum mismatch")
 
-    basis = DimerBasis(
-        *_required(dimer, ("n_orb_A", "n_orb_B", "n_elec_A", "n_elec_B"), "manifest dimer")
-    )
+    counts = _required(dimer, ("n_orb_A", "n_orb_B", "n_elec_A", "n_elec_B"), "manifest dimer")
+    if not all(type(c) is int for c in counts):
+        raise ArchiveError("schema", "manifest dimer counts are not all integers")
+    basis = DimerBasis(*counts)
+    if not isinstance(array_meta, dict):
+        raise ArchiveError("schema", "manifest arrays is not an object")
     declared = 0
     arrays = {}
     for name, meta in array_meta.items():
         dtype, shape, offset = _required(meta, ("dtype", "shape", "offset"), f"array {name!r}")
         if dtype != "float64":
             raise ArchiveError("schema", f"array {name!r} has unsupported dtype")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ArchiveError("schema", f"array {name!r} shape is not a list of sizes")
         shape = tuple(shape)
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         declared += 8 * count

@@ -4,10 +4,14 @@ Monomer A and monomer B carry independent fermion algebras; the dimer space
 is their tensor product, so operators of different monomers commute exactly.
 Spin-orbital ordering inside a monomer is spatial-orbital-minor with the
 alpha block before the beta block; Jordan-Wigner strings stay inside each
-monomer.  Two size limits are checked before anything is allocated: the
-dimer may hold at most ``MAX_SPIN_ORBITALS`` spin orbitals, which bounds the
-dimer operators (products such as V P) the oracle builds, and each monomer at
-most ``MAX_MONOMER_ORBITALS`` orbitals, which bounds its cached tables.
+monomer.  The creation operator of mode m is the real Kronecker chain
+Z^(x)m (x) sigma+ (x) I (x) ... (x) I with sigma+ = |1><0|, so every table
+and every assembled operator is float64; states handed in may be complex.
+
+Two size limits are checked before anything is allocated: the dimer may hold
+at most ``MAX_SPIN_ORBITALS`` spin orbitals, which bounds the dimer operators
+(products such as V P) the oracle builds, and each monomer at most
+``MAX_MONOMER_ORBITALS`` orbitals, which bounds its cached tables.
 
 Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i``.  Every
 coefficient family has the form sum_spins C * prod_k X^{sigma_k}(p_k q_k),
@@ -40,7 +44,7 @@ from .tensors import (
 )
 
 MAX_SPIN_ORBITALS = 16
-# the cached tables of one monomer take 1.9 GB at 5 orbitals and 42 GB at 6
+# the cached tables of one monomer take 38 MB at 4 orbitals, 0.93 GB at 5 and 21 GB at 6
 MAX_MONOMER_ORBITALS = 5
 
 
@@ -68,36 +72,24 @@ def _monomer_ops(n_orb: int) -> MonomerOps:
     """Jordan-Wigner matrices and derived one-body operators for one monomer."""
     n_modes = 2 * n_orb
     dim = 2**n_modes
-    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
+    z = np.diag([1.0, -1.0])
+    sigma_plus = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|
 
     def chain(mats):
-        out = np.array([[1.0 + 0.0j]])
+        out = np.ones((1, 1))
         for m in mats:
             out = np.kron(out, m)
         return out
 
-    adag = np.empty((n_modes, dim, dim), dtype=complex)
-    a = np.empty((n_modes, dim, dim), dtype=complex)
-    for m in range(n_modes):
-        gamma0 = chain([Z] * m + [X] + [eye] * (n_modes - m - 1))
-        gamma1 = chain([Z] * m + [Y] + [eye] * (n_modes - m - 1))
-        adag[m] = 0.5 * (gamma0 - 1.0j * gamma1)
-        a[m] = 0.5 * (gamma0 + 1.0j * gamma1)
-
-    E = np.empty((2, n_orb, n_orb, dim, dim), dtype=complex)
-    for s in range(2):
-        for p1 in range(n_orb):
-            for p2 in range(n_orb):
-                E[s, p1, p2] = adag[s * n_orb + p1] @ a[s * n_orb + p2]
+    adag = np.stack(
+        [chain([z] * m + [sigma_plus] + [np.eye(2)] * (n_modes - m - 1)) for m in range(n_modes)]
+    )
+    a = adag.transpose(0, 2, 1)
+    E = adag.reshape(2, n_orb, 1, dim, dim) @ a.reshape(2, 1, n_orb, dim, dim)
     w = E.copy()
-    for s in range(2):
-        for p in range(n_orb):
-            w[s, p, p] -= 0.5 * np.eye(dim)
-
-    number = sum(adag[m] @ a[m] for m in range(n_modes))
+    diag = np.arange(n_orb)
+    w[:, diag, diag] -= 0.5 * np.eye(dim)
+    number = np.einsum("sppij->ij", E)
     return MonomerOps(adag, E, w, number, dim)
 
 
@@ -166,7 +158,7 @@ class PairSum:
         self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
 
     def add(self, a_mat, b_mat) -> "PairSum":
-        self.pairs.append((np.asarray(a_mat, dtype=complex), np.asarray(b_mat, dtype=complex)))
+        self.pairs.append((np.asarray(a_mat, dtype=float), np.asarray(b_mat, dtype=float)))
         return self
 
     def add_scalar(self, c) -> "PairSum":
@@ -193,7 +185,7 @@ class PairSum:
 
     def dagger(self) -> "PairSum":
         out = PairSum(self.space)
-        out.pairs = [(a.conj().T, b.conj().T) for a, b in self.pairs]
+        out.pairs = [(a.T, b.T) for a, b in self.pairs]
         return out
 
     def __matmul__(self, other: "PairSum") -> "PairSum":
@@ -206,20 +198,12 @@ class PairSum:
     def hermitized(self) -> "PairSum":
         return (self + self.dagger()).scaled(0.5)
 
-    def compress(self, tol: float = 0.0) -> "PairSum":
-        out = PairSum(self.space)
-        out.pairs = [
-            (a, b) for a, b in self.pairs if np.abs(a).max() > tol and np.abs(b).max() > tol
-        ]
-        return out
-
     def to_dense(self) -> np.ndarray:
-        pairs = self.compress().pairs
         da, db = self.space.dim_A, self.space.dim_B
-        if not pairs:
-            return np.zeros((da * db, da * db), dtype=complex)
-        stack_a = np.stack([a for a, _ in pairs]).reshape(len(pairs), da * da)
-        stack_b = np.stack([b for _, b in pairs]).reshape(len(pairs), db * db)
+        if not self.pairs:
+            return np.zeros((da * db, da * db))
+        stack_a = np.stack([a for a, _ in self.pairs]).reshape(len(self.pairs), da * da)
+        stack_b = np.stack([b for _, b in self.pairs]).reshape(len(self.pairs), db * db)
         m = stack_a.T @ stack_b
         return m.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
@@ -230,23 +214,21 @@ class PairSum:
         # [da, db, k] -> contract A on the left, then B on the middle axis
         psi = np.ascontiguousarray(vecs.reshape(da, db, k))
         flat = psi.reshape(da, db * k)
-        out = np.zeros((da * k, db), dtype=complex)
+        out = np.zeros((da * k, db), dtype=np.result_type(vecs, float))
         for a, b in self.pairs:
             tmp = (a @ flat).reshape(da, db, k).transpose(0, 2, 1)
             out += tmp.reshape(da * k, db) @ b.T
         return out.reshape(da, k, db).transpose(0, 2, 1).reshape(da * db, k)
 
-    def expectation_product(self, psi_a: np.ndarray, psi_b: np.ndarray) -> complex:
-        val = 0.0 + 0.0j
+    def expectation_product(self, psi_a: np.ndarray, psi_b: np.ndarray) -> float | complex:
+        val = 0.0
         for a, b in self.pairs:
             val += (psi_a.conj() @ a @ psi_a) * (psi_b.conj() @ b @ psi_b)
         return val
 
     def norm_estimate(self, rng: np.random.Generator, probes: int = 6) -> float:
         """Max |O psi| over random unit probes; zero iff the operator is zero."""
-        vecs = rng.normal(size=(self.space.dim, probes)) + 1j * rng.normal(
-            size=(self.space.dim, probes)
-        )
+        vecs = rng.normal(size=(self.space.dim, probes))
         vecs /= np.linalg.norm(vecs, axis=0)
         if not self.pairs:
             return 0.0
@@ -507,40 +489,7 @@ def assemble_monomer_hamiltonian(
 
 
 # ---------------------------------------------------------------------------
-# states and energies
-
-
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    mags = np.abs(vec)
-    top = mags.max()
-    k = int(np.nonzero(mags >= top - 1e-12)[0][0])
-    if vec[k].real < 0 or (vec[k].real == 0 and vec[k].imag < 0):
-        return -vec
-    return vec
-
-
-def ground_state_monomer(
-    space: FockSpace,
-    which: str,
-    h_mono: np.ndarray,
-    n_elec: int,
-    sz: float | None = None,
-):
-    """Lowest eigenpair of a monomer operator in a particle-number sector.
-
-    Returns (energy, state_vector_in_full_monomer_space, gap).
-    """
-    idx = space.sector_indices(which, n_elec, sz)
-    if idx.size == 0:
-        raise DomainError(f"empty sector: {n_elec} electrons in monomer {which}")
-    block = h_mono[np.ix_(idx, idx)]
-    block = 0.5 * (block + block.conj().T)
-    vals, vecs = np.linalg.eigh(block)
-    dim = h_mono.shape[0]
-    state = np.zeros(dim, dtype=complex)
-    state[idx] = _fix_sign(vecs[:, 0])
-    gap = float(vals[1] - vals[0]) if len(vals) > 1 else np.inf
-    return float(vals[0]), state, gap
+# first-order energies
 
 
 def first_order_energy(
@@ -633,10 +582,10 @@ def embed_with_core(
     n_act = len(active)
     adag_act, *_, dim_act = _monomer_ops(n_act)
     n_modes_act = 2 * n_act
-    out = np.zeros(dim_full, dtype=complex)
-    vac_full = np.zeros(dim_full, dtype=complex)
+    out = np.zeros(dim_full, dtype=np.result_type(psi_active, float))
+    vac_full = np.zeros(dim_full)
     vac_full[0] = 1.0
-    vac_act = np.zeros(dim_act, dtype=complex)
+    vac_act = np.zeros(dim_act)
     vac_act[0] = 1.0
 
     core_modes_full = [s * n_full + p for s in range(2) for p in core]
@@ -650,7 +599,7 @@ def embed_with_core(
         ref = vac_act
         for m in reversed(act_modes):
             ref = adag_act[m] @ ref
-        sign = ref[b].real
+        sign = ref[b]
         # same creation content in the full space: cores first, then actives
         full_modes = core_modes_full + [
             (m // n_act) * n_full + active[m % n_act] for m in act_modes

@@ -77,11 +77,11 @@ def _embedding_check(rep: _Reporter, rng: np.random.Generator):
     space_full, space_act = FockSpace(3, 3), FockSpace(2, 2)
 
     idx = space_act.sector_indices("A", part.n_act_elec_A)
-    psi_a = np.zeros(space_act.dim_A, dtype=complex)
+    psi_a = np.zeros(space_act.dim_A)
     psi_a[idx] = rng.normal(size=len(idx))
     psi_a /= np.linalg.norm(psi_a)
     idx = space_act.sector_indices("B", part.n_act_elec_B)
-    psi_b = np.zeros(space_act.dim_B, dtype=complex)
+    psi_b = np.zeros(space_act.dim_B)
     psi_b[idx] = rng.normal(size=len(idx))
     psi_b /= np.linalg.norm(psi_b)
     emb_a = embed_with_core(space_full, "A", [0], [1, 2], psi_a)

@@ -151,6 +151,26 @@ class TestErrors:
         assert main(["norms", str(archive_path)]) == 3
         assert "[schema] manifest lacks dimer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.update(arrays=[]), "manifest arrays is not an object"),
+            (
+                lambda m: m["arrays"]["v"].update(shape="2,2,2,2"),
+                "array 'v' shape is not a list of sizes",
+            ),
+            (
+                lambda m: m["dimer"].update(n_orb_A="2"),
+                "manifest dimer counts are not all integers",
+            ),
+        ],
+        ids=["arrays-list", "shape-string", "count-string"],
+    )
+    def test_wrongly_typed_manifest_value_is_exit_3(self, archive_path, capsys, edit, message):
+        rewrite_manifest(archive_path, edit)
+        assert main(["norms", str(archive_path)]) == 3
+        assert f"[schema] {message}" in capsys.readouterr().err
+
     def test_array_offset_past_payload_is_exit_3(self, archive_path, capsys):
         rewrite_manifest(archive_path, lambda m: m["arrays"]["v"].update(offset=m["payload_bytes"]))
         assert main(["norms", str(archive_path)]) == 3

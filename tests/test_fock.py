@@ -6,7 +6,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from saptkit import fock
-from saptkit.errors import DomainError, ShapeError
+from saptkit.errors import ShapeError
 from saptkit.fock import (
     FockSpace,
     PairSum,
@@ -14,18 +14,16 @@ from saptkit.fock import (
     assemble_exchange,
     assemble_majorana,
     assemble_modified_factors,
-    assemble_monomer_hamiltonian,
     assemble_vp_excitation,
     assemble_vp_majorana_families,
     build_operator_matrix,
     embed_with_core,
     first_order_energy,
-    ground_state_monomer,
     one_body_matrix,
     shared_span_tensors,
     verify_complete_basis,
 )
-from saptkit.tensors import build_majorana_coefficients, sym_v4
+from saptkit.tensors import build_majorana_coefficients
 from .conftest import half_weighted_dressing, random_dimer, random_sector_state
 
 
@@ -235,6 +233,40 @@ class TestFamilyReference:
         assert len(op.pairs) == expected
 
 
+class TestRealOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tables_match_majorana_reference(self, n):
+        ops = fock._monomer_ops(n)
+        for table in (ops.adag, ops.E, ops.w, ops.number):
+            assert table.dtype == np.float64
+        x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        z = np.diag([1.0, -1.0]).astype(complex)
+        for m in range(2 * n):
+            ref = np.ones((1, 1), dtype=complex)
+            for f in [z] * m + [(x - 1j * y) / 2] + [np.eye(2)] * (2 * n - m - 1):
+                ref = np.kron(ref, f)
+            assert not ref.imag.any()
+            assert np.array_equal(ops.adag[m], ref.real)
+
+    def test_assembled_pairs_and_probes_are_real(self, rng, monkeypatch):
+        v, s = random_dimer(rng, 2, 2)
+        space = FockSpace(2, 2)
+        probe_dtypes = []
+        apply_block = PairSum.apply_block
+
+        def recording_apply(op, vecs):
+            probe_dtypes.append(vecs.dtype)
+            return apply_block(op, vecs)
+
+        monkeypatch.setattr(PairSum, "apply_block", recording_apply)
+        for kind, (exc, maj) in dense_ops(space, v, s).items():
+            for op in (exc, maj):
+                assert all(a.dtype == b.dtype == np.float64 for a, b in op.pairs), kind
+                op.norm_estimate(rng)
+        assert probe_dtypes and set(probe_dtypes) == {np.dtype(np.float64)}
+
+
 class TestSizeGuard:
     def test_oversized_monomer_rejected_before_allocation(self):
         misses = fock._monomer_ops.cache_info().misses
@@ -263,28 +295,6 @@ class TestCompleteBasis:
 
 
 class TestStatesAndEnergies:
-    def test_ground_state_residual_and_gap(self, rng):
-        space = FockSpace(2, 2)
-        h1 = rng.normal(size=(2, 2))
-        h1 = 0.5 * (h1 + h1.T)
-        eri = sym_v4(rng.normal(size=(2, 2, 2, 2)))
-        eri = 0.5 * (eri + eri.transpose(2, 3, 0, 1))
-        h = assemble_monomer_hamiltonian(space, "A", h1, eri).pairs[0][0]
-        energy, state, gap = ground_state_monomer(space, "A", h, n_elec=2)
-        assert np.linalg.norm(h @ state - energy * state) < 1e-10
-        assert gap > 0
-
-    def test_ground_state_sign_deterministic(self):
-        space = FockSpace(1, 1)
-        h = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
-        _, state, _ = ground_state_monomer(space, "A", h, n_elec=1)
-        assert state[np.argmax(np.abs(state))].real > 0
-
-    def test_empty_sector_raises(self):
-        space = FockSpace(1, 1)
-        with pytest.raises(DomainError):
-            ground_state_monomer(space, "A", np.eye(4, dtype=complex), n_elec=9)
-
     def test_energy_zero_operators(self, rng):
         space = FockSpace(1, 1)
         zero = {k: PairSum(space) for k in ("V", "P", "VPs")}
