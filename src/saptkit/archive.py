@@ -288,16 +288,15 @@ def read_fcidump(path):
         raise ArchiveError("io", f"no such file: {path}")
     text = path.read_text()
     lower = text.lower()
-    end = None
-    for token in ("&end", "/"):
-        pos = lower.find(token)
-        if pos != -1:
-            end = (pos, token)
-            break
-    if end is None or "&fci" not in lower:
+    start = lower.find("&fci")
+    ends = [] if start == -1 else [
+        (pos, token) for token in ("&end", "/") if (pos := lower.find(token, start)) != -1
+    ]
+    if not ends:
         raise ArchiveError("schema", "not an FCIDUMP file (missing &FCI header)")
-    header = text[: end[0]]
-    body = text[end[0] + len(end[1]) :]
+    pos, token = min(ends)
+    header = text[start:pos]
+    body = text[pos + len(token) :].replace("D", "E").replace("d", "e")  # Fortran exponents
 
     import re
 
@@ -316,20 +315,25 @@ def read_fcidump(path):
         parts = line.split()
         if len(parts) != 5:
             continue
-        val = float(parts[0].replace("D", "E").replace("d", "e"))
-        i, j, k, l = (int(x) for x in parts[1:])
-        if i == j == k == l == 0:
-            core = val
-        elif k == 0 and l == 0:
-            h1[i - 1, j - 1] = val
-            h1[j - 1, i - 1] = val
-        else:
+        try:
+            val = float(parts[0])
+            i, j, k, l = map(int, parts[1:])
+        except ValueError:
+            raise ArchiveError("schema", f"FCIDUMP line does not parse: {line.strip()!r}") from None
+        if 0 < i <= n_orb and 0 < j <= n_orb and 0 < k <= n_orb and 0 < l <= n_orb:
             a, b, c, d = i - 1, j - 1, k - 1, l - 1
             for p, q, r, s in (
                 (a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
                 (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a),
             ):
                 eri[p, q, r, s] = val
+        elif k == l == 0 and 0 < i <= n_orb and 0 < j <= n_orb:
+            h1[i - 1, j - 1] = val
+            h1[j - 1, i - 1] = val
+        elif i == j == k == l == 0:
+            core = val
+        elif not (j == k == l == 0 and 0 < i <= n_orb):  # i 0 0 0: an orbital energy
+            raise ArchiveError("schema", f"FCIDUMP index outside 1..{n_orb}: {line.strip()!r}")
     return h1, eri, n_orb, n_elec, core
 
 

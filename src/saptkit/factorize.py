@@ -7,11 +7,25 @@ again the same way.  Factors are ordered by descending magnitude with a fixed
 sign convention (largest-magnitude entry of each vector positive, ties broken
 by lowest index), so identical input yields identical output across runs and
 platforms.
+
+Packed pair space: a side of the grouped matrix whose two indices run over
+the same range, and under whose swap the block is symmetric to
+``RANK_CUTOFF`` of its largest entry, is decomposed over the n(n+1)/2
+pairs p <= q, with off-diagonal pairs weighted by sqrt(2).  That packed
+matrix has the same nonzero spectrum, without the exact null space of the
+antisymmetric pairs; its vectors are unpacked to both (p, q) and (q, p).
+An eigendecomposition packs both sides or neither.
+
+Batched inner step: all grouped vectors of one block are stacked and
+decomposed by one broadcast ``eigh`` over the symmetric matrices and one
+broadcast ``svd`` over the rest; each matrix gets exactly the result a call
+of its own would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,27 +54,6 @@ _BLOCK_LAYOUT = {
 }
 
 
-def _fix_sign_columns(u: np.ndarray, v: np.ndarray | None = None):
-    """Largest-magnitude entry of each column of u made positive."""
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        lead = int(np.nonzero(mags >= top - 1e-12 * top)[0][0])
-        if col[lead] < 0:
-            u[:, k] = -col
-            if v is not None:
-                v[:, k] = -v[:, k]
-    return u, v
-
-
-def _order_descending(vals: np.ndarray, *mats: np.ndarray):
-    order = np.argsort(-np.abs(vals), kind="stable")
-    return vals[order], tuple(m[:, order] for m in mats)
-
-
 @dataclass
 class Factorization:
     """Exact decomposition of a real matrix: m = left @ diag(values) @ right.T."""
@@ -84,6 +77,77 @@ class Factorization:
         )
 
 
+def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
+    """Make the largest-magnitude entry of each column of u positive, in place.
+
+    Works on the last two axes of a stack; ties within 1e-12 of the largest
+    magnitude go to the lowest index, and v's columns flip with u's.
+    """
+    mags = np.abs(u)
+    top = mags.max(axis=-2, keepdims=True)
+    lead = np.argmax(mags >= top - 1e-12 * top, axis=-2)[..., None, :]
+    flip = np.take_along_axis(u, lead, axis=-2) < 0
+    for m in (u,) if v is None else (u, v):
+        np.negative(m, out=m, where=flip)
+
+
+def _check_stack(ms: np.ndarray, symmetric: bool | None):
+    """Per-matrix scale and symmetry of a (k, rows, cols) stack.
+
+    Raises :class:`DomainError` on NaN or Inf and :class:`SymmetryError` when
+    ``symmetric=True`` is asserted for a nonzero matrix that is not.
+    """
+    if not np.all(np.isfinite(ms)):
+        raise DomainError("matrix contains NaN or Inf")
+    k, rows, cols = ms.shape
+    scale = np.abs(ms).max(axis=(1, 2), initial=0.0)
+    is_sym = np.zeros(k, dtype=bool)
+    if rows == cols:
+        asym = np.abs(ms - ms.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+        is_sym = asym <= SYM_TOL * scale
+    if symmetric is True and not is_sym[scale > 0].all():
+        raise SymmetryError("matrix asserted symmetric but is not")
+    return scale, is_sym if symmetric is None else np.full(k, symmetric)
+
+
+def _decompose_stack(ms: np.ndarray, scale: np.ndarray, symmetric: np.ndarray):
+    """Factorizations of a checked (k, rows, cols) stack, in stack order.
+
+    One broadcast ``eigh`` covers the symmetric matrices and one broadcast
+    ``svd`` the rest; each keeps its values above ``RANK_CUTOFF`` times its
+    scale, by descending magnitude, with the sign convention of the module.
+    A zero matrix gives an empty symmetric factorization.
+    """
+    k, rows, cols = ms.shape
+    out = [
+        Factorization(np.zeros(0), np.zeros((rows, 0)), np.zeros((cols, 0)), True)
+        for _ in range(k)
+    ]
+    for sym in (True, False):
+        idx = np.flatnonzero((scale > 0) & (symmetric == sym))
+        if not len(idx):
+            continue
+        sub = ms[idx]
+        if sym:
+            vals, left = np.linalg.eigh(0.5 * (sub + sub.transpose(0, 2, 1)))
+            order = np.argsort(-np.abs(vals), axis=1, kind="stable")
+            vals = np.take_along_axis(vals, order, axis=1)
+            left = np.take_along_axis(left, order[:, None, :], axis=2)
+            _fix_signs(left)
+        else:
+            left, vals, right = np.linalg.svd(sub, full_matrices=False)
+            right = right.transpose(0, 2, 1)
+            _fix_signs(left, right)
+        # descending magnitudes, so the kept values are a prefix; copies let
+        # the stack, with the columns it drops, be freed
+        kept = (np.abs(vals) > RANK_CUTOFF * scale[idx, None]).sum(axis=1)
+        for j, (i, n) in enumerate(zip(idx, kept)):
+            u = left[j, :, :n].copy()
+            v = u if sym else right[j, :, :n].copy()
+            out[i] = Factorization(vals[j, :n].copy(), u, v, sym)
+    return out
+
+
 def decompose_matrix(m: np.ndarray, symmetric: bool | None = None) -> Factorization:
     """Spectral or singular decomposition with the deterministic conventions.
 
@@ -93,33 +157,7 @@ def decompose_matrix(m: np.ndarray, symmetric: bool | None = None) -> Factorizat
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ShapeError("decompose_matrix expects a matrix")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("matrix contains NaN or Inf")
-    scale = np.abs(m).max()
-    if scale == 0.0:
-        empty = np.zeros((m.shape[0], 0))
-        return Factorization(np.zeros(0), empty, np.zeros((m.shape[1], 0)), True)
-    is_sym = m.shape[0] == m.shape[1] and np.abs(m - m.T).max() <= SYM_TOL * scale
-    if symmetric is True and not is_sym:
-        raise SymmetryError("matrix asserted symmetric but is not")
-    if symmetric is None:
-        symmetric = is_sym
-
-    if symmetric:
-        vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
-        keep = np.abs(vals) > RANK_CUTOFF * scale
-        vals, vecs = vals[keep], vecs[:, keep]
-        vals, (vecs,) = _order_descending(vals, vecs)
-        vecs = np.ascontiguousarray(vecs)
-        _fix_sign_columns(vecs)
-        return Factorization(vals, vecs, vecs, True)
-
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = s > RANK_CUTOFF * scale
-    u, s, v = u[:, keep], s[keep], vt[keep].T
-    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
-    _fix_sign_columns(u, v)
-    return Factorization(s, u, v, False)
+    return _decompose_stack(m[None], *_check_stack(m[None], symmetric))[0]
 
 
 def one_body_eigendecompose(m: np.ndarray) -> Factorization:
@@ -163,28 +201,79 @@ class BlockFactors:
         return n[2], n[3]
 
 
+class _PairPacking(NamedTuple):
+    """The n(n+1)/2 pairs p <= q of a grouped n x n index, for one matrix side."""
+
+    pq: np.ndarray  # grouped index of (p, q), p <= q
+    qp: np.ndarray  # grouped index of (q, p)
+    w: np.ndarray  # 1 on the diagonal, sqrt(2) off it, as a column
+    unpacked: np.ndarray  # packed position of every grouped index
+
+    @classmethod
+    def of(cls, t: np.ndarray, scale: float) -> "_PairPacking | None":
+        """Packing of t's first index pair, if t is symmetric under its swap."""
+        n = t.shape[0]
+        if n != t.shape[1] or np.abs(t - t.swapaxes(0, 1)).max(initial=0.0) > RANK_CUTOFF * scale:
+            return None
+        p, q = np.triu_indices(n)
+        pos = np.empty((n, n), dtype=np.intp)
+        pos[p, q] = pos[q, p] = np.arange(len(p))
+        w = np.where(p == q, 1.0, np.sqrt(2.0))[:, None]
+        return cls(p * n + q, q * n + p, w, pos.ravel())
+
+    def pack(self, m: np.ndarray) -> np.ndarray:
+        return 0.5 * (m[self.pq] + m[self.qp]) * self.w
+
+    def unpack(self, u: np.ndarray) -> np.ndarray:
+        return (u / self.w)[self.unpacked]
+
+
 def first_factorize(block: np.ndarray, label: str, symmetric: bool | None = None) -> BlockFactors:
-    """Grouped-matrix decomposition of one block (no truncation)."""
+    """Grouped-matrix decomposition of one block (no truncation).
+
+    Pair-symmetric sides are decomposed in packed pair space; the checks,
+    the scale of the rank cutoff and the symmetry test see the full matrix.
+    """
     perm, _, _ = _BLOCK_LAYOUT[label]
     t = np.transpose(np.asarray(block, dtype=float), perm)
     n1, n2, n3, n4 = t.shape
-    outer = decompose_matrix(t.reshape(n1 * n2, n3 * n4), symmetric=symmetric)
+    m = t.reshape(1, n1 * n2, n3 * n4)
+    scale, sym = _check_stack(m, symmetric)
+    rows = _PairPacking.of(t, scale[0])
+    cols = _PairPacking.of(t.transpose(2, 3, 0, 1), scale[0])
+    if sym[0] and (rows is None or cols is None):
+        rows = cols = None  # an eigendecomposition needs one basis for both sides
+    packed = m[0]
+    if rows is not None:
+        packed = rows.pack(packed)
+    if cols is not None:
+        packed = cols.pack(packed.T).T
+    outer = _decompose_stack(packed[None], scale, sym)[0]
+    if rows is not None or cols is not None:
+        left = rows.unpack(outer.left) if rows is not None else outer.left
+        right = cols.unpack(outer.right) if cols is not None else outer.right
+        if outer.symmetric:
+            right = left
+        # the sqrt(2) weights can move a vector's largest entry: sign again
+        _fix_signs(left, None if outer.symmetric else right)
+        outer = Factorization(outer.values, left, right, outer.symmetric)
     return BlockFactors(label=label, shape=block.shape, outer=outer)
 
 
 def second_factorize(bf: BlockFactors) -> BlockFactors:
-    """Decompose every grouped vector of the first step."""
+    """Decompose every grouped vector of the first step, one stack per side."""
     r1, r2 = bf.row_shape
     c1, c2 = bf.col_shape
-    bf.inner_left = [
-        decompose_matrix(bf.outer.left[:, t].reshape(r1, r2)) for t in range(bf.outer.rank)
-    ]
+
+    def factor_stack(vecs: np.ndarray, n1: int, n2: int) -> list[Factorization]:
+        ms = vecs.T.reshape(-1, n1, n2)
+        return _decompose_stack(ms, *_check_stack(ms, None))
+
+    bf.inner_left = factor_stack(bf.outer.left, r1, r2)
     if bf.outer.symmetric:
         bf.inner_right = bf.inner_left
     else:
-        bf.inner_right = [
-            decompose_matrix(bf.outer.right[:, t].reshape(c1, c2)) for t in range(bf.outer.rank)
-        ]
+        bf.inner_right = factor_stack(bf.outer.right, c1, c2)
     return bf
 
 

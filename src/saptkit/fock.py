@@ -179,8 +179,9 @@ class PairSum:
         return out
 
     def scaled(self, c) -> "PairSum":
+        """c times the operator: each pair scales its smaller factor and shares the other."""
         out = PairSum(self.space)
-        out.pairs = [(c * a, b) for a, b in self.pairs]
+        out.pairs = [(c * a, b) if a.size <= b.size else (a, c * b) for a, b in self.pairs]
         return out
 
     def dagger(self) -> "PairSum":

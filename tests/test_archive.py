@@ -182,3 +182,40 @@ class TestFcidump:
         with pytest.raises(ArchiveError) as err:
             read_fcidump(path)
         assert err.value.code == "schema"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "  0.5   3   1   1   1",
+            "  0.5x  1   1   1   1",
+            "  0.5   0   1   0   0",
+            "  0.5   1   1   1   0",
+            "  0.5   1  -1   0   0",
+            "  0.5   1.0 1   1   1",
+        ],
+        ids=["above-norb", "bad-value", "zero-one-body", "zero-two-body", "negative", "float-index"],
+    )
+    def test_bad_body_line_is_schema_error(self, tmp_path, line):
+        path = tmp_path / "bad.fcidump"
+        path.write_text(FCIDUMP_TEXT + line + "\n")
+        with pytest.raises(ArchiveError) as err:
+            read_fcidump(path)
+        assert err.value.code == "schema"
+
+    def test_orbital_energy_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "h2.fcidump"
+        path.write_text(FCIDUMP_TEXT + "  -0.57   1   0   0   0\n  0.71   2   0   0   0\n")
+        h1, eri, _, _, core = read_fcidump(path)
+        plain = tmp_path / "plain.fcidump"
+        plain.write_text(FCIDUMP_TEXT)
+        ref_h1, ref_eri, _, _, ref_core = read_fcidump(plain)
+        assert np.array_equal(h1, ref_h1) and np.array_equal(eri, ref_eri) and core == ref_core
+
+    def test_header_ends_after_fci(self, tmp_path):
+        path = tmp_path / "h2.fcidump"
+        text = FCIDUMP_TEXT.replace("&END", "/")
+        path.write_text("! integrals from a/b\n" + text)
+        h1, _, n_orb, n_elec, core = read_fcidump(path)
+        assert (n_orb, n_elec) == (2, 2)
+        assert h1[1, 1] == pytest.approx(-0.4759344611440753)
+        assert core == pytest.approx(0.7137758743754461)

@@ -191,3 +191,15 @@ class TestConvertFcidump:
 
         archive = load_archive(out)
         assert archive.arrays["h1_A"][0, 0] == pytest.approx(-0.9)
+
+    def test_index_above_norb_is_exit_3(self, tmp_path, capsys):
+        fcid = tmp_path / "m.fcidump"
+        fcid.write_text(FCIDUMP_TEXT + "  0.5   3   1   0   0\n")
+        out = tmp_path / "mono.sapt"
+        code = main([
+            "convert-fcidump", str(fcid), str(out), "--monomer", "A", "--new",
+            "--n-orb-other", "2",
+        ])
+        assert code == 3
+        assert "[schema] FCIDUMP index outside 1..2" in capsys.readouterr().err
+        assert not out.exists()

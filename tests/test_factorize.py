@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from saptkit.active import SpacePartition, renormalize_exchange, renormalize_vp
 from saptkit.errors import DomainError, SymmetryError
 from saptkit.factorize import (
+    _BLOCK_LAYOUT,
+    _fix_signs,
     decompose_matrix,
     factorize_block,
     factorize_coefficients,
@@ -188,3 +191,133 @@ class TestTruncate:
         for thr in (0.0, 1e-4, 1e-2, 0.1):
             totals.append(tf_norm(factorize_coefficients(coeffs, thr)).total)
         assert all(t1 >= t2 - 1e-12 for t1, t2 in zip(totals, totals[1:]))
+
+
+def fix_sign_columns_reference(u, v=None):
+    """Per-column sign rule: largest-magnitude entry positive, ties to the lowest index."""
+    for k in range(u.shape[1]):
+        col = u[:, k]
+        mags = np.abs(col)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        lead = int(np.nonzero(mags >= top - 1e-12 * top)[0][0])
+        if col[lead] < 0:
+            u[:, k] = -col
+            if v is not None:
+                v[:, k] = -v[:, k]
+    return u, v
+
+
+class TestSignRule:
+    def test_matches_column_loop_on_random_stacks(self, rng):
+        u = rng.normal(size=(5, 7, 6))
+        v = rng.normal(size=(5, 4, 6))
+        ref_u, ref_v = u.copy(), v.copy()
+        for i in range(len(u)):
+            fix_sign_columns_reference(ref_u[i], ref_v[i])
+        _fix_signs(u, v)
+        assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+
+    def test_matches_column_loop_on_ties(self):
+        top = 0.6
+        cols = [
+            [top, -top, 0.1],  # exact tie, lowest index positive
+            [-top, top, 0.1],  # exact tie, lowest index negative
+            [0.1, top * (1 - 5e-13), -top],  # near tie inside 1e-12: lowest index leads
+            [0.1, -top * (1 - 5e-13), top],
+            [0.1, -top * (1 - 5e-12), top],  # outside 1e-12: the largest leads
+            [-top * (1 - 5e-12), 0.1, top],
+            [0.0, 0.0, 0.0],
+        ]
+        u = np.array(cols).T
+        v = np.arange(1.0, 1.0 + u.size).reshape(u.shape)
+        ref_u, ref_v = fix_sign_columns_reference(u.copy(), v.copy())
+        _fix_signs(u, v)
+        assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+        flipped = np.all(ref_u == -np.array(cols).T, axis=0) & np.any(ref_u, axis=0)
+        assert list(flipped) == [False, True, False, True, False, False, False]
+
+
+class TestBatchedInner:
+    @pytest.mark.parametrize("label, inner_symmetric", [("1l", False), ("v", True)])
+    def test_equals_per_matrix_decomposition(self, rng, label, inner_symmetric):
+        v, s = random_dimer(rng, 4, 3)
+        block = build_majorana_coefficients(v, s)["VPs"].two_body_blocks[label]
+        bf = factorize_block(block, label)
+        for facts, vecs, shape in (
+            (bf.inner_left, bf.outer.left, bf.row_shape),
+            (bf.inner_right, bf.outer.right, bf.col_shape),
+        ):
+            assert len(facts) == bf.outer.rank > 0
+            for t, fact in enumerate(facts):
+                ref = decompose_matrix(vecs[:, t].reshape(shape))
+                assert fact.symmetric == ref.symmetric == inner_symmetric
+                for got, want in zip(
+                    (fact.values, fact.left, fact.right), (ref.values, ref.left, ref.right)
+                ):
+                    assert np.array_equal(got, want)
+
+
+def blocks_of_every_label(rng):
+    """(label, block) pairs at 4 x 3 orbitals covering every label of _BLOCK_LAYOUT.
+
+    The full-space coefficient sets, plus the active-space sets of a 5 x 4
+    dimer with one core orbital per monomer, which carry exch, 2r and 3r.
+    """
+    v, s = random_dimer(rng, 5, 4)
+    part = SpacePartition((0,), (1, 2, 3, 4), (0,), (1, 2, 3), 2, 2)
+    sets = [
+        *build_majorana_coefficients(v[1:, 1:, 1:, 1:], s[1:, 1:]).values(),
+        renormalize_exchange(s, part),
+        renormalize_vp(v, s, part),
+    ]
+    pairs = [item for c in sets for item in c.two_body_blocks.items()]
+    assert {label for label, _ in pairs} == set(_BLOCK_LAYOUT)
+    return pairs
+
+
+class TestPackedOuter:
+    def test_packed_sides_match_unpacked_reference(self, rng):
+        packed_labels = set()
+        for label, block in blocks_of_every_label(rng):
+            t = np.transpose(block, _BLOCK_LAYOUT[label][0])
+            n1, n2, n3, n4 = t.shape
+            m = t.reshape(n1 * n2, n3 * n4)
+            ref = decompose_matrix(m)
+            bf = factorize_block(block, label)
+            assert bf.outer.symmetric == ref.symmetric and bf.outer.rank == ref.rank, label
+            top = np.abs(ref.values).max()
+            assert np.abs(bf.outer.values - ref.values).max() <= 1e-12 * top, label
+            rec = reconstruct_block(bf)
+            assert np.abs(rec - block).max() <= 1e-12 * np.abs(block).max(), label
+
+            scale = np.abs(m).max()
+            sides = []
+            for vecs, (a, b), swapped in (
+                (bf.outer.left, (n1, n2), t.transpose(1, 0, 2, 3)),
+                (bf.outer.right, (n3, n4), t.transpose(0, 1, 3, 2)),
+            ):
+                pair_symmetric = a == b and np.abs(t - swapped).max() <= 1e-12 * scale
+                sides.append((vecs.reshape(a, b, -1), pair_symmetric))
+            if ref.symmetric and not all(sym for _, sym in sides):
+                continue  # an eigendecomposition packs both sides or neither
+            for vecs, pair_symmetric in sides:
+                if pair_symmetric:
+                    assert np.array_equal(vecs, vecs.transpose(1, 0, 2)), label
+                    packed_labels.add(label)
+        assert packed_labels == set(_BLOCK_LAYOUT) - {"1l"}
+
+    def test_slightly_asymmetric_block_is_not_packed(self, rng):
+        v, s = random_dimer(rng, 4, 3)
+        block = build_majorana_coefficients(v, s)["V"].two_body_blocks["v"]
+        noise = rng.normal(size=block.shape)
+        block = block + 1e-9 * np.abs(block).max() * (noise - noise.transpose(1, 0, 2, 3))
+        bf = factorize_block(block, "v")
+        ref = decompose_matrix(block.reshape(16, 9))
+        for got, want in zip(
+            (bf.outer.values, bf.outer.left, bf.outer.right), (ref.values, ref.left, ref.right)
+        ):
+            assert np.array_equal(got, want)
+        rec = reconstruct_block(bf)
+        assert np.abs(rec - block).max() <= 1e-10 * np.abs(block).max()

@@ -267,6 +267,21 @@ class TestRealOracle:
         assert probe_dtypes and set(probe_dtypes) == {np.dtype(np.float64)}
 
 
+class TestScaled:
+    @pytest.mark.parametrize("c", [-1.0, 0.5])
+    def test_smaller_factor_scaled_bit_for_bit(self, rng, c):
+        v, s = random_dimer(rng, 4, 1)
+        space = FockSpace(4, 1)
+        x = assemble_electrostatic(space, v)
+        y = build_operator_matrix(space, "V", build_majorana_coefficients(v, s)["V"], form="majorana")
+        diff = x + y.scaled(c)
+        a_scaled = PairSum(space)
+        a_scaled.pairs = x.pairs + [(c * a, b) for a, b in y.pairs]
+        vecs = rng.normal(size=(space.dim, 3))
+        assert np.array_equal(diff.apply_block(vecs), a_scaled.apply_block(vecs))
+        assert all(a_new is a for (a_new, _), (a, _) in zip(diff.pairs[len(x.pairs):], y.pairs))
+
+
 class TestSizeGuard:
     def test_oversized_monomer_rejected_before_allocation(self):
         misses = fock._monomer_ops.cache_info().misses
