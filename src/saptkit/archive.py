@@ -5,17 +5,36 @@ the UTF-8 manifest, then the payload of little-endian row-major float64
 arrays at the offsets the manifest declares.  Writing sorts array names, so
 save/load round trips are bit-exact and files diff deterministically.
 
+The container is streamed: the writer hashes each array and then writes it
+from its own memory, with no joined copy of the payload; the reader reads
+the payload once into one aligned buffer, hashes it, and returns every array
+as a view of it.  Loading rejects array extents that do not tile the payload
+exactly (overlap, gap, misalignment) and any NaN or inf.
+
 The recognized array names are ``v``, ``S``, ``h1_A``, ``h1_B``, ``eri_A``,
 ``eri_B``, ``partition_A_core``, ``partition_B_core``, ``gap_A``, ``gap_B``,
 ``overlap_A``, ``overlap_B``; the first two are shape-checked against the
-dimer metadata and symmetry-projected on load.  Additional names (factor
-caches use a ``factor.`` prefix) pass through untouched.
+dimer metadata and ``v`` is symmetry-projected on load, in place.  Additional
+names pass through untouched.
+
+Factor caches ride in the same container under a ``factor.`` prefix.  Each
+list of factorizations (a one-body tensor, the overlap, a block's outer
+step, each side of its inner step) is stored as a few stacked arrays, not one
+set per factorization: ``rank`` and ``symmetric`` per factorization, the
+concatenated ``values``, the transposed ``left`` factors stacked row-wise,
+and ``right`` likewise for only the factorizations whose right factor is not
+their left one.  Caches written in the earlier one-set-per-factorization
+layout are rejected; re-run ``saptkit factorize``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import math
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,13 +99,11 @@ class TensorArchive:
         )
 
 
-def _manifest(archive: TensorArchive, payload_parts: list[bytes]) -> dict:
-    arrays = {}
+def _manifest(archive: TensorArchive, arrays: dict[str, np.ndarray]) -> dict:
+    entries = {}
     offset = 0
-    for name in sorted(archive.arrays):
-        arr = np.ascontiguousarray(archive.arrays[name], dtype="<f8")
-        payload_parts.append(arr.tobytes())
-        arrays[name] = {"dtype": "float64", "shape": list(arr.shape), "offset": offset}
+    for name, arr in arrays.items():
+        entries[name] = {"dtype": "float64", "shape": list(arr.shape), "offset": offset}
         offset += arr.nbytes
     return {
         "schema_version": SCHEMA_VERSION,
@@ -97,22 +114,30 @@ def _manifest(archive: TensorArchive, payload_parts: list[bytes]) -> dict:
             "n_elec_B": archive.basis.n_elec_B,
             "units": "hartree",
         },
-        "arrays": arrays,
+        "arrays": entries,
+        "payload_bytes": offset,
     }
 
 
 def save_archive(path, archive: TensorArchive) -> None:
-    parts: list[bytes] = []
-    manifest = _manifest(archive, parts)
-    payload = b"".join(parts)
-    manifest["payload_bytes"] = len(payload)
-    manifest["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    # streamed: each array is hashed, then written, from its own memory
+    # (copied only when it is not contiguous little-endian float64)
+    arrays = {
+        name: np.ascontiguousarray(archive.arrays[name], dtype="<f8")
+        for name in sorted(archive.arrays)
+    }
+    manifest = _manifest(archive, arrays)
+    digest = hashlib.sha256()
+    for arr in arrays.values():
+        digest.update(arr.reshape(-1))
+    manifest["payload_sha256"] = digest.hexdigest()
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        fh.write(payload)
+        for arr in arrays.values():
+            fh.write(arr.reshape(-1))
 
 
 def _required(entry, keys: tuple[str, ...], where: str) -> list:
@@ -123,26 +148,61 @@ def _required(entry, keys: tuple[str, ...], where: str) -> list:
     return [entry[k] for k in keys]
 
 
+def _extents(array_meta: dict, payload_bytes: int) -> dict[str, tuple[tuple, slice]]:
+    """Shape and payload byte range of every array, checked to tile the payload.
+
+    In offset order each array must start where the one before it ends and
+    the last must end the payload: no overlap, no gap, 8-byte aligned.
+    """
+    extents = {}
+    for name, meta in array_meta.items():
+        dtype, shape, offset = _required(meta, ("dtype", "shape", "offset"), f"array {name!r}")
+        if dtype != "float64":
+            raise ArchiveError("schema", f"array {name!r} has unsupported dtype")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ArchiveError("schema", f"array {name!r} shape is not a list of sizes")
+        nbytes = 8 * math.prod(shape)
+        if type(offset) is not int or not 0 <= offset <= payload_bytes - nbytes:
+            raise ArchiveError("checksum", f"array {name!r} extends outside the payload")
+        extents[name] = (tuple(shape), slice(offset, offset + nbytes))
+    covered = 0
+    by_offset = sorted(extents.items(), key=lambda kv: (kv[1][1].start, kv[1][1].stop))
+    for name, (_, extent) in by_offset:
+        if extent.start != covered:
+            raise ArchiveError("checksum", f"array {name!r} overlaps another or leaves a gap")
+        covered = extent.stop
+    if covered != payload_bytes:
+        raise ArchiveError("checksum", "declared array sizes do not cover the payload")
+    return extents
+
+
 def load_archive(path) -> TensorArchive:
+    """Read and check an archive; its arrays are views of one payload buffer."""
     path = Path(path)
     if not path.exists():
         raise ArchiveError("io", f"no such archive: {path}")
-    raw = path.read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ArchiveError("schema", "bad magic bytes; not a tensor archive")
-    n = int.from_bytes(raw[8:16], "little")
-    try:
-        manifest = json.loads(raw[16 : 16 + n].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArchiveError("schema", f"manifest does not parse: {exc}") from exc
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise ArchiveError("schema", f"unsupported schema {manifest.get('schema_version')}")
-    payload = raw[16 + n :]
-    payload_bytes, sha256, dimer, array_meta = _required(
-        manifest, ("payload_bytes", "payload_sha256", "dimer", "arrays"), "manifest"
-    )
-    if len(payload) != payload_bytes:
-        raise ArchiveError("checksum", "payload length mismatch")
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if head[: len(MAGIC)] != MAGIC:
+            raise ArchiveError("schema", "bad magic bytes; not a tensor archive")
+        n = int.from_bytes(head[8:16], "little")
+        try:
+            manifest = json.loads(fh.read(n).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ArchiveError("schema", f"manifest does not parse: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise ArchiveError("schema", "manifest is not an object")
+        if manifest.get("schema_version") != SCHEMA_VERSION:
+            raise ArchiveError("schema", f"unsupported schema {manifest.get('schema_version')}")
+        payload_bytes, sha256, dimer, array_meta = _required(
+            manifest, ("payload_bytes", "payload_sha256", "dimer", "arrays"), "manifest"
+        )
+        size = os.fstat(fh.fileno()).st_size - 16 - n
+        if type(payload_bytes) is not int or size != payload_bytes:
+            raise ArchiveError("checksum", "payload length mismatch")
+        payload = np.empty(size, dtype=np.uint8)
+        if fh.readinto(payload) != size:
+            raise ArchiveError("checksum", "payload length mismatch")
     if hashlib.sha256(payload).hexdigest() != sha256:
         raise ArchiveError("checksum", "payload checksum mismatch")
 
@@ -152,31 +212,21 @@ def load_archive(path) -> TensorArchive:
     basis = DimerBasis(*counts)
     if not isinstance(array_meta, dict):
         raise ArchiveError("schema", "manifest arrays is not an object")
-    declared = 0
     arrays = {}
-    for name, meta in array_meta.items():
-        dtype, shape, offset = _required(meta, ("dtype", "shape", "offset"), f"array {name!r}")
-        if dtype != "float64":
-            raise ArchiveError("schema", f"array {name!r} has unsupported dtype")
-        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-            raise ArchiveError("schema", f"array {name!r} shape is not a list of sizes")
-        shape = tuple(shape)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        declared += 8 * count
-        if not isinstance(offset, int) or not 0 <= offset <= offset + 8 * count <= len(payload):
-            raise ArchiveError("checksum", f"array {name!r} extends outside the payload")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays[name] = np.array(arr)  # writable copy in native order
+    for name, (shape, extent) in _extents(array_meta, size).items():
         rule = _SHAPE_RULES.get(name)
         if rule is not None and shape not in rule(basis.n_orb_A, basis.n_orb_B):
             raise ArchiveError("shape", f"array {name!r} has shape {shape}")
-    if declared != manifest["payload_bytes"]:
-        raise ArchiveError("checksum", "declared array sizes do not cover the payload")
+        arr = payload[extent].view("<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ArchiveError("schema", f"array {name!r} holds NaN or inf")
+        arrays[name] = arr
 
+    # projected in place: a replaced v would stay pinned in the shared buffer
     if "v" in arrays:
-        arrays["v"] = symmetrize_v(arrays["v"])
+        arrays["v"][...] = symmetrize_v(arrays["v"])
     if "S" in arrays:
-        arrays["S"] = validate_overlap(arrays["S"])
+        validate_overlap(arrays["S"])
     return TensorArchive(basis=basis, arrays=arrays)
 
 
@@ -184,29 +234,50 @@ def load_archive(path) -> TensorArchive:
 # factor caches ride in the same container
 
 
+def _put_factors(out: dict, prefix: str, facts: list[Factorization]) -> None:
+    """Stack a list of factorizations of equally shaped matrices.
+
+    ``rank`` and ``symmetric`` hold one entry per factorization; ``values``
+    concatenates their values and ``left`` their transposed left factors,
+    row by row.  ``right`` holds, likewise, the right factors of the
+    non-symmetric and the empty factorizations only: a symmetric one's right
+    factor is its left, but the empty one of a zero matrix keeps its own
+    column count.  It is written only when one of those is in the list.
+    """
+    out[f"{prefix}.rank"] = np.array([f.rank for f in facts], dtype=float)
+    out[f"{prefix}.symmetric"] = np.array([f.symmetric for f in facts], dtype=float)
+    out[f"{prefix}.values"] = np.concatenate([f.values for f in facts] or [np.zeros(0)])
+    out[f"{prefix}.left"] = _stack_rows([f.left.T for f in facts])
+    rights = [f.right.T for f in facts if not f.symmetric or not f.rank]
+    if rights:
+        out[f"{prefix}.right"] = _stack_rows(rights)
+
+
+def _stack_rows(mats: list[np.ndarray]) -> np.ndarray:
+    """Equally wide matrices stacked row-wise into one C-ordered array.
+
+    ``np.concatenate`` alone keeps the Fortran order of transposed inputs,
+    which the writer would then copy once more.
+    """
+    if not mats:
+        return np.zeros((0, 0))
+    return np.concatenate(mats, out=np.empty((sum(len(m) for m in mats), mats[0].shape[1])))
+
+
 def factor_arrays(fop: FactorizedOperator) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
-
-    def put_fact(prefix: str, fact: Factorization):
-        out[f"{prefix}.values"] = fact.values
-        out[f"{prefix}.left"] = fact.left
-        out[f"{prefix}.right"] = fact.right
-        out[f"{prefix}.symmetric"] = np.array(1.0 if fact.symmetric else 0.0)
-
     for name, fact in fop.one_body.items():
-        put_fact(f"factor.one_body.{name}", fact)
+        _put_factors(out, f"factor.one_body.{name}", [fact])
     if fop.overlap is not None:
-        put_fact("factor.overlap", fop.overlap)
+        _put_factors(out, "factor.overlap", [fop.overlap])
     for label, bf in fop.blocks.items():
         prefix = f"factor.block.{label}"
-        put_fact(f"{prefix}.outer", bf.outer)
+        _put_factors(out, f"{prefix}.outer", [bf.outer])
         out[f"{prefix}.shape"] = np.array(bf.shape, dtype=float)
         out[f"{prefix}.discarded"] = np.array(bf.discarded_weight)
-        for t, fact in enumerate(bf.inner_left):
-            put_fact(f"{prefix}.inner_left.{t:04d}", fact)
+        _put_factors(out, f"{prefix}.inner_left", bf.inner_left)
         if bf.inner_right is not bf.inner_left:
-            for t, fact in enumerate(bf.inner_right):
-                put_fact(f"{prefix}.inner_right.{t:04d}", fact)
+            _put_factors(out, f"{prefix}.inner_right", bf.inner_right)
     out["factor.meta.threshold"] = np.array(fop.threshold)
     return out
 
@@ -220,32 +291,65 @@ def save_factor_cache(path, fop: FactorizedOperator, basis: DimerBasis) -> None:
     save_archive(path, TensorArchive(basis=basis, arrays=arrays))
 
 
-def load_factor_cache(path) -> FactorizedOperator:
-    archive = load_archive(path)
-    arrays = archive.arrays
-
-    def get_fact(prefix: str) -> Factorization:
-        return Factorization(
-            values=arrays[f"{prefix}.values"],
-            left=arrays[f"{prefix}.left"],
-            right=arrays[f"{prefix}.right"],
-            symmetric=bool(arrays[f"{prefix}.symmetric"].reshape(-1)[0]),
+def _need(arrays: dict, name: str) -> np.ndarray:
+    if name not in arrays:
+        raise ArchiveError(
+            "schema",
+            f"factor cache lacks {name}; caches written by earlier versions are not read, "
+            "re-run `saptkit factorize`",
         )
+    return arrays[name]
 
-    observable = "".join(
-        chr(int(x)) for x in arrays["factor.meta.observable"].reshape(-1)
+
+def _get_factors(arrays: dict, prefix: str, count: int | None = None) -> list[Factorization]:
+    """The factorizations :func:`_put_factors` stacked, as views of its arrays."""
+    ranks, symmetric, values, left = (
+        _need(arrays, f"{prefix}.{field}") for field in ("rank", "symmetric", "values", "left")
     )
+    right = arrays.get(f"{prefix}.right", np.zeros((0, 0)))
+    ranks, symmetric = ranks.reshape(-1).astype(int).tolist(), symmetric.reshape(-1) != 0
+    n_right = sum(k for k, sym in zip(ranks, symmetric) if not sym or not k)
+    if (
+        len(ranks) != len(symmetric)
+        or (count is not None and len(ranks) != count)
+        or min(ranks, default=0) < 0
+        or (values.ndim, left.ndim, right.ndim) != (1, 2, 2)
+        or not len(values) == len(left) == sum(ranks)
+        or len(right) != n_right
+    ):
+        raise ArchiveError("schema", f"factor cache arrays {prefix}.* do not fit together")
+    facts = []
+    lo = lo_right = 0
+    for k, sym in zip(ranks, symmetric.tolist()):
+        u = left[lo : lo + k].T
+        if sym and k:
+            v = u
+        else:
+            v = right[lo_right : lo_right + k].T
+            lo_right += k
+        facts.append(Factorization(values[lo : lo + k], u, v, sym))
+        lo += k
+    return facts
+
+
+def load_factor_cache(path) -> FactorizedOperator:
+    arrays = load_archive(path).arrays
+
+    def scalar(name: str) -> float:
+        return float(_need(arrays, name).reshape(-1)[0])
+
+    observable = "".join(chr(int(x)) for x in _need(arrays, "factor.meta.observable").reshape(-1))
     fop = FactorizedOperator(
         observable=observable,
-        space_tag="active" if arrays["factor.meta.space"].reshape(-1)[0] else "full",
-        threshold=float(arrays["factor.meta.threshold"].reshape(-1)[0]),
+        space_tag="active" if scalar("factor.meta.space") else "full",
+        threshold=scalar("factor.meta.threshold"),
     )
     for name in arrays:
         if name.startswith("factor.one_body.") and name.endswith(".values"):
             key = name[len("factor.one_body.") : -len(".values")]
-            fop.one_body[key] = get_fact(f"factor.one_body.{key}")
+            (fop.one_body[key],) = _get_factors(arrays, f"factor.one_body.{key}", 1)
     if "factor.overlap.values" in arrays:
-        fop.overlap = get_fact("factor.overlap")
+        (fop.overlap,) = _get_factors(arrays, "factor.overlap", 1)
     labels = {
         name.split(".")[2]
         for name in arrays
@@ -253,21 +357,16 @@ def load_factor_cache(path) -> FactorizedOperator:
     }
     for label in sorted(labels):
         prefix = f"factor.block.{label}"
+        (outer,) = _get_factors(arrays, f"{prefix}.outer", 1)
         bf = BlockFactors(
             label=label,
-            shape=tuple(int(x) for x in arrays[f"{prefix}.shape"]),
-            outer=get_fact(f"{prefix}.outer"),
-            discarded_weight=float(arrays[f"{prefix}.discarded"].reshape(-1)[0]),
+            shape=tuple(int(x) for x in _need(arrays, f"{prefix}.shape")),
+            outer=outer,
+            inner_left=_get_factors(arrays, f"{prefix}.inner_left"),
+            discarded_weight=scalar(f"{prefix}.discarded"),
         )
-        t = 0
-        while f"{prefix}.inner_left.{t:04d}.values" in arrays:
-            bf.inner_left.append(get_fact(f"{prefix}.inner_left.{t:04d}"))
-            t += 1
-        if f"{prefix}.inner_right.0000.values" in arrays:
-            t = 0
-            while f"{prefix}.inner_right.{t:04d}.values" in arrays:
-                bf.inner_right.append(get_fact(f"{prefix}.inner_right.{t:04d}"))
-                t += 1
+        if f"{prefix}.inner_right.values" in arrays:
+            bf.inner_right = _get_factors(arrays, f"{prefix}.inner_right")
         else:
             bf.inner_right = bf.inner_left
         fop.blocks[label] = bf
@@ -278,8 +377,39 @@ def load_factor_cache(path) -> FactorizedOperator:
 # FCIDUMP import for monomer Hamiltonians
 
 
+_FCIDUMP_ROW = np.dtype([("value", "f8"), ("i", "i8"), ("j", "i8"), ("k", "i8"), ("l", "i8")])
+
+
+def _last_per_key(key: np.ndarray) -> np.ndarray:
+    """Positions of the last occurrence of each distinct key."""
+    _, first_from_end = np.unique(key[::-1], return_index=True)
+    return len(key) - 1 - first_from_end
+
+
+def _unparsable_line(body: str, detail: str) -> ArchiveError:
+    """The schema error quoting the first body line that does not parse."""
+    for line in body.splitlines():
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 5:
+            return ArchiveError("schema", f"FCIDUMP line does not have 5 fields: {line.strip()!r}")
+        try:
+            float(parts[0])
+            [int(x) for x in parts[1:]]
+        except ValueError:
+            return ArchiveError("schema", f"FCIDUMP line does not parse: {line.strip()!r}")
+    return ArchiveError("schema", f"FCIDUMP body does not parse: {detail}")
+
+
 def read_fcidump(path):
     """Parse an FCIDUMP integral file (chemist convention, 8-fold symmetry).
+
+    Every body line holds a value and four indices.  ``i j k l`` in 1..NORB
+    is a two-body integral, ``i j 0 0`` a one-body one, ``0 0 0 0`` the core
+    energy, and ``i 0 0 0`` an orbital energy, which is skipped.  A repeated
+    integral takes its last value.  Any other line, and any value that is
+    not finite, is an :class:`ArchiveError` ("schema").
 
     Returns (h1, eri, n_orb, n_elec, core_energy).
     """
@@ -287,18 +417,12 @@ def read_fcidump(path):
     if not path.exists():
         raise ArchiveError("io", f"no such file: {path}")
     text = path.read_text()
-    lower = text.lower()
-    start = lower.find("&fci")
-    ends = [] if start == -1 else [
-        (pos, token) for token in ("&end", "/") if (pos := lower.find(token, start)) != -1
-    ]
-    if not ends:
+    start = re.search("&fci", text, re.IGNORECASE)
+    end = start and re.compile("&end|/", re.IGNORECASE).search(text, start.end())
+    if not end:
         raise ArchiveError("schema", "not an FCIDUMP file (missing &FCI header)")
-    pos, token = min(ends)
-    header = text[start:pos]
-    body = text[pos + len(token) :].replace("D", "E").replace("d", "e")  # Fortran exponents
-
-    import re
+    header = text[start.start() : end.start()]
+    body = text[end.end() :].replace("D", "E").replace("d", "e")  # Fortran exponents
 
     def header_int(key: str) -> int:
         match = re.search(rf"{key}\s*=\s*(\d+)", header, re.IGNORECASE)
@@ -308,33 +432,46 @@ def read_fcidump(path):
 
     n_orb = header_int("NORB")
     n_elec = header_int("NELEC")
+    rows = np.zeros(0, dtype=_FCIDUMP_ROW)
+    if body and not body.isspace():
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=_FCIDUMP_ROW, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise _unparsable_line(body, str(exc)) from None
+    val = rows["value"]
+    idx = np.stack([rows[c] for c in "ijkl"])
+    inside = (idx >= 1) & (idx <= n_orb)
+    zero = idx == 0
+    two = inside.all(axis=0)
+    one = inside[0] & inside[1] & zero[2] & zero[3]
+    core = zero.all(axis=0)
+    orbital_energy = inside[0] & zero[1:].all(axis=0)
+    nonfinite = ~np.isfinite(val)
+    bad = ~(two | one | core | orbital_energy) | nonfinite
+    if bad.any():
+        row = int(np.argmax(bad))  # loadtxt skips blank lines, so count the others
+        line = [x.strip() for x in body.splitlines() if x.strip()][row]
+        what = "value is not finite" if nonfinite[row] else f"index outside 1..{n_orb}"
+        raise ArchiveError("schema", f"FCIDUMP {what}: {line!r}")
+
     h1 = np.zeros((n_orb, n_orb))
     eri = np.zeros((n_orb, n_orb, n_orb, n_orb))
-    core = 0.0
-    for line in body.splitlines():
-        parts = line.split()
-        if len(parts) != 5:
-            continue
-        try:
-            val = float(parts[0])
-            i, j, k, l = map(int, parts[1:])
-        except ValueError:
-            raise ArchiveError("schema", f"FCIDUMP line does not parse: {line.strip()!r}") from None
-        if 0 < i <= n_orb and 0 < j <= n_orb and 0 < k <= n_orb and 0 < l <= n_orb:
-            a, b, c, d = i - 1, j - 1, k - 1, l - 1
-            for p, q, r, s in (
-                (a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
-                (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a),
-            ):
-                eri[p, q, r, s] = val
-        elif k == l == 0 and 0 < i <= n_orb and 0 < j <= n_orb:
-            h1[i - 1, j - 1] = val
-            h1[j - 1, i - 1] = val
-        elif i == j == k == l == 0:
-            core = val
-        elif not (j == k == l == 0 and 0 < i <= n_orb):  # i 0 0 0: an orbital energy
-            raise ArchiveError("schema", f"FCIDUMP index outside 1..{n_orb}: {line.strip()!r}")
-    return h1, eri, n_orb, n_elec, core
+    # lines of one symmetry orbit write the same entries, of two orbits
+    # disjoint ones: keep the last line of each orbit, then scatter
+    a, b, c, d = idx[:, two] - 1
+    ab = np.maximum(a, b) * n_orb + np.minimum(a, b)
+    cd = np.maximum(c, d) * n_orb + np.minimum(c, d)
+    last = _last_per_key(np.maximum(ab, cd) * n_orb**2 + np.minimum(ab, cd))
+    a, b, c, d, v = a[last], b[last], c[last], d[last], val[two][last]
+    flat = eri.reshape(-1)
+    for pq in (a * n_orb + b, b * n_orb + a):
+        for rs in (c * n_orb + d, d * n_orb + c):
+            flat[pq * n_orb**2 + rs] = flat[rs * n_orb**2 + pq] = v
+    a, b = idx[:2, one] - 1
+    last = _last_per_key(np.maximum(a, b) * n_orb + np.minimum(a, b))
+    h1[a[last], b[last]] = h1[b[last], a[last]] = val[one][last]
+    core_energy = float(val[core][-1]) if core.any() else 0.0
+    return h1, eri, n_orb, n_elec, core_energy
 
 
 def merge_fcidump(archive: TensorArchive, path, which: str) -> TensorArchive:

@@ -262,15 +262,15 @@ def cmd_verify(args) -> int:
 
 def cmd_convert_fcidump(args) -> int:
     if Path(args.archive).exists() and not args.new:
-        archive = _load(args.archive)
+        archive = ar.merge_fcidump(_load(args.archive), args.fcidump, args.monomer)
     else:
         h1, eri, n_orb, n_elec, _ = ar.read_fcidump(args.fcidump)
         if args.monomer == "A":
             basis = ar.DimerBasis(n_orb, max(args.n_orb_other, 1), n_elec, 0)
         else:
             basis = ar.DimerBasis(max(args.n_orb_other, 1), n_orb, 0, n_elec)
-        archive = ar.TensorArchive(basis=basis, arrays={})
-    archive = ar.merge_fcidump(archive, args.fcidump, args.monomer)
+        arrays = {f"h1_{args.monomer}": h1, f"eri_{args.monomer}": eri}
+        archive = ar.TensorArchive(basis=basis, arrays=arrays)
     ar.save_archive(args.archive, archive)
     print(f"wrote {args.archive}")
     return 0

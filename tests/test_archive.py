@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,13 @@ from saptkit.archive import (
     save_factor_cache,
 )
 from saptkit.errors import ArchiveError
-from saptkit.factorize import factorize_coefficients, reconstruct_block
+from saptkit.factorize import (
+    BlockFactors,
+    FactorizedOperator,
+    decompose_matrix,
+    factorize_coefficients,
+    reconstruct_block,
+)
 from saptkit.norms import tf_norm
 from saptkit.tensors import DimerBasis, build_majorana_coefficients
 
@@ -134,6 +143,137 @@ class TestFactorCache:
         assert first.read_bytes() == second.read_bytes()
 
 
+def assert_same_factors(got, ref, where):
+    assert got.symmetric == ref.symmetric, where
+    for field in ("values", "left", "right"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.shape == b.shape and np.array_equal(a, b), f"{where}.{field}"
+
+
+def assert_same_operator(got: FactorizedOperator, ref: FactorizedOperator):
+    assert (got.observable, got.space_tag, got.threshold) == (
+        ref.observable, ref.space_tag, ref.threshold
+    )
+    assert sorted(got.one_body) == sorted(ref.one_body)
+    for name, fact in ref.one_body.items():
+        assert_same_factors(got.one_body[name], fact, name)
+    assert (got.overlap is None) == (ref.overlap is None)
+    if ref.overlap is not None:
+        assert_same_factors(got.overlap, ref.overlap, "overlap")
+    assert sorted(got.blocks) == sorted(ref.blocks)
+    for label, bf in ref.blocks.items():
+        out = got.blocks[label]
+        assert out.shape == bf.shape and out.discarded_weight == bf.discarded_weight
+        assert_same_factors(out.outer, bf.outer, f"{label}.outer")
+        assert (out.inner_right is out.inner_left) == (bf.inner_right is bf.inner_left)
+        for side in ("inner_left", "inner_right"):
+            assert len(getattr(out, side)) == len(getattr(bf, side)), label
+            for t, (a, b) in enumerate(zip(getattr(out, side), getattr(bf, side))):
+                assert_same_factors(a, b, f"{label}.{side}.{t}")
+
+
+def old_layout_arrays(fop: FactorizedOperator) -> dict:
+    """A factor cache as earlier versions wrote it: four arrays per factorization."""
+    out = {}
+
+    def put(prefix, fact):
+        out[f"{prefix}.values"] = fact.values
+        out[f"{prefix}.left"] = fact.left
+        out[f"{prefix}.right"] = fact.right
+        out[f"{prefix}.symmetric"] = np.array(float(fact.symmetric))
+
+    for name, fact in fop.one_body.items():
+        put(f"factor.one_body.{name}", fact)
+    for label, bf in fop.blocks.items():
+        put(f"factor.block.{label}.outer", bf.outer)
+        out[f"factor.block.{label}.shape"] = np.array(bf.shape, dtype=float)
+        out[f"factor.block.{label}.discarded"] = np.array(bf.discarded_weight)
+        for t, fact in enumerate(bf.inner_left):
+            put(f"factor.block.{label}.inner_left.{t:04d}", fact)
+    out["factor.meta.threshold"] = np.array(fop.threshold)
+    out["factor.meta.observable"] = np.array([float(ord(c)) for c in fop.observable])
+    out["factor.meta.space"] = np.array(0.0)
+    return out
+
+
+class TestStackedCache:
+    def test_truncated_vps_round_trips_exactly(self, tmp_path):
+        archive = demo_archive(4, 3)
+        coeffs = build_majorana_coefficients(archive.v, archive.S)["VPs"]
+        fop = factorize_coefficients(coeffs, threshold=0.05)
+        ranks = {f.rank for bf in fop.blocks.values() for f in bf.inner_left + bf.inner_right}
+        assert len(ranks) > 2  # ragged inner ranks
+        path = tmp_path / "vps.factors"
+        save_factor_cache(path, fop, archive.basis)
+        loaded = load_factor_cache(path)
+        assert_same_operator(loaded, fop)
+        assert tf_norm(loaded).total == tf_norm(fop).total
+
+    def test_empty_symmetric_factors_keep_their_shapes(self, tmp_path):
+        rng = np.random.default_rng(3)
+        zero = decompose_matrix(np.zeros((3, 2)))
+        zero_t = decompose_matrix(np.zeros((2, 3)))
+        assert zero.symmetric and zero.left.shape == (3, 0) and zero.right.shape == (2, 0)
+        block = BlockFactors(
+            label="2",
+            shape=(3, 2, 2, 3),
+            outer=decompose_matrix(rng.normal(size=(6, 3)) @ rng.normal(size=(3, 6))),
+            inner_left=[decompose_matrix(rng.normal(size=(3, 2))), zero, zero],
+            inner_right=[zero_t, decompose_matrix(np.outer([1.0, 2.0], [1.0, 0.0, 3.0])), zero_t],
+        )
+        assert block.outer.rank == 3
+        fop = FactorizedOperator(
+            observable="VPs",
+            space_tag="active",
+            blocks={"2": block},
+            one_body={"p_A": decompose_matrix(np.zeros((3, 3)))},
+            overlap=zero,
+        )
+        path = tmp_path / "empty.factors"
+        save_factor_cache(path, fop, DimerBasis(3, 2, 2, 2))
+        assert_same_operator(load_factor_cache(path), fop)
+
+    def test_no_right_factor_for_symmetric_slices(self):
+        archive = demo_archive(3, 2)
+        fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["VPs"])
+        arrays = factor_arrays(fop)
+        groups = {name[: -len(".rank")] for name in arrays if name.endswith(".rank")}
+        all_symmetric = 0
+        for prefix in groups:
+            ranks, sym = arrays[f"{prefix}.rank"], arrays[f"{prefix}.symmetric"] == 1
+            stored = ~sym | (ranks == 0)
+            if stored.any():
+                assert len(arrays[f"{prefix}.right"]) == ranks[stored].sum(), prefix
+            else:
+                all_symmetric += 1
+                assert f"{prefix}.right" not in arrays, prefix
+        assert all_symmetric >= 5  # the one-body factors at least
+        assert not any(re.search(r"\.\d{4}\.", name) for name in arrays)
+
+    def test_old_layout_is_rejected(self, tmp_path):
+        archive = demo_archive()
+        fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["V"])
+        path = tmp_path / "old.factors"
+        save_archive(path, TensorArchive(basis=archive.basis, arrays=old_layout_arrays(fop)))
+        with pytest.raises(ArchiveError) as err:
+            load_factor_cache(path)
+        assert err.value.code == "schema"
+        assert "re-run `saptkit factorize`" in str(err.value)
+
+    def test_inconsistent_stack_is_schema_error(self, tmp_path):
+        archive = demo_archive()
+        fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["V"])
+        arrays = factor_arrays(fop)
+        arrays["factor.meta.observable"] = np.array([86.0])
+        arrays["factor.meta.space"] = np.array(0.0)
+        arrays["factor.block.v.inner_left.rank"] = arrays["factor.block.v.inner_left.rank"] + 1
+        path = tmp_path / "bad.factors"
+        save_archive(path, TensorArchive(basis=archive.basis, arrays=arrays))
+        with pytest.raises(ArchiveError) as err:
+            load_factor_cache(path)
+        assert err.value.code == "schema"
+
+
 FCIDUMP_TEXT = """&FCI NORB=2,NELEC=2,MS2=0,
   ORBSYM=1,1,
   ISYM=1,
@@ -146,6 +286,70 @@ FCIDUMP_TEXT = """&FCI NORB=2,NELEC=2,MS2=0,
  -0.4759344611440753E+00   2   2   0   0
   0.7137758743754461E+00   0   0   0   0
 """
+
+
+def read_fcidump_reference(path):
+    """The line-by-line FCIDUMP reader the vectorized one replaced.
+
+    It skips a body line that does not have five fields, where the vectorized
+    reader rejects it; on well-formed files the two must agree bit for bit.
+    """
+    text = Path(path).read_text()
+    lower = text.lower()
+    start = lower.find("&fci")
+    pos, token = min(
+        (pos, token) for token in ("&end", "/") if (pos := lower.find(token, start)) != -1
+    )
+    header = text[start:pos]
+    body = text[pos + len(token) :].replace("D", "E").replace("d", "e")
+    n_orb = int(re.search(r"NORB\s*=\s*(\d+)", header, re.IGNORECASE).group(1))
+    n_elec = int(re.search(r"NELEC\s*=\s*(\d+)", header, re.IGNORECASE).group(1))
+    h1 = np.zeros((n_orb, n_orb))
+    eri = np.zeros((n_orb, n_orb, n_orb, n_orb))
+    core = 0.0
+    for line in body.splitlines():
+        parts = line.split()
+        if len(parts) != 5:
+            continue
+        val = float(parts[0])
+        i, j, k, l = map(int, parts[1:])
+        if 0 < i <= n_orb and 0 < j <= n_orb and 0 < k <= n_orb and 0 < l <= n_orb:
+            a, b, c, d = i - 1, j - 1, k - 1, l - 1
+            for p, q, r, s in (
+                (a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
+                (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a),
+            ):
+                eri[p, q, r, s] = val
+        elif k == l == 0 and 0 < i <= n_orb and 0 < j <= n_orb:
+            h1[i - 1, j - 1] = val
+            h1[j - 1, i - 1] = val
+        elif i == j == k == l == 0:
+            core = val
+        elif not (j == k == l == 0 and 0 < i <= n_orb):
+            raise ValueError(f"index outside 1..{n_orb}: {line.strip()!r}")
+    return h1, eri, n_orb, n_elec, core
+
+
+def random_fcidump_text(rng: np.random.Generator, n: int) -> str:
+    """Seeded FCIDUMP text: shuffled lines, repeated orbits in permuted index
+    order with new values, several core lines, orbital energies, and values
+    in E, D and d exponent notation."""
+    lines = []
+    for _ in range(int(rng.integers(1, 3 * n**4 + 2))):
+        i, j, k, l = (int(x) for x in rng.integers(1, n + 1, size=4))
+        lines.append((i, j, k, l))
+    for _ in range(int(rng.integers(0, 2 * n * n + 2))):
+        i, j = (int(x) for x in rng.integers(1, n + 1, size=2))
+        lines.append((i, j, 0, 0))
+    lines += [(0, 0, 0, 0)] * int(rng.integers(0, 3))
+    lines += [(int(i), 0, 0, 0) for i in rng.integers(1, n + 1, size=int(rng.integers(0, n + 1)))]
+    order = rng.permutation(len(lines))
+    out = [f" &FCI NORB={n},NELEC={2 * n},MS2=0,", "  ORBSYM=" + "1," * n, "  ISYM=1,", " &END"]
+    for t in order:
+        value = f"{rng.normal() * 10.0 ** int(rng.integers(-12, 3)):.16E}"
+        value = value.replace("E", str(rng.choice(["E", "D", "d"])))
+        out.append(f"{value} {'   '.join(str(x) for x in lines[t])}")
+    return "\n".join(out) + "\n"
 
 
 class TestFcidump:
@@ -210,6 +414,61 @@ class TestFcidump:
         plain.write_text(FCIDUMP_TEXT)
         ref_h1, ref_eri, _, _, ref_core = read_fcidump(plain)
         assert np.array_equal(h1, ref_h1) and np.array_equal(eri, ref_eri) and core == ref_core
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_line_by_line_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "r.fcidump"
+        path.write_text(random_fcidump_text(rng, 1 + seed % 5))
+        h1, eri, n_orb, n_elec, core = read_fcidump(path)
+        ref = read_fcidump_reference(path)
+        assert (n_orb, n_elec) == ref[2:4]
+        assert h1.tobytes() == ref[0].tobytes() and eri.tobytes() == ref[1].tobytes()
+        assert type(core) is float and np.array(core).tobytes() == np.array(ref[4]).tobytes()
+
+    def test_later_line_fills_the_whole_orbit(self, tmp_path):
+        path = tmp_path / "o.fcidump"
+        path.write_text(
+            "&FCI NORB=4,NELEC=2,\n&END\n  0.25  1 2 3 4\n  0.75  2 1 4 3\n  0.5  3 4 1 2\n"
+            "  0.125  4 3 2 1\n  -1.0  2 1 0 0\n  -2.0  1 2 0 0\n"
+        )
+        h1, eri, *_ = read_fcidump(path)
+        orbit = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+                 (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]
+        assert all(eri[o] == 0.125 for o in orbit)
+        assert np.count_nonzero(eri) == 8
+        assert h1[0, 1] == h1[1, 0] == -2.0
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["  0.7   1   1   2"], "line does not have 5 fields: '0.7   1   1   2'"),
+            (["  0.7  1 1 2", "  0.3  1 1 1 1 1"], "line does not have 5 fields: '0.7  1 1 2'"),
+            (["  nan   1   1   1   1"], "value is not finite: 'nan   1   1   1   1'"),
+            (["  -inf  1   1   0   0"], "value is not finite: '-inf  1   1   0   0'"),
+            (["  1D999 1   1   2   2"], "value is not finite: '1E999 1   1   2   2'"),
+        ],
+        ids=["four-fields", "four-then-six", "nan", "inf", "overflow"],
+    )
+    def test_strict_lines(self, tmp_path, lines, message):
+        path = tmp_path / "bad.fcidump"
+        path.write_text(FCIDUMP_TEXT + "\n".join(lines) + "\n")
+        with pytest.raises(ArchiveError) as err:
+            read_fcidump(path)
+        assert err.value.code == "schema"
+        assert f"FCIDUMP {message}" in str(err.value)
+
+    def test_blank_lines_do_not_shift_the_quoted_line(self, tmp_path):
+        path = tmp_path / "bad.fcidump"
+        path.write_text(FCIDUMP_TEXT.replace("\n", "\n\n   \n") + "  0.5   1   5   0   0\n")
+        with pytest.raises(ArchiveError, match=r"index outside 1\.\.2: '0\.5   1   5   0   0'"):
+            read_fcidump(path)
+
+    def test_header_only_file_is_empty_hamiltonian(self, tmp_path):
+        path = tmp_path / "empty.fcidump"
+        path.write_text("&FCI NORB=2,NELEC=2,\n&END\n  \n")
+        h1, eri, n_orb, _, core = read_fcidump(path)
+        assert n_orb == 2 and core == 0.0 and not h1.any() and not eri.any()
 
     def test_header_ends_after_fci(self, tmp_path):
         path = tmp_path / "h2.fcidump"

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from saptkit.archive import demo_archive, load_factor_cache, save_archive
@@ -176,6 +177,27 @@ class TestErrors:
         assert main(["norms", str(archive_path)]) == 3
         assert "[checksum] array 'v' extends outside the payload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["arrays"]["gap_A"].update(offset=m["arrays"]["gap_B"]["offset"]),
+            lambda m: m["arrays"]["gap_A"].update(offset=m["arrays"]["gap_A"]["offset"] + 4),
+        ],
+        ids=["overlap", "misaligned"],
+    )
+    def test_array_offsets_must_tile_the_payload(self, archive_path, capsys, edit):
+        rewrite_manifest(archive_path, edit)
+        assert main(["norms", str(archive_path)]) == 3
+        assert "overlaps another or leaves a gap" in capsys.readouterr().err
+
+    def test_non_finite_array_is_exit_3(self, tmp_path, capsys):
+        archive = demo_archive()
+        archive.arrays["v"][0, 1, 0, 1] = np.nan
+        path = tmp_path / "nan.sapt"
+        save_archive(path, archive)
+        assert main(["norms", str(path)]) == 3
+        assert "[schema] array 'v' holds NaN or inf" in capsys.readouterr().err
+
 
 class TestConvertFcidump:
     def test_creates_and_merges(self, tmp_path, capsys):
@@ -203,3 +225,22 @@ class TestConvertFcidump:
         assert code == 3
         assert "[schema] FCIDUMP index outside 1..2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("new", [True, False])
+    def test_each_fcidump_is_parsed_once(self, tmp_path, monkeypatch, new):
+        import saptkit.archive as ar
+
+        parses = []
+        read = ar.read_fcidump
+        monkeypatch.setattr(ar, "read_fcidump", lambda path: parses.append(path) or read(path))
+        fcid = tmp_path / "m.fcidump"
+        fcid.write_text(FCIDUMP_TEXT)
+        out = tmp_path / "mono.sapt"
+        if not new:
+            save_archive(out, demo_archive())
+        args = ["convert-fcidump", str(fcid), str(out), "--monomer", "B", "--n-orb-other", "3"]
+        assert main(args + (["--new"] if new else [])) == 0
+        assert len(parses) == 1
+        archive = ar.load_archive(out)
+        assert archive.arrays["h1_B"][0, 0] == pytest.approx(-0.9)
+        assert archive.basis.n_orb_A == (3 if new else 2)
