@@ -121,10 +121,10 @@ def _manifest(archive: TensorArchive, arrays: dict[str, np.ndarray]) -> dict:
 
 def save_archive(path, archive: TensorArchive) -> None:
     # streamed: each array is hashed, then written, from its own memory
-    # (copied only when it is not contiguous little-endian float64)
+    # (copied only when it is not contiguous little-endian float64; unlike
+    # np.ascontiguousarray, np.require keeps a 0-d array 0-d)
     arrays = {
-        name: np.ascontiguousarray(archive.arrays[name], dtype="<f8")
-        for name in sorted(archive.arrays)
+        name: np.require(archive.arrays[name], "<f8", "C") for name in sorted(archive.arrays)
     }
     manifest = _manifest(archive, arrays)
     digest = hashlib.sha256()

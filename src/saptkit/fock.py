@@ -13,12 +13,19 @@ at most ``MAX_SPIN_ORBITALS`` spin orbitals, which bounds the dimer operators
 (products such as V P) the oracle builds, and each monomer at most
 ``MAX_MONOMER_ORBITALS`` orbitals, which bounds its cached tables.
 
-Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i``.  Every
+Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i``, each
+under a content key: the bytes of its B factor, or of its A factor where that
+is the shared table element or matrix unit.  Adding, scaling and multiplying
+operators merge pairs with equal keys by summing their other factors, and
+drop a pair whose sum is exactly zero.  An operator with more pairs than the
+smaller monomer has matrix units e_rc is rewritten exactly as sum_rc over
+those units, so none holds more than min(dim_A, dim_B)^2 pairs.  Every
 coefficient family has the form sum_spins C * prod_k X^{sigma_k}(p_k q_k),
 with X the excitation operators E or the traceless quadratics w = E - delta/2,
-and one einsum-driven assembler builds them all.  Its pairs are keyed by the
-basis element X^sigma(p q) of the monomer carrying a single factor (B when
-both do), so spin sums accumulate into one pair per element; a family on one
+and one einsum-driven assembler builds them all, planning each contraction
+once per expression and operand shapes.  Its pairs are keyed by the basis
+element X^sigma(p q) of the monomer carrying a single factor (B when both
+do), so spin sums accumulate into one pair per element; a family on one
 monomer is a single monomer pair.
 
 Two assembly routes exist for every observable: the ``excitation`` form
@@ -151,15 +158,50 @@ class FockSpace:
 
 
 class PairSum:
-    """Operator sum_i A_i (x) B_i on the dimer space."""
+    """Operator sum_i A_i (x) B_i on the dimer space; ``_terms`` maps each
+    pair's content key (side, bytes of that factor) to the pair."""
 
     def __init__(self, space: FockSpace):
         self.space = space
-        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        self._terms: dict[tuple[str, bytes], tuple[np.ndarray, np.ndarray]] = {}
+
+    @property
+    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return list(self._terms.values())
+
+    def _merge(self, key, a: np.ndarray, b: np.ndarray) -> None:
+        """Add one pair; a pair whose summed factor is exactly zero vanishes."""
+        if key in self._terms:
+            old_a, old_b = self._terms[key]
+            a, b = (old_a, old_b + b) if key[0] == "A" else (old_a + a, old_b)
+        if (b if key[0] == "A" else a).any():
+            self._terms[key] = (a, b)
+        else:
+            self._terms.pop(key, None)
+
+    def _put(self, a: np.ndarray, b: np.ndarray, side: str = "B") -> None:
+        keyed = a if side == "A" else b
+        if keyed.any():
+            self._merge((side, keyed.tobytes()), a, b)
+
+    def _capped(self) -> "PairSum":
+        """Once the pairs outnumber the smaller monomer's matrix units e_rc,
+        rewrite the operator as one pair per unit, keyed by the unit."""
+        d = min(self.space.dim_A, self.space.dim_B)
+        if len(self._terms) <= d * d:
+            return self
+        small = int(self.space.dim_B <= self.space.dim_A)  # factor index of the smaller monomer
+        stacks = [np.stack(factors) for factors in zip(*self._terms.values())]
+        summed = np.tensordot(stacks[small], stacks[1 - small], axes=(0, 0))
+        summed = summed.reshape(d * d, *stacks[1 - small].shape[1:])
+        self._terms = {}
+        for e, m in zip(np.eye(d * d).reshape(-1, d, d), summed):
+            self._put(*((m, e) if small else (e, m)), "AB"[small])
+        return self
 
     def add(self, a_mat, b_mat) -> "PairSum":
-        self.pairs.append((np.asarray(a_mat, dtype=float), np.asarray(b_mat, dtype=float)))
-        return self
+        self._put(np.asarray(a_mat, dtype=float), np.asarray(b_mat, dtype=float))
+        return self._capped()
 
     def add_scalar(self, c) -> "PairSum":
         if c != 0.0:
@@ -175,26 +217,32 @@ class PairSum:
 
     def __add__(self, other: "PairSum") -> "PairSum":
         out = PairSum(self.space)
-        out.pairs = self.pairs + other.pairs
-        return out
+        out._terms = dict(self._terms)
+        for key, (a, b) in other._terms.items():
+            out._merge(key, a, b)
+        return out._capped()
 
     def scaled(self, c) -> "PairSum":
-        """c times the operator: each pair scales its smaller factor and shares the other."""
+        """c times the operator: each pair scales its unkeyed factor and shares the keyed one."""
         out = PairSum(self.space)
-        out.pairs = [(c * a, b) if a.size <= b.size else (a, c * b) for a, b in self.pairs]
+        out._terms = {
+            k: (a, c * b) if k[0] == "A" else (c * a, b) for k, (a, b) in self._terms.items()
+        }
         return out
 
     def dagger(self) -> "PairSum":
         out = PairSum(self.space)
-        out.pairs = [(a.T, b.T) for a, b in self.pairs]
+        for (side, _), (a, b) in self._terms.items():
+            out._terms[side, (a.T if side == "A" else b.T).tobytes()] = (a.T, b.T)
         return out
 
     def __matmul__(self, other: "PairSum") -> "PairSum":
         out = PairSum(self.space)
-        for a1, b1 in self.pairs:
-            for a2, b2 in other.pairs:
-                out.add(a1 @ a2, b1 @ b2)
-        return out
+        # the product of two shared A factors (units, table elements) is the one that recurs
+        for (s1, _), (a1, b1) in self._terms.items():
+            for (s2, _), (a2, b2) in other._terms.items():
+                out._put(a1 @ a2, b1 @ b2, "A" if s1 == s2 == "A" else "B")
+        return out._capped()
 
     def hermitized(self) -> "PairSum":
         return (self + self.dagger()).scaled(0.5)
@@ -251,6 +299,10 @@ def one_body_matrix(space: FockSpace, which: str, h: np.ndarray, basis: str) -> 
     return np.einsum("ab,sabij->ij", h, mats, optimize=True)
 
 
+# einsum contraction path per (expr, operand shapes), planned once per process
+_PATHS: dict[tuple, list] = {}
+
+
 def _family(space: FockSpace, spec: str, tensors, factors, basis: str) -> PairSum:
     """sum_spins einsum(spec, *tensors) * prod_k X^{spin_k}_{monomer_k}(pair_k).
 
@@ -269,9 +321,12 @@ def _family(space: FockSpace, spec: str, tensors, factors, basis: str) -> PairSu
     acc = {}
     for spins in itertools.product(range(2), repeat=len(labels)):
         spin = dict(zip(labels, spins))
-        tables = [mats[m][spin[s]] for m, s, _ in rest]
-        # the greedy path contracts the overlap last, several times the work at 4x1
-        term = np.einsum(expr, *tensors, *tables, optimize="optimal")
+        operands = [*tensors, *(mats[m][spin[s]] for m, s, _ in rest)]
+        plan = (expr, *(op.shape for op in operands))
+        if plan not in _PATHS:
+            # the greedy path contracts the overlap last, several times the work at 4x1
+            _PATHS[plan] = np.einsum_path(expr, *operands, optimize="optimal")[0]
+        term = np.einsum(expr, *operands, optimize=_PATHS[plan])
         k = spin[key[1]] if key else 0
         acc[k] = acc.get(k, 0) + term
     out = PairSum(space)
@@ -280,10 +335,9 @@ def _family(space: FockSpace, spec: str, tensors, factors, basis: str) -> PairSu
     which = key[0]
     for s, block in acc.items():
         for p, q in np.ndindex(block.shape[:2]):
-            if block[p, q].any():
-                pair = (mats[which][s, p, q], block[p, q])
-                out.add(*(pair[::-1] if which == "B" else pair))
-    return out
+            pair = (mats[which][s, p, q], block[p, q])
+            out._put(*(pair[::-1] if which == "B" else pair), which)
+    return out._capped()
 
 
 def family_lock(space: FockSpace, T: np.ndarray, basis: str) -> PairSum:
@@ -484,8 +538,9 @@ def assemble_monomer_hamiltonian(
     """Spin-free monomer Hamiltonian h1[p,q] E+_pq + 1/2 eri[pqrs] e_pqrs."""
     # effective one-body from normal ordering: -1/2 sum_r eri[p r r q] E+_pq
     h_eff = h1 - 0.5 * np.einsum("arrb->ab", eri)
-    a_mat, b_mat = family_intra(space, which, 0.5 * eri, "E").pairs[0]
-    op = one_body_matrix(space, which, h_eff, "E") + (a_mat if which == "A" else b_mat)
+    op = one_body_matrix(space, which, h_eff, "E")
+    for a_mat, b_mat in family_intra(space, which, 0.5 * eri, "E").pairs:  # one pair; none if eri = 0
+        op = op + (a_mat if which == "A" else b_mat)
     return PairSum(space).add_monomer(which, op)
 
 

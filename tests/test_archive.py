@@ -39,6 +39,40 @@ class TestRoundTrip:
         save_archive(path, loaded)
         assert path.read_bytes() == first
 
+    def test_array_shapes_round_trip(self, tmp_path):
+        # 0-d scalars (gap_A, factor.meta.threshold, every .discarded) reload 0-d
+        archive = demo_archive()
+        fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["VPs"])
+        path = tmp_path / "dimer.sapt"
+        save_archive(path, archive)
+        loaded = load_archive(path).arrays
+        assert {n: a.shape for n, a in loaded.items()} == {
+            n: np.shape(a) for n, a in archive.arrays.items()
+        }
+        save_factor_cache(path, fop, archive.basis)
+        loaded = load_archive(path).arrays
+        for name, arr in factor_arrays(fop).items():
+            assert loaded[name].shape == np.shape(arr), name
+        assert loaded["factor.meta.threshold"].shape == ()
+
+    def test_one_element_scalars_still_load(self, tmp_path):
+        # a scalar stored with shape (1,) reads as the same scalar
+        archive = demo_archive()
+        fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["VPs"])
+        path = tmp_path / "dimer.factors"
+
+        def save_flat(arrays):
+            flat = {n: np.reshape(a, -1) if np.ndim(a) == 0 else a for n, a in arrays.items()}
+            save_archive(path, TensorArchive(archive.basis, flat))
+
+        save_factor_cache(path, fop, archive.basis)
+        save_flat(load_archive(path).arrays)
+        assert load_archive(path).arrays["factor.meta.threshold"].shape == (1,)
+        assert_same_operator(load_factor_cache(path), fop)
+        save_flat(archive.arrays)
+        assert load_archive(path).arrays["gap_A"].shape == (1,)
+        assert load_archive(path).scalar("gap_A") == archive.scalar("gap_A")
+
     def test_minimal_single_orbital(self, tmp_path):
         path = tmp_path / "one.sapt"
         basis = DimerBasis(1, 1, 1, 1)

@@ -267,19 +267,124 @@ class TestRealOracle:
         assert probe_dtypes and set(probe_dtypes) == {np.dtype(np.float64)}
 
 
-class TestScaled:
-    @pytest.mark.parametrize("c", [-1.0, 0.5])
-    def test_smaller_factor_scaled_bit_for_bit(self, rng, c):
-        v, s = random_dimer(rng, 4, 1)
-        space = FockSpace(4, 1)
-        x = assemble_electrostatic(space, v)
-        y = build_operator_matrix(space, "V", build_majorana_coefficients(v, s)["V"], form="majorana")
-        diff = x + y.scaled(c)
-        a_scaled = PairSum(space)
-        a_scaled.pairs = x.pairs + [(c * a, b) for a, b in y.pairs]
+def apply_pairs(space, pairs, vecs):
+    """sum_i (A_i (x) B_i) vecs over a raw pair list: B on the middle axis, then A."""
+    psi = vecs.reshape(space.dim_A, space.dim_B, -1)
+    out = np.zeros_like(psi)
+    for a, b in pairs:
+        out += np.tensordot(a, b @ psi, axes=(1, 0))
+    return out.reshape(vecs.shape)
+
+
+class RawPairSum(PairSum):
+    """PairSum algebra with every pair kept: no content key, no merge, no zero dropped, no cap."""
+
+    def _merge(self, key, a, b):
+        self._terms["raw", len(self._terms)] = (a, b)
+
+    def _put(self, a, b, side="B"):
+        self._merge(None, a, b)
+
+    def _capped(self):
+        return self
+
+    def dagger(self):
+        out = RawPairSum(self.space)
+        out._terms = {key: (a.T, b.T) for key, (a, b) in self._terms.items()}
+        return out
+
+
+class TestCompaction:
+    @pytest.mark.parametrize(
+        "n_a,n_b",
+        [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (4, 1), (1, 4)],
+    )
+    def test_compact_matches_raw_pairs(self, rng, monkeypatch, n_a, n_b):
+        v, s = random_dimer(rng, n_a, n_b)
+        space = FockSpace(n_a, n_b)
+        ops = dense_ops(space, v, s)
+        ops = {kind: (exc, maj, exc + maj.scaled(-1.0)) for kind, (exc, maj) in ops.items()}
+        monkeypatch.setattr(fock, "PairSum", RawPairSum)
+        raw = dense_ops(space, v, s)
         vecs = rng.normal(size=(space.dim, 3))
-        assert np.array_equal(diff.apply_block(vecs), a_scaled.apply_block(vecs))
-        assert all(a_new is a for (a_new, _), (a, _) in zip(diff.pairs[len(x.pairs):], y.pairs))
+        for kind in ops:
+            exc_ref, maj_ref = (apply_pairs(space, op.pairs, vecs) for op in raw[kind])
+            scale = np.abs(exc_ref).max()  # not that of exc - maj, which is zero up to rounding
+            for op, want in zip(ops[kind], (exc_ref, maj_ref, exc_ref - maj_ref)):
+                assert len(op.pairs) <= min(space.dim_A, space.dim_B) ** 2, kind
+                assert np.abs(op.apply_block(vecs) - want).max() <= 1e-13 * scale, kind
+
+    @pytest.mark.parametrize("n_a,n_b", [(2, 2), (4, 1), (1, 4)])
+    def test_difference_with_itself_has_no_pairs(self, rng, n_a, n_b):
+        v, s = random_dimer(rng, n_a, n_b)
+        for op in dense_ops(FockSpace(n_a, n_b), v, s)["VPs"]:
+            assert op.pairs and not (op + op.scaled(-1.0)).pairs
+
+    @pytest.mark.parametrize("n_a,n_b", [(4, 1), (1, 4)])
+    def test_random_pairs_through_cap_dagger_and_product(self, rng, n_a, n_b):
+        space = FockSpace(n_a, n_b)
+        pairs = [(rng.normal(size=(space.dim_A,) * 2), rng.normal(size=(space.dim_B,) * 2))
+                 for _ in range(20)]
+        op = PairSum(space)
+        for a, b in pairs:
+            op.add(a, b)
+        assert len(op.pairs) == 16
+        vecs = rng.normal(size=(space.dim, 3))
+        want = apply_pairs(space, pairs, vecs)
+        assert np.abs(op.apply_block(vecs) - want).max() <= 1e-13 * np.abs(want).max()
+        dense = op.to_dense()
+        assert np.abs(op.dagger().to_dense() - dense.T).max() <= 1e-13 * np.abs(dense).max()
+        square = (op @ op).apply_block(vecs)
+        assert np.abs(square - dense @ dense @ vecs).max() <= 1e-13 * np.abs(square).max()
+
+    def test_vps_difference_at_3x3_is_compact(self, rng):
+        v, s = random_dimer(rng, 3, 3)
+        exc, maj = dense_ops(FockSpace(3, 3), v, s)["VPs"]
+        assert len((exc + maj.scaled(-1.0)).pairs) <= 400
+
+    @pytest.mark.parametrize("n_a,n_b", [(4, 1), (1, 4)])
+    @pytest.mark.parametrize("c", [-1.0, 0.5])
+    def test_scaled_keeps_keys_and_copies_one_side(self, rng, n_a, n_b, c):
+        v, s = random_dimer(rng, n_a, n_b)
+        space = FockSpace(n_a, n_b)
+        x = assemble_electrostatic(space, v)
+        y = assemble_majorana(space, build_majorana_coefficients(v, s)["V"])
+        y_c = y.scaled(c)
+        assert list(y_c._terms) == list(y._terms)
+        for (side, _), (a, b), (a_c, b_c) in zip(y._terms, y.pairs, y_c.pairs):
+            if side == "A":  # the keyed factor is shared, the other one scaled
+                assert a_c is a and np.array_equal(b_c, c * b)
+            else:
+                assert b_c is b and np.array_equal(a_c, c * a)
+        vecs = rng.normal(size=(space.dim, 3))
+        want = apply_pairs(space, x.pairs + [(c * a, b) for a, b in y.pairs], vecs)
+        scale = np.abs(apply_pairs(space, x.pairs, vecs)).max()  # x - y is zero up to rounding
+        assert np.abs((x + y_c).apply_block(vecs) - want).max() <= 1e-15 * scale
+
+
+class TestPathCache:
+    def test_family_plans_each_contraction_once(self, rng, monkeypatch):
+        space = FockSpace(2, 2)
+        lam, S = rng.normal(size=(2, 2, 2, 2)), rng.normal(size=(2, 2))
+        monkeypatch.setattr(fock, "_PATHS", {})
+        plans = []
+        einsum_path = np.einsum_path
+
+        def counting_path(*args, **kwargs):
+            plans.append(args[0])
+            return einsum_path(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum_path", counting_path)
+        first = fock.family_g2(space, lam, S, "w")
+        second = fock.family_g2(space, lam, S, "w")
+        assert len(plans) == 1
+        fock._PATHS.clear()
+        cleared = fock.family_g2(space, lam, S, "w")
+        assert len(plans) == 2
+        for op in (second, cleared):
+            assert len(op.pairs) == len(first.pairs)
+            for (a, b), (a0, b0) in zip(op.pairs, first.pairs):
+                assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
 class TestSizeGuard:
