@@ -1,7 +1,8 @@
 """Command-line surface: factorize, norms, budget, estimate, supermolecular,
 verify, convert-fcidump.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 data error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 data error,
+4 internal error (any other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .costing import (
     summary_tsv,
 )
 from .errors import DomainError, SaptError
-from .factorize import factorize_coefficients
+from .factorize import factorize_coefficients, shared_blocks
 from .norms import (
     df_hamiltonian_norm,
     factorize_monomer_hamiltonian,
@@ -68,20 +69,17 @@ def _has_partition(archive: ar.TensorArchive) -> bool:
     return "partition_A_core" in archive.arrays or "partition_B_core" in archive.arrays
 
 
-def _load(path: str) -> ar.TensorArchive:
-    return ar.load_archive(path)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_factorize(args) -> int:
-    archive = _load(args.archive)
+    archive = ar.load_archive(args.archive)
     coeffs = _coefficient_sets(archive, _has_partition(archive))
     out_prefix = Path(args.output or Path(args.archive).with_suffix(""))
+    shared = shared_blocks([coeffs[name] for name in args.observables])
     for name in args.observables:
-        fop = factorize_coefficients(coeffs[name], threshold=args.truncation)
+        fop = factorize_coefficients(coeffs[name], threshold=args.truncation, blocks=shared)
         path = Path(f"{out_prefix}.{name}.factors")
         ar.save_factor_cache(path, fop, archive.basis)
         print(f"wrote {path}")
@@ -89,14 +87,16 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    archive = _load(args.archive)
+    archive = ar.load_archive(args.archive)
     coeffs = _coefficient_sets(archive, _has_partition(archive))
     reports = []
+    tf = args.representation in ("tf", "both")
+    shared = shared_blocks([coeffs[name] for name in args.observables] if tf else [])
     for name in args.observables:
         if args.representation in ("sparse", "both"):
             reports.append(sparse_norms(coeffs[name]))
-        if args.representation in ("tf", "both"):
-            fop = factorize_coefficients(coeffs[name], threshold=args.truncation)
+        if tf:
+            fop = factorize_coefficients(coeffs[name], threshold=args.truncation, blocks=shared)
             reports.append(tf_norm(fop))
     print(format_table(reports))
     if args.json:
@@ -109,15 +109,16 @@ def cmd_norms(args) -> int:
 
 def _norm_totals(archive: ar.TensorArchive, truncation: float) -> dict[str, float]:
     coeffs = _coefficient_sets(archive, _has_partition(archive))
+    shared = shared_blocks([coeffs[name] for name in OBSERVABLES])
     return {
-        name: tf_norm(factorize_coefficients(coeffs[name], threshold=truncation)).total
+        name: tf_norm(factorize_coefficients(coeffs[name], truncation, blocks=shared)).total
         for name in OBSERVABLES
     }
 
 
 def cmd_budget(args) -> int:
     if args.archive:
-        totals = _norm_totals(_load(args.archive), args.truncation)
+        totals = _norm_totals(ar.load_archive(args.archive), args.truncation)
         lam_v, lam_p, lam_vp = totals["V"], totals["P"], totals["VPs"]
     else:
         if None in (args.lambda_v, args.lambda_p, args.lambda_vp):
@@ -144,14 +145,10 @@ def cmd_budget(args) -> int:
 def _system_params(args, archive: ar.TensorArchive | None) -> SystemParams:
     vals = {}
     if archive is not None:
-        if "h1_A" in archive.arrays and "eri_A" in archive.arrays:
-            vals["lambda_A"] = df_hamiltonian_norm(
-                *factorize_monomer_hamiltonian(archive.arrays["h1_A"], archive.arrays["eri_A"])
-            )
-        if "h1_B" in archive.arrays and "eri_B" in archive.arrays:
-            vals["lambda_B"] = df_hamiltonian_norm(
-                *factorize_monomer_hamiltonian(archive.arrays["h1_B"], archive.arrays["eri_B"])
-            )
+        for m in "AB":
+            h1, eri = (archive.arrays.get(f"{name}_{m}") for name in ("h1", "eri"))
+            if h1 is not None and eri is not None:
+                vals[f"lambda_{m}"] = df_hamiltonian_norm(*factorize_monomer_hamiltonian(h1, eri))
         vals["delta_A"] = archive.scalar("gap_A", 0.0) or None
         vals["delta_B"] = archive.scalar("gap_B", 0.0) or None
         vals["overlap_A"] = archive.scalar("overlap_A", 1.0)
@@ -191,7 +188,7 @@ def cmd_estimate(args) -> int:
         observables=tuple(args.observables),
         calibration=_calibration(args.calibration),
     )
-    archive = _load(args.archive) if args.archive else None
+    archive = ar.load_archive(args.archive) if args.archive else None
     params = _system_params(args, archive)
 
     lam = {}
@@ -215,18 +212,13 @@ def cmd_estimate(args) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     for name, graph in graphs.items():
-        if args.format in ("json", "all"):
-            text = emit_callgraph(graph, "json")
-            if out_dir:
-                (out_dir / f"estimate.{name}.json").write_text(text + "\n")
-            else:
-                print(text)
-        if args.format in ("dot", "all"):
-            text = emit_callgraph(graph, "dot")
-            if out_dir:
-                (out_dir / f"estimate.{name}.dot").write_text(text + "\n")
-            else:
-                print(text)
+        for fmt in ("json", "dot"):
+            if args.format in (fmt, "all"):
+                text = emit_callgraph(graph, fmt)
+                if out_dir:
+                    (out_dir / f"estimate.{name}.{fmt}").write_text(text + "\n")
+                else:
+                    print(text)
         print(f"{name}: total_toffolis={graph.root.total} qubits={graph.root.qubits}")
     if args.format in ("tsv", "all"):
         text = summary_tsv(graphs)
@@ -255,14 +247,14 @@ def cmd_supermolecular(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_verification
 
-    archive = _load(args.archive) if args.archive else ar.demo_archive()
+    archive = ar.load_archive(args.archive) if args.archive else ar.demo_archive()
     ok = run_verification(archive, verbose=True)
     return 0 if ok else 1
 
 
 def cmd_convert_fcidump(args) -> int:
     if Path(args.archive).exists() and not args.new:
-        archive = ar.merge_fcidump(_load(args.archive), args.fcidump, args.monomer)
+        archive = ar.merge_fcidump(ar.load_archive(args.archive), args.fcidump, args.monomer)
     else:
         h1, eri, n_orb, n_elec, _ = ar.read_fcidump(args.fcidump)
         if args.monomer == "A":
@@ -368,6 +360,10 @@ def main(argv=None) -> int:
     except SaptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a fault of saptkit itself, not of its input
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -110,17 +110,19 @@ def _check_stack(ms: np.ndarray, symmetric: bool | None):
     return scale, is_sym if symmetric is None else np.full(k, symmetric)
 
 
-def _decompose_stack(ms: np.ndarray, scale: np.ndarray, symmetric: np.ndarray):
+def _decompose_stack(ms: np.ndarray, scale: np.ndarray, symmetric: np.ndarray, vectors=True):
     """Factorizations of a checked (k, rows, cols) stack, in stack order.
 
     One broadcast ``eigh`` covers the symmetric matrices and one broadcast
     ``svd`` the rest; each keeps its values above ``RANK_CUTOFF`` times its
     scale, by descending magnitude, with the sign convention of the module.
-    A zero matrix gives an empty symmetric factorization.
+    A zero matrix gives an empty symmetric factorization.  With
+    ``vectors=False`` only the kept values are computed, one array per matrix.
     """
     k, rows, cols = ms.shape
     out = [
         Factorization(np.zeros(0), np.zeros((rows, 0)), np.zeros((cols, 0)), True)
+        if vectors else np.zeros(0)
         for _ in range(k)
     ]
     for sym in (True, False):
@@ -129,22 +131,27 @@ def _decompose_stack(ms: np.ndarray, scale: np.ndarray, symmetric: np.ndarray):
             continue
         sub = ms[idx]
         if sym:
-            vals, left = np.linalg.eigh(0.5 * (sub + sub.transpose(0, 2, 1)))
+            sub = 0.5 * (sub + sub.transpose(0, 2, 1))
+            vals, left = np.linalg.eigh(sub) if vectors else (np.linalg.eigvalsh(sub), None)
             order = np.argsort(-np.abs(vals), axis=1, kind="stable")
             vals = np.take_along_axis(vals, order, axis=1)
-            left = np.take_along_axis(left, order[:, None, :], axis=2)
-            _fix_signs(left)
-        else:
+            if vectors:
+                left = np.take_along_axis(left, order[:, None, :], axis=2)
+                _fix_signs(left)
+        elif vectors:
             left, vals, right = np.linalg.svd(sub, full_matrices=False)
             right = right.transpose(0, 2, 1)
             _fix_signs(left, right)
+        else:
+            vals = np.linalg.svd(sub, compute_uv=False)
         # descending magnitudes, so the kept values are a prefix; copies let
         # the stack, with the columns it drops, be freed
         kept = (np.abs(vals) > RANK_CUTOFF * scale[idx, None]).sum(axis=1)
         for j, (i, n) in enumerate(zip(idx, kept)):
-            u = left[j, :, :n].copy()
-            v = u if sym else right[j, :, :n].copy()
-            out[i] = Factorization(vals[j, :n].copy(), u, v, sym)
+            out[i] = vals[j, :n].copy()
+            if vectors:
+                u = left[j, :, :n].copy()
+                out[i] = Factorization(out[i], u, u if sym else right[j, :, :n].copy(), sym)
     return out
 
 
@@ -260,21 +267,25 @@ def first_factorize(block: np.ndarray, label: str, symmetric: bool | None = None
     return BlockFactors(label=label, shape=block.shape, outer=outer)
 
 
+def _inner(vecs: np.ndarray, shape: tuple[int, int], vectors: bool = True) -> list:
+    """:func:`_decompose_stack` of every grouped vector (a column) as a matrix."""
+    ms = vecs.T.reshape(-1, *shape)
+    return _decompose_stack(ms, *_check_stack(ms, None), vectors)
+
+
 def second_factorize(bf: BlockFactors) -> BlockFactors:
     """Decompose every grouped vector of the first step, one stack per side."""
-    r1, r2 = bf.row_shape
-    c1, c2 = bf.col_shape
-
-    def factor_stack(vecs: np.ndarray, n1: int, n2: int) -> list[Factorization]:
-        ms = vecs.T.reshape(-1, n1, n2)
-        return _decompose_stack(ms, *_check_stack(ms, None))
-
-    bf.inner_left = factor_stack(bf.outer.left, r1, r2)
+    bf.inner_left = _inner(bf.outer.left, bf.row_shape)
     if bf.outer.symmetric:
         bf.inner_right = bf.inner_left
     else:
-        bf.inner_right = factor_stack(bf.outer.right, c1, c2)
+        bf.inner_right = _inner(bf.outer.right, bf.col_shape)
     return bf
+
+
+def inner_values(bf: BlockFactors) -> list[np.ndarray]:
+    """The values :func:`second_factorize` would keep for ``inner_left``, without vectors."""
+    return _inner(bf.outer.left, bf.row_shape, vectors=False)
 
 
 def factorize_block(block: np.ndarray, label: str, symmetric: bool | None = None) -> BlockFactors:
@@ -360,18 +371,34 @@ class FactorizedOperator:
         return sum(bf.discarded_weight for bf in self.blocks.values())
 
 
-_VP_BLOCK_LABELS = ("A2", "B2", "1m", "1l", "2", "3", "2r", "3r", "v")
+# the two-body blocks each observable's factorization holds, in this order
+_BLOCK_LABELS = {"V": ("v",), "P": (), "VPs": ("A2", "B2", "1m", "1l", "2", "3", "2r", "3r", "v")}
+
+
+def shared_blocks(sets: list[SaptCoefficients]) -> dict[str, BlockFactors]:
+    """Untruncated factors of each block that two or more of the sets factorize
+    and hold bit for bit alike, for :func:`factorize_coefficients`."""
+    found: dict[str, list[np.ndarray]] = {}
+    for coeffs in sets:
+        for label in _BLOCK_LABELS.get(coeffs.observable, ()):
+            if label in coeffs.two_body_blocks:
+                found.setdefault(label, []).append(coeffs.two_body_blocks[label])
+    return {
+        label: factorize_block(same[0], label)
+        for label, same in found.items()
+        if len(same) > 1 and all(np.array_equal(same[0], b) for b in same[1:])
+    }
 
 
 def factorize_coefficients(
-    coeffs: SaptCoefficients, threshold: float = 0.0
+    coeffs: SaptCoefficients, threshold: float = 0.0, blocks: dict[str, BlockFactors] | None = None
 ) -> FactorizedOperator:
-    """Factorize every block and one-body tensor of a coefficient set."""
+    """Factorize every block and one-body tensor of a coefficient set; the
+    untruncated factors in ``blocks`` (see :func:`shared_blocks`) are used as given."""
     out = FactorizedOperator(observable=coeffs.observable, space_tag=coeffs.space_tag)
     if coeffs.observable == "V":
         out.one_body["f_A"] = one_body_eigendecompose(coeffs.one_body_A)
         out.one_body["f_B"] = one_body_eigendecompose(coeffs.one_body_B)
-        out.blocks["v"] = factorize_block(coeffs.two_body_blocks["v"], "v")
     elif coeffs.observable == "P":
         out.one_body["p_A"] = one_body_eigendecompose(coeffs.one_body_A)
         out.one_body["p_B"] = one_body_eigendecompose(coeffs.one_body_B)
@@ -382,11 +409,13 @@ def factorize_coefficients(
         out.one_body["p_A"] = one_body_eigendecompose(coeffs.vp4_one_body_A)
         out.one_body["p_B"] = one_body_eigendecompose(coeffs.vp4_one_body_B)
         out.overlap = overlap_svd(coeffs.overlap)
-        for label in _VP_BLOCK_LABELS:
-            if label in coeffs.two_body_blocks:
-                out.blocks[label] = factorize_block(coeffs.two_body_blocks[label], label)
     else:
         raise DomainError(f"unknown observable {coeffs.observable!r}")
+    blocks = blocks or {}
+    for label in _BLOCK_LABELS[coeffs.observable]:
+        if label in coeffs.two_body_blocks:
+            made = blocks.get(label)
+            out.blocks[label] = made or factorize_block(coeffs.two_body_blocks[label], label)
     if threshold:
         out.blocks = {k: truncate_block(bf, threshold) for k, bf in out.blocks.items()}
         out.threshold = threshold

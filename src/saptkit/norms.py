@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .factorize import BlockFactors, Factorization, FactorizedOperator
+from .factorize import BlockFactors, Factorization, FactorizedOperator, first_factorize
+from .factorize import inner_values, one_body_eigendecompose
 from .tensors import SaptCoefficients
 
 
@@ -227,16 +228,9 @@ def tf_norms(factors) -> dict[str, NormReport]:
 
 
 def df_hamiltonian_norm(one_body_eigs: np.ndarray, two_body) -> float:
-    """lambda = 1/2 sum|s_k| + 1/4 sum_t |s_t| (sum_k |alpha_kt|)^2."""
+    """lambda = 1/2 sum|s_k| + 1/4 sum_t |s_t| (sum_k |alpha_kt|)^2 over (s_t, alphas_t) pairs."""
     lam = 0.5 * float(np.abs(np.asarray(one_body_eigs, dtype=float)).sum())
-    if isinstance(two_body, BlockFactors):
-        pairs = [
-            (two_body.outer.values[t], two_body.inner_left[t].values)
-            for t in range(two_body.outer.rank)
-        ]
-    else:
-        pairs = list(two_body)
-    for s_t, alphas in pairs:
+    for s_t, alphas in two_body:
         lam += 0.25 * abs(float(s_t)) * float(np.abs(np.asarray(alphas)).sum()) ** 2
     return lam
 
@@ -244,14 +238,14 @@ def df_hamiltonian_norm(one_body_eigs: np.ndarray, two_body) -> float:
 def factorize_monomer_hamiltonian(h1: np.ndarray, eri: np.ndarray):
     """Double-factorized data of a spin-free monomer Hamiltonian.
 
-    Returns (one_body_eigs, two_body BlockFactors).  The one-body tensor
-    carries the normal-ordering exchange correction and the direct trace, and
-    is doubled so its eigenvalue sum matches the spin-summed loading weight.
+    Returns (one_body_eigs, [(s_t, inner values of vector t)]), the inner ones
+    from spectra alone.  The one-body tensor carries the normal-ordering exchange
+    correction and the direct trace, and is doubled so its eigenvalue sum
+    matches the spin-summed loading weight.
     """
-    from .factorize import factorize_block, one_body_eigendecompose
-
     h1 = np.asarray(h1, dtype=float)
     eri = np.asarray(eri, dtype=float)
     t_eff = h1 - 0.5 * np.einsum("prrq->pq", eri) + np.einsum("pqrr->pq", eri)
     eigs = one_body_eigendecompose(2.0 * t_eff).values
-    return eigs, factorize_block(eri, "A2")
+    bf = first_factorize(eri, "A2")
+    return eigs, list(zip(bf.outer.values, inner_values(bf)))

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from saptkit.archive import demo_archive, load_factor_cache, save_archive
+import saptkit.cli as cli
+import saptkit.factorize as fz
+from saptkit.archive import DimerBasis, demo_archive, load_factor_cache, save_archive
 from saptkit.cli import main
 from saptkit.costing import budget_errors
 
@@ -190,6 +192,14 @@ class TestErrors:
         assert main(["norms", str(archive_path)]) == 3
         assert "overlaps another or leaves a gap" in capsys.readouterr().err
 
+    def test_other_exception_is_exit_4_on_one_line(self, monkeypatch, capsys):
+        def fail(args):
+            raise ValueError("two\nlines")
+
+        monkeypatch.setattr(cli, "cmd_budget", fail)
+        assert main(["budget"]) == 4
+        assert capsys.readouterr().err == "error: internal: ValueError: two lines\n"
+
     def test_non_finite_array_is_exit_3(self, tmp_path, capsys):
         archive = demo_archive()
         archive.arrays["v"][0, 1, 0, 1] = np.nan
@@ -197,6 +207,91 @@ class TestErrors:
         save_archive(path, archive)
         assert main(["norms", str(path)]) == 3
         assert "[schema] array 'v' holds NaN or inf" in capsys.readouterr().err
+
+
+def command_outputs(command, archive, out, truncation):
+    """Run one command; every file it writes into the new directory ``out``, by name."""
+    out.mkdir()
+    argv = {
+        "estimate": ["estimate", "--archive", str(archive), "--format", "all", "-o", str(out)],
+        "norms": ["norms", str(archive), "--representation", "tf", "--json", str(out / "n.json")],
+        "factorize": ["factorize", str(archive), "-o", str(out / "cache")],
+    }[command]
+    assert main(argv + ["--truncation", truncation]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.fixture
+def factorized_labels(monkeypatch):
+    """Labels of every block passed to the outer factorization, in call order."""
+    labels = []
+    first = fz.first_factorize
+
+    def record(block, label, *args):
+        labels.append(label)
+        return first(block, label, *args)
+
+    monkeypatch.setattr(fz, "first_factorize", record)
+    return labels
+
+
+def decaying_archive():
+    """The demo dimer with a `v` of outer weights 1, 1e-3 and 1e-6: truncation at 1e-4 cuts one."""
+    archive = demo_archive(3, 2)
+    rng = np.random.default_rng(5)
+    x, y = (rng.normal(size=(3, n, n)) for n in (3, 2))
+    x, y = x + x.transpose(0, 2, 1), y + y.transpose(0, 2, 1)
+    archive.arrays["v"] = np.einsum("t,tab,tcd->abcd", [1.0, 1e-3, 1e-6], x, y)
+    return archive
+
+
+class TestSharedBlocks:
+    COMMANDS = ("estimate", "norms", "factorize")
+
+    @pytest.mark.parametrize("truncation, kept", [("0", 3), ("1e-4", 2)])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_v_factorized_once_with_unshared_outputs(
+        self, tmp_path, monkeypatch, capsys, factorized_labels, command, truncation, kept
+    ):
+        path = tmp_path / "full.sapt"
+        save_archive(path, decaying_archive())
+        fops = []
+        factorize = cli.factorize_coefficients
+
+        def record(*args, **kwargs):
+            fops.append(factorize(*args, **kwargs))
+            assert fops[-1].observable == args[0].observable  # the coefficients come first
+            return fops[-1]
+
+        monkeypatch.setattr(cli, "factorize_coefficients", record)
+        shared = command_outputs(command, path, tmp_path / "shared", truncation)
+        assert factorized_labels.count("v") == 1
+        assert [fop.observable for fop in fops] == ["V", "P", "VPs"]
+        # each observable truncates the shared factors itself
+        assert [fops[i].blocks["v"].outer.rank for i in (0, 2)] == [kept, kept]
+        monkeypatch.setattr(cli, "shared_blocks", lambda sets: {})
+        factorized_labels.clear()
+        unshared = command_outputs(command, path, tmp_path / "unshared", truncation)
+        assert factorized_labels.count("v") == 2
+        assert len(shared) == {"estimate": 7, "norms": 1, "factorize": 3}[command]
+        assert shared == unshared
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_partitioned_archive_holds_nothing(
+        self, tmp_path, monkeypatch, capsys, factorized_labels, command
+    ):
+        archive = demo_archive(3, 3)
+        archive.basis = DimerBasis(3, 3, 4, 4)
+        archive.arrays["partition_A_core"] = np.array([0.0])
+        archive.arrays["partition_B_core"] = np.array([2.0])
+        path = tmp_path / "cores.sapt"
+        save_archive(path, archive)
+        held = []
+        share = cli.shared_blocks
+        monkeypatch.setattr(cli, "shared_blocks", lambda sets: held.append(share(sets)) or held[-1])
+        command_outputs(command, path, tmp_path / "out", "0")
+        assert held == [{}]
+        assert factorized_labels.count("v") == 2
 
 
 class TestConvertFcidump:

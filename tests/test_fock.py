@@ -277,7 +277,15 @@ def apply_pairs(space, pairs, vecs):
 
 
 class RawPairSum(PairSum):
-    """PairSum algebra with every pair kept: no content key, no merge, no zero dropped, no cap."""
+    """PairSum algebra with every pair kept: no content key, no merge, no zero dropped, no cap.
+
+    A product stays unexpanded as ``products`` entries (c, left, right), applied
+    right factor first, so the reference never forms the pairwise products.
+    """
+
+    def __init__(self, space):
+        super().__init__(space)
+        self.products = []
 
     def _merge(self, key, a, b):
         self._terms["raw", len(self._terms)] = (a, b)
@@ -288,9 +296,30 @@ class RawPairSum(PairSum):
     def _capped(self):
         return self
 
-    def dagger(self):
+    def _with(self, pairs, products):
         out = RawPairSum(self.space)
-        out._terms = {key: (a.T, b.T) for key, (a, b) in self._terms.items()}
+        out._terms = {("raw", i): pair for i, pair in enumerate(pairs)}
+        out.products = products
+        return out
+
+    def __add__(self, other):
+        return self._with(self.pairs + other.pairs, self.products + other.products)
+
+    def __matmul__(self, other):
+        return self._with([], [(1.0, self, other)])
+
+    def scaled(self, c):
+        products = [(c * k, left, right) for k, left, right in self.products]
+        return self._with([(c * a, b) for a, b in self.pairs], products)
+
+    def dagger(self):
+        products = [(k, right.dagger(), left.dagger()) for k, left, right in self.products]
+        return self._with([(a.T, b.T) for a, b in self.pairs], products)
+
+    def apply_raw(self, vecs):
+        out = apply_pairs(self.space, self.pairs, vecs)
+        for c, left, right in self.products:
+            out += c * left.apply_raw(right.apply_raw(vecs))
         return out
 
 
@@ -308,7 +337,7 @@ class TestCompaction:
         raw = dense_ops(space, v, s)
         vecs = rng.normal(size=(space.dim, 3))
         for kind in ops:
-            exc_ref, maj_ref = (apply_pairs(space, op.pairs, vecs) for op in raw[kind])
+            exc_ref, maj_ref = (op.apply_raw(vecs) for op in raw[kind])
             scale = np.abs(exc_ref).max()  # not that of exc - maj, which is zero up to rounding
             for op, want in zip(ops[kind], (exc_ref, maj_ref, exc_ref - maj_ref)):
                 assert len(op.pairs) <= min(space.dim_A, space.dim_B) ** 2, kind

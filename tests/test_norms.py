@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from saptkit.factorize import factorize_coefficients
+from saptkit.factorize import factorize_block, factorize_coefficients, one_body_eigendecompose
 from saptkit.norms import (
     block_factor_sum,
     df_hamiltonian_norm,
@@ -145,3 +145,54 @@ class TestDfHamiltonian:
         assert 0.5 * np.abs(eigs).sum() == pytest.approx(
             np.abs(np.linalg.eigvalsh(t_eff)).sum()
         )
+
+
+def df_norm_reference(h1, eri):
+    """lambda_DF from the full nested factorization of eri, inner vectors and all."""
+    t_eff = h1 - 0.5 * np.einsum("prrq->pq", eri) + np.einsum("pqrr->pq", eri)
+    bf = factorize_block(eri, "A2")
+    pairs = [(s_t, f.values) for s_t, f in zip(bf.outer.values, bf.inner_left)]
+    return df_hamiltonian_norm(one_body_eigendecompose(2.0 * t_eff).values, pairs), bf
+
+
+def grouped_sum(n, mats, weights):
+    """eri with grouped matrix sum_t w_t vec(M_t) vec(M_t)^T over Frobenius-orthonormal M_t."""
+    q, _ = np.linalg.qr(np.stack([m.ravel() for m in mats], axis=1))
+    return np.einsum("t,it,jt->ij", weights, q, q).reshape(n, n, n, n)
+
+
+class TestDfSpectra:
+    """factorize_monomer_hamiltonian reads inner spectra only; lambda must not move."""
+
+    def check(self, rng, eri):
+        h1 = rng.normal(size=eri.shape[:2])
+        h1 = 0.5 * (h1 + h1.T)
+        eigs, pairs = factorize_monomer_hamiltonian(h1, eri)
+        want, bf = df_norm_reference(h1, eri)
+        assert [len(alphas) for _, alphas in pairs] == [f.rank for f in bf.inner_left]
+        assert df_hamiltonian_norm(eigs, pairs) == pytest.approx(want, rel=1e-12, abs=0)
+        return bf
+
+    def test_random_eightfold_eri(self, rng):
+        eri = sym_v4(rng.normal(size=(5, 5, 5, 5)))
+        bf = self.check(rng, 0.5 * (eri + eri.transpose(2, 3, 0, 1)))
+        assert all(f.symmetric for f in bf.inner_left)
+
+    def test_asymmetric_slices_take_the_svd_branch(self, rng):
+        n = 4
+        sym, anti = (rng.normal(size=(2, n, n)) for _ in range(2))
+        mats = [*(sym + sym.transpose(0, 2, 1)), *(anti - anti.transpose(0, 2, 1))]
+        bf = self.check(rng, grouped_sum(n, mats, [3.0, -2.0, 1.5, 0.5]))
+        assert {f.symmetric for f in bf.inner_left} == {True, False}
+
+    def test_rank_deficient_eri_hits_the_cutoff(self, rng):
+        n = 6
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        # orthogonal rank-2 slices whose small value sits well above the cutoff
+        mats = [np.outer(u[:, t], u[:, t]) + 1e-8 * np.outer(u[:, 3 + t], u[:, 3 + t])
+                for t in range(3)]
+        bf = self.check(rng, grouped_sum(n, mats, [2.0, 1.0, -0.5]))
+        assert bf.outer.rank == 3 and all(f.rank == 2 for f in bf.inner_left)
+
+    def test_zero_eri(self, rng):
+        assert self.check(rng, np.zeros((3, 3, 3, 3))).outer.rank == 0
