@@ -5,11 +5,12 @@ the UTF-8 manifest, then the payload of little-endian row-major float64
 arrays at the offsets the manifest declares.  Writing sorts array names, so
 save/load round trips are bit-exact and files diff deterministically.
 
-The container is streamed: the writer hashes each array and then writes it
-from its own memory, with no joined copy of the payload; the reader reads
-the payload once into one aligned buffer, hashes it, and returns every array
-as a view of it.  Loading rejects array extents that do not tile the payload
-exactly (overlap, gap, misalignment) and any NaN or inf.
+The container is streamed: the writer hashes and writes each array from its
+own memory in one pass, with no joined copy of the payload, then fills the
+payload hash into the manifest; the reader reads the payload once into one
+aligned buffer, hashes it, and returns every array as a view of it.
+Loading rejects array extents that do not tile the payload exactly
+(overlap, gap, misalignment) and any NaN or inf.
 
 The recognized array names are ``v``, ``S``, ``h1_A``, ``h1_B``, ``eri_A``,
 ``eri_B``, ``partition_A_core``, ``partition_B_core``, ``gap_A``, ``gap_B``,
@@ -23,8 +24,10 @@ step, each side of its inner step) is stored as a few stacked arrays, not one
 set per factorization: ``rank`` and ``symmetric`` per factorization, the
 concatenated ``values``, the transposed ``left`` factors stacked row-wise,
 and ``right`` likewise for only the factorizations whose right factor is not
-their left one.  Caches written in the earlier one-set-per-factorization
-layout are rejected; re-run ``saptkit factorize``.
+their left one.  The writer streams those stacks from the factors themselves
+(:class:`RowStack`), so saving holds no second copy of the factors.  Caches
+written in the earlier one-set-per-factorization layout are rejected; re-run
+``saptkit factorize``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .active import SpacePartition
-from .errors import ArchiveError
+from .errors import ArchiveError, ShapeError
 from .factorize import BlockFactors, Factorization, FactorizedOperator
 from .tensors import DimerBasis, symmetrize_v, validate_overlap
 
@@ -62,9 +65,30 @@ _SHAPE_RULES = {
 }
 
 
+class RowStack:
+    """A row-wise stack of arrays with equally shaped rows, kept as its pieces.
+
+    Stands in for the joined array wherever :func:`save_archive` takes one:
+    ``shape`` and ``nbytes`` are the joined array's, and the writer joins a
+    bounded number of rows at a time, so the full join is never formed.
+    ``empty`` is the shape of a stack without pieces.
+    """
+
+    def __init__(self, pieces: list[np.ndarray], empty: tuple[int, ...]):
+        tail = pieces[0].shape[1:] if pieces else empty[1:]
+        if any(p.shape[1:] != tail for p in pieces):
+            raise ValueError("stacked pieces differ in shape")
+        self.pieces = pieces
+        self.shape = (sum(len(p) for p in pieces), *tail)
+        self.nbytes = 8 * math.prod(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+
 @dataclass
 class TensorArchive:
-    """Named dense arrays plus dimer metadata."""
+    """Named dense arrays plus dimer metadata; a saved array may be a :class:`RowStack`."""
 
     basis: DimerBasis
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
@@ -119,25 +143,59 @@ def _manifest(archive: TensorArchive, arrays: dict[str, np.ndarray]) -> dict:
     }
 
 
+# bytes of RowStack rows joined into one C-ordered chunk at a time
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunks(arr):
+    """The payload bytes of one stored array, as flat little-endian float64 arrays.
+
+    A :class:`RowStack` is joined ``_CHUNK_BYTES`` of rows at a time, so the
+    full join is never formed.
+    """
+    if not isinstance(arr, RowStack):
+        yield arr.reshape(-1)
+        return
+    tail = arr.shape[1:]
+    step = max(1, _CHUNK_BYTES // max(1, 8 * math.prod(tail)))  # rows per chunk
+    batch, rows = [], 0
+    for piece in arr.pieces:
+        for lo in range(0, len(piece), step):
+            part = piece[lo : lo + step]
+            if rows + len(part) > step:
+                yield np.concatenate(batch, out=np.empty((rows, *tail), "<f8")).reshape(-1)
+                batch, rows = [], 0
+            batch.append(part)
+            rows += len(part)
+    if batch:
+        yield np.concatenate(batch, out=np.empty((rows, *tail), "<f8")).reshape(-1)
+
+
 def save_archive(path, archive: TensorArchive) -> None:
-    # streamed: each array is hashed, then written, from its own memory
-    # (copied only when it is not contiguous little-endian float64; unlike
-    # np.ascontiguousarray, np.require keeps a 0-d array 0-d)
+    # streamed: each array is hashed and written from its own memory in one
+    # pass (copied only when it is not contiguous little-endian float64;
+    # unlike np.ascontiguousarray, np.require keeps a 0-d array 0-d)
     arrays = {
-        name: np.require(archive.arrays[name], "<f8", "C") for name in sorted(archive.arrays)
+        name: arr if isinstance(arr, RowStack) else np.require(arr, "<f8", "C")
+        for name, arr in sorted(archive.arrays.items())
     }
     manifest = _manifest(archive, arrays)
     digest = hashlib.sha256()
-    for arr in arrays.values():
-        digest.update(arr.reshape(-1))
-    manifest["payload_sha256"] = digest.hexdigest()
+    # the manifest is rewritten once the payload is hashed; a hex digest has
+    # a fixed length, so the placeholder keeps the manifest's size
+    manifest["payload_sha256"] = "0" * 2 * digest.digest_size
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
         for arr in arrays.values():
-            fh.write(arr.reshape(-1))
+            for chunk in _chunks(arr):
+                digest.update(chunk)
+                fh.write(chunk)
+        manifest["payload_sha256"] = digest.hexdigest()
+        fh.seek(16)
+        fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
 
 
 def _required(entry, keys: tuple[str, ...], where: str) -> list:
@@ -186,6 +244,9 @@ def load_archive(path) -> TensorArchive:
         if head[: len(MAGIC)] != MAGIC:
             raise ArchiveError("schema", "bad magic bytes; not a tensor archive")
         n = int.from_bytes(head[8:16], "little")
+        size = os.fstat(fh.fileno()).st_size - 16 - n
+        if size < 0:
+            raise ArchiveError("schema", "manifest length exceeds the file")
         try:
             manifest = json.loads(fh.read(n).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -197,7 +258,6 @@ def load_archive(path) -> TensorArchive:
         payload_bytes, sha256, dimer, array_meta = _required(
             manifest, ("payload_bytes", "payload_sha256", "dimer", "arrays"), "manifest"
         )
-        size = os.fstat(fh.fileno()).st_size - 16 - n
         if type(payload_bytes) is not int or size != payload_bytes:
             raise ArchiveError("checksum", "payload length mismatch")
         payload = np.empty(size, dtype=np.uint8)
@@ -209,7 +269,10 @@ def load_archive(path) -> TensorArchive:
     counts = _required(dimer, ("n_orb_A", "n_orb_B", "n_elec_A", "n_elec_B"), "manifest dimer")
     if not all(type(c) is int for c in counts):
         raise ArchiveError("schema", "manifest dimer counts are not all integers")
-    basis = DimerBasis(*counts)
+    try:
+        basis = DimerBasis(*counts)
+    except ShapeError as exc:
+        raise ArchiveError("shape", f"manifest dimer: {exc}") from None
     if not isinstance(array_meta, dict):
         raise ArchiveError("schema", "manifest arrays is not an object")
     arrays = {}
@@ -243,29 +306,19 @@ def _put_factors(out: dict, prefix: str, facts: list[Factorization]) -> None:
     non-symmetric and the empty factorizations only: a symmetric one's right
     factor is its left, but the empty one of a zero matrix keeps its own
     column count.  It is written only when one of those is in the list.
+    The three stacks are :class:`RowStack` views of the factors' own memory.
     """
     out[f"{prefix}.rank"] = np.array([f.rank for f in facts], dtype=float)
     out[f"{prefix}.symmetric"] = np.array([f.symmetric for f in facts], dtype=float)
-    out[f"{prefix}.values"] = np.concatenate([f.values for f in facts] or [np.zeros(0)])
-    out[f"{prefix}.left"] = _stack_rows([f.left.T for f in facts])
+    out[f"{prefix}.values"] = RowStack([f.values for f in facts], (0,))
+    out[f"{prefix}.left"] = RowStack([f.left.T for f in facts], (0, 0))
     rights = [f.right.T for f in facts if not f.symmetric or not f.rank]
     if rights:
-        out[f"{prefix}.right"] = _stack_rows(rights)
+        out[f"{prefix}.right"] = RowStack(rights, (0, 0))
 
 
-def _stack_rows(mats: list[np.ndarray]) -> np.ndarray:
-    """Equally wide matrices stacked row-wise into one C-ordered array.
-
-    ``np.concatenate`` alone keeps the Fortran order of transposed inputs,
-    which the writer would then copy once more.
-    """
-    if not mats:
-        return np.zeros((0, 0))
-    return np.concatenate(mats, out=np.empty((sum(len(m) for m in mats), mats[0].shape[1])))
-
-
-def factor_arrays(fop: FactorizedOperator) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
+def factor_arrays(fop: FactorizedOperator) -> dict[str, np.ndarray | RowStack]:
+    out: dict[str, np.ndarray | RowStack] = {}
     for name, fact in fop.one_body.items():
         _put_factors(out, f"factor.one_body.{name}", [fact])
     if fop.overlap is not None:
@@ -301,18 +354,25 @@ def _need(arrays: dict, name: str) -> np.ndarray:
     return arrays[name]
 
 
+def _counts(arr: np.ndarray, name: str) -> list[int]:
+    """The entries of a stored array of counts, checked to be non-negative integers."""
+    flat = arr.reshape(-1)
+    if not np.all((flat >= 0) & (flat == np.floor(flat)) & (flat < 2**53)):
+        raise ArchiveError("schema", f"factor cache array {name} holds entries that are not counts")
+    return flat.astype(np.int64).tolist()
+
+
 def _get_factors(arrays: dict, prefix: str, count: int | None = None) -> list[Factorization]:
     """The factorizations :func:`_put_factors` stacked, as views of its arrays."""
     ranks, symmetric, values, left = (
         _need(arrays, f"{prefix}.{field}") for field in ("rank", "symmetric", "values", "left")
     )
     right = arrays.get(f"{prefix}.right", np.zeros((0, 0)))
-    ranks, symmetric = ranks.reshape(-1).astype(int).tolist(), symmetric.reshape(-1) != 0
+    ranks, symmetric = _counts(ranks, f"{prefix}.rank"), symmetric.reshape(-1) != 0
     n_right = sum(k for k, sym in zip(ranks, symmetric) if not sym or not k)
     if (
         len(ranks) != len(symmetric)
         or (count is not None and len(ranks) != count)
-        or min(ranks, default=0) < 0
         or (values.ndim, left.ndim, right.ndim) != (1, 2, 2)
         or not len(values) == len(left) == sum(ranks)
         or len(right) != n_right
@@ -332,11 +392,34 @@ def _get_factors(arrays: dict, prefix: str, count: int | None = None) -> list[Fa
     return facts
 
 
+def _check_block(bf: BlockFactors) -> None:
+    """Schema error unless a loaded block's factors fit its label and shape.
+
+    The outer factors span the grouped rows and columns, each side of the
+    inner step holds one factorization per outer factor, and those
+    factorize matrices of the grouped index sizes.
+    """
+    try:
+        (r1, r2), (c1, c2) = bf.row_shape, bf.col_shape
+    except KeyError:
+        raise ArchiveError("schema", f"factor cache holds unknown block {bf.label!r}") from None
+    fits = (bf.outer.left.shape[0], bf.outer.right.shape[0]) == (r1 * r2, c1 * c2)
+    for facts, n1, n2 in ((bf.inner_left, r1, r2), (bf.inner_right, c1, c2)):
+        fits = fits and len(facts) == bf.outer.rank
+        fits = fits and all((f.left.shape[0], f.right.shape[0]) == (n1, n2) for f in facts)
+    if not fits:
+        raise ArchiveError(
+            "schema", f"factor cache block {bf.label!r} does not fit its shape {list(bf.shape)}"
+        )
+
+
 def load_factor_cache(path) -> FactorizedOperator:
     arrays = load_archive(path).arrays
 
     def scalar(name: str) -> float:
-        return float(_need(arrays, name).reshape(-1)[0])
+        if _need(arrays, name).size != 1:
+            raise ArchiveError("schema", f"factor cache array {name} is not one number")
+        return float(arrays[name].reshape(-1)[0])
 
     observable = "".join(chr(int(x)) for x in _need(arrays, "factor.meta.observable").reshape(-1))
     fop = FactorizedOperator(
@@ -344,31 +427,33 @@ def load_factor_cache(path) -> FactorizedOperator:
         space_tag="active" if scalar("factor.meta.space") else "full",
         threshold=scalar("factor.meta.threshold"),
     )
-    for name in arrays:
-        if name.startswith("factor.one_body.") and name.endswith(".values"):
-            key = name[len("factor.one_body.") : -len(".values")]
-            (fop.one_body[key],) = _get_factors(arrays, f"factor.one_body.{key}", 1)
-    if "factor.overlap.values" in arrays:
+
+    def keys(head: str) -> list[str]:
+        # every array under a group counts, so one renamed array cannot hide it
+        return sorted({name.split(".")[2] for name in arrays if name.startswith(head)})
+
+    for key in keys("factor.one_body."):
+        (fop.one_body[key],) = _get_factors(arrays, f"factor.one_body.{key}", 1)
+    if keys("factor.overlap."):
         (fop.overlap,) = _get_factors(arrays, "factor.overlap", 1)
-    labels = {
-        name.split(".")[2]
-        for name in arrays
-        if name.startswith("factor.block.") and name.endswith(".outer.values")
-    }
-    for label in sorted(labels):
+    for label in keys("factor.block."):
         prefix = f"factor.block.{label}"
         (outer,) = _get_factors(arrays, f"{prefix}.outer", 1)
+        shape = _counts(_need(arrays, f"{prefix}.shape"), f"{prefix}.shape")
+        if len(shape) != 4:
+            raise ArchiveError("schema", f"factor cache array {prefix}.shape is not 4 sizes")
         bf = BlockFactors(
             label=label,
-            shape=tuple(int(x) for x in _need(arrays, f"{prefix}.shape")),
+            shape=tuple(shape),
             outer=outer,
             inner_left=_get_factors(arrays, f"{prefix}.inner_left"),
             discarded_weight=scalar(f"{prefix}.discarded"),
         )
-        if f"{prefix}.inner_right.values" in arrays:
+        if any(name.startswith(f"{prefix}.inner_right.") for name in arrays):
             bf.inner_right = _get_factors(arrays, f"{prefix}.inner_right")
         else:
             bf.inner_right = bf.inner_left
+        _check_block(bf)
         fop.blocks[label] = bf
     return fop
 

@@ -97,10 +97,10 @@ def _check_stack(ms: np.ndarray, symmetric: bool | None):
     Raises :class:`DomainError` on NaN or Inf and :class:`SymmetryError` when
     ``symmetric=True`` is asserted for a nonzero matrix that is not.
     """
-    if not np.all(np.isfinite(ms)):
-        raise DomainError("matrix contains NaN or Inf")
     k, rows, cols = ms.shape
     scale = np.abs(ms).max(axis=(1, 2), initial=0.0)
+    if not np.isfinite(scale).all():  # max propagates NaN, and abs turns -inf to inf
+        raise DomainError("matrix contains NaN or Inf")
     is_sym = np.zeros(k, dtype=bool)
     if rows == cols:
         asym = np.abs(ms - ms.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
@@ -217,16 +217,22 @@ class _PairPacking(NamedTuple):
     unpacked: np.ndarray  # packed position of every grouped index
 
     @classmethod
-    def of(cls, t: np.ndarray, scale: float) -> "_PairPacking | None":
-        """Packing of t's first index pair, if t is symmetric under its swap."""
-        n = t.shape[0]
-        if n != t.shape[1] or np.abs(t - t.swapaxes(0, 1)).max(initial=0.0) > RANK_CUTOFF * scale:
+    def of(cls, m: np.ndarray, n1: int, n2: int, scale: float) -> "_PairPacking | None":
+        """Packing of m's rows, grouped n1 x n2, if m is symmetric under their swap.
+
+        The test reads only the rows :meth:`pack` gathers: |m[pq] - m[qp]|
+        over p <= q takes every magnitude the full swap difference takes.
+        """
+        if n1 != n2:
             return None
-        p, q = np.triu_indices(n)
-        pos = np.empty((n, n), dtype=np.intp)
+        p, q = np.triu_indices(n1)
+        pq, qp = p * n1 + q, q * n1 + p
+        if np.abs(m[pq] - m[qp]).max(initial=0.0) > RANK_CUTOFF * scale:
+            return None
+        pos = np.empty((n1, n1), dtype=np.intp)
         pos[p, q] = pos[q, p] = np.arange(len(p))
         w = np.where(p == q, 1.0, np.sqrt(2.0))[:, None]
-        return cls(p * n + q, q * n + p, w, pos.ravel())
+        return cls(pq, qp, w, pos.ravel())
 
     def pack(self, m: np.ndarray) -> np.ndarray:
         return 0.5 * (m[self.pq] + m[self.qp]) * self.w
@@ -246,8 +252,8 @@ def first_factorize(block: np.ndarray, label: str, symmetric: bool | None = None
     n1, n2, n3, n4 = t.shape
     m = t.reshape(1, n1 * n2, n3 * n4)
     scale, sym = _check_stack(m, symmetric)
-    rows = _PairPacking.of(t, scale[0])
-    cols = _PairPacking.of(t.transpose(2, 3, 0, 1), scale[0])
+    rows = _PairPacking.of(m[0], n1, n2, scale[0])
+    cols = _PairPacking.of(m[0].T, n3, n4, scale[0])
     if sym[0] and (rows is None or cols is None):
         rows = cols = None  # an eigendecomposition needs one basis for both sides
     packed = m[0]

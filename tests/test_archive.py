@@ -1,8 +1,11 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from saptkit.archive import (
     TensorArchive,
@@ -18,6 +21,7 @@ from saptkit.archive import (
 from saptkit.errors import ArchiveError
 from saptkit.factorize import (
     BlockFactors,
+    Factorization,
     FactorizedOperator,
     decompose_matrix,
     factorize_coefficients,
@@ -306,6 +310,229 @@ class TestStackedCache:
         with pytest.raises(ArchiveError) as err:
             load_factor_cache(path)
         assert err.value.code == "schema"
+
+    def test_memory_stays_below_half_the_file(self, tmp_path):
+        # the writer streams the factors: no joined copy of the stacks
+        archive = demo_archive(12, 10)
+        coeffs = build_majorana_coefficients(archive.v, archive.S)["VPs"]
+        fop = factorize_coefficients(coeffs, threshold=1e-4)
+        path = tmp_path / "vps.factors"
+        tracemalloc.start()
+        try:
+            save_factor_cache(path, fop, archive.basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * path.stat().st_size
+
+
+def v_cache_arrays(n_a=3, n_b=2) -> tuple[dict, DimerBasis]:
+    archive = demo_archive(n_a, n_b)
+    fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["V"])
+    arrays = factor_arrays(fop)
+    arrays["factor.meta.observable"] = np.array([86.0])
+    arrays["factor.meta.space"] = np.array(0.0)
+    return arrays, archive.basis
+
+
+class TestCacheSchema:
+    def load_saved(self, path, arrays, basis):
+        save_archive(path, TensorArchive(basis=basis, arrays=arrays))
+        with pytest.raises(ArchiveError) as err:
+            load_factor_cache(path)
+        assert err.value.code == "schema"
+        return str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit", [lambda r: r + 0.5, lambda r: -r - 1], ids=["fractional", "negative"]
+    )
+    def test_rank_that_is_not_a_count_is_schema_error(self, tmp_path, edit):
+        arrays, basis = v_cache_arrays()
+        ranks = arrays["factor.block.v.inner_left.rank"].copy()
+        ranks[0] = edit(ranks[0])
+        arrays["factor.block.v.inner_left.rank"] = ranks
+        assert "not counts" in self.load_saved(tmp_path / "c", arrays, basis)
+
+    @pytest.mark.parametrize("shape", [[5, 5, 2, 2], [3, 3, 2], [3, 3, 2, 2.5]])
+    def test_block_shape_must_fit_its_factors(self, tmp_path, shape):
+        arrays, basis = v_cache_arrays()
+        assert arrays["factor.block.v.shape"].tolist() == [3, 3, 2, 2]
+        arrays["factor.block.v.shape"] = np.array(shape, dtype=float)
+        self.load_saved(tmp_path / "c", arrays, basis)
+
+    @pytest.mark.parametrize("name", ["factor.meta.space", "factor.block.v.discarded"])
+    def test_scalar_must_hold_one_number(self, tmp_path, name):
+        arrays, basis = v_cache_arrays()
+        arrays[name] = np.zeros(0)
+        assert "not one number" in self.load_saved(tmp_path / "c", arrays, basis)
+
+    def test_unknown_block_label_is_schema_error(self, tmp_path):
+        arrays, basis = v_cache_arrays()
+        arrays = {n.replace(".block.v.", ".block.w."): a for n, a in arrays.items()}
+        assert "unknown block" in self.load_saved(tmp_path / "c", arrays, basis)
+
+    @pytest.mark.parametrize("side", ["inner_left", "inner_right"])
+    def test_inner_list_must_match_outer_rank(self, tmp_path, side):
+        archive = demo_archive(3, 2)
+        coeffs = build_majorana_coefficients(archive.v, archive.S)["VPs"]
+        fop = factorize_coefficients(coeffs)
+        bf = fop.blocks["2"]  # a non-symmetric block: both sides are stored
+        assert bf.inner_right is not bf.inner_left and bf.outer.rank > 1
+        setattr(bf, side, getattr(bf, side)[:-1])
+        path = tmp_path / "short.factors"
+        save_factor_cache(path, fop, archive.basis)
+        with pytest.raises(ArchiveError) as err:
+            load_factor_cache(path)
+        assert err.value.code == "schema"
+
+    def test_bad_dimer_counts_are_archive_errors(self, tmp_path):
+        path = tmp_path / "d.sapt"
+        save_archive(path, demo_archive())
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b'"n_elec_A": 2', b'"n_elec_A": 9'))
+        with pytest.raises(ArchiveError) as err:
+            load_archive(path)
+        assert err.value.code == "shape"
+
+    def test_manifest_longer_than_the_file_is_schema_error(self, tmp_path):
+        path = tmp_path / "d.sapt"
+        save_archive(path, demo_archive())
+        data = bytearray(path.read_bytes())
+        data[15] = 0x7F
+        path.write_bytes(bytes(data))
+        with pytest.raises(ArchiveError) as err:
+            load_archive(path)
+        assert err.value.code == "schema"
+
+
+def joined_cache_arrays(fop: FactorizedOperator) -> dict:
+    """A factor cache's arrays with every stack joined by ``np.concatenate`` first,
+    the reference the streaming writer must match byte for byte."""
+    out = {}
+
+    def stack(mats):
+        return np.concatenate(mats) if mats else np.zeros((0, 0))
+
+    def put(prefix, facts):
+        out[f"{prefix}.rank"] = np.array([f.rank for f in facts], dtype=float)
+        out[f"{prefix}.symmetric"] = np.array([f.symmetric for f in facts], dtype=float)
+        out[f"{prefix}.values"] = np.concatenate([f.values for f in facts] or [np.zeros(0)])
+        out[f"{prefix}.left"] = stack([f.left.T for f in facts])
+        rights = [f.right.T for f in facts if not f.symmetric or not f.rank]
+        if rights:
+            out[f"{prefix}.right"] = stack(rights)
+
+    for name, fact in fop.one_body.items():
+        put(f"factor.one_body.{name}", [fact])
+    if fop.overlap is not None:
+        put("factor.overlap", [fop.overlap])
+    for label, bf in fop.blocks.items():
+        prefix = f"factor.block.{label}"
+        put(f"{prefix}.outer", [bf.outer])
+        out[f"{prefix}.shape"] = np.array(bf.shape, dtype=float)
+        out[f"{prefix}.discarded"] = np.array(bf.discarded_weight)
+        put(f"{prefix}.inner_left", bf.inner_left)
+        if bf.inner_right is not bf.inner_left:
+            put(f"{prefix}.inner_right", bf.inner_right)
+    out["factor.meta.threshold"] = np.array(fop.threshold)
+    out["factor.meta.observable"] = np.array([float(ord(c)) for c in fop.observable])
+    out["factor.meta.space"] = np.array(1.0 if fop.space_tag == "active" else 0.0)
+    return out
+
+
+@st.composite
+def factorizations(draw, rows: int, cols: int) -> Factorization:
+    """Ranks 0-3, symmetric or not, in C or Fortran order, or a truncated view."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(0, 3))
+    symmetric = draw(st.booleans()) and (rows == cols or not rank)
+    extra = draw(st.integers(0, 2)) if rank else 0
+    order = draw(st.sampled_from("CF"))
+    left = np.asarray(rng.normal(size=(rows, rank + extra)), order=order)
+    right = np.asarray(rng.normal(size=(cols, rank + extra)), order=order)
+    if symmetric and rank:
+        right = left
+    fact = Factorization(rng.normal(size=rank + extra), left, right, symmetric)
+    return fact.truncated(rank) if extra else fact
+
+
+@st.composite
+def factorized_operators(draw) -> FactorizedOperator:
+    n_a, n_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    fop = FactorizedOperator(
+        observable=draw(st.sampled_from(["V", "P", "VPs"])),
+        space_tag=draw(st.sampled_from(["full", "active"])),
+        threshold=draw(st.sampled_from([0.0, 1e-4, 0.05])),
+    )
+    for name in draw(st.lists(st.sampled_from(["f_A", "p_B"]), unique=True, max_size=2)):
+        n = n_a if name.endswith("A") else n_b
+        fop.one_body[name] = draw(factorizations(n, n))
+    if draw(st.booleans()):
+        fop.overlap = draw(factorizations(n_a, n_b))
+    monomers = {"v": "AABB", "2": "AABA", "1l": "AABB", "A2": "AAAA"}  # stored index order
+    for label in draw(st.lists(st.sampled_from(sorted(monomers)), unique=True, max_size=2)):
+        shape = tuple(n_a if x == "A" else n_b for x in monomers[label])
+        bf = BlockFactors(label=label, shape=shape, outer=None)
+        (r1, r2), (c1, c2) = bf.row_shape, bf.col_shape
+        bf.outer = draw(factorizations(r1 * r2, c1 * c2))
+        bf.inner_left = [draw(factorizations(r1, r2)) for _ in range(bf.outer.rank)]
+        if (r1, r2) == (c1, c2) and draw(st.booleans()):
+            bf.inner_right = bf.inner_left
+        else:
+            bf.inner_right = [draw(factorizations(c1, c2)) for _ in range(bf.outer.rank)]
+        bf.discarded_weight = draw(st.sampled_from([0.0, 0.25]))
+        fop.blocks[label] = bf
+    return fop
+
+
+class TestCacheProperties:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(fop=factorized_operators())
+    def test_streamed_cache_matches_joined_reference(self, tmp_path, fop):
+        basis = DimerBasis(3, 3, 2, 2)
+        path, ref = tmp_path / "streamed.factors", tmp_path / "joined.factors"
+        save_factor_cache(path, fop, basis)
+        save_archive(ref, TensorArchive(basis=basis, arrays=joined_cache_arrays(fop)))
+        assert path.read_bytes() == ref.read_bytes()
+        assert_same_operator(load_factor_cache(path), fop)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        flips=st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 255)), max_size=3),
+        cut=st.one_of(st.none(), st.integers(0, 2**20)),
+    )
+    @pytest.mark.parametrize("kind", ["cache", "input"])
+    def test_damaged_file_loads_or_raises_archive_error(self, tmp_path, kind, flips, cut):
+        path = tmp_path / kind
+        if not path.exists():
+            if kind == "cache":
+                arrays, basis = v_cache_arrays(2, 2)
+                save_archive(path, TensorArchive(basis=basis, arrays=arrays))
+            else:
+                save_archive(path, demo_archive())
+        data = bytearray(path.read_bytes())
+        for at, mask in flips:
+            data[at % len(data)] ^= mask
+        if cut is not None:
+            data = data[: cut % len(data)]
+        damaged = tmp_path / "damaged"
+        damaged.write_bytes(bytes(data))
+        try:
+            (load_factor_cache if kind == "cache" else load_archive)(damaged)
+        except ArchiveError:
+            pass
 
 
 FCIDUMP_TEXT = """&FCI NORB=2,NELEC=2,MS2=0,

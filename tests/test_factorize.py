@@ -5,7 +5,10 @@ from saptkit.active import SpacePartition, renormalize_exchange, renormalize_vp
 from saptkit.errors import DomainError, SymmetryError
 from saptkit.factorize import (
     _BLOCK_LAYOUT,
+    RANK_CUTOFF,
+    _check_stack,
     _fix_signs,
+    _PairPacking,
     decompose_matrix,
     factorize_block,
     factorize_coefficients,
@@ -54,6 +57,13 @@ class TestFirstFactorize:
         m = np.full((2, 2), np.nan)
         with pytest.raises(DomainError):
             decompose_matrix(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_nonfinite_entry_in_a_stack_rejected(self, rng, bad):
+        ms = rng.normal(size=(3, 4, 4))
+        ms[1, 2, 3] = bad
+        with pytest.raises(DomainError):
+            _check_stack(ms, None)
 
 
 class TestSecondFactorize:
@@ -307,6 +317,21 @@ class TestPackedOuter:
                     assert np.array_equal(vecs, vecs.transpose(1, 0, 2)), label
                     packed_labels.add(label)
         assert packed_labels == set(_BLOCK_LAYOUT) - {"1l"}
+
+    @pytest.mark.parametrize("n1, n2", [(3, 3), (3, 2), (1, 1)])
+    def test_packing_decision_matches_full_swap(self, rng, n1, n2):
+        # the asymmetry read from the packed rows decides as the full
+        # 4-index swap difference does, also at the cutoff
+        t = rng.normal(size=(n1, n2, 2, 4))
+        if n1 == n2:
+            t = t + t.swapaxes(0, 1)
+            t[0, -1, 1, 2] += 1e-9
+        m = t.reshape(n1 * n2, -1)
+        asym = np.abs(t - t.swapaxes(0, 1)).max() if n1 == n2 else None
+        cut = (asym or 0.0) / RANK_CUTOFF
+        for scale in (cut, np.nextafter(cut, 0), np.abs(m).max()):
+            full = asym is not None and asym <= RANK_CUTOFF * scale
+            assert (_PairPacking.of(m, n1, n2, scale) is not None) == full
 
     def test_slightly_asymmetric_block_is_not_packed(self, rng):
         v, s = random_dimer(rng, 4, 3)
