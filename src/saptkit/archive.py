@@ -335,11 +335,14 @@ def factor_arrays(fop: FactorizedOperator) -> dict[str, np.ndarray | RowStack]:
     return out
 
 
+def _codes(observable: str) -> np.ndarray:
+    """How a cache spells an observable name: one float code point per character."""
+    return np.array([float(ord(c)) for c in observable])
+
+
 def save_factor_cache(path, fop: FactorizedOperator, basis: DimerBasis) -> None:
     arrays = factor_arrays(fop)
-    arrays["factor.meta.observable"] = np.array(
-        [float(ord(c)) for c in fop.observable], dtype=float
-    )
+    arrays["factor.meta.observable"] = _codes(fop.observable)
     arrays["factor.meta.space"] = np.array(1.0 if fop.space_tag == "active" else 0.0)
     save_archive(path, TensorArchive(basis=basis, arrays=arrays))
 
@@ -362,13 +365,21 @@ def _counts(arr: np.ndarray, name: str) -> list[int]:
     return flat.astype(np.int64).tolist()
 
 
+def _flags(arr: np.ndarray, name: str) -> np.ndarray:
+    """The entries of a stored array of 0/1 flags, as booleans."""
+    flat = arr.reshape(-1)
+    if not np.all((flat == 0) | (flat == 1)):
+        raise ArchiveError("schema", f"factor cache array {name} holds entries other than 0 and 1")
+    return flat != 0
+
+
 def _get_factors(arrays: dict, prefix: str, count: int | None = None) -> list[Factorization]:
     """The factorizations :func:`_put_factors` stacked, as views of its arrays."""
     ranks, symmetric, values, left = (
         _need(arrays, f"{prefix}.{field}") for field in ("rank", "symmetric", "values", "left")
     )
     right = arrays.get(f"{prefix}.right", np.zeros((0, 0)))
-    ranks, symmetric = _counts(ranks, f"{prefix}.rank"), symmetric.reshape(-1) != 0
+    ranks, symmetric = _counts(ranks, f"{prefix}.rank"), _flags(symmetric, f"{prefix}.symmetric")
     n_right = sum(k for k, sym in zip(ranks, symmetric) if not sym or not k)
     if (
         len(ranks) != len(symmetric)
@@ -421,10 +432,18 @@ def load_factor_cache(path) -> FactorizedOperator:
             raise ArchiveError("schema", f"factor cache array {name} is not one number")
         return float(arrays[name].reshape(-1)[0])
 
-    observable = "".join(chr(int(x)) for x in _need(arrays, "factor.meta.observable").reshape(-1))
+    codes = _need(arrays, "factor.meta.observable").reshape(-1)
+    observable = next((o for o in ("V", "P", "VPs") if np.array_equal(codes, _codes(o))), None)
+    if observable is None:
+        raise ArchiveError(
+            "schema", "factor cache array factor.meta.observable does not spell V, P or VPs"
+        )
+    space = scalar("factor.meta.space")
+    if space not in (0.0, 1.0):
+        raise ArchiveError("schema", "factor cache array factor.meta.space is neither 0 nor 1")
     fop = FactorizedOperator(
         observable=observable,
-        space_tag="active" if scalar("factor.meta.space") else "full",
+        space_tag="active" if space else "full",
         threshold=scalar("factor.meta.threshold"),
     )
 

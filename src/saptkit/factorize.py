@@ -81,14 +81,15 @@ def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
     """Make the largest-magnitude entry of each column of u positive, in place.
 
     Works on the last two axes of a stack; ties within 1e-12 of the largest
-    magnitude go to the lowest index, and v's columns flip with u's.
+    magnitude go to the lowest index, and v's columns flip with u's.  The
+    rule is per column, so it may run before the columns are reordered.
     """
     mags = np.abs(u)
     top = mags.max(axis=-2, keepdims=True)
     lead = np.argmax(mags >= top - 1e-12 * top, axis=-2)[..., None, :]
-    flip = np.take_along_axis(u, lead, axis=-2) < 0
+    sign = np.where(np.take_along_axis(u, lead, axis=-2) < 0, -1.0, 1.0)
     for m in (u,) if v is None else (u, v):
-        np.negative(m, out=m, where=flip)
+        m *= sign
 
 
 def _check_stack(ms: np.ndarray, symmetric: bool | None):
@@ -103,55 +104,54 @@ def _check_stack(ms: np.ndarray, symmetric: bool | None):
         raise DomainError("matrix contains NaN or Inf")
     is_sym = np.zeros(k, dtype=bool)
     if rows == cols:
-        asym = np.abs(ms - ms.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-        is_sym = asym <= SYM_TOL * scale
+        asym = ms - ms.transpose(0, 2, 1)
+        is_sym = np.abs(asym, out=asym).max(axis=(1, 2), initial=0.0) <= SYM_TOL * scale
     if symmetric is True and not is_sym[scale > 0].all():
         raise SymmetryError("matrix asserted symmetric but is not")
     return scale, is_sym if symmetric is None else np.full(k, symmetric)
 
 
-def _decompose_stack(ms: np.ndarray, scale: np.ndarray, symmetric: np.ndarray, vectors=True):
+def _decompose_stack(ms, scale, symmetric, vectors=True, exact=False, signs=True) -> list:
     """Factorizations of a checked (k, rows, cols) stack, in stack order.
 
     One broadcast ``eigh`` covers the symmetric matrices and one broadcast
     ``svd`` the rest; each keeps its values above ``RANK_CUTOFF`` times its
-    scale, by descending magnitude, with the sign convention of the module.
-    A zero matrix gives an empty symmetric factorization.  With
-    ``vectors=False`` only the kept values are computed, one array per matrix.
+    scale, by descending magnitude, signed by the module's rule unless
+    ``signs=False``.  ``exact`` states the symmetric ones are exactly so (no
+    symmetrization).  A zero matrix gives an empty symmetric factorization.
+    ``vectors=False`` computes only the kept values, one array per matrix.
     """
     k, rows, cols = ms.shape
-    out = [
-        Factorization(np.zeros(0), np.zeros((rows, 0)), np.zeros((cols, 0)), True)
-        if vectors else np.zeros(0)
-        for _ in range(k)
-    ]
+    out = [None] * k
+    for i in np.flatnonzero(scale == 0):
+        empty = Factorization(np.zeros(0), np.zeros((rows, 0)), np.zeros((cols, 0)), True)
+        out[i] = empty if vectors else empty.values
     for sym in (True, False):
         idx = np.flatnonzero((scale > 0) & (symmetric == sym))
         if not len(idx):
             continue
-        sub = ms[idx]
+        sub = ms if len(idx) == k else ms[idx]
         if sym:
-            sub = 0.5 * (sub + sub.transpose(0, 2, 1))
+            if not exact:
+                sub = sub + sub.transpose(0, 2, 1)
+                sub *= 0.5
             vals, left = np.linalg.eigh(sub) if vectors else (np.linalg.eigvalsh(sub), None)
             order = np.argsort(-np.abs(vals), axis=1, kind="stable")
             vals = np.take_along_axis(vals, order, axis=1)
-            if vectors:
-                left = np.take_along_axis(left, order[:, None, :], axis=2)
-                _fix_signs(left)
         elif vectors:
-            left, vals, right = np.linalg.svd(sub, full_matrices=False)
-            right = right.transpose(0, 2, 1)
-            _fix_signs(left, right)
+            left, vals, right_t = np.linalg.svd(sub, full_matrices=False)
         else:
             vals = np.linalg.svd(sub, compute_uv=False)
-        # descending magnitudes, so the kept values are a prefix; copies let
-        # the stack, with the columns it drops, be freed
+        if vectors and signs:
+            _fix_signs(left, None if sym else right_t.transpose(0, 2, 1))
+        # descending magnitudes, so the kept values are a prefix; each matrix's
+        # kept columns are gathered once, in that order, into arrays of their own
         kept = (np.abs(vals) > RANK_CUTOFF * scale[idx, None]).sum(axis=1)
         for j, (i, n) in enumerate(zip(idx, kept)):
             out[i] = vals[j, :n].copy()
             if vectors:
-                u = left[j, :, :n].copy()
-                out[i] = Factorization(out[i], u, u if sym else right[j, :, :n].copy(), sym)
+                u = left[j].take(order[j, :n], axis=1) if sym else left[j, :, :n].copy()
+                out[i] = Factorization(out[i], u, u if sym else right_t[j, :n].T.copy(), sym)
     return out
 
 
@@ -168,11 +168,7 @@ def decompose_matrix(m: np.ndarray, symmetric: bool | None = None) -> Factorizat
 
 
 def one_body_eigendecompose(m: np.ndarray) -> Factorization:
-    """Spectral decomposition of a symmetric one-body tensor."""
-    m = np.asarray(m, dtype=float)
-    scale = np.abs(m).max()
-    if scale and np.abs(m - m.T).max() > SYM_TOL * scale:
-        raise SymmetryError("one-body tensor is not symmetric")
+    """Spectral decomposition of a symmetric one-body tensor (else :class:`SymmetryError`)."""
     return decompose_matrix(m, symmetric=True)
 
 
@@ -194,18 +190,17 @@ class BlockFactors:
     inner_left: list[Factorization] = field(default_factory=list)
     inner_right: list[Factorization] = field(default_factory=list)
     discarded_weight: float = 0.0
+    # the grouped sides (rows, cols) first_factorize decomposed in packed pair
+    # space, whose inner matrices are exactly symmetric (unknown: checked)
+    packed: tuple[bool, bool] = field(default=(False, False), init=False, repr=False)
 
     @property
     def row_shape(self) -> tuple[int, int]:
-        perm, _, _ = _BLOCK_LAYOUT[self.label]
-        n = [self.shape[p] for p in perm]
-        return n[0], n[1]
+        return tuple(self.shape[p] for p in _BLOCK_LAYOUT[self.label][0][:2])
 
     @property
     def col_shape(self) -> tuple[int, int]:
-        perm, _, _ = _BLOCK_LAYOUT[self.label]
-        n = [self.shape[p] for p in perm]
-        return n[2], n[3]
+        return tuple(self.shape[p] for p in _BLOCK_LAYOUT[self.label][0][2:])
 
 
 class _PairPacking(NamedTuple):
@@ -217,25 +212,34 @@ class _PairPacking(NamedTuple):
     unpacked: np.ndarray  # packed position of every grouped index
 
     @classmethod
-    def of(cls, m: np.ndarray, n1: int, n2: int, scale: float) -> "_PairPacking | None":
-        """Packing of m's rows, grouped n1 x n2, if m is symmetric under their swap.
-
-        The test reads only the rows :meth:`pack` gathers: |m[pq] - m[qp]|
-        over p <= q takes every magnitude the full swap difference takes.
-        """
+    def of(cls, m: np.ndarray, n1: int, n2: int, scale: float):
+        """(packing, packed m) of m's rows, grouped n1 x n2, if m is symmetric under
+        their swap, else None: |m[pq] - m[qp]| over p <= q takes every magnitude
+        the full swap difference takes."""
         if n1 != n2:
             return None
         p, q = np.triu_indices(n1)
-        pq, qp = p * n1 + q, q * n1 + p
-        if np.abs(m[pq] - m[qp]).max(initial=0.0) > RANK_CUTOFF * scale:
-            return None
         pos = np.empty((n1, n1), dtype=np.intp)
         pos[p, q] = pos[q, p] = np.arange(len(p))
         w = np.where(p == q, 1.0, np.sqrt(2.0))[:, None]
-        return cls(pq, qp, w, pos.ravel())
+        packing = cls(p * n1 + q, q * n1 + p, w, pos.ravel())
+        packed = packing.pack(m, RANK_CUTOFF * scale)
+        return None if packed is None else (packing, packed)
 
-    def pack(self, m: np.ndarray) -> np.ndarray:
-        return 0.5 * (m[self.pq] + m[self.qp]) * self.w
+    def pack(self, m: np.ndarray, tol: float = np.inf) -> np.ndarray | None:
+        """0.5 * (m[pq] + m[qp]) * w, or None if some |m[pq] - m[qp]| exceeds tol."""
+        m_pq, m_qp = (  # gathered along memory order, also from a transposed m
+            np.take(m, i, axis=0) if m.flags.c_contiguous else np.take(m.T, i, axis=1).T
+            for i in (self.pq, self.qp)
+        )
+        if tol < np.inf:
+            diff = m_pq - m_qp
+            if np.abs(diff, out=diff).max(initial=0.0) > tol:
+                return None
+        m_pq += m_qp
+        m_pq *= 0.5
+        m_pq *= self.w
+        return m_pq
 
     def unpack(self, u: np.ndarray) -> np.ndarray:
         return (u / self.w)[self.unpacked]
@@ -256,42 +260,48 @@ def first_factorize(block: np.ndarray, label: str, symmetric: bool | None = None
     cols = _PairPacking.of(m[0].T, n3, n4, scale[0])
     if sym[0] and (rows is None or cols is None):
         rows = cols = None  # an eigendecomposition needs one basis for both sides
-    packed = m[0]
-    if rows is not None:
-        packed = rows.pack(packed)
+    packed = m[0] if rows is None else rows[1]
     if cols is not None:
-        packed = cols.pack(packed.T).T
-    outer = _decompose_stack(packed[None], scale, sym)[0]
-    if rows is not None or cols is not None:
-        left = rows.unpack(outer.left) if rows is not None else outer.left
-        right = cols.unpack(outer.right) if cols is not None else outer.right
-        if outer.symmetric:
-            right = left
-        # the sqrt(2) weights can move a vector's largest entry: sign again
+        packed = cols[1].T if rows is None else cols[0].pack(packed.T).T
+    rows, cols = rows and rows[0], cols and cols[0]  # keep the packings, free the matrices
+    # signs are set once, on the unpacked vectors (the weights can move the largest entry)
+    outer = _decompose_stack(packed[None], scale, sym, signs=rows is cols is None)[0]
+    if rows or cols:
+        left = rows.unpack(outer.left) if rows else outer.left
+        right = left if outer.symmetric else cols.unpack(outer.right) if cols else outer.right
         _fix_signs(left, None if outer.symmetric else right)
         outer = Factorization(outer.values, left, right, outer.symmetric)
-    return BlockFactors(label=label, shape=block.shape, outer=outer)
+    bf = BlockFactors(label=label, shape=block.shape, outer=outer)
+    bf.packed = (rows is not None, cols is not None)
+    return bf
 
 
-def _inner(vecs: np.ndarray, shape: tuple[int, int], vectors: bool = True) -> list:
-    """:func:`_decompose_stack` of every grouped vector (a column) as a matrix."""
+def _inner(vecs: np.ndarray, shape: tuple[int, int], vectors: bool = True, packed=False) -> list:
+    """:func:`_decompose_stack` of every grouped vector (a column) as a matrix.
+
+    A packed side's matrices are exactly symmetric (``unpack`` writes (p, q)
+    and (q, p) from one entry): they go unchecked to the symmetric branch.
+    """
     ms = vecs.T.reshape(-1, *shape)
+    if packed:
+        scale = np.abs(vecs).max(axis=0, initial=0.0)
+        return _decompose_stack(ms, scale, np.ones(len(ms), bool), vectors, exact=True)
     return _decompose_stack(ms, *_check_stack(ms, None), vectors)
 
 
 def second_factorize(bf: BlockFactors) -> BlockFactors:
     """Decompose every grouped vector of the first step, one stack per side."""
-    bf.inner_left = _inner(bf.outer.left, bf.row_shape)
+    bf.inner_left = _inner(bf.outer.left, bf.row_shape, packed=bf.packed[0])
     if bf.outer.symmetric:
         bf.inner_right = bf.inner_left
     else:
-        bf.inner_right = _inner(bf.outer.right, bf.col_shape)
+        bf.inner_right = _inner(bf.outer.right, bf.col_shape, packed=bf.packed[1])
     return bf
 
 
 def inner_values(bf: BlockFactors) -> list[np.ndarray]:
     """The values :func:`second_factorize` would keep for ``inner_left``, without vectors."""
-    return _inner(bf.outer.left, bf.row_shape, vectors=False)
+    return _inner(bf.outer.left, bf.row_shape, vectors=False, packed=bf.packed[0])
 
 
 def factorize_block(block: np.ndarray, label: str, symmetric: bool | None = None) -> BlockFactors:
@@ -300,26 +310,22 @@ def factorize_block(block: np.ndarray, label: str, symmetric: bool | None = None
 
 def reconstruct_block(bf: BlockFactors) -> np.ndarray:
     """Assemble the block back from its nested factors."""
-    r1, r2 = bf.row_shape
-    c1, c2 = bf.col_shape
+    (r1, r2), (c1, c2) = bf.row_shape, bf.col_shape
     perm, _, _ = _BLOCK_LAYOUT[bf.label]
     m = np.zeros((r1 * r2, c1 * c2))
     for t in range(bf.outer.rank):
         u = bf.inner_left[t].reconstruct().reshape(r1 * r2)
         w = bf.inner_right[t].reconstruct().reshape(c1 * c2)
         m += bf.outer.values[t] * np.outer(u, w)
-    t4 = m.reshape(r1, r2, c1, c2)
-    inv = np.argsort(perm)
-    return np.transpose(t4, inv)
+    return np.transpose(m.reshape(r1, r2, c1, c2), np.argsort(perm))
 
 
 def truncate_block(bf: BlockFactors, threshold: float) -> BlockFactors:
     """Drop trailing factors whose cumulative weight is below threshold.
 
-    Applied to the outer coefficients and to every inner factor list; a
-    nonzero block always keeps at least one factor per level.  The discarded
-    outer weight is recorded (a bound on the reconstruction error scale, not
-    asserted).
+    Applied to the outer coefficients and to every inner factor list; a nonzero
+    block always keeps at least one factor per level.  The discarded weight is
+    recorded (a bound on the reconstruction error scale, not asserted).
     """
     if not 0.0 <= threshold < 1.0:
         raise DomainError("truncation threshold must lie in [0, 1)")
@@ -331,29 +337,26 @@ def truncate_block(bf: BlockFactors, threshold: float) -> BlockFactors:
         total = weights.sum()
         if total == 0.0:
             return len(vals)
-        tail = np.cumsum(weights[::-1])[::-1]
-        keep = int(np.sum(tail > threshold * total))
-        return max(1, keep)
+        return max(1, int(np.sum(np.cumsum(weights[::-1])[::-1] > threshold * total)))
 
     keep = keep_count(bf.outer.values)
     discarded = float(np.abs(bf.outer.values[keep:]).sum())
     shared = bf.inner_right is bf.inner_left
     out = BlockFactors(label=bf.label, shape=bf.shape, outer=bf.outer.truncated(keep))
     out.inner_left = [f.truncated(keep_count(f.values)) for f in bf.inner_left[:keep]]
-    if shared:
-        out.inner_right = out.inner_left
-    else:
-        out.inner_right = [f.truncated(keep_count(f.values)) for f in bf.inner_right[:keep]]
+    out.inner_right = out.inner_left if shared else [
+        f.truncated(keep_count(f.values)) for f in bf.inner_right[:keep]
+    ]
+
+    def dropped(full: Factorization, cut: Factorization) -> float:
+        return float(np.abs(full.values[cut.rank :]).sum())
+
     # inner drops enter the error bound scaled by their outer coefficient
     for t in range(keep):
         s_t = abs(bf.outer.values[t])
-        discarded += s_t * float(
-            np.abs(bf.inner_left[t].values[out.inner_left[t].rank :]).sum()
-        )
+        discarded += s_t * dropped(bf.inner_left[t], out.inner_left[t])
         if not shared:
-            discarded += s_t * float(
-                np.abs(bf.inner_right[t].values[out.inner_right[t].rank :]).sum()
-            )
+            discarded += s_t * dropped(bf.inner_right[t], out.inner_right[t])
     out.discarded_weight = bf.discarded_weight + discarded
     return out
 
@@ -379,6 +382,13 @@ class FactorizedOperator:
 
 # the two-body blocks each observable's factorization holds, in this order
 _BLOCK_LABELS = {"V": ("v",), "P": (), "VPs": ("A2", "B2", "1m", "1l", "2", "3", "2r", "3r", "v")}
+# the one-body factorizations each holds: name -> SaptCoefficients attribute
+_ONE_BODY = {
+    "V": {"f_A": "one_body_A", "f_B": "one_body_B"},
+    "P": {"p_A": "one_body_A", "p_B": "one_body_B"},
+    "VPs": {"kappa_A": "one_body_A", "kappa_B": "one_body_B",
+            "p_A": "vp4_one_body_A", "p_B": "vp4_one_body_B"},
+}
 
 
 def shared_blocks(sets: list[SaptCoefficients]) -> dict[str, BlockFactors]:
@@ -392,7 +402,7 @@ def shared_blocks(sets: list[SaptCoefficients]) -> dict[str, BlockFactors]:
     return {
         label: factorize_block(same[0], label)
         for label, same in found.items()
-        if len(same) > 1 and all(np.array_equal(same[0], b) for b in same[1:])
+        if len(same) > 1 and all(b is same[0] or np.array_equal(same[0], b) for b in same[1:])
     }
 
 
@@ -401,26 +411,16 @@ def factorize_coefficients(
 ) -> FactorizedOperator:
     """Factorize every block and one-body tensor of a coefficient set; the
     untruncated factors in ``blocks`` (see :func:`shared_blocks`) are used as given."""
-    out = FactorizedOperator(observable=coeffs.observable, space_tag=coeffs.space_tag)
-    if coeffs.observable == "V":
-        out.one_body["f_A"] = one_body_eigendecompose(coeffs.one_body_A)
-        out.one_body["f_B"] = one_body_eigendecompose(coeffs.one_body_B)
-    elif coeffs.observable == "P":
-        out.one_body["p_A"] = one_body_eigendecompose(coeffs.one_body_A)
-        out.one_body["p_B"] = one_body_eigendecompose(coeffs.one_body_B)
-        out.overlap = overlap_svd(coeffs.overlap)
-    elif coeffs.observable == "VPs":
-        out.one_body["kappa_A"] = one_body_eigendecompose(coeffs.one_body_A)
-        out.one_body["kappa_B"] = one_body_eigendecompose(coeffs.one_body_B)
-        out.one_body["p_A"] = one_body_eigendecompose(coeffs.vp4_one_body_A)
-        out.one_body["p_B"] = one_body_eigendecompose(coeffs.vp4_one_body_B)
-        out.overlap = overlap_svd(coeffs.overlap)
-    else:
+    if coeffs.observable not in _ONE_BODY:
         raise DomainError(f"unknown observable {coeffs.observable!r}")
-    blocks = blocks or {}
+    out = FactorizedOperator(observable=coeffs.observable, space_tag=coeffs.space_tag)
+    for name, attr in _ONE_BODY[coeffs.observable].items():
+        out.one_body[name] = one_body_eigendecompose(getattr(coeffs, attr))
+    if coeffs.observable != "V":
+        out.overlap = overlap_svd(coeffs.overlap)
     for label in _BLOCK_LABELS[coeffs.observable]:
         if label in coeffs.two_body_blocks:
-            made = blocks.get(label)
+            made = (blocks or {}).get(label)
             out.blocks[label] = made or factorize_block(coeffs.two_body_blocks[label], label)
     if threshold:
         out.blocks = {k: truncate_block(bf, threshold) for k, bf in out.blocks.items()}

@@ -214,13 +214,18 @@ def one_body_f(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_electrostatic_coefficients(v: np.ndarray, S: np.ndarray) -> SaptCoefficients:
+    return _electrostatic(v, S, sym_v4(v))
+
+
+def _electrostatic(v: np.ndarray, S: np.ndarray, v_block: np.ndarray) -> SaptCoefficients:
+    """The V set with its two-body block given, already projected."""
     f_a, f_b = one_body_f(v)
     return SaptCoefficients(
         observable="V",
         constant=float(np.einsum("ppqq->", v)),
         one_body_A=f_a,
         one_body_B=f_b,
-        two_body_blocks={"v": sym_v4(v)},
+        two_body_blocks={"v": v_block},
         overlap=np.asarray(S, dtype=float),
     )
 
@@ -420,18 +425,22 @@ def _coefficients_from_buckets(
     entrywise block sums feed the sparse-norm formulas directly.
     """
     blocks = {
-        "A2": -2.0 * bk.aa,
-        "B2": -2.0 * bk.bb,
-        "1m": -2.0 * sym_joint(bk.dir_),
-        "1l": -1.0 * sym_joint(bk.lock),
-        "2": -2.0 * bk.g2,
-        "3": -2.0 * bk.g3,
+        "A2": bk.aa,
+        "B2": bk.bb,
+        "1m": sym_joint(bk.dir_),
+        "1l": sym_joint(bk.lock),
+        "2": bk.g2,
+        "3": bk.g3,
         "v": v_block,
     }
     if bk.g2r.any():
-        blocks["2r"] = -2.0 * bk.g2r
+        blocks["2r"] = bk.g2r
     if bk.g3r.any():
-        blocks["3r"] = -2.0 * bk.g3r
+        blocks["3r"] = bk.g3r
+    # the buckets are this set's own, so the (exact) scalings go in place
+    for label, block in blocks.items():
+        if label != "v":
+            block *= -1.0 if label == "1l" else -2.0
     return SaptCoefficients(
         observable="VPs",
         constant=float(bk.const),
@@ -464,8 +473,8 @@ def build_majorana_coefficients(
     """Coefficient sets of all three observables from full-space tensors."""
     v = symmetrize_v(v)
     S = validate_overlap(S)
-    return {
-        "V": build_electrostatic_coefficients(v, S),
+    return {  # v is projected, and sym_v4 is idempotent: V and VPs share the array
+        "V": _electrostatic(v, S, v),
         "P": build_exchange_coefficients(S),
         "VPs": build_vp_coefficients(v, S, mixed),
     }

@@ -366,6 +366,30 @@ class TestCacheSchema:
         arrays[name] = np.zeros(0)
         assert "not one number" in self.load_saved(tmp_path / "c", arrays, basis)
 
+    @pytest.mark.parametrize(
+        "codes",
+        [[1e7], [86.5], [-86.0], [87.0], [86.0, 80.0], []],
+        ids=["past-unicode", "fractional", "negative", "other-name", "VP", "empty"],
+    )
+    def test_observable_must_spell_a_known_name(self, tmp_path, codes):
+        arrays, basis = v_cache_arrays()
+        arrays["factor.meta.observable"] = np.array(codes, dtype=float)
+        assert "does not spell" in self.load_saved(tmp_path / "c", arrays, basis)
+
+    @pytest.mark.parametrize("flag", [2.0, 0.5, -1.0])
+    def test_symmetric_flags_must_be_zero_or_one(self, tmp_path, flag):
+        arrays, basis = v_cache_arrays()
+        flags = arrays["factor.block.v.inner_left.symmetric"].copy()
+        flags[0] = flag
+        arrays["factor.block.v.inner_left.symmetric"] = flags
+        assert "other than 0 and 1" in self.load_saved(tmp_path / "c", arrays, basis)
+
+    @pytest.mark.parametrize("space", [2.0, 0.5, -1.0])
+    def test_space_must_be_zero_or_one(self, tmp_path, space):
+        arrays, basis = v_cache_arrays()
+        arrays["factor.meta.space"] = np.array(space)
+        assert "neither 0 nor 1" in self.load_saved(tmp_path / "c", arrays, basis)
+
     def test_unknown_block_label_is_schema_error(self, tmp_path):
         arrays, basis = v_cache_arrays()
         arrays = {n.replace(".block.v.", ".block.w."): a for n, a in arrays.items()}

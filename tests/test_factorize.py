@@ -3,9 +3,11 @@ import pytest
 
 from saptkit.active import SpacePartition, renormalize_exchange, renormalize_vp
 from saptkit.errors import DomainError, SymmetryError
+from saptkit import factorize
 from saptkit.factorize import (
     _BLOCK_LAYOUT,
     RANK_CUTOFF,
+    BlockFactors,
     _check_stack,
     _fix_signs,
     _PairPacking,
@@ -13,10 +15,12 @@ from saptkit.factorize import (
     factorize_block,
     factorize_coefficients,
     first_factorize,
+    inner_values,
     one_body_eigendecompose,
     overlap_svd,
     reconstruct_block,
     second_factorize,
+    shared_blocks,
     truncate_block,
 )
 from saptkit.norms import tf_norm
@@ -248,6 +252,18 @@ class TestSignRule:
         flipped = np.all(ref_u == -np.array(cols).T, axis=0) & np.any(ref_u, axis=0)
         assert list(flipped) == [False, True, False, True, False, False, False]
 
+    @pytest.mark.parametrize("shape, symmetric", [((6, 6), True), ((6, 4), False), ((3, 5), False)])
+    def test_decompositions_follow_the_rule(self, rng, shape, symmetric):
+        m = rng.normal(size=shape)
+        m = m + m.T if symmetric else m
+        f = decompose_matrix(m)
+        assert f.symmetric == symmetric and follows_sign_rule(f.left)
+        assert np.abs(f.reconstruct() - m).max() < 1e-12
+
+
+def follows_sign_rule(u):
+    return np.array_equal(fix_sign_columns_reference(u.copy())[0], u)
+
 
 class TestBatchedInner:
     @pytest.mark.parametrize("label, inner_symmetric", [("1l", False), ("v", True)])
@@ -267,6 +283,94 @@ class TestBatchedInner:
                     (fact.values, fact.left, fact.right), (ref.values, ref.left, ref.right)
                 ):
                     assert np.array_equal(got, want)
+
+    def test_every_label_equals_per_matrix_decomposition(self, rng):
+        pairs = blocks_of_every_label(rng)
+        # an A2 block 3e-12 off pair symmetry is not packed, and its inner stack
+        # mixes matrices symmetric to SYM_TOL (unpacked eigh) with svd ones
+        a2 = dict(pairs)["A2"]
+        noise = rng.normal(size=a2.shape)
+        noise = noise - noise.transpose(1, 0, 2, 3)
+        noise = noise + noise.transpose(2, 3, 0, 1)
+        pairs.append(("A2", a2 + 3e-12 * np.abs(a2).max() * noise))
+        seen = set()
+        for label, block in pairs:
+            bf = factorize_block(block, label)
+            for facts, vecs, shape, packed in sides(bf):
+                assert len(facts) == bf.outer.rank > 0, label
+                for t, fact in enumerate(facts):
+                    ref = decompose_matrix(vecs[:, t].reshape(shape))
+                    assert_same_factors(fact, ref, f"{label}[{t}]")
+                    assert follows_sign_rule(fact.left), label
+                    seen.add((packed, fact.symmetric))
+            if label in ("2", "3", "2r", "3r"):
+                assert bf.packed[0] != bf.packed[1], label  # one packed side, one not
+        # packed sides (always eigh), unpacked eigh sides and unpacked svd sides
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_packed_inner_matrices_are_exactly_symmetric(self, rng):
+        packed_sides = 0
+        for label, block in blocks_of_every_label(rng):
+            bf = first_factorize(block, label)
+            for _, vecs, shape, packed in sides(bf):
+                if packed:
+                    ms = vecs.T.reshape(-1, *shape)
+                    assert np.array_equal(ms, ms.transpose(0, 2, 1)), label
+                    packed_sides += 1
+        assert packed_sides > 0
+
+    def test_missing_packing_record_takes_checked_path(self, rng, monkeypatch):
+        checked = []
+        check = factorize._check_stack
+        monkeypatch.setattr(
+            factorize, "_check_stack", lambda ms, sym: checked.append(ms.shape) or check(ms, sym)
+        )
+        for label, block in blocks_of_every_label(rng):
+            first = first_factorize(block, label)
+            bare = BlockFactors(label=label, shape=first.shape, outer=first.outer)
+            assert bare.packed == (False, False)
+            n_sides = 1 if first.outer.symmetric else 2
+            checked.clear()
+            fast = second_factorize(first)
+            assert len(checked) == sum(not p for p in first.packed[:n_sides]), label
+            checked.clear()
+            slow = second_factorize(bare)
+            assert len(checked) == n_sides, label  # every side through _check_stack
+            for side in ("inner_left", "inner_right"):
+                got, want = getattr(slow, side), getattr(fast, side)
+                assert len(got) == len(want), label
+                for t, (g, w) in enumerate(zip(got, want)):
+                    assert_same_factors(g, w, f"{label}[{t}]")
+
+    def test_inner_values_equal_second_factorize_values(self, rng):
+        # eigvalsh and values-only svd are other LAPACK drivers than eigh and
+        # svd, so the values agree to rounding; the kept counts agree exactly
+        for label, block in blocks_of_every_label(rng):
+            first = first_factorize(block, label)
+            values = inner_values(first)
+            facts = factorize_block(block, label).inner_left
+            assert len(values) == len(facts), label
+            for got, fact in zip(values, facts):
+                assert got.shape == fact.values.shape, label
+                assert np.abs(got - fact.values).max() <= 1e-13 * np.abs(fact.values).max(), label
+            # without the packing record the checked path gives the same bits
+            bare = BlockFactors(label=label, shape=first.shape, outer=first.outer)
+            for got, want in zip(inner_values(bare), values):
+                assert np.array_equal(got, want), label
+
+
+def assert_same_factors(got, want, where):
+    assert got.symmetric == want.symmetric, where
+    for a, b in zip((got.values, got.left, got.right), (want.values, want.left, want.right)):
+        assert a.shape == b.shape and np.array_equal(a, b), where
+
+
+def sides(bf):
+    """(inner factors, grouped vectors, matrix shape, packed) of each side of a block."""
+    return (
+        (bf.inner_left, bf.outer.left, bf.row_shape, bf.packed[0]),
+        (bf.inner_right, bf.outer.right, bf.col_shape, bf.packed[1]),
+    )
 
 
 def blocks_of_every_label(rng):

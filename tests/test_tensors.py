@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from saptkit import factorize
 from saptkit.errors import ShapeError, SymmetryError
 from saptkit.tensors import (
     MixedTensors,
     build_dressed_nu,
+    build_electrostatic_coefficients,
     build_majorana_coefficients,
     one_body_f,
     sym_joint,
@@ -138,3 +140,40 @@ class TestCoefficients:
         c = build_majorana_coefficients(v, s)["VPs"]
         assert np.allclose(c.one_body_A, c.one_body_A.T)
         assert np.allclose(c.one_body_B, c.one_body_B.T)
+
+
+class TestSharedV:
+    def test_v_and_vps_hold_one_projected_array(self, rng):
+        v, s = random_dimer(rng, 3, 2)
+        raw = v + 1e-13 * rng.normal(size=v.shape)
+        coeffs = build_majorana_coefficients(raw, s)
+        block = coeffs["V"].two_body_blocks["v"]
+        assert block is coeffs["VPs"].two_body_blocks["v"]
+        assert np.array_equal(block, symmetrize_v(raw))
+        # the other VPs blocks are arrays of their own (scaled in place)
+        others = [b for label, b in coeffs["VPs"].two_body_blocks.items() if label != "v"]
+        for i, a in enumerate(others):
+            assert not any(np.shares_memory(a, b) for b in others[i + 1 :] + [block])
+
+    def test_electrostatic_alone_projects_raw_v(self, rng):
+        raw = rng.normal(size=(3, 3, 2, 2))
+        coeffs = build_electrostatic_coefficients(raw, np.zeros((3, 2)))
+        assert np.array_equal(coeffs.two_body_blocks["v"], sym_v4(raw))
+        f_a, f_b = one_body_f(raw)
+        assert np.array_equal(coeffs.one_body_A, f_a) and np.array_equal(coeffs.one_body_B, f_b)
+
+    def test_shared_blocks_factorizes_the_shared_array_once(self, rng, monkeypatch):
+        v, s = random_dimer(rng, 3, 2)
+        coeffs = build_majorana_coefficients(v, s)
+        made, compared = [], []
+        factorize_block, array_equal = factorize.factorize_block, np.array_equal
+
+        def counted(block, label):
+            made.append(label)
+            return factorize_block(block, label)
+
+        monkeypatch.setattr(factorize, "factorize_block", counted)
+        monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(1) or array_equal(a, b))
+        shared = factorize.shared_blocks([coeffs["V"], coeffs["VPs"]])
+        assert list(shared) == ["v"] and made == ["v"]
+        assert compared == []  # identical objects need no comparison
