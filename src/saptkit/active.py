@@ -87,12 +87,6 @@ class SpacePartition:
             tuple(core_A), tuple(active_A), tuple(core_B), tuple(active_B), na, nb
         )
 
-    @staticmethod
-    def trivial(n_orb_A: int, n_orb_B: int, n_elec_A: int, n_elec_B: int) -> "SpacePartition":
-        return SpacePartition(
-            (), tuple(range(n_orb_A)), (), tuple(range(n_orb_B)), n_elec_A, n_elec_B
-        )
-
 
 def _restrict(v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None, part: SpacePartition):
     """Reorder tensors to (active..., core...) per monomer, dropping virtuals."""
@@ -125,9 +119,7 @@ def _core_pieces(vr: np.ndarray, sr: np.ndarray, nta: int, ntb: int):
     return f_core_b, f_core_a, v0_core, ps_core_a, ps_core_b, ss_cc
 
 
-def renormalize_electrostatic(
-    v: np.ndarray, partition: SpacePartition, fold: bool = True
-) -> SaptCoefficients:
+def renormalize_electrostatic(v: np.ndarray, partition: SpacePartition) -> SaptCoefficients:
     """Active electrostatic observable with core terms folded into the tensor.
 
     The folded tensor reproduces the traced operator on the sector with the
@@ -151,7 +143,7 @@ def renormalize_electrostatic(
         )
 
     v_tt = vr[a, a, b, b].copy()
-    if fold and (partition.core_A or partition.core_B):
+    if partition.core_A or partition.core_B:
         eta_a, eta_b = partition.n_act_elec_A, partition.n_act_elec_B
         if eta_a == 0 or eta_b == 0:
             raise PartitionError("cannot fold core terms: empty active shell")
@@ -162,12 +154,7 @@ def renormalize_electrostatic(
             + (2.0 / eta_a) * np.einsum("ab,cd->abcd", eye_a, f_core_a)
             + (4.0 * v0_core / (eta_a * eta_b)) * np.einsum("ab,cd->abcd", eye_a, eye_b)
         )
-        out = build_electrostatic_coefficients(v_tt, np.zeros((nta, ntb)))
-    else:
-        out = build_electrostatic_coefficients(v_tt, np.zeros((nta, ntb)))
-        out.constant += 4.0 * v0_core
-        out.one_body_A = out.one_body_A + 2.0 * f_core_b
-        out.one_body_B = out.one_body_B + 2.0 * f_core_a
+    out = build_electrostatic_coefficients(v_tt, np.zeros((nta, ntb)))
     out.space_tag = "active"
     return out
 

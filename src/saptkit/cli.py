@@ -10,10 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import archive as ar
 from .active import renormalize_electrostatic, renormalize_exchange, renormalize_vp
@@ -27,7 +24,7 @@ from .costing import (
     summary_tsv,
 )
 from .errors import DomainError, SaptError
-from .factorize import factorize_coefficients, shared_blocks
+from .factorize import check_threshold, factorize_coefficients, shared_blocks
 from .norms import (
     df_hamiltonian_norm,
     factorize_monomer_hamiltonian,
@@ -40,22 +37,8 @@ from .tensors import build_majorana_coefficients
 OBSERVABLES = ("V", "P", "VPs")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide options shared by the costing subcommands."""
-
-    eps_targ: float = 0.0016  # chemical accuracy
-    truncation: float = 0.0
-    observables: tuple[str, ...] = OBSERVABLES
-    calibration: CalibrationConstants = CalibrationConstants()
-
-    def __post_init__(self):
-        if self.eps_targ <= 0:
-            raise DomainError("target precision must be positive")
-
-
-def _coefficient_sets(archive: ar.TensorArchive, use_partition: bool):
-    if use_partition:
+def _coefficient_sets(archive: ar.TensorArchive):
+    if "partition_A_core" in archive.arrays or "partition_B_core" in archive.arrays:
         part = archive.partition()
         return {
             "V": renormalize_electrostatic(archive.v, part),
@@ -65,8 +48,17 @@ def _coefficient_sets(archive: ar.TensorArchive, use_partition: bool):
     return build_majorana_coefficients(archive.v, archive.S)
 
 
-def _has_partition(archive: ar.TensorArchive) -> bool:
-    return "partition_A_core" in archive.arrays or "partition_B_core" in archive.arrays
+def _operators(archive: ar.TensorArchive, observables, truncation: float, factorize: bool = True):
+    """Yield (coefficients, factorized operator) per observable, in order, one
+    operator at a time; a block two observables hold alike is factorized once.
+    The operator is None when ``factorize`` is false."""
+    check_threshold(truncation)  # before shared_blocks factorizes anything
+    coeffs = _coefficient_sets(archive)
+    shared = shared_blocks([coeffs[name] for name in observables] if factorize else [])
+    for name in observables:
+        yield coeffs[name], (
+            factorize_coefficients(coeffs[name], truncation, blocks=shared) if factorize else None
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +67,9 @@ def _has_partition(archive: ar.TensorArchive) -> bool:
 
 def cmd_factorize(args) -> int:
     archive = ar.load_archive(args.archive)
-    coeffs = _coefficient_sets(archive, _has_partition(archive))
     out_prefix = Path(args.output or Path(args.archive).with_suffix(""))
-    shared = shared_blocks([coeffs[name] for name in args.observables])
-    for name in args.observables:
-        fop = factorize_coefficients(coeffs[name], threshold=args.truncation, blocks=shared)
-        path = Path(f"{out_prefix}.{name}.factors")
+    for _, fop in _operators(archive, args.observables, args.truncation):
+        path = Path(f"{out_prefix}.{fop.observable}.factors")
         ar.save_factor_cache(path, fop, archive.basis)
         print(f"wrote {path}")
     return 0
@@ -88,15 +77,12 @@ def cmd_factorize(args) -> int:
 
 def cmd_norms(args) -> int:
     archive = ar.load_archive(args.archive)
-    coeffs = _coefficient_sets(archive, _has_partition(archive))
     reports = []
     tf = args.representation in ("tf", "both")
-    shared = shared_blocks([coeffs[name] for name in args.observables] if tf else [])
-    for name in args.observables:
+    for coeffs, fop in _operators(archive, args.observables, args.truncation, tf):
         if args.representation in ("sparse", "both"):
-            reports.append(sparse_norms(coeffs[name]))
+            reports.append(sparse_norms(coeffs))
         if tf:
-            fop = factorize_coefficients(coeffs[name], threshold=args.truncation, blocks=shared)
             reports.append(tf_norm(fop))
     print(format_table(reports))
     if args.json:
@@ -107,25 +93,26 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def _norm_totals(archive: ar.TensorArchive, truncation: float) -> dict[str, float]:
-    coeffs = _coefficient_sets(archive, _has_partition(archive))
-    shared = shared_blocks([coeffs[name] for name in OBSERVABLES])
-    return {
-        name: tf_norm(factorize_coefficients(coeffs[name], truncation, blocks=shared)).total
-        for name in OBSERVABLES
-    }
+def _observable_norms(args, archive: ar.TensorArchive | None) -> dict[str, float]:
+    """lambda_F per observable: the archive's factorized totals, then the
+    explicit --lambda-v/-p/-vp flags over them."""
+    lam = {}
+    if archive is not None:
+        for _, fop in _operators(archive, OBSERVABLES, args.truncation):
+            lam[fop.observable] = tf_norm(fop).total
+            del fop  # hold one operator at a time
+    for key, val in zip(OBSERVABLES, (args.lambda_v, args.lambda_p, args.lambda_vp)):
+        if val is not None:
+            lam[key] = val
+    missing = [k for k in OBSERVABLES if k not in lam]
+    if missing:
+        raise DomainError(f"{args.command} needs observable norms for {', '.join(missing)}")
+    return lam
 
 
 def cmd_budget(args) -> int:
-    if args.archive:
-        totals = _norm_totals(ar.load_archive(args.archive), args.truncation)
-        lam_v, lam_p, lam_vp = totals["V"], totals["P"], totals["VPs"]
-    else:
-        if None in (args.lambda_v, args.lambda_p, args.lambda_vp):
-            print("budget needs an archive or all three norms", file=sys.stderr)
-            return 2
-        lam_v, lam_p, lam_vp = args.lambda_v, args.lambda_p, args.lambda_vp
-    budget = budget_errors(lam_v, lam_p, lam_vp, args.eps_targ)
+    lam = _observable_norms(args, ar.load_archive(args.archive) if args.archive else None)
+    budget = budget_errors(lam["V"], lam["P"], lam["VPs"], args.eps_targ)
     print(
         json.dumps(
             {
@@ -175,37 +162,25 @@ def _system_params(args, archive: ar.TensorArchive | None) -> SystemParams:
 
 
 def _calibration(path: str | None) -> CalibrationConstants:
+    """Default constants with the overrides of a JSON object file."""
     if not path:
         return CalibrationConstants()
-    data = json.loads(Path(path).read_text())
-    return CalibrationConstants().updated(**data)
+    try:
+        return CalibrationConstants(**json.loads(Path(path).read_text()))
+    except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, not an object, bad key
+        raise DomainError(f"calibration file {path}: {exc}") from None
 
 
 def cmd_estimate(args) -> int:
-    config = RunConfig(
-        eps_targ=args.eps_targ,
-        truncation=args.truncation,
-        observables=tuple(args.observables),
-        calibration=_calibration(args.calibration),
-    )
+    calib = _calibration(args.calibration)
     archive = ar.load_archive(args.archive) if args.archive else None
     params = _system_params(args, archive)
-
-    lam = {}
-    if archive is not None:
-        lam = _norm_totals(archive, config.truncation)
-    for key, val in (("V", args.lambda_v), ("P", args.lambda_p), ("VPs", args.lambda_vp)):
-        if val is not None:
-            lam[key] = val
-    missing = [k for k in OBSERVABLES if k not in lam]
-    if missing:
-        raise DomainError(f"estimate needs observable norms for {', '.join(missing)}")
-
-    budget = budget_errors(lam["V"], lam["P"], lam["VPs"], config.eps_targ)
+    lam = _observable_norms(args, archive)
+    budget = budget_errors(lam["V"], lam["P"], lam["VPs"], args.eps_targ)
     graphs = {}
-    for name in config.observables:
+    for name in args.observables:
         graphs[name] = estimate_observable(
-            name, lam[name], params, budget.for_observable(name), config.calibration
+            name, lam[name], params, budget.for_observable(name), calib
         )
 
     out_dir = Path(args.output) if args.output else None

@@ -17,14 +17,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import DomainError
 
 # worst-case sensitivity of the iterate eigenphase to the encoded ratio
 PHASE_SENSITIVITY = 1.0 / (2.0 * math.sqrt(3.0))
+
+
+def _positive(*values: float) -> bool:
+    """Whether every value lies in (0, inf); NaN does not."""
+    return all(0.0 < x < math.inf for x in values)
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +49,13 @@ class SystemParams:
     n_orb_B: int = 1
 
     def __post_init__(self):
-        if self.delta_A <= 0 or self.delta_B <= 0:
-            raise DomainError("spectral gaps must be positive")
+        if not _positive(self.delta_A, self.delta_B):
+            raise DomainError("spectral gaps must be positive and finite")
         for ov in (self.overlap_A, self.overlap_B):
             if not 0.0 < ov <= 1.0:
                 raise DomainError("state overlaps must lie in (0, 1]")
-        if self.lambda_A <= 0 or self.lambda_B <= 0:
-            raise DomainError("Hamiltonian norms must be positive")
+        if not _positive(self.lambda_A, self.lambda_B):
+            raise DomainError("Hamiltonian norms must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,8 @@ def budget_errors(
     w_P = lam_V; supplying low-accuracy expectation estimates replaces the
     norms inside the constraint weights only.
     """
-    if min(lam_V, lam_P, lam_VP) <= 0 or eps_targ <= 0:
-        raise DomainError("degenerate budget: norms and target must be positive")
+    if not _positive(lam_V, lam_P, lam_VP, eps_targ):
+        raise DomainError("degenerate budget: norms and target must be positive and finite")
     w_v = 1.0 + (lam_P if exp_P is None else abs(exp_P))
     w_p = lam_V if exp_V is None else abs(exp_V)
     denom = math.sqrt(w_v * lam_V) + math.sqrt(lam_VP) + math.sqrt(w_p * lam_P)
@@ -102,24 +106,6 @@ def budget_errors(
         weight_V=w_v,
         weight_P=w_p,
     )
-
-
-def qsp_error_bound(omega: float) -> float:
-    """Observable-estimate error bound from the eigenphase rounding quality."""
-    if not 0.0 <= omega <= 1.0:
-        raise DomainError("rounding quality must lie in [0, 1]")
-    return 2.0 * omega
-
-
-def iterate_phase(expectation_ratio: float) -> float:
-    """Eigenphase of the two-reflection iterate for a normalized expectation."""
-    if not -1.0 <= expectation_ratio <= 1.0:
-        raise DomainError("expectation ratio must lie in [-1, 1]")
-    return 2.0 * math.acos(math.sqrt((1.0 - expectation_ratio) / 8.0))
-
-
-def invert_phase(theta: float) -> float:
-    return 1.0 - 8.0 * math.cos(theta / 2.0) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +164,13 @@ class CalibrationConstants:
     lcu_slots: int = 7
 
     def __post_init__(self):
-        for name in (
-            "qsp_prefactor",
-            "qsp_log_scale",
-            "oqpe_prefactor",
-            "be_prefactor",
-            "givens_toffoli",
-            "b_coeff",
-            "b_rot",
-            "asp_rus",
-            "asp_phase_factor",
-            "lcu_slots",
-        ):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"calibration constant {name} must be positive")
-
-    def updated(self, **kw) -> "CalibrationConstants":
-        return replace(self, **kw)
+        # the int-typed constants must be integers, so Toffoli counts stay integers
+        for f in fields(self):
+            val = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(val, bool) or not isinstance(val, kind) or not _positive(val):
+                noun = "integer" if f.type == "int" else "finite number"
+                raise DomainError(f"calibration constant {f.name} must be a positive {noun}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +301,6 @@ class CostGraph:
         return "\n".join(lines)
 
 
-def graph_from_dict(data: dict) -> CostGraph:
-    def build(nd: dict) -> CostNode:
-        node = CostNode(name=nd["name"], own_qubits=nd.get("qubits", 0))
-        child_cost = 0
-        for entry in nd.get("children", []):
-            child = build(entry["node"])
-            node.add(entry["multiplicity"], child)
-            child_cost += entry["multiplicity"] * child.per_call
-        node.leaf_toffolis = nd["per_call"] - child_cost
-        return node
-
-    return CostGraph(root=build(data["root"]), meta=data.get("meta", {}))
-
-
 # ---------------------------------------------------------------------------
 # subroutine models
 
@@ -435,20 +397,6 @@ def vp4_product_node(v_node: CostNode, p_node: CostNode) -> CostNode:
     return node
 
 
-def vp4_product_cost(cost_v: int, cost_p: int, log_l: int = 8) -> tuple[int, int]:
-    """Toffoli and ancilla cost of the product form from component costs."""
-    toffolis = max(cost_v, cost_p) + 2 * min(cost_v, cost_p) + log_l + 1
-    ancillae = log_l + 2
-    return toffolis, ancillae
-
-
-def combine_vp_terms(component_costs: dict[str, int], calib: CalibrationConstants | None = None):
-    """Linear-combination cost of the product-observable terms."""
-    calib = calib or CalibrationConstants()
-    _, prep = qrom_cost(calib.lcu_slots, calib.b_coeff)
-    return sum(component_costs.values()) + 2 * prep, 3
-
-
 # ---------------------------------------------------------------------------
 # end-to-end estimates
 
@@ -463,8 +411,8 @@ def estimate_observable(
 ) -> CostGraph:
     """Full call graph of one observable estimation run."""
     calib = calib or CalibrationConstants()
-    if lambda_f <= 0 or eps_f <= 0:
-        raise DomainError("observable norm and precision must be positive")
+    if not _positive(lambda_f, eps_f):
+        raise DomainError("observable norm and precision must be positive and finite")
     big_lambda = lambda_f / eps_f
     iterations = _iterations(lambda_f, eps_f, calib)
     p_outer = math.ceil(math.log2(iterations)) + 2
@@ -541,7 +489,7 @@ def calibrate_qsp_prefactor(
         ratio = target_total / total
         if abs(ratio - 1.0) < 1e-3:
             break
-        calib = calib.updated(qsp_prefactor=calib.qsp_prefactor * ratio)
+        calib = replace(calib, qsp_prefactor=calib.qsp_prefactor * ratio)
     return calib
 
 
@@ -555,8 +503,8 @@ def estimate_supermolecular(
 ) -> CostGraph:
     """Three standard phase-estimation runs with sqrt-weighted budgets."""
     calib = calib or CalibrationConstants()
-    if min(lam_ab, lam_a, lam_b) <= 0 or eps_targ <= 0:
-        raise DomainError("norms and target precision must be positive")
+    if not _positive(lam_ab, lam_a, lam_b, eps_targ):
+        raise DomainError("norms and target precision must be positive and finite")
     roots = math.sqrt(lam_ab) + math.sqrt(lam_a) + math.sqrt(lam_b)
     runs = []
     n_ab, n_a, n_b = n_orbs or (2, 1, 1)

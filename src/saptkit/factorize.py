@@ -320,6 +320,12 @@ def reconstruct_block(bf: BlockFactors) -> np.ndarray:
     return np.transpose(m.reshape(r1, r2, c1, c2), np.argsort(perm))
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise DomainError unless 0 <= threshold < 1 (NaN fails too)."""
+    if not 0.0 <= threshold < 1.0:
+        raise DomainError("truncation threshold must lie in [0, 1)")
+
+
 def truncate_block(bf: BlockFactors, threshold: float) -> BlockFactors:
     """Drop trailing factors whose cumulative weight is below threshold.
 
@@ -327,8 +333,7 @@ def truncate_block(bf: BlockFactors, threshold: float) -> BlockFactors:
     block always keeps at least one factor per level.  The discarded weight is
     recorded (a bound on the reconstruction error scale, not asserted).
     """
-    if not 0.0 <= threshold < 1.0:
-        raise DomainError("truncation threshold must lie in [0, 1)")
+    check_threshold(threshold)
     if threshold == 0.0 or bf.outer.rank == 0:
         return bf
 
@@ -411,6 +416,7 @@ def factorize_coefficients(
 ) -> FactorizedOperator:
     """Factorize every block and one-body tensor of a coefficient set; the
     untruncated factors in ``blocks`` (see :func:`shared_blocks`) are used as given."""
+    check_threshold(threshold)
     if coeffs.observable not in _ONE_BODY:
         raise DomainError(f"unknown observable {coeffs.observable!r}")
     out = FactorizedOperator(observable=coeffs.observable, space_tag=coeffs.space_tag)

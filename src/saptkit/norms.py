@@ -9,7 +9,6 @@ branch (those are the blocks a squared-polynomial load can implement).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,17 +48,14 @@ class NormReport:
             out["total_with_excluded"] = self.total_with_excluded
         return out
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
-
-def format_table(reports: list[NormReport], sig_figs: int = 4) -> str:
+def format_table(reports: list[NormReport]) -> str:
     """Fixed-width text table of norm totals (rounded for display only)."""
 
     def fmt(x: float) -> str:
         if x == 0.0:
             return "0"
-        return f"{x:.{sig_figs}g}"
+        return f"{x:.4g}"
 
     rows = [("observable", "representation", "total", "lambda_s")]
     for r in reports:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from saptkit.costing import CostGraph, CostNode
 from saptkit.tensors import build_dressed_nu, sym_v4
 
 
@@ -36,3 +37,19 @@ def random_sector_state(space, which, n_elec, rng, sz=None):
     vals = rng.normal(size=len(idx))
     vec[idx] = vals / np.linalg.norm(vals)
     return vec
+
+
+def graph_from_dict(data: dict) -> CostGraph:
+    """Rebuild a cost graph from its JSON form (per-call totals back to leaf costs)."""
+
+    def build(nd: dict) -> CostNode:
+        node = CostNode(name=nd["name"], own_qubits=nd.get("qubits", 0))
+        child_cost = 0
+        for entry in nd.get("children", []):
+            child = build(entry["node"])
+            node.add(entry["multiplicity"], child)
+            child_cost += entry["multiplicity"] * child.per_call
+        node.leaf_toffolis = nd["per_call"] - child_cost
+        return node
+
+    return CostGraph(root=build(data["root"]), meta=data.get("meta", {}))

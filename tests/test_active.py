@@ -93,7 +93,7 @@ class TestEmbeddingEquality:
 class TestEmptyCoreIdentity:
     def test_blocks_bit_for_bit(self, rng):
         v, s = random_dimer(rng, 2, 3)
-        part = SpacePartition.trivial(2, 3, 2, 4)
+        part = SpacePartition.from_counts([], range(2), [], range(3), 2, 4)
         full = build_vp_coefficients(v, s)
         act = renormalize_vp(v, s, part)
         assert act.constant == full.constant
@@ -105,7 +105,7 @@ class TestEmptyCoreIdentity:
 
     def test_exchange_and_electrostatic_reduce(self, rng):
         v, s = random_dimer(rng, 2, 2)
-        part = SpacePartition.trivial(2, 2, 2, 2)
+        part = SpacePartition.from_counts([], range(2), [], range(2), 2, 2)
         act_v = renormalize_electrostatic(v, part)
         full_v = build_electrostatic_coefficients(v, np.zeros((2, 2)))
         assert np.array_equal(act_v.two_body_blocks["v"], full_v.two_body_blocks["v"])

@@ -64,6 +64,24 @@ class TestNorms:
         assert {d["observable"] for d in data} == {"V", "P", "VPs"}
 
 
+ESTIMATE = [
+    "estimate", "--lambda-a", "53.9", "--lambda-b", "53.9", "--gap-a", "0.455", "--gap-b", "0.455",
+    "--lambda-v", "0.43", "--lambda-p", "0.04", "--lambda-vp", "0.11", "--observables", "V",
+]
+SUPERMOLECULAR = [
+    "supermolecular", "--lambda-ab", "142.8", "--lambda-a", "53.9", "--lambda-b", "53.9",
+]
+BUDGET = ["budget", "--lambda-v", "65.54", "--lambda-p", "6.35", "--lambda-vp", "537.3"]
+
+
+def assert_data_error(argv, capsys, message=""):
+    """``argv`` exits 3 with one ``error:`` line on stderr that holds ``message``."""
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "internal" not in err
+    assert message in err
+
+
 class TestBudget:
     def test_explicit_values(self, capsys):
         assert main([
@@ -74,6 +92,71 @@ class TestBudget:
         ref = budget_errors(65.54, 6.35, 537.3, 0.0016)
         assert data["eps_V"] == pytest.approx(ref.eps_V)
         assert data["constraint_residual"] < 1e-12
+
+    def test_missing_norm_is_data_error(self, capsys):
+        assert_data_error(["budget", "--lambda-v", "1.0"], capsys, "norms for P, VPs")
+
+    @pytest.mark.parametrize("command", ["budget", "estimate"])
+    def test_flags_override_archive_norms(self, archive_path, monkeypatch, capsys, command):
+        calls = []
+        budget = cli.budget_errors
+        monkeypatch.setattr(cli, "budget_errors", lambda *a: calls.append(a) or budget(*a))
+        assert main([command, "--archive", str(archive_path)]) == 0
+        assert main([command, "--archive", str(archive_path), "--lambda-p", "7.5"]) == 0
+        (lam_v, lam_p, lam_vp, eps), override = calls
+        assert lam_p != 7.5 and override == (lam_v, 7.5, lam_vp, eps)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ESTIMATE + ["--eps-targ", "nan"],
+        ESTIMATE + ["--eps-targ", "inf"],
+        ESTIMATE + ["--lambda-a", "nan"],
+        ESTIMATE + ["--gap-a", "nan"],
+        ESTIMATE + ["--lambda-v", "nan"],
+        SUPERMOLECULAR + ["--lambda-ab", "nan"],
+        SUPERMOLECULAR + ["--eps-targ", "inf"],
+        BUDGET + ["--lambda-v", "nan"],
+        BUDGET + ["--eps-targ", "nan"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_non_finite_number_is_exit_3(argv, capsys):
+    assert_data_error(argv, capsys, "finite")
+
+
+class TestCalibrationFile:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "No such file"),
+            ("{", "Expecting"),
+            ("[16]", "must be a mapping"),
+            ('{"b_cof": 12}', "'b_cof'"),
+            ('{"b_coeff": "16"}', "b_coeff must be a positive integer"),
+            ('{"b_coeff": 2.5}', "b_coeff must be a positive integer"),
+            ('{"b_coeff": true}', "b_coeff must be a positive integer"),
+            ('{"asp_rus": NaN}', "asp_rus must be a positive finite number"),
+        ],
+        ids=["missing", "bad-json", "list", "unknown-key", "string", "fraction", "bool", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "command", [ESTIMATE, SUPERMOLECULAR], ids=["estimate", "supermolecular"]
+    )
+    def test_faults_are_exit_3(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "calib.json"
+        if text is not None:
+            path.write_text(text)
+        assert_data_error(command + ["--calibration", str(path)], capsys, message)
+
+    def test_overrides_apply(self, tmp_path, capsys):
+        path = tmp_path / "calib.json"
+        path.write_text('{"b_coeff": 12, "qsp_prefactor": 2}')
+        assert main(ESTIMATE) == 0
+        default = capsys.readouterr().out
+        assert main(ESTIMATE + ["--calibration", str(path)]) == 0
+        assert capsys.readouterr().out != default
 
 
 class TestFactorize:
@@ -292,6 +375,20 @@ class TestSharedBlocks:
         command_outputs(command, path, tmp_path / "out", "0")
         assert held == [{}]
         assert factorized_labels.count("v") == 2
+
+
+class TestTruncationDomain:
+    @pytest.mark.parametrize("truncation", ["5", "1", "-0.5", "nan"])
+    @pytest.mark.parametrize("command", ["norms", "factorize"])
+    def test_checked_before_any_factorization(
+        self, archive_path, tmp_path, capsys, factorized_labels, command, truncation
+    ):
+        # P holds no two-body block, so no block truncation would catch the value
+        for observables in (["P"], list(cli.OBSERVABLES)):
+            argv = [command, str(archive_path), "--observables", *observables]
+            argv += ["--truncation", truncation, "-o" if command == "factorize" else "--json"]
+            assert_data_error(argv + [str(tmp_path / "out")], capsys, "truncation threshold")
+        assert factorized_labels == [] and list(tmp_path.glob("out*")) == []
 
 
 class TestConvertFcidump:

@@ -12,19 +12,16 @@ from saptkit.costing import (
     SystemParams,
     budget_errors,
     calibrate_qsp_prefactor,
-    combine_vp_terms,
     emit_callgraph,
     estimate_observable,
     estimate_supermolecular,
-    graph_from_dict,
-    invert_phase,
-    iterate_phase,
     qrom_cost,
-    qsp_error_bound,
     summary_tsv,
-    vp4_product_cost,
+    vp4_product_node,
 )
 from saptkit.errors import DomainError
+
+from .conftest import graph_from_dict
 
 HEME = SystemParams(
     lambda_A=232.2,
@@ -76,24 +73,6 @@ class TestBudget:
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
             budget_errors(0.0, 1.0, 1.0, 1e-3)
-
-
-class TestPhaseMaps:
-    def test_bound_values(self):
-        assert qsp_error_bound(0.0) == 0.0
-        assert qsp_error_bound(0.5) == 1.0
-        with pytest.raises(DomainError):
-            qsp_error_bound(1.5)
-
-    def test_phase_at_extremes(self):
-        assert iterate_phase(1.0) == pytest.approx(math.pi)
-        assert iterate_phase(0.0) == pytest.approx(2.0 * math.acos(1.0 / math.sqrt(8.0)))
-        with pytest.raises(DomainError):
-            iterate_phase(-7.0)
-
-    def test_round_trip(self, rng):
-        for ratio in rng.uniform(-1.0, 1.0, size=25):
-            assert invert_phase(iterate_phase(ratio)) == pytest.approx(ratio, abs=1e-14)
 
 
 class TestQrom:
@@ -209,29 +188,25 @@ class TestScaling:
 
     def test_vp4_product_linear(self):
         sizes = np.array([1, 2, 4, 8, 16, 32]) * 1000
-        totals = [vp4_product_cost(3 * s, 2 * s)[0] for s in sizes]
+        totals = [vp4_product_per_call(3 * s, 2 * s) for s in sizes]
         slope = np.polyfit(np.log(sizes), np.log(totals), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.1)
 
     def test_vp4_expensive_called_once(self):
         c = 1000
-        equal, _ = vp4_product_cost(c, c)
-        assert equal >= 3 * c
-        skew, _ = vp4_product_cost(10 * c, c)
-        assert 12 * c <= skew <= 12 * c + 64
+        assert vp4_product_per_call(c, c) >= 3 * c
+        assert 12 * c <= vp4_product_per_call(10 * c, c) <= 12 * c + 64
+        # the product node of a VPs estimate calls its costlier factor once
+        node = estimate_observable("VPs", 537.3, HEME, 5.66e-4).node("B[VP_4]")
+        (once, costly), (twice, cheap) = node.children
+        assert (once, twice) == (1, 2) and costly.per_call >= cheap.per_call
 
 
-class TestCombination:
-    def test_zero_terms_prep_only(self):
-        total, anc = combine_vp_terms({})
-        assert total > 0 and anc == 3
-
-    def test_single_and_sum(self):
-        single, _ = combine_vp_terms({"VP_A": 100})
-        prep = single - 100
-        five = {f"t{i}": (i + 1) * 10 for i in range(5)}
-        total, _ = combine_vp_terms(five)
-        assert total == sum(five.values()) + prep
+def vp4_product_per_call(cost_v: int, cost_p: int) -> int:
+    """Per-call Toffolis of the product node over two leaves of the given costs."""
+    v = CostNode("B[V']", leaf_toffolis=cost_v, own_qubits=300)
+    p = CostNode("B[P']", leaf_toffolis=cost_p, own_qubits=300)
+    return vp4_product_node(v, p).per_call
 
 
 class TestSupermolecular:
