@@ -18,16 +18,16 @@ The recognized array names are ``v``, ``S``, ``h1_A``, ``h1_B``, ``eri_A``,
 dimer metadata and ``v`` is symmetry-projected on load, in place.  Additional
 names pass through untouched.
 
-Factor caches ride in the same container under a ``factor.`` prefix.  Each
-list of factorizations (a one-body tensor, the overlap, a block's outer
-step, each side of its inner step) is stored as a few stacked arrays, not one
-set per factorization: ``rank`` and ``symmetric`` per factorization, the
-concatenated ``values``, the transposed ``left`` factors stacked row-wise,
-and ``right`` likewise for only the factorizations whose right factor is not
-their left one.  The writer streams those stacks from the factors themselves
-(:class:`RowStack`), so saving holds no second copy of the factors.  Caches
-written in the earlier one-set-per-factorization layout are rejected; re-run
-``saptkit factorize``.
+Factor caches ride in the same container.  The manifest's ``factors``
+object holds ``observable``, ``space`` (full/active), ``threshold``, each
+block's ``shape`` and ``discarded`` weight, and, per list of factorizations
+(one-body, overlap, outer, each inner side), a ``rank`` and a ``symmetric``
+flag for each.  The payload holds only the stacked factors, per list under
+``factor.`` names: ``values``, the transposed ``left`` factors row-wise, and
+``right`` likewise where the right factor is not the left, streamed from
+the factors themselves (:class:`RowStack`).  The payload checksum covers
+the object too, hashed first as sorted-key JSON.  Caches without it, from
+earlier versions, are rejected; re-run ``saptkit factorize``.
 """
 
 from __future__ import annotations
@@ -82,9 +82,6 @@ class RowStack:
         self.shape = (sum(len(p) for p in pieces), *tail)
         self.nbytes = 8 * math.prod(self.shape)
 
-    def __len__(self) -> int:
-        return self.shape[0]
-
 
 @dataclass
 class TensorArchive:
@@ -92,6 +89,7 @@ class TensorArchive:
 
     basis: DimerBasis
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
+    factors: dict | None = None  # a factor cache's description of its arrays
 
     @property
     def v(self) -> np.ndarray:
@@ -101,12 +99,10 @@ class TensorArchive:
     def S(self) -> np.ndarray:
         return self.arrays["S"]
 
-    def scalar(self, name: str, default: float | None = None) -> float:
-        if name in self.arrays:
-            return float(np.asarray(self.arrays[name]).reshape(-1)[0])
-        if default is None:
-            raise ArchiveError("shape", f"archive lacks required scalar {name!r}")
-        return default
+    def scalar(self, name: str, default: float) -> float:
+        """The number stored under ``name``, or ``default`` if there is none."""
+        arr = self.arrays.get(name)
+        return default if arr is None else float(np.asarray(arr).reshape(-1)[0])
 
     def partition(self) -> SpacePartition:
         """Core/active split from the stored core lists.
@@ -129,7 +125,8 @@ def _manifest(archive: TensorArchive, arrays: dict[str, np.ndarray]) -> dict:
     for name, arr in arrays.items():
         entries[name] = {"dtype": "float64", "shape": list(arr.shape), "offset": offset}
         offset += arr.nbytes
-    return {
+    manifest = {} if archive.factors is None else {"factors": archive.factors}
+    return manifest | {
         "schema_version": SCHEMA_VERSION,
         "dimer": {
             "n_orb_A": archive.basis.n_orb_A,
@@ -171,6 +168,11 @@ def _chunks(arr):
         yield np.concatenate(batch, out=np.empty((rows, *tail), "<f8")).reshape(-1)
 
 
+def _digest(factors: dict | None):
+    """The payload hash, started with a factor cache's ``factors`` object."""
+    return hashlib.sha256(b"" if factors is None else json.dumps(factors, sort_keys=True).encode())
+
+
 def save_archive(path, archive: TensorArchive) -> None:
     # streamed: each array is hashed and written from its own memory in one
     # pass (copied only when it is not contiguous little-endian float64;
@@ -180,7 +182,7 @@ def save_archive(path, archive: TensorArchive) -> None:
         for name, arr in sorted(archive.arrays.items())
     }
     manifest = _manifest(archive, arrays)
-    digest = hashlib.sha256()
+    digest = _digest(archive.factors)
     # the manifest is rewritten once the payload is hashed; a hex digest has
     # a fixed length, so the placeholder keeps the manifest's size
     manifest["payload_sha256"] = "0" * 2 * digest.digest_size
@@ -249,7 +251,7 @@ def load_archive(path) -> TensorArchive:
             raise ArchiveError("schema", "manifest length exceeds the file")
         try:
             manifest = json.loads(fh.read(n).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ArchiveError("schema", f"manifest does not parse: {exc}") from exc
         if not isinstance(manifest, dict):
             raise ArchiveError("schema", "manifest is not an object")
@@ -263,7 +265,10 @@ def load_archive(path) -> TensorArchive:
         payload = np.empty(size, dtype=np.uint8)
         if fh.readinto(payload) != size:
             raise ArchiveError("checksum", "payload length mismatch")
-    if hashlib.sha256(payload).hexdigest() != sha256:
+    factors = manifest.get("factors")
+    digest = _digest(factors)
+    digest.update(payload)
+    if digest.hexdigest() != sha256:
         raise ArchiveError("checksum", "payload checksum mismatch")
 
     counts = _required(dimer, ("n_orb_A", "n_orb_B", "n_elec_A", "n_elec_B"), "manifest dimer")
@@ -290,108 +295,92 @@ def load_archive(path) -> TensorArchive:
         arrays["v"][...] = symmetrize_v(arrays["v"])
     if "S" in arrays:
         validate_overlap(arrays["S"])
-    return TensorArchive(basis=basis, arrays=arrays)
+    return TensorArchive(basis=basis, arrays=arrays, factors=factors)
 
 
 # ---------------------------------------------------------------------------
 # factor caches ride in the same container
 
 
-def _put_factors(out: dict, prefix: str, facts: list[Factorization]) -> None:
-    """Stack a list of factorizations of equally shaped matrices.
+def _put_factors(arrays: dict, prefix: str, facts: list[Factorization]) -> dict:
+    """Stack a list of factorizations of equally shaped matrices; return its
+    ``factors`` entry, the ``rank`` and ``symmetric`` flag of each.
 
-    ``rank`` and ``symmetric`` hold one entry per factorization; ``values``
-    concatenates their values and ``left`` their transposed left factors,
-    row by row.  ``right`` holds, likewise, the right factors of the
+    ``values`` concatenates their values and ``left`` their transposed left
+    factors, row by row.  ``right`` holds, likewise, the right factors of the
     non-symmetric and the empty factorizations only: a symmetric one's right
     factor is its left, but the empty one of a zero matrix keeps its own
     column count.  It is written only when one of those is in the list.
     The three stacks are :class:`RowStack` views of the factors' own memory.
     """
-    out[f"{prefix}.rank"] = np.array([f.rank for f in facts], dtype=float)
-    out[f"{prefix}.symmetric"] = np.array([f.symmetric for f in facts], dtype=float)
-    out[f"{prefix}.values"] = RowStack([f.values for f in facts], (0,))
-    out[f"{prefix}.left"] = RowStack([f.left.T for f in facts], (0, 0))
+    arrays[f"{prefix}.values"] = RowStack([f.values for f in facts], (0,))
+    arrays[f"{prefix}.left"] = RowStack([f.left.T for f in facts], (0, 0))
     rights = [f.right.T for f in facts if not f.symmetric or not f.rank]
     if rights:
-        out[f"{prefix}.right"] = RowStack(rights, (0, 0))
+        arrays[f"{prefix}.right"] = RowStack(rights, (0, 0))
+    return {"rank": [f.rank for f in facts], "symmetric": [bool(f.symmetric) for f in facts]}
 
 
-def factor_arrays(fop: FactorizedOperator) -> dict[str, np.ndarray | RowStack]:
-    out: dict[str, np.ndarray | RowStack] = {}
+def factor_archive(fop: FactorizedOperator, basis: DimerBasis) -> TensorArchive:
+    """A factor cache: the operator's ``factors`` object and the stacks it names."""
+    arrays: dict[str, RowStack] = {}
+    factors = {"observable": fop.observable, "space": fop.space_tag, "one_body": {}, "blocks": {}}
+    factors["threshold"] = float(fop.threshold)
     for name, fact in fop.one_body.items():
-        _put_factors(out, f"factor.one_body.{name}", [fact])
+        factors["one_body"][name] = _put_factors(arrays, f"factor.one_body.{name}", [fact])
     if fop.overlap is not None:
-        _put_factors(out, "factor.overlap", [fop.overlap])
+        factors["overlap"] = _put_factors(arrays, "factor.overlap", [fop.overlap])
     for label, bf in fop.blocks.items():
         prefix = f"factor.block.{label}"
-        _put_factors(out, f"{prefix}.outer", [bf.outer])
-        out[f"{prefix}.shape"] = np.array(bf.shape, dtype=float)
-        out[f"{prefix}.discarded"] = np.array(bf.discarded_weight)
-        _put_factors(out, f"{prefix}.inner_left", bf.inner_left)
+        block = factors["blocks"][label] = {
+            "shape": [int(n) for n in bf.shape],
+            "discarded": float(bf.discarded_weight),
+            "outer": _put_factors(arrays, f"{prefix}.outer", [bf.outer]),
+            "inner_left": _put_factors(arrays, f"{prefix}.inner_left", bf.inner_left),
+        }
         if bf.inner_right is not bf.inner_left:
-            _put_factors(out, f"{prefix}.inner_right", bf.inner_right)
-    out["factor.meta.threshold"] = np.array(fop.threshold)
-    return out
-
-
-def _codes(observable: str) -> np.ndarray:
-    """How a cache spells an observable name: one float code point per character."""
-    return np.array([float(ord(c)) for c in observable])
+            block["inner_right"] = _put_factors(arrays, f"{prefix}.inner_right", bf.inner_right)
+    return TensorArchive(basis=basis, arrays=arrays, factors=factors)
 
 
 def save_factor_cache(path, fop: FactorizedOperator, basis: DimerBasis) -> None:
-    arrays = factor_arrays(fop)
-    arrays["factor.meta.observable"] = _codes(fop.observable)
-    arrays["factor.meta.space"] = np.array(1.0 if fop.space_tag == "active" else 0.0)
-    save_archive(path, TensorArchive(basis=basis, arrays=arrays))
+    save_archive(path, factor_archive(fop, basis))
 
 
-def _need(arrays: dict, name: str) -> np.ndarray:
-    if name not in arrays:
-        raise ArchiveError(
-            "schema",
-            f"factor cache lacks {name}; caches written by earlier versions are not read, "
-            "re-run `saptkit factorize`",
-        )
-    return arrays[name]
+def _invalid(what: str) -> ArchiveError:
+    return ArchiveError("schema", f"factor cache {what}")
 
 
-def _counts(arr: np.ndarray, name: str) -> list[int]:
-    """The entries of a stored array of counts, checked to be non-negative integers."""
-    flat = arr.reshape(-1)
-    if not np.all((flat >= 0) & (flat == np.floor(flat)) & (flat < 2**53)):
-        raise ArchiveError("schema", f"factor cache array {name} holds entries that are not counts")
-    return flat.astype(np.int64).tolist()
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0  # a JSON int; type(True) is bool
 
 
-def _flags(arr: np.ndarray, name: str) -> np.ndarray:
-    """The entries of a stored array of 0/1 flags, as booleans."""
-    flat = arr.reshape(-1)
-    if not np.all((flat == 0) | (flat == 1)):
-        raise ArchiveError("schema", f"factor cache array {name} holds entries other than 0 and 1")
-    return flat != 0
-
-
-def _get_factors(arrays: dict, prefix: str, count: int | None = None) -> list[Factorization]:
-    """The factorizations :func:`_put_factors` stacked, as views of its arrays."""
-    ranks, symmetric, values, left = (
-        _need(arrays, f"{prefix}.{field}") for field in ("rank", "symmetric", "values", "left")
+def _get_factors(arrays: dict, named: set, prefix: str, entry, count=None) -> list[Factorization]:
+    """The factorizations of one ``factors`` entry, as views of the stacks
+    :func:`_put_factors` wrote; their names are added to ``named``, which
+    :func:`load_factor_cache` checks against the stored ones."""
+    ranks, flags = _required(entry, ("rank", "symmetric"), f"factor cache entry {prefix}")
+    if not isinstance(ranks, list) or not all(_is_count(k) for k in ranks):
+        raise _invalid(f"entry {prefix} holds ranks that are not counts")
+    if not isinstance(flags, list) or not all(type(s) is bool for s in flags):
+        raise _invalid(f"entry {prefix} holds symmetric flags that are not true or false")
+    stored = [k for k, sym in zip(ranks, flags) if not sym or not k]  # ranks of the right stack
+    named.update(f"{prefix}.{field}" for field in ("values", "left", "right")[: 2 + bool(stored)])
+    values, left, right = (
+        arrays.get(f"{prefix}.{field}", np.zeros((0,) * ndim))  # a missing one fails below
+        for field, ndim in (("values", 1), ("left", 2), ("right", 2))
     )
-    right = arrays.get(f"{prefix}.right", np.zeros((0, 0)))
-    ranks, symmetric = _counts(ranks, f"{prefix}.rank"), _flags(symmetric, f"{prefix}.symmetric")
-    n_right = sum(k for k, sym in zip(ranks, symmetric) if not sym or not k)
     if (
-        len(ranks) != len(symmetric)
+        len(ranks) != len(flags)
         or (count is not None and len(ranks) != count)
         or (values.ndim, left.ndim, right.ndim) != (1, 2, 2)
         or not len(values) == len(left) == sum(ranks)
-        or len(right) != n_right
+        or len(right) != sum(stored)
     ):
-        raise ArchiveError("schema", f"factor cache arrays {prefix}.* do not fit together")
+        raise _invalid(f"arrays {prefix}.* do not fit together")
     facts = []
     lo = lo_right = 0
-    for k, sym in zip(ranks, symmetric.tolist()):
+    for k, sym in zip(ranks, flags):
         u = left[lo : lo + k].T
         if sym and k:
             v = u
@@ -413,67 +402,57 @@ def _check_block(bf: BlockFactors) -> None:
     try:
         (r1, r2), (c1, c2) = bf.row_shape, bf.col_shape
     except KeyError:
-        raise ArchiveError("schema", f"factor cache holds unknown block {bf.label!r}") from None
+        raise _invalid(f"holds unknown block {bf.label!r}") from None
     fits = (bf.outer.left.shape[0], bf.outer.right.shape[0]) == (r1 * r2, c1 * c2)
     for facts, n1, n2 in ((bf.inner_left, r1, r2), (bf.inner_right, c1, c2)):
         fits = fits and len(facts) == bf.outer.rank
         fits = fits and all((f.left.shape[0], f.right.shape[0]) == (n1, n2) for f in facts)
     if not fits:
-        raise ArchiveError(
-            "schema", f"factor cache block {bf.label!r} does not fit its shape {list(bf.shape)}"
-        )
+        raise _invalid(f"block {bf.label!r} does not fit its shape {list(bf.shape)}")
 
 
 def load_factor_cache(path) -> FactorizedOperator:
-    arrays = load_archive(path).arrays
-
-    def scalar(name: str) -> float:
-        if _need(arrays, name).size != 1:
-            raise ArchiveError("schema", f"factor cache array {name} is not one number")
-        return float(arrays[name].reshape(-1)[0])
-
-    codes = _need(arrays, "factor.meta.observable").reshape(-1)
-    observable = next((o for o in ("V", "P", "VPs") if np.array_equal(codes, _codes(o))), None)
-    if observable is None:
-        raise ArchiveError(
-            "schema", "factor cache array factor.meta.observable does not spell V, P or VPs"
+    """The operator a factor cache holds, walked from its ``factors`` object."""
+    archive = load_archive(path)
+    meta, arrays, named = archive.factors, archive.arrays, set()
+    if meta is None:
+        raise _invalid(
+            "lacks its factors object; caches written by earlier versions are not read, "
+            "re-run `saptkit factorize`"
         )
-    space = scalar("factor.meta.space")
-    if space not in (0.0, 1.0):
-        raise ArchiveError("schema", "factor cache array factor.meta.space is neither 0 nor 1")
-    fop = FactorizedOperator(
-        observable=observable,
-        space_tag="active" if space else "full",
-        threshold=scalar("factor.meta.threshold"),
+    observable, space, threshold, one_body, blocks = _required(
+        meta, ("observable", "space", "threshold", "one_body", "blocks"), "factor cache object"
     )
-
-    def keys(head: str) -> list[str]:
-        # every array under a group counts, so one renamed array cannot hide it
-        return sorted({name.split(".")[2] for name in arrays if name.startswith(head)})
-
-    for key in keys("factor.one_body."):
-        (fop.one_body[key],) = _get_factors(arrays, f"factor.one_body.{key}", 1)
-    if keys("factor.overlap."):
-        (fop.overlap,) = _get_factors(arrays, "factor.overlap", 1)
-    for label in keys("factor.block."):
+    if observable not in ("V", "P", "VPs") or space not in ("full", "active"):
+        raise _invalid("names no known observable (V, P, VPs) or space (full, active)")
+    if type(threshold) is not float or not 0.0 <= threshold < 1.0:
+        raise _invalid("threshold is not a number in [0, 1)")
+    if not isinstance(one_body, dict) or not isinstance(blocks, dict):
+        raise _invalid("one_body or blocks is not an object")
+    fop = FactorizedOperator(observable=observable, space_tag=space, threshold=threshold)
+    for name, entry in one_body.items():
+        (fop.one_body[name],) = _get_factors(arrays, named, f"factor.one_body.{name}", entry, 1)
+    if "overlap" in meta:
+        (fop.overlap,) = _get_factors(arrays, named, "factor.overlap", meta["overlap"], 1)
+    for label, block in blocks.items():
         prefix = f"factor.block.{label}"
-        (outer,) = _get_factors(arrays, f"{prefix}.outer", 1)
-        shape = _counts(_need(arrays, f"{prefix}.shape"), f"{prefix}.shape")
-        if len(shape) != 4:
-            raise ArchiveError("schema", f"factor cache array {prefix}.shape is not 4 sizes")
-        bf = BlockFactors(
-            label=label,
-            shape=tuple(shape),
-            outer=outer,
-            inner_left=_get_factors(arrays, f"{prefix}.inner_left"),
-            discarded_weight=scalar(f"{prefix}.discarded"),
-        )
-        if any(name.startswith(f"{prefix}.inner_right.") for name in arrays):
-            bf.inner_right = _get_factors(arrays, f"{prefix}.inner_right")
-        else:
-            bf.inner_right = bf.inner_left
+        fields = ("shape", "discarded", "outer", "inner_left")
+        shape, discarded, outer, inner = _required(block, fields, f"factor cache block {label!r}")
+        if not isinstance(shape, list) or len(shape) != 4 or not all(map(_is_count, shape)):
+            raise _invalid(f"block {label!r} shape is not 4 counts")
+        if type(discarded) is not float or not 0.0 <= discarded < math.inf:
+            raise _invalid(f"block {label!r} discarded weight is not a finite number >= 0")
+        (outer,) = _get_factors(arrays, named, f"{prefix}.outer", outer, 1)
+        bf = BlockFactors(label, tuple(shape), outer, discarded_weight=discarded)
+        bf.inner_left = _get_factors(arrays, named, f"{prefix}.inner_left", inner)
+        bf.inner_right = bf.inner_left
+        if "inner_right" in block:
+            right = block["inner_right"]
+            bf.inner_right = _get_factors(arrays, named, f"{prefix}.inner_right", right)
         _check_block(bf)
         fop.blocks[label] = bf
+    if set(arrays) != named:
+        raise _invalid(f"arrays differ from those its object names: {sorted(set(arrays) ^ named)}")
     return fop
 
 

@@ -18,6 +18,7 @@ from .costing import (
     CalibrationConstants,
     SystemParams,
     budget_errors,
+    check_budget,
     emit_callgraph,
     estimate_observable,
     estimate_supermolecular,
@@ -94,19 +95,19 @@ def cmd_norms(args) -> int:
 
 
 def _observable_norms(args, archive: ar.TensorArchive | None) -> dict[str, float]:
-    """lambda_F per observable: the archive's factorized totals, then the
-    explicit --lambda-v/-p/-vp flags over them."""
-    lam = {}
-    if archive is not None:
-        for _, fop in _operators(archive, OBSERVABLES, args.truncation):
-            lam[fop.observable] = tf_norm(fop).total
-            del fop  # hold one operator at a time
-    for key, val in zip(OBSERVABLES, (args.lambda_v, args.lambda_p, args.lambda_vp)):
-        if val is not None:
-            lam[key] = val
-    missing = [k for k in OBSERVABLES if k not in lam]
-    if missing:
-        raise DomainError(f"{args.command} needs observable norms for {', '.join(missing)}")
+    """lambda_F per observable: the explicit --lambda-v/-p/-vp flags, and the
+    archive's factorized totals for the others only.  The flags, the target
+    and the truncation are checked before anything is factorized."""
+    flags = zip(OBSERVABLES, (args.lambda_v, args.lambda_p, args.lambda_vp))
+    lam = {key: val for key, val in flags if val is not None}
+    check_budget(args.eps_targ, *lam.values())
+    check_threshold(args.truncation)
+    todo = [key for key in OBSERVABLES if key not in lam]
+    if todo and archive is None:
+        raise DomainError(f"{args.command} needs observable norms for {', '.join(todo)}")
+    for _, fop in _operators(archive, todo, args.truncation) if todo else ():
+        lam[fop.observable] = tf_norm(fop).total
+        del fop  # hold one operator at a time
     return lam
 
 
@@ -223,8 +224,7 @@ def cmd_verify(args) -> int:
     from .verify import run_verification
 
     archive = ar.load_archive(args.archive) if args.archive else ar.demo_archive()
-    ok = run_verification(archive, verbose=True)
-    return 0 if ok else 1
+    return 0 if run_verification(archive) else 1
 
 
 def cmd_convert_fcidump(args) -> int:

@@ -31,6 +31,13 @@ def _positive(*values: float) -> bool:
     return all(0.0 < x < math.inf for x in values)
 
 
+def _ceil(x: float, what: str) -> int:
+    """ceil(x) of a derived count; extreme finite inputs can make it infinite."""
+    if not x < math.inf:
+        raise DomainError(f"{what} is not finite for these inputs")
+    return math.ceil(x)
+
+
 # ---------------------------------------------------------------------------
 # parameter containers
 
@@ -77,6 +84,12 @@ class ErrorBudget:
         return {"V": self.eps_V, "VPs": self.eps_VP, "P": self.eps_P}[observable]
 
 
+def check_budget(*values: float) -> None:
+    """Raise DomainError unless every norm and the target is positive and finite."""
+    if not _positive(*values):
+        raise DomainError("degenerate budget: norms and target must be positive and finite")
+
+
 def budget_errors(
     lam_V: float,
     lam_P: float,
@@ -92,8 +105,7 @@ def budget_errors(
     w_P = lam_V; supplying low-accuracy expectation estimates replaces the
     norms inside the constraint weights only.
     """
-    if not _positive(lam_V, lam_P, lam_VP, eps_targ):
-        raise DomainError("degenerate budget: norms and target must be positive and finite")
+    check_budget(lam_V, lam_P, lam_VP, eps_targ)
     w_v = 1.0 + (lam_P if exp_P is None else abs(exp_P))
     w_p = lam_V if exp_V is None else abs(exp_V)
     denom = math.sqrt(w_v * lam_V) + math.sqrt(lam_VP) + math.sqrt(w_p * lam_P)
@@ -312,12 +324,14 @@ def _iterations(lam: float, eps: float, calib: CalibrationConstants) -> int:
     ratio, so the phase must be read to sensitivity * eps/lambda radians.
     """
     resolution = PHASE_SENSITIVITY * eps / lam
-    return math.ceil(calib.oqpe_prefactor * math.pi / resolution)
+    ratio = calib.oqpe_prefactor * math.pi / resolution if resolution else math.inf
+    return _ceil(ratio, "the iteration count (lambda/eps)")
 
 
 def _qsp_degree(lam_x: float, delta_x: float, big_lambda: float, calib) -> int:
     log_term = math.log(max(math.e, calib.qsp_log_scale * big_lambda))
-    return max(1, math.ceil(calib.qsp_prefactor * (lam_x / delta_x) * log_term))
+    degree = calib.qsp_prefactor * (lam_x / delta_x) * log_term
+    return max(1, _ceil(degree, "the QSP degree (lambda/gap)"))
 
 
 def hamiltonian_encoding_node(
@@ -455,7 +469,7 @@ def estimate_observable(
         aqpe = CostNode(f"aQPE_{which}")
         # separate encoding instance: the call graph is a tree, not a DAG
         aqpe.add(degree, hamiltonian_encoding_node(f"B[H_{which}]asp", n_x, calib))
-        repeats = math.ceil(calib.asp_rus / ov**2)
+        repeats = _ceil(calib.asp_rus / ov**2 if ov**2 else math.inf, "ASP repeats (1/overlap^2)")
         asp.add(repeats, aqpe)
 
     root = CostNode(f"E_{observable}")
@@ -510,7 +524,8 @@ def estimate_supermolecular(
     n_ab, n_a, n_b = n_orbs or (2, 1, 1)
     for name, lam, n_orb in (("E_AB", lam_ab, n_ab), ("E_A", lam_a, n_a), ("E_B", lam_b, n_b)):
         eps_x = eps_targ * math.sqrt(lam) / roots
-        iters = math.ceil(calib.oqpe_prefactor * math.pi * lam / (2.0 * eps_x))
+        ratio = calib.oqpe_prefactor * math.pi * lam / (2.0 * eps_x) if eps_x else math.inf
+        iters = _ceil(ratio, "the iteration count (lambda/eps)")
         node = CostNode(name, own_qubits=2 * n_orb + math.ceil(math.log2(iters)) + 2)
         node.add(iters, hamiltonian_encoding_node(f"B[H]({name})", n_orb, calib))
         runs.append((node, eps_x))

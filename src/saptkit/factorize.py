@@ -245,7 +245,7 @@ class _PairPacking(NamedTuple):
         return (u / self.w)[self.unpacked]
 
 
-def first_factorize(block: np.ndarray, label: str, symmetric: bool | None = None) -> BlockFactors:
+def first_factorize(block: np.ndarray, label: str) -> BlockFactors:
     """Grouped-matrix decomposition of one block (no truncation).
 
     Pair-symmetric sides are decomposed in packed pair space; the checks,
@@ -255,7 +255,7 @@ def first_factorize(block: np.ndarray, label: str, symmetric: bool | None = None
     t = np.transpose(np.asarray(block, dtype=float), perm)
     n1, n2, n3, n4 = t.shape
     m = t.reshape(1, n1 * n2, n3 * n4)
-    scale, sym = _check_stack(m, symmetric)
+    scale, sym = _check_stack(m, None)
     rows = _PairPacking.of(m[0], n1, n2, scale[0])
     cols = _PairPacking.of(m[0].T, n3, n4, scale[0])
     if sym[0] and (rows is None or cols is None):
@@ -304,8 +304,8 @@ def inner_values(bf: BlockFactors) -> list[np.ndarray]:
     return _inner(bf.outer.left, bf.row_shape, vectors=False, packed=bf.packed[0])
 
 
-def factorize_block(block: np.ndarray, label: str, symmetric: bool | None = None) -> BlockFactors:
-    return second_factorize(first_factorize(block, label, symmetric))
+def factorize_block(block: np.ndarray, label: str) -> BlockFactors:
+    return second_factorize(first_factorize(block, label))
 
 
 def reconstruct_block(bf: BlockFactors) -> np.ndarray:
@@ -380,9 +380,6 @@ class FactorizedOperator:
     @property
     def lambda_s(self) -> float:
         return float(np.abs(self.overlap.values).sum()) if self.overlap is not None else 0.0
-
-    def discarded_weight(self) -> float:
-        return sum(bf.discarded_weight for bf in self.blocks.values())
 
 
 # the two-body blocks each observable's factorization holds, in this order

@@ -24,17 +24,14 @@ from .tensors import build_majorana_coefficients, sym_v4
 
 
 class _Reporter:
-    def __init__(self, verbose: bool):
-        self.verbose = verbose
+    def __init__(self):
         self.failures = 0
 
     def check(self, name: str, ok: bool, detail: str = ""):
         if not ok:
             self.failures += 1
-        if self.verbose:
-            status = "pass" if ok else "FAIL"
-            suffix = f"  ({detail})" if detail else ""
-            print(f"[{status}] {name}{suffix}")
+        suffix = f"  ({detail})" if detail else ""
+        print(f"[{'pass' if ok else 'FAIL'}] {name}{suffix}")
 
 
 def _oracle_checks(rep: _Reporter, archive: TensorArchive, rng: np.random.Generator):
@@ -103,18 +100,16 @@ def _embedding_check(rep: _Reporter, rng: np.random.Generator):
         rep.check(f"{kind}: frozen-core embedding", d < tol, f"diff={d:.2e}")
 
 
-def run_verification(archive: TensorArchive | None = None, verbose: bool = False) -> bool:
-    """Run the oracle suite; returns True when every check passes."""
+def run_verification(archive: TensorArchive) -> bool:
+    """Run the oracle suite, printing one line per check; returns True when every check passes."""
     rng = np.random.default_rng(2024)
-    rep = _Reporter(verbose)
-    archive = archive or demo_archive()
+    rep = _Reporter()
 
     oracle_archive = archive
     try:
         FockSpace(archive.basis.n_orb_A, archive.basis.n_orb_B)
     except ShapeError:
-        if verbose:
-            print("archive exceeds the oracle size cap; using the built-in dimer")
+        print("archive exceeds the oracle size cap; using the built-in dimer")
         oracle_archive = demo_archive()
     _oracle_checks(rep, oracle_archive, rng)
 
@@ -147,7 +142,5 @@ def run_verification(archive: TensorArchive | None = None, verbose: bool = False
     )
     rep.check("lookup cost optimum", qrom_cost(1024, 16) == (8, 240))
 
-    if verbose:
-        label = "all checks passed" if rep.failures == 0 else f"{rep.failures} check(s) failed"
-        print(label)
+    print("all checks passed" if rep.failures == 0 else f"{rep.failures} check(s) failed")
     return rep.failures == 0

@@ -1,3 +1,5 @@
+import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from saptkit.archive import (
     TensorArchive,
     demo_archive,
-    factor_arrays,
+    factor_archive,
     load_archive,
     load_factor_cache,
     merge_fcidump,
@@ -44,7 +46,7 @@ class TestRoundTrip:
         assert path.read_bytes() == first
 
     def test_array_shapes_round_trip(self, tmp_path):
-        # 0-d scalars (gap_A, factor.meta.threshold, every .discarded) reload 0-d
+        # 0-d scalars (gap_A) reload 0-d
         archive = demo_archive()
         fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["VPs"])
         path = tmp_path / "dimer.sapt"
@@ -55,27 +57,17 @@ class TestRoundTrip:
         }
         save_factor_cache(path, fop, archive.basis)
         loaded = load_archive(path).arrays
-        for name, arr in factor_arrays(fop).items():
+        for name, arr in factor_archive(fop, archive.basis).arrays.items():
             assert loaded[name].shape == np.shape(arr), name
-        assert loaded["factor.meta.threshold"].shape == ()
 
     def test_one_element_scalars_still_load(self, tmp_path):
         # a scalar stored with shape (1,) reads as the same scalar
         archive = demo_archive()
-        fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["VPs"])
-        path = tmp_path / "dimer.factors"
-
-        def save_flat(arrays):
-            flat = {n: np.reshape(a, -1) if np.ndim(a) == 0 else a for n, a in arrays.items()}
-            save_archive(path, TensorArchive(archive.basis, flat))
-
-        save_factor_cache(path, fop, archive.basis)
-        save_flat(load_archive(path).arrays)
-        assert load_archive(path).arrays["factor.meta.threshold"].shape == (1,)
-        assert_same_operator(load_factor_cache(path), fop)
-        save_flat(archive.arrays)
+        path = tmp_path / "dimer.sapt"
+        flat = {n: np.reshape(a, -1) if np.ndim(a) == 0 else a for n, a in archive.arrays.items()}
+        save_archive(path, TensorArchive(archive.basis, flat))
         assert load_archive(path).arrays["gap_A"].shape == (1,)
-        assert load_archive(path).scalar("gap_A") == archive.scalar("gap_A")
+        assert load_archive(path).scalar("gap_A", 0.0) == archive.scalar("gap_A", 0.0) == 0.2
 
     def test_minimal_single_orbital(self, tmp_path):
         path = tmp_path / "one.sapt"
@@ -142,6 +134,14 @@ class TestValidation:
             load_archive(path)
         assert err.value.code == "shape"
 
+    def test_deeply_nested_manifest_is_schema_error(self, tmp_path):
+        path = tmp_path / "d.sapt"
+        blob = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(b"SAPTKIT1" + len(blob).to_bytes(8, "little") + blob)
+        with pytest.raises(ArchiveError) as err:
+            load_archive(path)
+        assert err.value.code == "schema"
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(ArchiveError) as err:
             load_archive(tmp_path / "absent.sapt")
@@ -166,9 +166,11 @@ class TestFactorCache:
     def test_factor_arrays_flat_names(self):
         archive = demo_archive()
         coeffs = build_majorana_coefficients(archive.v, archive.S)["P"]
-        arrays = factor_arrays(factorize_coefficients(coeffs))
-        assert "factor.overlap.values" in arrays
-        assert all(name.startswith("factor.") for name in arrays)
+        cache = factor_archive(factorize_coefficients(coeffs), archive.basis)
+        assert "factor.overlap.values" in cache.arrays
+        assert all(re.fullmatch(r"factor\.[\w.]+\.(values|left|right)", n) for n in cache.arrays)
+        assert cache.factors["overlap"]["symmetric"] == [False]
+        assert json.loads(json.dumps(cache.factors)) == cache.factors  # JSON-native types
 
     def test_cache_bytes_round_trip(self, tmp_path):
         archive = demo_archive()
@@ -274,14 +276,12 @@ class TestStackedCache:
     def test_no_right_factor_for_symmetric_slices(self):
         archive = demo_archive(3, 2)
         fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["VPs"])
-        arrays = factor_arrays(fop)
-        groups = {name[: -len(".rank")] for name in arrays if name.endswith(".rank")}
+        arrays = factor_archive(fop, archive.basis).arrays
         all_symmetric = 0
-        for prefix in groups:
-            ranks, sym = arrays[f"{prefix}.rank"], arrays[f"{prefix}.symmetric"] == 1
-            stored = ~sym | (ranks == 0)
-            if stored.any():
-                assert len(arrays[f"{prefix}.right"]) == ranks[stored].sum(), prefix
+        for prefix, facts in cache_lists(fop):
+            stored = [f.rank for f in facts if not f.symmetric or not f.rank]
+            if stored:
+                assert arrays[f"{prefix}.right"].shape[0] == sum(stored), prefix
             else:
                 all_symmetric += 1
                 assert f"{prefix}.right" not in arrays, prefix
@@ -298,15 +298,23 @@ class TestStackedCache:
         assert err.value.code == "schema"
         assert "re-run `saptkit factorize`" in str(err.value)
 
-    def test_inconsistent_stack_is_schema_error(self, tmp_path):
+    def test_float_coded_layout_is_rejected(self, tmp_path):
+        # stacked factors beside float arrays of ranks, flags, shapes and names
         archive = demo_archive()
-        fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["V"])
-        arrays = factor_arrays(fop)
-        arrays["factor.meta.observable"] = np.array([86.0])
-        arrays["factor.meta.space"] = np.array(0.0)
-        arrays["factor.block.v.inner_left.rank"] = arrays["factor.block.v.inner_left.rank"] + 1
+        fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["VPs"])
+        path = tmp_path / "float-coded.factors"
+        save_archive(path, TensorArchive(basis=archive.basis, arrays=float_coded_arrays(fop)))
+        with pytest.raises(ArchiveError) as err:
+            load_factor_cache(path)
+        assert err.value.code == "schema"
+        assert "re-run `saptkit factorize`" in str(err.value)
+
+    def test_inconsistent_stack_is_schema_error(self, tmp_path):
+        cache = v_cache()
+        ranks = cache.factors["blocks"]["v"]["inner_left"]["rank"]
+        ranks[:] = [k + 1 for k in ranks]
         path = tmp_path / "bad.factors"
-        save_archive(path, TensorArchive(basis=archive.basis, arrays=arrays))
+        save_archive(path, cache)
         with pytest.raises(ArchiveError) as err:
             load_factor_cache(path)
         assert err.value.code == "schema"
@@ -326,74 +334,136 @@ class TestStackedCache:
         assert peak < 0.5 * path.stat().st_size
 
 
-def v_cache_arrays(n_a=3, n_b=2) -> tuple[dict, DimerBasis]:
+def v_cache(n_a=3, n_b=2) -> TensorArchive:
     archive = demo_archive(n_a, n_b)
     fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["V"])
-    arrays = factor_arrays(fop)
-    arrays["factor.meta.observable"] = np.array([86.0])
-    arrays["factor.meta.space"] = np.array(0.0)
-    return arrays, archive.basis
+    return factor_archive(fop, archive.basis)
+
+
+def holder(factors: dict, path: tuple):
+    """The dict or list that holds the entry at ``path`` of a factors object."""
+    for key in path[:-1]:
+        factors = factors[key]
+    return factors
 
 
 class TestCacheSchema:
-    def load_saved(self, path, arrays, basis):
-        save_archive(path, TensorArchive(basis=basis, arrays=arrays))
+    """Each case edits the factors object and saves it with a valid checksum,
+    so the typed check itself must reject it, as a schema error."""
+
+    def load_saved(self, path, cache):
+        save_archive(path, cache)
         with pytest.raises(ArchiveError) as err:
             load_factor_cache(path)
         assert err.value.code == "schema"
         return str(err.value)
 
     @pytest.mark.parametrize(
-        "edit", [lambda r: r + 0.5, lambda r: -r - 1], ids=["fractional", "negative"]
+        "edit", [lambda r: r + 0.5, lambda r: -r - 1, lambda r: True, lambda r: float(r)],
+        ids=["fractional", "negative", "bool", "float"],
     )
     def test_rank_that_is_not_a_count_is_schema_error(self, tmp_path, edit):
-        arrays, basis = v_cache_arrays()
-        ranks = arrays["factor.block.v.inner_left.rank"].copy()
+        cache = v_cache()
+        ranks = cache.factors["blocks"]["v"]["inner_left"]["rank"]
         ranks[0] = edit(ranks[0])
-        arrays["factor.block.v.inner_left.rank"] = ranks
-        assert "not counts" in self.load_saved(tmp_path / "c", arrays, basis)
+        assert "not counts" in self.load_saved(tmp_path / "c", cache)
 
-    @pytest.mark.parametrize("shape", [[5, 5, 2, 2], [3, 3, 2], [3, 3, 2, 2.5]])
+    @pytest.mark.parametrize(
+        "shape", [[5, 5, 2, 2], [3, 3, 2], [3, 3, 2, 2.5], [3, 3, 2, True], "3322", None]
+    )
     def test_block_shape_must_fit_its_factors(self, tmp_path, shape):
-        arrays, basis = v_cache_arrays()
-        assert arrays["factor.block.v.shape"].tolist() == [3, 3, 2, 2]
-        arrays["factor.block.v.shape"] = np.array(shape, dtype=float)
-        self.load_saved(tmp_path / "c", arrays, basis)
+        cache = v_cache()
+        assert cache.factors["blocks"]["v"]["shape"] == [3, 3, 2, 2]
+        cache.factors["blocks"]["v"]["shape"] = shape
+        self.load_saved(tmp_path / "c", cache)
 
     @pytest.mark.parametrize("name", ["factor.meta.space", "factor.block.v.discarded"])
     def test_scalar_must_hold_one_number(self, tmp_path, name):
-        arrays, basis = v_cache_arrays()
-        arrays[name] = np.zeros(0)
-        assert "not one number" in self.load_saved(tmp_path / "c", arrays, basis)
+        # the space name and the discarded weight each hold one value, not a list
+        cache = v_cache()
+        if name == "factor.meta.space":
+            cache.factors["space"] = []
+        else:
+            cache.factors["blocks"]["v"]["discarded"] = []
+        self.load_saved(tmp_path / "c", cache)
 
     @pytest.mark.parametrize(
-        "codes",
-        [[1e7], [86.5], [-86.0], [87.0], [86.0, 80.0], []],
-        ids=["past-unicode", "fractional", "negative", "other-name", "VP", "empty"],
+        "name",
+        [1e7, 86.5, -86, "W", "VP", "", "v", None],
+        ids=[
+            "past-unicode", "fractional", "negative", "other-name", "VP", "empty", "lower", "null"
+        ],
     )
-    def test_observable_must_spell_a_known_name(self, tmp_path, codes):
-        arrays, basis = v_cache_arrays()
-        arrays["factor.meta.observable"] = np.array(codes, dtype=float)
-        assert "does not spell" in self.load_saved(tmp_path / "c", arrays, basis)
+    def test_observable_must_spell_a_known_name(self, tmp_path, name):
+        cache = v_cache()
+        cache.factors["observable"] = name
+        assert "no known observable" in self.load_saved(tmp_path / "c", cache)
 
-    @pytest.mark.parametrize("flag", [2.0, 0.5, -1.0])
+    @pytest.mark.parametrize("flag", [2.0, 0.5, -1.0, 1, 0, "true", None])
     def test_symmetric_flags_must_be_zero_or_one(self, tmp_path, flag):
-        arrays, basis = v_cache_arrays()
-        flags = arrays["factor.block.v.inner_left.symmetric"].copy()
-        flags[0] = flag
-        arrays["factor.block.v.inner_left.symmetric"] = flags
-        assert "other than 0 and 1" in self.load_saved(tmp_path / "c", arrays, basis)
+        # flags are JSON booleans: the numbers 0 and 1 are not read as flags
+        cache = v_cache()
+        cache.factors["blocks"]["v"]["inner_left"]["symmetric"][0] = flag
+        assert "not true or false" in self.load_saved(tmp_path / "c", cache)
 
-    @pytest.mark.parametrize("space", [2.0, 0.5, -1.0])
+    @pytest.mark.parametrize("space", [2.0, 0.5, -1.0, 0.0, 1.0, "Full", "frozen"])
     def test_space_must_be_zero_or_one(self, tmp_path, space):
-        arrays, basis = v_cache_arrays()
-        arrays["factor.meta.space"] = np.array(space)
-        assert "neither 0 nor 1" in self.load_saved(tmp_path / "c", arrays, basis)
+        # the space is "full" or "active": the numbers 0 and 1 are not read as spaces
+        cache = v_cache()
+        cache.factors["space"] = space
+        assert "space (full, active)" in self.load_saved(tmp_path / "c", cache)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("threshold",), 1.0),
+            (("threshold",), -1e-3),
+            (("threshold",), math.nan),
+            (("threshold",), "0"),
+            (("threshold",), False),
+            (("blocks", "v", "discarded"), -0.5),
+            (("blocks", "v", "discarded"), math.inf),
+            (("blocks", "v", "discarded"), math.nan),
+            (("blocks", "v", "discarded"), True),
+            (("blocks", "v", "discarded"), 10**400),
+        ],
+        ids=["t-one", "t-negative", "t-nan", "t-string", "t-bool",
+             "d-negative", "d-inf", "d-nan", "d-bool", "d-huge-int"],
+    )
+    def test_weights_must_be_numbers_in_range(self, tmp_path, path, value):
+        cache = v_cache()
+        holder(cache.factors, path)[path[-1]] = value
+        assert "not a" in self.load_saved(tmp_path / "c", cache)
+
+    @pytest.mark.parametrize(
+        "path",
+        [("observable",), ("threshold",), ("one_body",), ("blocks",), ("blocks", "v", "shape"),
+         ("blocks", "v", "outer"), ("blocks", "v", "inner_left"),
+         ("blocks", "v", "outer", "rank"), ("one_body", "f_A", "symmetric")],
+        ids=lambda path: ".".join(path),
+    )
+    def test_missing_entry_is_schema_error(self, tmp_path, path):
+        cache = v_cache()
+        del holder(cache.factors, path)[path[-1]]
+        assert "lacks" in self.load_saved(tmp_path / "c", cache)
+
+    @pytest.mark.parametrize("change", ["extra", "missing", "renamed"])
+    def test_arrays_must_be_the_ones_the_object_names(self, tmp_path, change):
+        cache = v_cache()
+        arrays = cache.arrays
+        if change == "extra":
+            arrays["factor.block.v.rank"] = np.array([1.0])
+        elif change == "missing":
+            del arrays["factor.one_body.f_A.values"]
+        else:
+            arrays["factor.block.v.inner_left.lefts"] = arrays.pop("factor.block.v.inner_left.left")
+        self.load_saved(tmp_path / "c", cache)
 
     def test_unknown_block_label_is_schema_error(self, tmp_path):
-        arrays, basis = v_cache_arrays()
-        arrays = {n.replace(".block.v.", ".block.w."): a for n, a in arrays.items()}
-        assert "unknown block" in self.load_saved(tmp_path / "c", arrays, basis)
+        cache = v_cache()
+        cache.factors["blocks"]["w"] = cache.factors["blocks"].pop("v")
+        cache.arrays = {n.replace(".block.v.", ".block.w."): a for n, a in cache.arrays.items()}
+        assert "unknown block" in self.load_saved(tmp_path / "c", cache)
 
     @pytest.mark.parametrize("side", ["inner_left", "inner_right"])
     def test_inner_list_must_match_outer_rank(self, tmp_path, side):
@@ -408,6 +478,23 @@ class TestCacheSchema:
         with pytest.raises(ArchiveError) as err:
             load_factor_cache(path)
         assert err.value.code == "schema"
+
+    @pytest.mark.parametrize("key", ["threshold", "discarded"])
+    def test_changed_digit_in_the_object_is_checksum_error(self, tmp_path, key):
+        # the payload checksum covers the factors object
+        archive = demo_archive(3, 2)
+        coeffs = build_majorana_coefficients(archive.v, archive.S)["VPs"]
+        fop = factorize_coefficients(coeffs, threshold=0.05)
+        path = tmp_path / "vps.factors"
+        save_factor_cache(path, fop, archive.basis)
+        data = path.read_bytes()
+        # the first nonzero digit after the point moves by one: a different number
+        match = re.search(rb'"%s": \d\.\d*?[1-8]' % key.encode(), data)
+        at = match.end() - 1
+        path.write_bytes(data[:at] + bytes([data[at] + 1]) + data[at + 1 :])
+        with pytest.raises(ArchiveError) as err:
+            load_factor_cache(path)
+        assert err.value.code == "checksum"
 
     def test_bad_dimer_counts_are_archive_errors(self, tmp_path):
         path = tmp_path / "d.sapt"
@@ -429,35 +516,46 @@ class TestCacheSchema:
         assert err.value.code == "schema"
 
 
-def joined_cache_arrays(fop: FactorizedOperator) -> dict:
-    """A factor cache's arrays with every stack joined by ``np.concatenate`` first,
-    the reference the streaming writer must match byte for byte."""
+def cache_lists(fop: FactorizedOperator):
+    """(array prefix, factorizations) of every list a factor cache stacks."""
+    for name, fact in fop.one_body.items():
+        yield f"factor.one_body.{name}", [fact]
+    if fop.overlap is not None:
+        yield "factor.overlap", [fop.overlap]
+    for label, bf in fop.blocks.items():
+        yield f"factor.block.{label}.outer", [bf.outer]
+        yield f"factor.block.{label}.inner_left", bf.inner_left
+        if bf.inner_right is not bf.inner_left:
+            yield f"factor.block.{label}.inner_right", bf.inner_right
+
+
+def joined_stacks(fop: FactorizedOperator) -> dict:
+    """A factor cache's stacks, each joined by ``np.concatenate`` first: the
+    reference the streaming writer must match byte for byte."""
     out = {}
 
     def stack(mats):
         return np.concatenate(mats) if mats else np.zeros((0, 0))
 
-    def put(prefix, facts):
-        out[f"{prefix}.rank"] = np.array([f.rank for f in facts], dtype=float)
-        out[f"{prefix}.symmetric"] = np.array([f.symmetric for f in facts], dtype=float)
+    for prefix, facts in cache_lists(fop):
         out[f"{prefix}.values"] = np.concatenate([f.values for f in facts] or [np.zeros(0)])
         out[f"{prefix}.left"] = stack([f.left.T for f in facts])
         rights = [f.right.T for f in facts if not f.symmetric or not f.rank]
         if rights:
             out[f"{prefix}.right"] = stack(rights)
+    return out
 
-    for name, fact in fop.one_body.items():
-        put(f"factor.one_body.{name}", [fact])
-    if fop.overlap is not None:
-        put("factor.overlap", [fop.overlap])
+
+def float_coded_arrays(fop: FactorizedOperator) -> dict:
+    """A factor cache as the float-coded layout held it: the stacks, plus
+    ranks, flags, shapes, weights and names as float arrays."""
+    out = joined_stacks(fop)
+    for prefix, facts in cache_lists(fop):
+        out[f"{prefix}.rank"] = np.array([f.rank for f in facts], dtype=float)
+        out[f"{prefix}.symmetric"] = np.array([f.symmetric for f in facts], dtype=float)
     for label, bf in fop.blocks.items():
-        prefix = f"factor.block.{label}"
-        put(f"{prefix}.outer", [bf.outer])
-        out[f"{prefix}.shape"] = np.array(bf.shape, dtype=float)
-        out[f"{prefix}.discarded"] = np.array(bf.discarded_weight)
-        put(f"{prefix}.inner_left", bf.inner_left)
-        if bf.inner_right is not bf.inner_left:
-            put(f"{prefix}.inner_right", bf.inner_right)
+        out[f"factor.block.{label}.shape"] = np.array(bf.shape, dtype=float)
+        out[f"factor.block.{label}.discarded"] = np.array(bf.discarded_weight)
     out["factor.meta.threshold"] = np.array(fop.threshold)
     out["factor.meta.observable"] = np.array([float(ord(c)) for c in fop.observable])
     out["factor.meta.space"] = np.array(1.0 if fop.space_tag == "active" else 0.0)
@@ -509,6 +607,14 @@ def factorized_operators(draw) -> FactorizedOperator:
     return fop
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestCacheProperties:
     @settings(
         max_examples=60,
@@ -522,7 +628,8 @@ class TestCacheProperties:
         basis = DimerBasis(3, 3, 2, 2)
         path, ref = tmp_path / "streamed.factors", tmp_path / "joined.factors"
         save_factor_cache(path, fop, basis)
-        save_archive(ref, TensorArchive(basis=basis, arrays=joined_cache_arrays(fop)))
+        factors = factor_archive(fop, basis).factors
+        save_archive(ref, TensorArchive(basis=basis, arrays=joined_stacks(fop), factors=factors))
         assert path.read_bytes() == ref.read_bytes()
         assert_same_operator(load_factor_cache(path), fop)
 
@@ -542,8 +649,7 @@ class TestCacheProperties:
         path = tmp_path / kind
         if not path.exists():
             if kind == "cache":
-                arrays, basis = v_cache_arrays(2, 2)
-                save_archive(path, TensorArchive(basis=basis, arrays=arrays))
+                save_archive(path, v_cache(2, 2))
             else:
                 save_archive(path, demo_archive())
         data = bytearray(path.read_bytes())
@@ -555,6 +661,34 @@ class TestCacheProperties:
         damaged.write_bytes(bytes(data))
         try:
             (load_factor_cache if kind == "cache" else load_archive)(damaged)
+        except ArchiveError:
+            pass
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_edited_object_loads_or_raises_archive_error(self, tmp_path, data):
+        # any entry of the factors object replaced or deleted, saved with a valid checksum
+        cache = v_cache(2, 2)
+        parent, key, node = cache, "factors", cache.factors
+        while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = data.draw(st.sampled_from(keys))
+            parent, node = node, node[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[key]
+        elif parent is cache:
+            cache.factors = data.draw(JSON_VALUES)
+        else:
+            parent[key] = data.draw(JSON_VALUES)
+        save_archive(tmp_path / "edited", cache)
+        try:
+            load_factor_cache(tmp_path / "edited")
         except ArchiveError:
             pass
 

@@ -98,13 +98,34 @@ class TestBudget:
 
     @pytest.mark.parametrize("command", ["budget", "estimate"])
     def test_flags_override_archive_norms(self, archive_path, monkeypatch, capsys, command):
-        calls = []
-        budget = cli.budget_errors
+        # only the observables no flag gives are factorized; with all three given, none
+        calls, factorized, built = [], [], []
+        budget, build = cli.budget_errors, cli._coefficient_sets
+        factorize = cli.factorize_coefficients
         monkeypatch.setattr(cli, "budget_errors", lambda *a: calls.append(a) or budget(*a))
+        monkeypatch.setattr(
+            cli, "factorize_coefficients",
+            lambda c, *a, **k: factorized.append(c.observable) or factorize(c, *a, **k),
+        )
+        monkeypatch.setattr(cli, "_coefficient_sets", lambda a: built.append(1) or build(a))
         assert main([command, "--archive", str(archive_path)]) == 0
+        assert factorized == ["V", "P", "VPs"]
         assert main([command, "--archive", str(archive_path), "--lambda-p", "7.5"]) == 0
+        assert factorized == ["V", "P", "VPs", "V", "VPs"]
         (lam_v, lam_p, lam_vp, eps), override = calls
         assert lam_p != 7.5 and override == (lam_v, 7.5, lam_vp, eps)
+        flags = ["--lambda-v", "1.5", "--lambda-p", "7.5", "--lambda-vp", "2.5"]
+        assert main([command, "--archive", str(archive_path)] + flags) == 0
+        assert len(factorized) == 5 and len(built) == 2
+        assert calls[-1] == (1.5, 7.5, 2.5, eps)
+
+    @pytest.mark.parametrize("flag, value", [("--eps-targ", "0"), ("--truncation", "1.5")])
+    def test_bad_settings_rejected_before_factorizing(
+        self, archive_path, monkeypatch, capsys, flag, value
+    ):
+        monkeypatch.setattr(cli, "_coefficient_sets", lambda a: pytest.fail("factorized"))
+        for command in ("budget", "estimate"):
+            assert_data_error([command, "--archive", str(archive_path), flag, value], capsys)
 
 
 @pytest.mark.parametrize(
@@ -119,6 +140,12 @@ class TestBudget:
         SUPERMOLECULAR + ["--eps-targ", "inf"],
         BUDGET + ["--lambda-v", "nan"],
         BUDGET + ["--eps-targ", "nan"],
+        ESTIMATE + ["--eps-targ", "1e-320"],
+        ESTIMATE + ["--gap-a", "1e-320"],
+        ESTIMATE + ["--overlap-a", "1e-200"],
+        ["supermolecular", "--lambda-ab", "1e300", "--lambda-a", "1", "--lambda-b", "1",
+         "--eps-targ", "1e-300"],
+        SUPERMOLECULAR + ["--eps-targ", "1e-300", "--lambda-a", "1e-300"],  # its eps_A underflows
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )

@@ -52,11 +52,6 @@ class TestFirstFactorize:
         bf = first_factorize(block, "A2")
         assert np.abs(bf.outer.values).sum() <= np.abs(m).sum() + 1e-12
 
-    def test_symmetry_contract(self, rng):
-        block = rng.normal(size=(2, 2, 2, 2))
-        with pytest.raises(SymmetryError):
-            first_factorize(block, "A2", symmetric=True)
-
     def test_nan_rejected(self):
         m = np.full((2, 2), np.nan)
         with pytest.raises(DomainError):
