@@ -45,7 +45,7 @@ import numpy as np
 
 from .active import SpacePartition
 from .errors import ArchiveError, ShapeError
-from .factorize import BlockFactors, Factorization, FactorizedOperator
+from .factorize import _BLOCK_LABELS, _ONE_BODY, BlockFactors, Factorization, FactorizedOperator
 from .tensors import DimerBasis, symmetrize_v, validate_overlap
 
 MAGIC = b"SAPTKIT1"
@@ -451,6 +451,11 @@ def load_factor_cache(path) -> FactorizedOperator:
             bf.inner_right = _get_factors(arrays, named, f"{prefix}.inner_right", right)
         _check_block(bf)
         fop.blocks[label] = bf
+    missing = [name for name in _ONE_BODY[observable] if name not in one_body]
+    # the row-coupled blocks are held only where a frozen core gives them
+    missing += [k for k in _BLOCK_LABELS[observable] if k not in blocks and k not in ("2r", "3r")]
+    if missing:
+        raise _invalid(f"of {observable} lacks {', '.join(missing)}")
     if set(arrays) != named:
         raise _invalid(f"arrays differ from those its object names: {sorted(set(arrays) ^ named)}")
     return fop

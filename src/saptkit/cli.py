@@ -27,6 +27,7 @@ from .costing import (
 from .errors import DomainError, SaptError
 from .factorize import check_threshold, factorize_coefficients, shared_blocks
 from .norms import (
+    EXCLUDED_BLOCKS,
     df_hamiltonian_norm,
     factorize_monomer_hamiltonian,
     format_table,
@@ -49,16 +50,27 @@ def _coefficient_sets(archive: ar.TensorArchive):
     return build_majorana_coefficients(archive.v, archive.S)
 
 
-def _operators(archive: ar.TensorArchive, observables, truncation: float, factorize: bool = True):
+def _operators(
+    archive: ar.TensorArchive,
+    observables,
+    truncation: float,
+    factorize: bool = True,
+    total_only: bool = False,
+):
     """Yield (coefficients, factorized operator) per observable, in order, one
     operator at a time; a block two observables hold alike is factorized once.
-    The operator is None when ``factorize`` is false."""
+    The operator is None when ``factorize`` is false, and lacks the blocks
+    ``tf_norm`` reports outside its total when ``total_only`` is true."""
     check_threshold(truncation)  # before shared_blocks factorizes anything
     coeffs = _coefficient_sets(archive)
     shared = shared_blocks([coeffs[name] for name in observables] if factorize else [])
+    skip = {k for labels in EXCLUDED_BLOCKS.values() for k in labels} if total_only else set()
     for name in observables:
+        labels = [label for label in coeffs[name].two_body_blocks if label not in skip]
         yield coeffs[name], (
-            factorize_coefficients(coeffs[name], truncation, blocks=shared) if factorize else None
+            factorize_coefficients(coeffs[name], truncation, blocks=shared, labels=labels)
+            if factorize
+            else None
         )
 
 
@@ -97,7 +109,8 @@ def cmd_norms(args) -> int:
 def _observable_norms(args, archive: ar.TensorArchive | None) -> dict[str, float]:
     """lambda_F per observable: the explicit --lambda-v/-p/-vp flags, and the
     archive's factorized totals for the others only.  The flags, the target
-    and the truncation are checked before anything is factorized."""
+    and the truncation are checked before anything is factorized, and only the
+    blocks the totals read are factorized."""
     flags = zip(OBSERVABLES, (args.lambda_v, args.lambda_p, args.lambda_vp))
     lam = {key: val for key, val in flags if val is not None}
     check_budget(args.eps_targ, *lam.values())
@@ -105,7 +118,7 @@ def _observable_norms(args, archive: ar.TensorArchive | None) -> dict[str, float
     todo = [key for key in OBSERVABLES if key not in lam]
     if todo and archive is None:
         raise DomainError(f"{args.command} needs observable norms for {', '.join(todo)}")
-    for _, fop in _operators(archive, todo, args.truncation) if todo else ():
+    for _, fop in _operators(archive, todo, args.truncation, total_only=True) if todo else ():
         lam[fop.observable] = tf_norm(fop).total
         del fop  # hold one operator at a time
     return lam

@@ -342,7 +342,10 @@ def hamiltonian_encoding_node(
     _, lookup = qrom_cost(l_coeff, calib.b_coeff)
     _, angles = qrom_cost(l_coeff, calib.b_rot)
     rotations = 4 * n_orb * calib.givens_toffoli
-    toffolis = math.ceil(calib.be_prefactor * (lookup + angles + rotations + 2 * calib.b_coeff))
+    toffolis = _ceil(
+        calib.be_prefactor * (lookup + angles + rotations + 2 * calib.b_coeff),
+        "the block-encoding Toffoli count",
+    )
     qubits = qrom_qubits(l_coeff, calib.b_rot) + 2 * n_orb + calib.b_coeff
     return CostNode(name, leaf_toffolis=toffolis, own_qubits=qubits)
 
@@ -369,7 +372,9 @@ def observable_encoding_node(
     def enc_leaf(name: str, entries: int) -> CostNode:
         _, lookup = qrom_cost(entries, calib.b_coeff)
         _, angles = qrom_cost(entries, calib.b_rot)
-        toffolis = math.ceil(calib.be_prefactor * (lookup + angles + rotations))
+        toffolis = _ceil(
+            calib.be_prefactor * (lookup + angles + rotations), "the block-encoding Toffoli count"
+        )
         qubits = qrom_qubits(entries, calib.b_rot) + system + calib.b_coeff
         return CostNode(name, leaf_toffolis=toffolis, own_qubits=qubits)
 

@@ -24,6 +24,7 @@ of its own would give.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -409,10 +410,14 @@ def shared_blocks(sets: list[SaptCoefficients]) -> dict[str, BlockFactors]:
 
 
 def factorize_coefficients(
-    coeffs: SaptCoefficients, threshold: float = 0.0, blocks: dict[str, BlockFactors] | None = None
+    coeffs: SaptCoefficients,
+    threshold: float = 0.0,
+    blocks: dict[str, BlockFactors] | None = None,
+    labels: Collection[str] | None = None,
 ) -> FactorizedOperator:
-    """Factorize every block and one-body tensor of a coefficient set; the
-    untruncated factors in ``blocks`` (see :func:`shared_blocks`) are used as given."""
+    """Factorize every one-body tensor of a coefficient set, and each block it
+    holds whose label is in ``labels`` (every block when None); the untruncated
+    factors in ``blocks`` (see :func:`shared_blocks`) are used as given."""
     check_threshold(threshold)
     if coeffs.observable not in _ONE_BODY:
         raise DomainError(f"unknown observable {coeffs.observable!r}")
@@ -422,7 +427,7 @@ def factorize_coefficients(
     if coeffs.observable != "V":
         out.overlap = overlap_svd(coeffs.overlap)
     for label in _BLOCK_LABELS[coeffs.observable]:
-        if label in coeffs.two_body_blocks:
+        if label in coeffs.two_body_blocks and (labels is None or label in labels):
             made = (blocks or {}).get(label)
             out.blocks[label] = made or factorize_block(coeffs.two_body_blocks[label], label)
     if threshold:

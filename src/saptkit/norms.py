@@ -153,8 +153,17 @@ def _intra_weight(bf: BlockFactors) -> float:
     return 0.25 if bf.outer.symmetric else 0.5
 
 
+# the resource model excludes the overlap-carrying VPs circuits: each of these
+# components, with the blocks it sums, is reported outside ``total``
+EXCLUDED_BLOCKS = {"VP_2": ("2", "2r"), "VP_3": ("3", "3r")}
+
+
 def tf_norm(fop: FactorizedOperator) -> NormReport:
-    """Tensor-factorized l1 norm of one observable."""
+    """Tensor-factorized l1 norm of one observable.
+
+    An excluded VPs component (:data:`EXCLUDED_BLOCKS`) is reported only when
+    the operator holds one of its blocks.
+    """
     if fop.observable == "V":
         return NormReport(
             "V",
@@ -193,16 +202,11 @@ def tf_norm(fop: FactorizedOperator) -> NormReport:
             "VP_1l": 0.5 * block_factor_sum(fop.blocks["1l"]),
             "VP_4": lam_p * block_factor_sum(fop.blocks["v"]),
         }
-        excluded = {
-            "VP_2": 0.5 * lam_s * sum(
-                block_factor_sum(fop.blocks[k]) for k in ("2", "2r") if k in fop.blocks
-            ),
-            "VP_3": 0.5 * lam_s * sum(
-                block_factor_sum(fop.blocks[k]) for k in ("3", "3r") if k in fop.blocks
-            ),
-        }
-        # the resource model excludes the overlap-carrying circuits; the norm
-        # report carries them separately so both totals stay visible
+        excluded = {}
+        for name, labels in EXCLUDED_BLOCKS.items():
+            held = [k for k in labels if k in fop.blocks]
+            if held:
+                excluded[name] = 0.5 * lam_s * sum(block_factor_sum(fop.blocks[k]) for k in held)
         return NormReport(
             "VPs", "tensor_factorized", components=comp, lambda_s=lam_s, excluded=excluded
         )

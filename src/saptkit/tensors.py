@@ -333,27 +333,34 @@ def convert_aa(bk: _Buckets, T: np.ndarray) -> None:
     bk.aa += T
 
 
+def _add_half(acc: np.ndarray, subscripts: str, lam: np.ndarray, S: np.ndarray) -> None:
+    """acc += 0.5 * einsum(subscripts, lam, S), scaling the contraction in place."""
+    term = np.einsum(subscripts, lam, S, optimize=True)
+    term *= 0.5
+    acc += term
+
+
 def convert_g2(bk: _Buckets, lam: np.ndarray, S: np.ndarray) -> None:
     """sum_{s1 s2} lam[p1,p2,q1,p4] S[p3,q2] E^{s1}(p1p2) E^{s2}(p3p4) E^{s2}_B(q1q2)."""
-    bk.const += 0.5 * np.einsum("ppqr,rq->", lam, S, optimize=True)
-    bk.h_b += 0.5 * np.einsum("ppcr,rd->cd", lam, S, optimize=True)
-    bk.h_a += 0.5 * np.einsum("ppqb,aq->ab", lam, S, optimize=True)
-    bk.h_a += 0.5 * np.einsum("abqr,rq->ab", lam, S, optimize=True)
+    _add_half(bk.const, "ppqr,rq->", lam, S)
+    _add_half(bk.h_b, "ppcr,rd->cd", lam, S)
+    _add_half(bk.h_a, "ppqb,aq->ab", lam, S)
+    _add_half(bk.h_a, "abqr,rq->ab", lam, S)
     bk.lock += np.einsum("ppcb,ad->abcd", lam, S, optimize=True)
-    bk.dir_ += 0.5 * np.einsum("abcr,rd->abcd", lam, S, optimize=True)
-    bk.aa += 0.5 * np.einsum("abqd,cq->abcd", lam, S, optimize=True)
+    _add_half(bk.dir_, "abcr,rd->abcd", lam, S)
+    _add_half(bk.aa, "abqd,cq->abcd", lam, S)
     bk.g2 += lam
 
 
 def convert_g2r(bk: _Buckets, lam: np.ndarray, S: np.ndarray) -> None:
     """Row-coupled variant: lam[p1,p2,q2,p3] S[p4,q1] with the same spins."""
-    bk.const += 0.5 * np.einsum("ppqr,rq->", lam, S, optimize=True)
-    bk.h_b += 0.5 * np.einsum("ppdr,rc->cd", lam, S, optimize=True)
-    bk.h_a += 0.5 * np.einsum("ppqa,bq->ab", lam, S, optimize=True)
-    bk.h_a += 0.5 * np.einsum("abqr,rq->ab", lam, S, optimize=True)
+    _add_half(bk.const, "ppqr,rq->", lam, S)
+    _add_half(bk.h_b, "ppdr,rc->cd", lam, S)
+    _add_half(bk.h_a, "ppqa,bq->ab", lam, S)
+    _add_half(bk.h_a, "abqr,rq->ab", lam, S)
     bk.lock += np.einsum("ppda,bc->abcd", lam, S, optimize=True)
-    bk.dir_ += 0.5 * np.einsum("abdr,rc->abcd", lam, S, optimize=True)
-    bk.aa += 0.5 * np.einsum("abqc,dq->abcd", lam, S, optimize=True)
+    _add_half(bk.dir_, "abdr,rc->abcd", lam, S)
+    _add_half(bk.aa, "abqc,dq->abcd", lam, S)
     bk.g2r += lam
 
 

@@ -22,6 +22,8 @@ from saptkit.archive import (
 )
 from saptkit.errors import ArchiveError
 from saptkit.factorize import (
+    _BLOCK_LABELS,
+    _ONE_BODY,
     BlockFactors,
     Factorization,
     FactorizedOperator,
@@ -262,13 +264,11 @@ class TestStackedCache:
             inner_right=[zero_t, decompose_matrix(np.outer([1.0, 2.0], [1.0, 0.0, 3.0])), zero_t],
         )
         assert block.outer.rank == 3
-        fop = FactorizedOperator(
-            observable="VPs",
-            space_tag="active",
-            blocks={"2": block},
-            one_body={"p_A": decompose_matrix(np.zeros((3, 3)))},
-            overlap=zero,
-        )
+        # a whole VPs operator, so the cache holds every factor its observable needs
+        archive = demo_archive(3, 2)
+        fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["VPs"])
+        fop.space_tag, fop.overlap = "active", zero
+        fop.blocks["2"], fop.one_body["p_A"] = block, decompose_matrix(np.zeros((3, 3)))
         path = tmp_path / "empty.factors"
         save_factor_cache(path, fop, DimerBasis(3, 2, 2, 2))
         assert_same_operator(load_factor_cache(path), fop)
@@ -459,6 +459,23 @@ class TestCacheSchema:
             arrays["factor.block.v.inner_left.lefts"] = arrays.pop("factor.block.v.inner_left.left")
         self.load_saved(tmp_path / "c", cache)
 
+    @pytest.mark.parametrize(
+        "observable, kind, name",
+        [("V", "blocks", "v"), ("V", "one_body", "f_B"), ("P", "one_body", "p_A"),
+         ("VPs", "blocks", "3"), ("VPs", "one_body", "p_B")],
+    )
+    def test_cache_without_a_needed_factorization_is_schema_error(
+        self, tmp_path, observable, kind, name
+    ):
+        # the entry and its arrays both go, so the checksum and the array list stay valid
+        archive = demo_archive(3, 2)
+        coeffs = build_majorana_coefficients(archive.v, archive.S)[observable]
+        cache = factor_archive(factorize_coefficients(coeffs), archive.basis)
+        del cache.factors[kind][name]
+        dropped = f"factor.{'block' if kind == 'blocks' else kind}.{name}."
+        cache.arrays = {k: a for k, a in cache.arrays.items() if not k.startswith(dropped)}
+        assert f"of {observable} lacks {name}" in self.load_saved(tmp_path / "c", cache)
+
     def test_unknown_block_label_is_schema_error(self, tmp_path):
         cache = v_cache()
         cache.factors["blocks"]["w"] = cache.factors["blocks"].pop("v")
@@ -578,22 +595,29 @@ def factorizations(draw, rows: int, cols: int) -> Factorization:
     return fact.truncated(rank) if extra else fact
 
 
+# stored index order of each block label's monomers
+MONOMERS = {"v": "AABB", "A2": "AAAA", "B2": "BBBB", "1m": "AABB", "1l": "AABB",
+            "2": "AABA", "2r": "AABA", "3": "ABBB", "3r": "ABBB"}
+
+
 @st.composite
 def factorized_operators(draw) -> FactorizedOperator:
+    """Every factorization its observable needs; VPs with or without `2r`/`3r`."""
     n_a, n_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     fop = FactorizedOperator(
         observable=draw(st.sampled_from(["V", "P", "VPs"])),
         space_tag=draw(st.sampled_from(["full", "active"])),
         threshold=draw(st.sampled_from([0.0, 1e-4, 0.05])),
     )
-    for name in draw(st.lists(st.sampled_from(["f_A", "p_B"]), unique=True, max_size=2)):
+    for name in _ONE_BODY[fop.observable]:
         n = n_a if name.endswith("A") else n_b
         fop.one_body[name] = draw(factorizations(n, n))
     if draw(st.booleans()):
         fop.overlap = draw(factorizations(n_a, n_b))
-    monomers = {"v": "AABB", "2": "AABA", "1l": "AABB", "A2": "AAAA"}  # stored index order
-    for label in draw(st.lists(st.sampled_from(sorted(monomers)), unique=True, max_size=2)):
-        shape = tuple(n_a if x == "A" else n_b for x in monomers[label])
+    for label in _BLOCK_LABELS[fop.observable]:
+        if label in ("2r", "3r") and not draw(st.booleans()):
+            continue
+        shape = tuple(n_a if x == "A" else n_b for x in MONOMERS[label])
         bf = BlockFactors(label=label, shape=shape, outer=None)
         (r1, r2), (c1, c2) = bf.row_shape, bf.col_shape
         bf.outer = draw(factorizations(r1 * r2, c1 * c2))

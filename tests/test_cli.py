@@ -5,7 +5,13 @@ import pytest
 
 import saptkit.cli as cli
 import saptkit.factorize as fz
-from saptkit.archive import DimerBasis, demo_archive, load_factor_cache, save_archive
+from saptkit.archive import (
+    DimerBasis,
+    demo_archive,
+    load_archive,
+    load_factor_cache,
+    save_archive,
+)
 from saptkit.cli import main
 from saptkit.costing import budget_errors
 
@@ -146,10 +152,14 @@ class TestBudget:
         ["supermolecular", "--lambda-ab", "1e300", "--lambda-a", "1", "--lambda-b", "1",
          "--eps-targ", "1e-300"],
         SUPERMOLECULAR + ["--eps-targ", "1e-300", "--lambda-a", "1e-300"],  # its eps_A underflows
+        ESTIMATE + ["--calibration", '{"be_prefactor": 1e308}'],  # the file's text
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )
-def test_non_finite_number_is_exit_3(argv, capsys):
+def test_non_finite_number_is_exit_3(argv, tmp_path, capsys):
+    if argv[-2] == "--calibration":
+        (tmp_path / "cal.json").write_text(argv[-1])
+        argv = argv[:-1] + [str(tmp_path / "cal.json")]
     assert_data_error(argv, capsys, "finite")
 
 
@@ -355,6 +365,15 @@ def decaying_archive():
     return archive
 
 
+def partitioned_archive():
+    """The 3x3 demo dimer with one core orbital per monomer."""
+    archive = demo_archive(3, 3)
+    archive.basis = DimerBasis(3, 3, 4, 4)
+    archive.arrays["partition_A_core"] = np.array([0.0])
+    archive.arrays["partition_B_core"] = np.array([2.0])
+    return archive
+
+
 class TestSharedBlocks:
     COMMANDS = ("estimate", "norms", "factorize")
 
@@ -390,18 +409,58 @@ class TestSharedBlocks:
     def test_partitioned_archive_holds_nothing(
         self, tmp_path, monkeypatch, capsys, factorized_labels, command
     ):
-        archive = demo_archive(3, 3)
-        archive.basis = DimerBasis(3, 3, 4, 4)
-        archive.arrays["partition_A_core"] = np.array([0.0])
-        archive.arrays["partition_B_core"] = np.array([2.0])
         path = tmp_path / "cores.sapt"
-        save_archive(path, archive)
+        save_archive(path, partitioned_archive())
         held = []
         share = cli.shared_blocks
         monkeypatch.setattr(cli, "shared_blocks", lambda sets: held.append(share(sets)) or held[-1])
         command_outputs(command, path, tmp_path / "out", "0")
         assert held == [{}]
         assert factorized_labels.count("v") == 2
+
+
+class TestFactorizedBlocks:
+    """Each command factorizes the blocks it reads: `estimate` and `budget` only
+    those in the norm totals, `norms` and `factorize` every block."""
+
+    TOTALS = {"v", "A2", "B2", "1m", "1l"}
+    EXCLUDED = {"2", "3"}
+
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
+    def test_blocks_each_command_factorizes(
+        self, tmp_path, capsys, factorized_labels, partitioned
+    ):
+        path = tmp_path / "dimer.sapt"
+        save_archive(path, partitioned_archive() if partitioned else decaying_archive())
+        excluded = self.EXCLUDED | ({"2r", "3r"} if partitioned else set())
+        assert set(cli._coefficient_sets(load_archive(path))["VPs"].two_body_blocks) == (
+            self.TOTALS | excluded
+        )
+        for command in ("estimate", "norms", "factorize"):
+            factorized_labels.clear()
+            command_outputs(command, path, tmp_path / command, "0")
+            expected = self.TOTALS if command == "estimate" else self.TOTALS | excluded
+            assert set(factorized_labels) == expected, command
+        factorized_labels.clear()
+        assert main(["budget", "--archive", str(path)]) == 0
+        assert set(factorized_labels) == self.TOTALS
+
+    @pytest.mark.parametrize("truncation", ["0", "1e-4"])
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
+    def test_estimate_outputs_match_all_blocks(
+        self, tmp_path, monkeypatch, capsys, factorized_labels, truncation, partitioned
+    ):
+        path = tmp_path / "dimer.sapt"
+        save_archive(path, partitioned_archive() if partitioned else decaying_archive())
+        totals_only = command_outputs("estimate", path, tmp_path / "totals", truncation)
+        assert self.EXCLUDED.isdisjoint(factorized_labels)
+        factorize = cli.factorize_coefficients
+        monkeypatch.setattr(
+            cli, "factorize_coefficients", lambda c, t, blocks, labels: factorize(c, t, blocks)
+        )
+        every = command_outputs("estimate", path, tmp_path / "every", truncation)
+        assert self.EXCLUDED <= set(factorized_labels)
+        assert len(every) == 7 and every == totals_only
 
 
 class TestTruncationDomain:

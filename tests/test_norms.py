@@ -111,6 +111,19 @@ class TestTensorFactorized:
         assert set(rep.excluded) == {"VP_2", "VP_3"}
         assert rep.total_with_excluded >= rep.total
 
+    @pytest.mark.parametrize("dropped", [("2",), ("3",), ("2", "3")])
+    def test_excluded_component_without_its_blocks_is_left_out(self, rng, dropped):
+        v, s = random_dimer(rng, 2, 2)
+        coeffs = build_majorana_coefficients(v, s)["VPs"]
+        full = tf_norm(factorize_coefficients(coeffs))
+        labels = [k for k in coeffs.two_body_blocks if k not in dropped]
+        rep = tf_norm(factorize_coefficients(coeffs, labels=labels))
+        gone = {f"VP_{k}" for k in dropped}
+        assert set(rep.excluded) == {"VP_2", "VP_3"} - gone
+        assert rep.components == full.components and rep.total == full.total
+        assert {k: full.excluded[k] for k in rep.excluded} == rep.excluded
+        assert ("excluded_components" in rep.to_dict()) == (len(gone) < 2)
+
     def test_mapping_api(self, rng):
         v, s = random_dimer(rng, 2, 2)
         fops = {
