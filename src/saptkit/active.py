@@ -45,7 +45,6 @@ from .tensors import (
     convert_lock,
     convert_one_a,
     convert_t3a,
-    sym_overlap_pair,
 )
 
 
@@ -181,7 +180,6 @@ def renormalize_exchange(S: np.ndarray, partition: SpacePartition) -> SaptCoeffi
         constant=constant,
         one_body_A=p_act_a + 2.0 * ps_core_a,
         one_body_B=p_act_b + 2.0 * ps_core_b,
-        two_body_blocks={"exch": sym_overlap_pair(s_tt)},
         space_tag="active",
         overlap=s_tt,
     )

@@ -40,6 +40,7 @@ OBSERVABLES = ("V", "P", "VPs")
 
 
 def _coefficient_sets(archive: ar.TensorArchive):
+    """The three coefficient sets; none of their arrays views the archive's payload."""
     if "partition_A_core" in archive.arrays or "partition_B_core" in archive.arrays:
         part = archive.partition()
         return {
@@ -47,7 +48,7 @@ def _coefficient_sets(archive: ar.TensorArchive):
             "P": renormalize_exchange(archive.S, part),
             "VPs": renormalize_vp(archive.v, archive.S, part),
         }
-    return build_majorana_coefficients(archive.v, archive.S)
+    return build_majorana_coefficients(archive.v, archive.S.copy())
 
 
 def _operators(
@@ -59,18 +60,20 @@ def _operators(
 ):
     """Yield (coefficients, factorized operator) per observable, in order, one
     operator at a time; a block two observables hold alike is factorized once.
-    The operator is None when ``factorize`` is false, and lacks the blocks
-    ``tf_norm`` reports outside its total when ``total_only`` is true."""
+    The operator is None when ``factorize`` is false.  When ``total_only`` is
+    true, the sets and operators lack the blocks ``tf_norm`` reports outside
+    its total.  The archive's arrays are dropped once the sets are built."""
     check_threshold(truncation)  # before shared_blocks factorizes anything
     coeffs = _coefficient_sets(archive)
-    shared = shared_blocks([coeffs[name] for name in observables] if factorize else [])
+    archive.arrays.clear()  # nothing reads the payload after the coefficient build
     skip = {k for labels in EXCLUDED_BLOCKS.values() for k in labels} if total_only else set()
+    for c in coeffs.values():
+        for label in skip & c.two_body_blocks.keys():
+            del c.two_body_blocks[label]
+    shared = shared_blocks([coeffs[name] for name in observables] if factorize else [])
     for name in observables:
-        labels = [label for label in coeffs[name].two_body_blocks if label not in skip]
         yield coeffs[name], (
-            factorize_coefficients(coeffs[name], truncation, blocks=shared, labels=labels)
-            if factorize
-            else None
+            factorize_coefficients(coeffs[name], truncation, blocks=shared) if factorize else None
         )
 
 
@@ -188,7 +191,7 @@ def _calibration(path: str | None) -> CalibrationConstants:
 def cmd_estimate(args) -> int:
     calib = _calibration(args.calibration)
     archive = ar.load_archive(args.archive) if args.archive else None
-    params = _system_params(args, archive)
+    params = _system_params(args, archive)  # first: _observable_norms drops the archive's arrays
     lam = _observable_norms(args, archive)
     budget = budget_errors(lam["V"], lam["P"], lam["VPs"], args.eps_targ)
     graphs = {}

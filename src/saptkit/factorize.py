@@ -24,7 +24,6 @@ of its own would give.
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,7 +40,6 @@ SYM_TOL = 1e-10
 # of the row/col pair belongs to ('A' or 'B')
 _BLOCK_LAYOUT = {
     "v": ((0, 1, 2, 3), "AA", "BB"),
-    "exch": ((0, 1, 2, 3), "AA", "BB"),
     "A2": ((0, 1, 2, 3), "AA", "AA"),
     "B2": ((0, 1, 2, 3), "BB", "BB"),
     "1m": ((0, 1, 2, 3), "AA", "BB"),
@@ -100,8 +98,9 @@ def _check_stack(ms: np.ndarray, symmetric: bool | None):
     ``symmetric=True`` is asserted for a nonzero matrix that is not.
     """
     k, rows, cols = ms.shape
-    scale = np.abs(ms).max(axis=(1, 2), initial=0.0)
-    if not np.isfinite(scale).all():  # max propagates NaN, and abs turns -inf to inf
+    # max |m| without an |m| temporary: max and min propagate NaN, and -inf turns to inf
+    scale = np.maximum(ms.max(axis=(1, 2), initial=0.0), -ms.min(axis=(1, 2), initial=0.0))
+    if not np.isfinite(scale).all():
         raise DomainError("matrix contains NaN or Inf")
     is_sym = np.zeros(k, dtype=bool)
     if rows == cols:
@@ -246,6 +245,17 @@ class _PairPacking(NamedTuple):
         return (u / self.w)[self.unpacked]
 
 
+def _symmetrize(m: np.ndarray) -> None:
+    """m = (m + m.T) / 2 in place, 256 x 256 tiles at a time, with the bits of
+    the out-of-place sum (addition commutes)."""
+    for i in range(0, len(m), 256):
+        for j in range(i, len(m), 256):
+            s = m[i : i + 256, j : j + 256] + m[j : j + 256, i : i + 256].T
+            s *= 0.5
+            m[i : i + 256, j : j + 256] = s
+            m[j : j + 256, i : i + 256] = s.T
+
+
 def first_factorize(block: np.ndarray, label: str) -> BlockFactors:
     """Grouped-matrix decomposition of one block (no truncation).
 
@@ -265,8 +275,11 @@ def first_factorize(block: np.ndarray, label: str) -> BlockFactors:
     if cols is not None:
         packed = cols[1].T if rows is None else cols[0].pack(packed.T).T
     rows, cols = rows and rows[0], cols and cols[0]  # keep the packings, free the matrices
+    owned = sym[0] and not np.may_share_memory(packed, block)
+    if owned:  # no symmetrized copy beside LAPACK's buffers
+        _symmetrize(packed)
     # signs are set once, on the unpacked vectors (the weights can move the largest entry)
-    outer = _decompose_stack(packed[None], scale, sym, signs=rows is cols is None)[0]
+    outer = _decompose_stack(packed[None], scale, sym, exact=owned, signs=rows is cols is None)[0]
     if rows or cols:
         left = rows.unpack(outer.left) if rows else outer.left
         right = left if outer.symmetric else cols.unpack(outer.right) if cols else outer.right
@@ -410,14 +423,10 @@ def shared_blocks(sets: list[SaptCoefficients]) -> dict[str, BlockFactors]:
 
 
 def factorize_coefficients(
-    coeffs: SaptCoefficients,
-    threshold: float = 0.0,
-    blocks: dict[str, BlockFactors] | None = None,
-    labels: Collection[str] | None = None,
+    coeffs: SaptCoefficients, threshold: float = 0.0, blocks: dict[str, BlockFactors] | None = None
 ) -> FactorizedOperator:
-    """Factorize every one-body tensor of a coefficient set, and each block it
-    holds whose label is in ``labels`` (every block when None); the untruncated
-    factors in ``blocks`` (see :func:`shared_blocks`) are used as given."""
+    """Factorize every block and one-body tensor of a coefficient set; the
+    untruncated factors in ``blocks`` (see :func:`shared_blocks`) are used as given."""
     check_threshold(threshold)
     if coeffs.observable not in _ONE_BODY:
         raise DomainError(f"unknown observable {coeffs.observable!r}")
@@ -427,7 +436,7 @@ def factorize_coefficients(
     if coeffs.observable != "V":
         out.overlap = overlap_svd(coeffs.overlap)
     for label in _BLOCK_LABELS[coeffs.observable]:
-        if label in coeffs.two_body_blocks and (labels is None or label in labels):
+        if label in coeffs.two_body_blocks:
             made = (blocks or {}).get(label)
             out.blocks[label] = made or factorize_block(coeffs.two_body_blocks[label], label)
     if threshold:

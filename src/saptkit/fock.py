@@ -11,7 +11,10 @@ and every assembled operator is float64; states handed in may be complex.
 Two size limits are checked before anything is allocated: the dimer may hold
 at most ``MAX_SPIN_ORBITALS`` spin orbitals, which bounds the dimer operators
 (products such as V P) the oracle builds, and each monomer at most
-``MAX_MONOMER_ORBITALS`` orbitals, which bounds its cached tables.
+``MAX_MONOMER_ORBITALS`` orbitals, which bounds its cached tables.  A product
+of two operators is refused before it is formed when its distinct pair
+products could take more than ``MAX_PRODUCT_BYTES`` (V P at 5x3 would take
+2.5 GiB).
 
 Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i``, each
 under a content key: the bytes of its B factor, or of its A factor where that
@@ -53,6 +56,7 @@ from .tensors import (
 MAX_SPIN_ORBITALS = 16
 # the cached tables of one monomer take 38 MB at 4 orbitals, 0.93 GB at 5 and 21 GB at 6
 MAX_MONOMER_ORBITALS = 5
+MAX_PRODUCT_BYTES = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +240,18 @@ class PairSum:
             out._terms[side, (a.T if side == "A" else b.T).tobytes()] = (a.T, b.T)
         return out
 
+    def check_product(self, other: "PairSum") -> None:
+        """ShapeError if ``self @ other`` could take more than ``MAX_PRODUCT_BYTES``."""
+        da, db = self.space.dim_A, self.space.dim_B
+        need = 8 * (da * da + db * db) * len(self._terms) * len(other._terms)
+        if need > MAX_PRODUCT_BYTES:
+            raise ShapeError(
+                f"operator product needs up to {need / 2**30:.2f} GiB, over the oracle's "
+                f"{MAX_PRODUCT_BYTES / 2**30:g} GiB budget"
+            )
+
     def __matmul__(self, other: "PairSum") -> "PairSum":
+        self.check_product(other)
         out = PairSum(self.space)
         # the product of two shared A factors (units, table elements) is the one that recurs
         for (s1, _), (a1, b1) in self._terms.items():

@@ -99,7 +99,6 @@ class SaptCoefficients:
     label     layout                                  appears in
     ========  ======================================  =========================
     ``v``     ``[p1,p2,q1,q2]``                       V two-body / VP4 factor
-    ``exch``  ``[p1,p2,q1,q2]`` (pair-symmetrized)    P two-body
     ``A2``    ``[p1,p2,p3,p4]``                       monomer-A two-body of VPs
     ``B2``    ``[q1,q2,q3,q4]``                       monomer-B two-body of VPs
     ``1m``    ``[p1,p2,q1,q2]`` spin-free channel     VPs
@@ -164,12 +163,6 @@ def sym_v4(v: np.ndarray) -> np.ndarray:
         (v + v.transpose(1, 0, 3, 2))
         + (v.transpose(1, 0, 2, 3) + v.transpose(0, 1, 3, 2))
     )
-
-
-def sym_overlap_pair(S: np.ndarray) -> np.ndarray:
-    """sym(S[p1,q2] S[p2,q1]) in the [p1,p2,q1,q2] layout."""
-    t = np.einsum("ad,bc->abcd", S, S)
-    return 0.5 * (t + t.transpose(0, 1, 3, 2))
 
 
 def sym_joint(T: np.ndarray) -> np.ndarray:
@@ -237,7 +230,6 @@ def build_exchange_coefficients(S: np.ndarray) -> SaptCoefficients:
         constant=float(-0.5 * np.sum(S * S)),
         one_body_A=S @ S.T,
         one_body_B=S.T @ S,
-        two_body_blocks={"exch": sym_overlap_pair(S)},
         overlap=S,
     )
 

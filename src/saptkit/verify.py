@@ -34,18 +34,29 @@ class _Reporter:
         print(f"[{'pass' if ok else 'FAIL'}] {name}{suffix}")
 
 
-def _oracle_checks(rep: _Reporter, archive: TensorArchive, rng: np.random.Generator):
-    basis = archive.basis
-    space = FockSpace(basis.n_orb_A, basis.n_orb_B)
+def _oracle_operators(archive: TensorArchive):
+    """(space, v, S, V/P/VPs operators, particle-number operator) of an archive;
+    ShapeError past the oracle's caps, or if a product the checks form is over
+    the byte budget."""
+    space = FockSpace(archive.basis.n_orb_A, archive.basis.n_orb_B)
     v, s = archive.v, archive.S
-    coeffs = build_majorana_coefficients(v, s)
-    scale = max(np.abs(v).max(), 1.0)
-
     ops = {
         "V": assemble_electrostatic(space, v),
         "P": assemble_exchange(space, s),
         "VPs": assemble_vp_excitation(space, v, s),
     }
+    num_a = space.monomer("A").number
+    num_b = space.monomer("B").number
+    n_op = PairSum(space).add_monomer("A", num_a) + PairSum(space).add_monomer("B", num_b)
+    for op in ops.values():
+        op.check_product(n_op)
+        n_op.check_product(op)
+    return space, v, s, ops, n_op
+
+
+def _oracle_checks(rep: _Reporter, space, v, s, ops, n_op, rng: np.random.Generator):
+    coeffs = build_majorana_coefficients(v, s)
+    scale = max(np.abs(v).max(), 1.0)
     for kind, exc in ops.items():
         maj = assemble_majorana(space, coeffs[kind])
         diff = (exc + maj.scaled(-1.0)).norm_estimate(rng)
@@ -53,9 +64,6 @@ def _oracle_checks(rep: _Reporter, archive: TensorArchive, rng: np.random.Genera
         herm = (exc + exc.dagger().scaled(-1.0)).norm_estimate(rng)
         rep.check(f"{kind}: Hermitian", herm < 1e-12 * scale, f"diff={herm:.2e}")
 
-    num_a = space.monomer("A").number
-    num_b = space.monomer("B").number
-    n_op = PairSum(space).add_monomer("A", num_a) + PairSum(space).add_monomer("B", num_b)
     for kind, op in ops.items():
         comm = ((op @ n_op) + (n_op @ op).scaled(-1.0)).norm_estimate(rng)
         rep.check(f"{kind}: conserves monomer particle numbers", comm < 1e-12 * scale)
@@ -105,13 +113,12 @@ def run_verification(archive: TensorArchive) -> bool:
     rng = np.random.default_rng(2024)
     rep = _Reporter()
 
-    oracle_archive = archive
     try:
-        FockSpace(archive.basis.n_orb_A, archive.basis.n_orb_B)
-    except ShapeError:
+        oracle = _oracle_operators(archive)
+    except ShapeError:  # past the size caps or the operator byte budget
         print("archive exceeds the oracle size cap; using the built-in dimer")
-        oracle_archive = demo_archive()
-    _oracle_checks(rep, oracle_archive, rng)
+        oracle = _oracle_operators(demo_archive())
+    _oracle_checks(rep, *oracle, rng)
 
     residual = verify_complete_basis(2, np.random.default_rng(11))
     rep.check("complete-basis cancellation", residual < 1e-10, f"residual={residual:.2e}")

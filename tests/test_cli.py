@@ -1,10 +1,12 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import saptkit.cli as cli
 import saptkit.factorize as fz
+import saptkit.fock as fock
 from saptkit.archive import (
     DimerBasis,
     demo_archive,
@@ -14,6 +16,7 @@ from saptkit.archive import (
 )
 from saptkit.cli import main
 from saptkit.costing import budget_errors
+from saptkit.norms import df_hamiltonian_norm, factorize_monomer_hamiltonian
 
 FCIDUMP_TEXT = """&FCI NORB=2,NELEC=2,MS2=0,
 &END
@@ -52,6 +55,16 @@ class TestVerify:
     def test_oversized_archive_falls_back(self, tmp_path, capsys, n_a, n_b):
         path = tmp_path / "wide.sapt"
         save_archive(path, demo_archive(n_a, n_b))
+        assert main(["verify", str(path)]) == 0
+        assert "using the built-in dimer" in capsys.readouterr().out
+
+    # at 4x2, V P needs up to 32 MiB and VPs N (the particle-number check) 62 MiB;
+    # no product of the built-in and embedding dimers needs over 23 MiB
+    @pytest.mark.parametrize("mib", [24, 48], ids=["V P", "VPs N"])
+    def test_over_product_budget_falls_back(self, tmp_path, monkeypatch, capsys, mib):
+        monkeypatch.setattr(fock, "MAX_PRODUCT_BYTES", mib << 20)
+        path = tmp_path / "wide.sapt"
+        save_archive(path, demo_archive(4, 2))
         assert main(["verify", str(path)]) == 0
         assert "using the built-in dimer" in capsys.readouterr().out
 
@@ -217,6 +230,28 @@ class TestEstimate:
         assert (out / "estimate.summary.tsv").exists()
         header = (out / "estimate.summary.tsv").read_text().splitlines()[0]
         assert header.startswith("observable\tlambda_F\teps_F\tLambda_F\tE_F\tASP")
+
+    @pytest.mark.parametrize("given", [(), ("--lambda-a", "--lambda-b", "--gap-a", "--gap-b")])
+    def test_system_parameters_read_before_the_payload_drops(self, archive_path, capsys, given):
+        # the observable norms drop the archive's arrays; the monomer norms,
+        # gaps and overlaps must have been read from it before
+        archive = load_archive(archive_path)
+        flags = {
+            f"--{name}-{m.lower()}": repr(value)
+            for m in "AB"
+            for name, value in (
+                ("lambda", df_hamiltonian_norm(*factorize_monomer_hamiltonian(
+                    archive.arrays[f"h1_{m}"], archive.arrays[f"eri_{m}"]))),
+                ("gap", archive.scalar(f"gap_{m}", 0.0)),
+                ("overlap", archive.scalar(f"overlap_{m}", 1.0)),
+            )
+        }
+        outputs = []
+        for names in (given, flags):
+            argv = ["estimate", "--archive", str(archive_path), "--format", "tsv"]
+            assert main(argv + [x for name in names for x in (name, flags[name])]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_explicit_parameters(self, capsys):
         code = main([
@@ -454,13 +489,55 @@ class TestFactorizedBlocks:
         save_archive(path, partitioned_archive() if partitioned else decaying_archive())
         totals_only = command_outputs("estimate", path, tmp_path / "totals", truncation)
         assert self.EXCLUDED.isdisjoint(factorized_labels)
-        factorize = cli.factorize_coefficients
-        monkeypatch.setattr(
-            cli, "factorize_coefficients", lambda c, t, blocks, labels: factorize(c, t, blocks)
-        )
+        monkeypatch.setattr(cli, "EXCLUDED_BLOCKS", {})  # skip nothing: every block factorized
         every = command_outputs("estimate", path, tmp_path / "every", truncation)
         assert self.EXCLUDED <= set(factorized_labels)
         assert len(every) == 7 and every == totals_only
+
+
+class TestLifetimes:
+    """By the first outer factorization of `estimate` and `budget`, nothing holds
+    the archive's payload, and the coefficient sets hold only the blocks the
+    norm totals read."""
+
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
+    @pytest.mark.parametrize("command", ["estimate", "budget"])
+    def test_held_at_first_factorization(self, tmp_path, monkeypatch, capsys, command, partitioned):
+        path = tmp_path / "dimer.sapt"
+        save_archive(path, partitioned_archive() if partitioned else decaying_archive())
+        payloads, sets, seen = [], [], []
+        load, build, first = cli.ar.load_archive, cli._coefficient_sets, fz.first_factorize
+
+        def loaded(p):
+            archive = load(p)
+            payloads.append(weakref.ref(archive.arrays["v"].base))
+            return archive
+
+        def built(archive):
+            sets.append(build(archive))
+            payload = payloads[-1]()
+            for coeffs in sets[-1].values():
+                arrays = [*coeffs.two_body_blocks.values(), coeffs.one_body_A, coeffs.one_body_B]
+                arrays += [coeffs.overlap, coeffs.vp4_one_body_A, coeffs.vp4_one_body_B]
+                assert not any(np.shares_memory(a, payload) for a in arrays if a is not None)
+            return sets[-1]
+
+        def factorized(block, label, *args):
+            if not seen:
+                seen.append(label)
+                assert payloads[-1]() is None
+                assert "exch" not in sets[-1]["P"].two_body_blocks
+                assert {"2", "3", "2r", "3r"}.isdisjoint(sets[-1]["VPs"].two_body_blocks)
+            return first(block, label, *args)
+
+        monkeypatch.setattr(cli.ar, "load_archive", loaded)
+        monkeypatch.setattr(cli, "_coefficient_sets", built)
+        monkeypatch.setattr(fz, "first_factorize", factorized)
+        if command == "estimate":
+            command_outputs("estimate", path, tmp_path / "out", "0")
+        else:
+            assert main(["budget", "--archive", str(path)]) == 0
+        assert seen and len(payloads) == len(sets) == 1
 
 
 class TestTruncationDomain:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from saptkit.active import SpacePartition, renormalize_exchange, renormalize_vp
+from saptkit.active import (
+    SpacePartition,
+    renormalize_electrostatic,
+    renormalize_exchange,
+    renormalize_vp,
+)
 from saptkit.errors import DomainError, SymmetryError
 from saptkit import factorize
 from saptkit.factorize import (
@@ -9,6 +14,7 @@ from saptkit.factorize import (
     RANK_CUTOFF,
     BlockFactors,
     _check_stack,
+    _decompose_stack,
     _fix_signs,
     _PairPacking,
     decompose_matrix,
@@ -20,6 +26,7 @@ from saptkit.factorize import (
     overlap_svd,
     reconstruct_block,
     second_factorize,
+    _symmetrize,
     shared_blocks,
     truncate_block,
 )
@@ -166,6 +173,71 @@ class TestRoundTrip:
         a = decompose_matrix(m.copy())
         b = decompose_matrix(m.copy())
         assert np.array_equal(a.left, b.left)
+
+
+def coefficient_sets(rng, partitioned):
+    """The V, P and VPs sets of a random 5 x 4 dimer, in the full space or with
+    one core orbital per monomer (whose VPs set carries 2r and 3r)."""
+    v, s = random_dimer(rng, 5, 4)
+    if not partitioned:
+        return list(build_majorana_coefficients(v, s).values())
+    part = SpacePartition((0,), (1, 2, 3, 4), (0,), (1, 2, 3), 2, 2)
+    return [
+        renormalize_electrostatic(v, part),
+        renormalize_exchange(s, part),
+        renormalize_vp(v, s, part),
+    ]
+
+
+class TestInputUnchanged:
+    """factorize_coefficients leaves the coefficient set it factorizes as it was:
+    callers, and the benchmark's factor probe, read the set after the call."""
+
+    @pytest.mark.parametrize("held", [None, ("v", "1l", "2r")], ids=["all", "subset"])
+    @pytest.mark.parametrize("threshold", [0.0, 1e-4])
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
+    def test_blocks_unchanged(self, rng, held, threshold, partitioned):
+        for coeffs in coefficient_sets(rng, partitioned):
+            for label in set(coeffs.two_body_blocks) - set(held or coeffs.two_body_blocks):
+                del coeffs.two_body_blocks[label]  # as the CLI drops the blocks it skips
+            blocks = dict(coeffs.two_body_blocks)
+            copies = {label: block.copy() for label, block in blocks.items()}
+            fop = factorize_coefficients(coeffs, threshold)
+            assert set(fop.blocks) == set(blocks)
+            assert coeffs.two_body_blocks == blocks  # same keys, same array objects
+            for label, block in blocks.items():
+                assert block.tobytes() == copies[label].tobytes(), label
+
+    def test_viewed_symmetric_block_unchanged(self, rng):
+        # symmetric to SYM_TOL but neither exactly so nor pair-symmetric: the
+        # eigendecomposition gets a view of the caller's array, to symmetrize
+        coeffs = build_majorana_coefficients(*random_dimer(rng, 3, 2))["VPs"]
+        x = rng.normal(size=(3, 3, 3, 3))
+        block = x + x.transpose(2, 3, 0, 1) + 1e-13 * rng.normal(size=x.shape)
+        coeffs.two_body_blocks["A2"] = block
+        copy = block.copy()
+        assert factorize_coefficients(coeffs).blocks["A2"].outer.symmetric
+        assert coeffs.two_body_blocks["A2"] is block and block.tobytes() == copy.tobytes()
+
+
+class TestSymmetrizeInPlace:
+    @pytest.mark.parametrize("n", [600, 512, 5, 1])
+    def test_bits_of_the_out_of_place_sum(self, rng, n):
+        m = rng.normal(size=(n, n))
+        want = m + m.T
+        want *= 0.5
+        _symmetrize(m)
+        assert m.tobytes() == want.tobytes()
+
+    def test_first_factorize_keeps_the_bits(self, rng):
+        # "1l" is the one label whose grouped matrix is a copy, symmetrized in place
+        block = build_majorana_coefficients(*random_dimer(rng, 4, 3))["VPs"].two_body_blocks["1l"]
+        m = np.transpose(block, _BLOCK_LAYOUT["1l"][0]).reshape(1, 12, 12)
+        want = _decompose_stack(m, *_check_stack(m, None))[0]
+        got = first_factorize(block, "1l").outer
+        assert got.symmetric and want.symmetric
+        for a, b in ((got.values, want.values), (got.left, want.left)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestTruncate:
@@ -372,7 +444,7 @@ def blocks_of_every_label(rng):
     """(label, block) pairs at 4 x 3 orbitals covering every label of _BLOCK_LAYOUT.
 
     The full-space coefficient sets, plus the active-space sets of a 5 x 4
-    dimer with one core orbital per monomer, which carry exch, 2r and 3r.
+    dimer with one core orbital per monomer, which carry 2r and 3r.
     """
     v, s = random_dimer(rng, 5, 4)
     part = SpacePartition((0,), (1, 2, 3, 4), (0,), (1, 2, 3), 2, 2)

@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +436,39 @@ class TestSizeGuard:
 
     def test_largest_allowed_dimer_constructs(self):
         assert FockSpace(5, 3).dim == 2**16
+
+    def test_product_budget_refuses_v_p_at_5x3(self):
+        # V and P hold 18 pairs each at 5x3, as at 3x3: their product would hold
+        # up to 324 monomer-A factors of 8 MiB.  The child caps its own address
+        # space, so without the guard it fails at once instead of taking 2.5 GiB.
+        code = textwrap.dedent(
+            f"""
+            import resource, sys
+            sys.path.insert(0, {str(Path(fock.__file__).parents[1])!r})
+            import numpy as np
+            from saptkit.errors import ShapeError
+            from saptkit.fock import FockSpace, PairSum
+
+            space = FockSpace(5, 3)
+            a = np.ones((space.dim_A, space.dim_A))
+            ops = [PairSum(space), PairSum(space)]
+            for op in ops:
+                for i in range(18):
+                    op.add(a, np.full((space.dim_B, space.dim_B), i + 1.0))
+            size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+            resource.setrlimit(resource.RLIMIT_AS, (size + (256 << 20),) * 2)
+            try:
+                ops[0] @ ops[1]
+            except ShapeError as exc:
+                print("refused:", exc)
+            """
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("refused: operator product needs up to 2.5")
 
 
 class TestCompleteBasis:

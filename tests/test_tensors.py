@@ -12,7 +12,6 @@ from saptkit.tensors import (
     build_majorana_coefficients,
     one_body_f,
     sym_joint,
-    sym_overlap_pair,
     sym_v4,
     symmetrize_v,
     validate_overlap,
@@ -39,16 +38,6 @@ class TestSymmetrize:
     def test_symmetric_input_unchanged(self, rng):
         v, _ = random_dimer(rng, 3, 2)
         assert np.allclose(sym_v4(v), v, atol=1e-15)
-
-    def test_zero_overlap_product(self):
-        s = np.zeros((3, 2))
-        assert not sym_overlap_pair(s).any()
-
-    def test_declared_symmetries(self, rng):
-        _, s = random_dimer(rng, 2, 3)
-        t = sym_overlap_pair(s)
-        assert np.allclose(t, t.transpose(1, 0, 3, 2))
-        assert np.allclose(t, t.transpose(0, 1, 3, 2))
 
     def test_load_projection_tolerance(self, rng):
         v, _ = random_dimer(rng, 2, 2)
