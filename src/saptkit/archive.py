@@ -14,9 +14,11 @@ Loading rejects array extents that do not tile the payload exactly
 
 The recognized array names are ``v``, ``S``, ``h1_A``, ``h1_B``, ``eri_A``,
 ``eri_B``, ``partition_A_core``, ``partition_B_core``, ``gap_A``, ``gap_B``,
-``overlap_A``, ``overlap_B``; the first two are shape-checked against the
-dimer metadata and ``v`` is symmetry-projected on load, in place.  Additional
-names pass through untouched.
+``overlap_A``, ``overlap_B``; each is shape-checked against the dimer
+metadata (a core list is 1-d, of at most its monomer's orbital count), and
+``v`` is symmetry-projected on load, in place.  Any of them may be absent;
+reading an absent ``v`` or ``S`` is a schema error.  Additional names pass
+through untouched.
 
 Factor caches ride in the same container.  The manifest's ``factors``
 object holds ``observable``, ``space`` (full/active), ``threshold``, each
@@ -62,6 +64,8 @@ _SHAPE_RULES = {
     "gap_B": lambda na, nb: {(), (1,)},
     "overlap_A": lambda na, nb: {(), (1,)},
     "overlap_B": lambda na, nb: {(), (1,)},
+    "partition_A_core": lambda na, nb: {(k,) for k in range(na + 1)},
+    "partition_B_core": lambda na, nb: {(k,) for k in range(nb + 1)},
 }
 
 
@@ -93,11 +97,16 @@ class TensorArchive:
 
     @property
     def v(self) -> np.ndarray:
-        return self.arrays["v"]
+        return self._required("v")
 
     @property
     def S(self) -> np.ndarray:
-        return self.arrays["S"]
+        return self._required("S")
+
+    def _required(self, name: str) -> np.ndarray:
+        if name not in self.arrays:
+            raise ArchiveError("schema", f"archive lacks array {name!r}")
+        return self.arrays[name]
 
     def scalar(self, name: str, default: float) -> float:
         """The number stored under ``name``, or ``default`` if there is none."""
@@ -105,13 +114,15 @@ class TensorArchive:
         return default if arr is None else float(np.asarray(arr).reshape(-1)[0])
 
     def partition(self) -> SpacePartition:
-        """Core/active split from the stored core lists.
+        """Core/active split from the stored core lists of whole orbital indices.
 
         Orbitals absent from the core lists are treated as active; archives
         that carry virtuals should list them nowhere and trim the tensors.
         """
-        core_a = [int(x) for x in self.arrays.get("partition_A_core", np.zeros(0))]
-        core_b = [int(x) for x in self.arrays.get("partition_B_core", np.zeros(0))]
+        cores = [self.arrays.get(f"partition_{m}_core", np.zeros(0)) for m in "AB"]
+        if any((np.floor(core) != core).any() for core in cores):
+            raise ArchiveError("schema", "a core list holds a non-integral orbital index")
+        core_a, core_b = ([int(x) for x in core] for core in cores)
         active_a = [p for p in range(self.basis.n_orb_A) if p not in core_a]
         active_b = [q for q in range(self.basis.n_orb_B) if q not in core_b]
         return SpacePartition.from_counts(

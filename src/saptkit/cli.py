@@ -51,30 +51,31 @@ def _coefficient_sets(archive: ar.TensorArchive):
     return build_majorana_coefficients(archive.v, archive.S.copy())
 
 
-def _operators(
-    archive: ar.TensorArchive,
-    observables,
-    truncation: float,
-    factorize: bool = True,
-    total_only: bool = False,
-):
-    """Yield (coefficients, factorized operator) per observable, in order, one
-    operator at a time; a block two observables hold alike is factorized once.
-    The operator is None when ``factorize`` is false.  When ``total_only`` is
-    true, the sets and operators lack the blocks ``tf_norm`` reports outside
-    its total.  The archive's arrays are dropped once the sets are built."""
+def _read_archive(path, observables, monomers: bool = False):
+    """Load the archive once and return what a command reads of it: the basis,
+    with ``monomers`` the monomer values `estimate` reads, and the coefficient
+    sets of ``observables``.  None of these views the payload, so it is freed
+    on return, before anything is factorized."""
+    archive = ar.load_archive(path)
+    values = {}
+    for m in "AB" if monomers else "":
+        h1, eri = (archive.arrays.get(f"{name}_{m}") for name in ("h1", "eri"))
+        if h1 is not None and eri is not None:
+            values[f"lambda_{m}"] = df_hamiltonian_norm(*factorize_monomer_hamiltonian(h1, eri))
+        values[f"delta_{m}"] = archive.scalar(f"gap_{m}", 0.0) or None
+        values[f"overlap_{m}"] = archive.scalar(f"overlap_{m}", 1.0)
+        values[f"n_orb_{m}"] = getattr(archive.basis, f"n_orb_{m}")
+    sets = _coefficient_sets(archive) if observables else {}
+    return archive.basis, values, {name: sets[name] for name in observables}
+
+
+def _operators(coeffs: dict, truncation: float):
+    """Yield the factorized operator of each coefficient set, in order, one at
+    a time; a block two sets hold alike is factorized once."""
     check_threshold(truncation)  # before shared_blocks factorizes anything
-    coeffs = _coefficient_sets(archive)
-    archive.arrays.clear()  # nothing reads the payload after the coefficient build
-    skip = {k for labels in EXCLUDED_BLOCKS.values() for k in labels} if total_only else set()
+    shared = shared_blocks(list(coeffs.values()))
     for c in coeffs.values():
-        for label in skip & c.two_body_blocks.keys():
-            del c.two_body_blocks[label]
-    shared = shared_blocks([coeffs[name] for name in observables] if factorize else [])
-    for name in observables:
-        yield coeffs[name], (
-            factorize_coefficients(coeffs[name], truncation, blocks=shared) if factorize else None
-        )
+        yield factorize_coefficients(c, truncation, blocks=shared)
 
 
 # ---------------------------------------------------------------------------
@@ -82,24 +83,27 @@ def _operators(
 
 
 def cmd_factorize(args) -> int:
-    archive = ar.load_archive(args.archive)
+    check_threshold(args.truncation)  # before the archive is read
+    basis, _, coeffs = _read_archive(args.archive, args.observables)
     out_prefix = Path(args.output or Path(args.archive).with_suffix(""))
-    for _, fop in _operators(archive, args.observables, args.truncation):
+    for fop in _operators(coeffs, args.truncation):
         path = Path(f"{out_prefix}.{fop.observable}.factors")
-        ar.save_factor_cache(path, fop, archive.basis)
+        ar.save_factor_cache(path, fop, basis)
         print(f"wrote {path}")
     return 0
 
 
 def cmd_norms(args) -> int:
-    archive = ar.load_archive(args.archive)
-    reports = []
+    check_threshold(args.truncation)  # before the archive is read
+    _, _, coeffs = _read_archive(args.archive, args.observables)
     tf = args.representation in ("tf", "both")
-    for coeffs, fop in _operators(archive, args.observables, args.truncation, tf):
+    fops = _operators(coeffs, args.truncation) if tf else None
+    reports = []
+    for c in coeffs.values():
         if args.representation in ("sparse", "both"):
-            reports.append(sparse_norms(coeffs))
+            reports.append(sparse_norms(c))
         if tf:
-            reports.append(tf_norm(fop))
+            reports.append(tf_norm(next(fops)))
     print(format_table(reports))
     if args.json:
         Path(args.json).write_text(
@@ -109,56 +113,49 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def _observable_norms(args, archive: ar.TensorArchive | None) -> dict[str, float]:
-    """lambda_F per observable: the explicit --lambda-v/-p/-vp flags, and the
-    archive's factorized totals for the others only.  The flags, the target
-    and the truncation are checked before anything is factorized, and only the
-    blocks the totals read are factorized."""
+def _norm_inputs(args, monomers: bool = False):
+    """(lambda_F of the --lambda-v/-p/-vp flags, the archive's monomer values
+    when ``monomers``, the archive's coefficient sets of the observables no flag
+    gives).  The flags, the target and the truncation are checked before the
+    archive is read."""
     flags = zip(OBSERVABLES, (args.lambda_v, args.lambda_p, args.lambda_vp))
     lam = {key: val for key, val in flags if val is not None}
     check_budget(args.eps_targ, *lam.values())
     check_threshold(args.truncation)
     todo = [key for key in OBSERVABLES if key not in lam]
-    if todo and archive is None:
+    if args.archive:
+        _, values, coeffs = _read_archive(args.archive, todo, monomers)
+        return lam, values, coeffs
+    if todo:
         raise DomainError(f"{args.command} needs observable norms for {', '.join(todo)}")
-    for _, fop in _operators(archive, todo, args.truncation, total_only=True) if todo else ():
+    return lam, {}, {}
+
+
+def _total_norms(coeffs: dict, truncation: float) -> dict[str, float]:
+    """lambda_F of each set; the blocks its total leaves out are deleted unfactorized."""
+    skip = {k for labels in EXCLUDED_BLOCKS.values() for k in labels}
+    for c in coeffs.values():
+        for label in skip & c.two_body_blocks.keys():
+            del c.two_body_blocks[label]
+    lam = {}
+    for fop in _operators(coeffs, truncation):
         lam[fop.observable] = tf_norm(fop).total
         del fop  # hold one operator at a time
     return lam
 
 
 def cmd_budget(args) -> int:
-    lam = _observable_norms(args, ar.load_archive(args.archive) if args.archive else None)
+    lam, _, coeffs = _norm_inputs(args)
+    lam |= _total_norms(coeffs, args.truncation)
     budget = budget_errors(lam["V"], lam["P"], lam["VPs"], args.eps_targ)
-    print(
-        json.dumps(
-            {
-                "eps_V": budget.eps_V,
-                "eps_VP": budget.eps_VP,
-                "eps_P": budget.eps_P,
-                "eps_targ": budget.eps_targ,
-                "constraint_residual": budget.constraint_residual(),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    out = {key: getattr(budget, key) for key in ("eps_V", "eps_VP", "eps_P", "eps_targ")}
+    out["constraint_residual"] = budget.constraint_residual()
+    print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
 
-def _system_params(args, archive: ar.TensorArchive | None) -> SystemParams:
-    vals = {}
-    if archive is not None:
-        for m in "AB":
-            h1, eri = (archive.arrays.get(f"{name}_{m}") for name in ("h1", "eri"))
-            if h1 is not None and eri is not None:
-                vals[f"lambda_{m}"] = df_hamiltonian_norm(*factorize_monomer_hamiltonian(h1, eri))
-        vals["delta_A"] = archive.scalar("gap_A", 0.0) or None
-        vals["delta_B"] = archive.scalar("gap_B", 0.0) or None
-        vals["overlap_A"] = archive.scalar("overlap_A", 1.0)
-        vals["overlap_B"] = archive.scalar("overlap_B", 1.0)
-        vals["n_orb_A"] = archive.basis.n_orb_A
-        vals["n_orb_B"] = archive.basis.n_orb_B
+def _system_params(args, values: dict) -> SystemParams:
+    """The archive's monomer values with the flags that override them."""
     overrides = {
         "lambda_A": args.lambda_a,
         "lambda_B": args.lambda_b,
@@ -169,9 +166,7 @@ def _system_params(args, archive: ar.TensorArchive | None) -> SystemParams:
         "n_orb_A": args.n_orb_a,
         "n_orb_B": args.n_orb_b,
     }
-    for key, val in overrides.items():
-        if val is not None:
-            vals[key] = val
+    vals = values | {key: val for key, val in overrides.items() if val is not None}
     missing = [k for k in ("lambda_A", "lambda_B", "delta_A", "delta_B") if not vals.get(k)]
     if missing:
         raise DomainError(f"estimate needs {', '.join(missing)} (flags or archive data)")
@@ -190,9 +185,9 @@ def _calibration(path: str | None) -> CalibrationConstants:
 
 def cmd_estimate(args) -> int:
     calib = _calibration(args.calibration)
-    archive = ar.load_archive(args.archive) if args.archive else None
-    params = _system_params(args, archive)  # first: _observable_norms drops the archive's arrays
-    lam = _observable_norms(args, archive)
+    lam, values, coeffs = _norm_inputs(args, monomers=True)
+    params = _system_params(args, values)
+    lam |= _total_norms(coeffs, args.truncation)
     budget = budget_errors(lam["V"], lam["P"], lam["VPs"], args.eps_targ)
     graphs = {}
     for name in args.observables:

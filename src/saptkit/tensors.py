@@ -133,8 +133,9 @@ def symmetrize_v(v: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     if v.ndim != 4 or v.shape[0] != v.shape[1] or v.shape[2] != v.shape[3]:
         raise ShapeError(f"v must have shape (NA, NA, NB, NB), got {v.shape}")
     vs = sym_v4(v)
-    scale = max(np.linalg.norm(v), 1.0)
-    if np.linalg.norm(v - vs) > tol * scale:
+    # the test on v over its largest entry: np.linalg.norm(v) overflows from |v| ~ 1e154
+    big = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+    if big and np.linalg.norm((v - vs) / big) > tol * max(np.linalg.norm(v / big), 1.0 / big):
         raise SymmetryError("v violates four-fold symmetry beyond tolerance")
     return vs
 

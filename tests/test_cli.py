@@ -1,8 +1,11 @@
 import json
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import saptkit.cli as cli
 import saptkit.factorize as fz
@@ -599,3 +602,126 @@ class TestConvertFcidump:
         archive = ar.load_archive(out)
         assert archive.arrays["h1_B"][0, 0] == pytest.approx(-0.9)
         assert archive.basis.n_orb_A == (3 if new else 2)
+
+
+ARCHIVE_COMMANDS = ("norms", "budget", "estimate", "factorize", "verify")
+
+
+def run_on_archive(command, path, out, capsys):
+    """Run one archive-reading command in-process, every warning an error;
+    returns (exit code, stderr)."""
+    argv = {
+        "norms": ["norms", str(path)],
+        "budget": ["budget", "--archive", str(path)],
+        "estimate": ["estimate", "--archive", str(path)],
+        "factorize": ["factorize", str(path), "-o", str(out / "cache")],
+        "verify": ["verify", str(path)],
+    }[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def asymmetric_archive():
+    """The 3x2 demo dimer with a `v` that breaks the p1 <-> p2 symmetry by 1."""
+    archive = demo_archive(3, 2)
+    archive.arrays["v"][0, 1, 0, 0] += 1.0
+    return archive
+
+
+# the fuzz test's edits, one per example: (kind, array or monomer, argument)
+CORE_LISTS = {
+    "2-d": [[0.0]], "fractional": [0.5], "negative": [-1.0], "out-of-range": [2.0],
+    "repeated": [0.0, 0.0],
+}
+EDITS = st.one_of(
+    st.sampled_from(["v", "S", "h1_A", "h1_B", "eri_A", "eri_B", "gap_A", "gap_B",
+                     "overlap_A", "overlap_B"]).map(lambda name: ("delete", name)),
+    st.tuples(
+        st.just("reshape"), st.sampled_from(["gap_A", "gap_B", "overlap_A", "overlap_B"]),
+        st.sampled_from([(2,), (1, 1), (0,)]),
+    ),
+    st.tuples(st.just("core"), st.sampled_from("AB"), st.sampled_from(sorted(CORE_LISTS))),
+    st.just(("scale", "v", 1e300)),
+)
+
+
+def edited(archive, edit):
+    kind, name, *rest = edit
+    if kind == "delete":
+        del archive.arrays[name]
+    elif kind == "reshape":
+        archive.arrays[name] = np.full(rest[0], 0.5)
+    elif kind == "core":
+        archive.arrays[f"partition_{name}_core"] = np.array(CORE_LISTS[rest[0]])
+    else:
+        archive.arrays[name] = archive.arrays[name] * rest[0]
+    return archive
+
+
+class TestInputContract:
+    """Every archive a command reads runs, or exits 3 with one `error:` line
+    that names what is wrong; no edit of a small archive gives exit 4 or a warning."""
+
+    @pytest.mark.parametrize("command", ARCHIVE_COMMANDS)
+    @pytest.mark.parametrize("name", ["v", "S"])
+    def test_missing_v_or_s_is_exit_3(self, tmp_path, capsys, command, name):
+        archive = demo_archive(3, 2)
+        del archive.arrays[name]
+        save_archive(tmp_path / "a.sapt", archive)
+        code, err = run_on_archive(command, tmp_path / "a.sapt", tmp_path, capsys)
+        assert (code, err) == (3, f"error: [schema] archive lacks array {name!r}\n")
+
+    def test_converted_monomer_archive_is_exit_3(self, tmp_path, capsys):
+        # the documented import of one monomer's FCIDUMP holds no v
+        (tmp_path / "m.fcidump").write_text(FCIDUMP_TEXT)
+        new = str(tmp_path / "new.sapt")
+        assert main(["convert-fcidump", str(tmp_path / "m.fcidump"), new, "--monomer", "A",
+                     "--new"]) == 0
+        assert_data_error(["norms", new], capsys, "archive lacks array 'v'")
+
+    @pytest.mark.parametrize("command", ARCHIVE_COMMANDS[:4])
+    @pytest.mark.parametrize(
+        "core, message",
+        [([[0.0]], "[shape] array 'partition_A_core' has shape (1, 1)"),
+         ([0.5], "[schema] a core list holds a non-integral orbital index")],
+        ids=["2-d", "fractional"],
+    )
+    def test_malformed_core_list_is_exit_3(self, tmp_path, capsys, command, core, message):
+        archive = partitioned_archive()
+        archive.arrays["partition_A_core"] = np.array(core)
+        save_archive(tmp_path / "a.sapt", archive)
+        code, err = run_on_archive(command, tmp_path / "a.sapt", tmp_path, capsys)
+        assert (code, err) == (3, f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ARCHIVE_COMMANDS)
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_asymmetric_v_is_exit_3_at_any_scale(self, tmp_path, capsys, command, scale):
+        save_archive(tmp_path / "a.sapt", edited(asymmetric_archive(), ("scale", "v", scale)))
+        code, err = run_on_archive(command, tmp_path / "a.sapt", tmp_path, capsys)
+        assert (code, err) == (3, "error: v violates four-fold symmetry beyond tolerance\n")
+
+    @pytest.mark.parametrize("command", ARCHIVE_COMMANDS)
+    def test_large_v_runs_without_warnings(self, tmp_path, capsys, command):
+        save_archive(tmp_path / "a.sapt", edited(demo_archive(3, 2), ("scale", "v", 1e300)))
+        assert run_on_archive(command, tmp_path / "a.sapt", tmp_path, capsys) == (0, "")
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(size=st.sampled_from([(2, 2), (3, 2)]), edit=EDITS)
+    def test_edited_archive_runs_or_exits_3(self, tmp_path, capsys, size, edit):
+        save_archive(tmp_path / "a.sapt", edited(demo_archive(*size), edit))
+        for command in ARCHIVE_COMMANDS:
+            code, err = run_on_archive(command, tmp_path / "a.sapt", tmp_path, capsys)
+            assert code in (0, 1, 3), (command, err)
+            if code == 3:
+                assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+            else:
+                assert err == "", (command, err)

@@ -47,6 +47,15 @@ class TestSymmetrize:
         with pytest.raises(SymmetryError):
             symmetrize_v(v + 1e-3 * rng.normal(size=v.shape))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_asymmetry_rejected_at_any_scale(self, rng, scale):
+        # the norms of v overflow from |v| ~ 1e154; the test must not switch off there
+        v, _ = random_dimer(rng, 3, 2)
+        v[0, 1, 0, 0] += 1.0  # breaks p1 <-> p2
+        with pytest.raises(SymmetryError):
+            symmetrize_v(scale * v)
+        assert np.array_equal(symmetrize_v(scale * sym_v4(v)), sym_v4(scale * sym_v4(v)))
+
     def test_shape_checks(self):
         with pytest.raises(ShapeError):
             symmetrize_v(np.zeros((2, 3, 2, 2)))
