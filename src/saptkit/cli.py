@@ -51,16 +51,17 @@ def _coefficient_sets(archive: ar.TensorArchive):
     return build_majorana_coefficients(archive.v, archive.S.copy())
 
 
-def _read_archive(path, observables, monomers: bool = False):
+def _read_archive(path, observables, lambdas: str | None = None):
     """Load the archive once and return what a command reads of it: the basis,
-    with ``monomers`` the monomer values `estimate` reads, and the coefficient
-    sets of ``observables``.  None of these views the payload, so it is freed
-    on return, before anything is factorized."""
+    unless ``lambdas`` is None the monomer values `estimate` reads (the DF norm
+    only of the monomers in ``lambdas``), and the coefficient sets of
+    ``observables``.  None of these views the payload, so it is freed on
+    return, before anything is factorized."""
     archive = ar.load_archive(path)
     values = {}
-    for m in "AB" if monomers else "":
+    for m in "AB" if lambdas is not None else "":
         h1, eri = (archive.arrays.get(f"{name}_{m}") for name in ("h1", "eri"))
-        if h1 is not None and eri is not None:
+        if m in lambdas and h1 is not None and eri is not None:
             values[f"lambda_{m}"] = df_hamiltonian_norm(*factorize_monomer_hamiltonian(h1, eri))
         values[f"delta_{m}"] = archive.scalar(f"gap_{m}", 0.0) or None
         values[f"overlap_{m}"] = archive.scalar(f"overlap_{m}", 1.0)
@@ -113,18 +114,18 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def _norm_inputs(args, monomers: bool = False):
+def _norm_inputs(args, lambdas: str | None = None):
     """(lambda_F of the --lambda-v/-p/-vp flags, the archive's monomer values
-    when ``monomers``, the archive's coefficient sets of the observables no flag
-    gives).  The flags, the target and the truncation are checked before the
-    archive is read."""
+    as :func:`_read_archive` reads them for ``lambdas``, the archive's
+    coefficient sets of the observables no flag gives).  The flags, the target
+    and the truncation are checked before the archive is read."""
     flags = zip(OBSERVABLES, (args.lambda_v, args.lambda_p, args.lambda_vp))
     lam = {key: val for key, val in flags if val is not None}
     check_budget(args.eps_targ, *lam.values())
     check_threshold(args.truncation)
     todo = [key for key in OBSERVABLES if key not in lam]
     if args.archive:
-        _, values, coeffs = _read_archive(args.archive, todo, monomers)
+        _, values, coeffs = _read_archive(args.archive, todo, lambdas)
         return lam, values, coeffs
     if todo:
         raise DomainError(f"{args.command} needs observable norms for {', '.join(todo)}")
@@ -185,7 +186,8 @@ def _calibration(path: str | None) -> CalibrationConstants:
 
 def cmd_estimate(args) -> int:
     calib = _calibration(args.calibration)
-    lam, values, coeffs = _norm_inputs(args, monomers=True)
+    flags = zip("AB", (args.lambda_a, args.lambda_b))
+    lam, values, coeffs = _norm_inputs(args, "".join(m for m, val in flags if val is None))
     params = _system_params(args, values)
     lam |= _total_norms(coeffs, args.truncation)
     budget = budget_errors(lam["V"], lam["P"], lam["VPs"], args.eps_targ)

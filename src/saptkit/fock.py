@@ -8,13 +8,11 @@ monomer.  The creation operator of mode m is the real Kronecker chain
 Z^(x)m (x) sigma+ (x) I (x) ... (x) I with sigma+ = |1><0|, so every table
 and every assembled operator is float64; states handed in may be complex.
 
-Two size limits are checked before anything is allocated: the dimer may hold
-at most ``MAX_SPIN_ORBITALS`` spin orbitals, which bounds the dimer operators
-(products such as V P) the oracle builds, and each monomer at most
-``MAX_MONOMER_ORBITALS`` orbitals, which bounds its cached tables.  A product
-of two operators is refused before it is formed when its distinct pair
-products could take more than ``MAX_PRODUCT_BYTES`` (V P at 5x3 would take
-2.5 GiB).
+One memory model decides which dimers the oracle admits: :func:`oracle_bytes`
+bounds the bytes its checks hold at their peak (the tables and the largest
+operator product, from pair counts known before anything is built), and
+``FockSpace`` refuses a dimer over ``ORACLE_BUDGET`` (1 GiB) before any table
+is built.  Every dimer up to 3x3 orbitals, 4x1, 1x4 and 4x2 is admitted.
 
 Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i``, each
 under a content key: the bytes of its B factor, or of its A factor where that
@@ -53,10 +51,23 @@ from .tensors import (
     build_dressed_nu,
 )
 
-MAX_SPIN_ORBITALS = 16
-# the cached tables of one monomer take 38 MB at 4 orbitals, 0.93 GB at 5 and 21 GB at 6
-MAX_MONOMER_ORBITALS = 5
-MAX_PRODUCT_BYTES = 1 << 30
+ORACLE_BUDGET = 1 << 30  # bytes an oracle run may hold at its peak
+
+
+def oracle_bytes(n_a: int, n_b: int) -> int:
+    """Bytes the oracle holds at its peak on an n_a x n_b dimer: both monomers'
+    tables (adag, E, w, number) and, per pair of the largest product its checks
+    form, six pair sizes 8(d_A^2 + d_B^2), for a pair's factors and content key
+    in the product, in the cap's stacked copy and in the operators held meanwhile."""
+    cap = 16 ** min(n_a, n_b)  # matrix units of the smaller monomer: no operator holds more pairs
+    # a keyed family holds 2 n^2 pairs: g3 keys on A; V, P, lock, g2 and v_mod on B
+    fam_a, fam_b = min(2 * n_a * n_a, cap), min(2 * n_b * n_b, cap)
+    # VPs: lock and g2 share keys, then g3 and V @ P; its adjoint adds none
+    vps = min(cap, fam_b + fam_a + min(fam_b * fam_b, cap))
+    # v_mod @ p_mod (p_mod adds two one-body pairs; V @ P is no larger) and VPs @ N
+    pairs = max(fam_b * min(fam_b + 2, cap), 2 * vps)
+    tables = sum(8 * 16**n * (4 * n * n + 2 * n + 1) for n in (n_a, n_b))
+    return tables + 6 * 8 * (16**n_a + 16**n_b) * pairs
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +123,11 @@ class FockSpace:
     n_orb_B: int
 
     def __post_init__(self):
-        n_a, n_b = self.n_orb_A, self.n_orb_B
-        if 2 * (n_a + n_b) > MAX_SPIN_ORBITALS or max(n_a, n_b) > MAX_MONOMER_ORBITALS:
+        need = oracle_bytes(self.n_orb_A, self.n_orb_B)
+        if need > ORACLE_BUDGET:
             raise ShapeError(
-                f"oracle capped at {MAX_SPIN_ORBITALS} spin orbitals and {MAX_MONOMER_ORBITALS} "
-                f"orbitals per monomer; got {n_a}x{n_b} orbitals"
+                f"the oracle on {self.n_orb_A}x{self.n_orb_B} orbitals needs up to "
+                f"{need / 2**30:.2f} GiB, over its {ORACLE_BUDGET / 2**30:g} GiB budget"
             )
 
     @property
@@ -240,18 +251,7 @@ class PairSum:
             out._terms[side, (a.T if side == "A" else b.T).tobytes()] = (a.T, b.T)
         return out
 
-    def check_product(self, other: "PairSum") -> None:
-        """ShapeError if ``self @ other`` could take more than ``MAX_PRODUCT_BYTES``."""
-        da, db = self.space.dim_A, self.space.dim_B
-        need = 8 * (da * da + db * db) * len(self._terms) * len(other._terms)
-        if need > MAX_PRODUCT_BYTES:
-            raise ShapeError(
-                f"operator product needs up to {need / 2**30:.2f} GiB, over the oracle's "
-                f"{MAX_PRODUCT_BYTES / 2**30:g} GiB budget"
-            )
-
     def __matmul__(self, other: "PairSum") -> "PairSum":
-        self.check_product(other)
         out = PairSum(self.space)
         # the product of two shared A factors (units, table elements) is the one that recurs
         for (s1, _), (a1, b1) in self._terms.items():

@@ -27,6 +27,10 @@ class NormReport:
     lambda_s: float = 0.0
     excluded: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not np.isfinite(self.total_with_excluded + self.lambda_s):
+            raise DomainError(f"{self.observable} {self.representation} norm overflows")
+
     @property
     def total(self) -> float:
         return float(sum(self.components.values()))
@@ -80,6 +84,8 @@ def _antisym_reduced_sum(lam: np.ndarray) -> float:
     return 0.5 * float(sub.sum())
 
 
+# an overflowing sum ends in NormReport's finiteness check, not in a warning
+@np.errstate(over="ignore", invalid="ignore")
 def sparse_norms(coeffs: SaptCoefficients) -> NormReport:
     """Entrywise l1 norms of one observable's coefficient set."""
     blocks = coeffs.two_body_blocks
@@ -158,6 +164,7 @@ def _intra_weight(bf: BlockFactors) -> float:
 EXCLUDED_BLOCKS = {"VP_2": ("2", "2r"), "VP_3": ("3", "3r")}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def tf_norm(fop: FactorizedOperator) -> NormReport:
     """Tensor-factorized l1 norm of one observable.
 

@@ -54,22 +54,34 @@ class TestVerify:
     def test_archive_passes(self, archive_path):
         assert main(["verify", str(archive_path)]) == 0
 
-    @pytest.mark.parametrize("n_a, n_b", [(7, 1), (5, 4)])
-    def test_oversized_archive_falls_back(self, tmp_path, capsys, n_a, n_b):
+    @pytest.mark.parametrize(
+        "n_a, n_b", [(7, 1), (5, 4), (5, 1), (5, 2), (5, 3), (4, 4), (3, 4), (2, 4)]
+    )
+    def test_oversized_archive_falls_back(self, tmp_path, monkeypatch, capsys, n_a, n_b):
+        built = []
+        monomer_ops = fock._monomer_ops
+        monkeypatch.setattr(fock, "_monomer_ops", lambda n: built.append(n) or monomer_ops(n))
         path = tmp_path / "wide.sapt"
         save_archive(path, demo_archive(n_a, n_b))
         assert main(["verify", str(path)]) == 0
         assert "using the built-in dimer" in capsys.readouterr().out
+        assert built and max(n_a, n_b) not in built  # refused before its larger table
 
-    # at 4x2, V P needs up to 32 MiB and VPs N (the particle-number check) 62 MiB;
-    # no product of the built-in and embedding dimers needs over 23 MiB
-    @pytest.mark.parametrize("mib", [24, 48], ids=["V P", "VPs N"])
-    def test_over_product_budget_falls_back(self, tmp_path, monkeypatch, capsys, mib):
-        monkeypatch.setattr(fock, "MAX_PRODUCT_BYTES", mib << 20)
+    # 1x4 and 4x2 are admitted at the default budget; the largest product of the model is
+    # v_mod @ p_mod at 1x4 and VPs @ N at 4x2; the built-in and embedding dimers stay under both
+    @pytest.mark.parametrize("n_a, n_b", [(1, 4), (4, 2)], ids=["V P", "VPs N"])
+    def test_over_product_budget_falls_back(self, tmp_path, monkeypatch, capsys, n_a, n_b):
+        budget = fock.oracle_bytes(n_a, n_b) - 1
+        monkeypatch.setattr(fock, "ORACLE_BUDGET", budget)
         path = tmp_path / "wide.sapt"
-        save_archive(path, demo_archive(4, 2))
+        save_archive(path, demo_archive(n_a, n_b))
         assert main(["verify", str(path)]) == 0
-        assert "using the built-in dimer" in capsys.readouterr().out
+        need = fock.oracle_bytes(n_a, n_b) / 2**30
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == (
+            f"archive refused: the oracle on {n_a}x{n_b} orbitals needs up to {need:.2f} GiB, "
+            f"over its {budget / 2**30:g} GiB budget; using the built-in dimer"
+        )
 
 
 class TestNorms:
@@ -255,6 +267,19 @@ class TestEstimate:
             assert main(argv + [x for name in names for x in (name, flags[name])]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("given, calls", [(("-a", "-b"), 0), (("-a",), 1), (("-b",), 1)])
+    def test_monomer_factorized_only_without_its_lambda_flag(
+        self, archive_path, monkeypatch, capsys, given, calls
+    ):
+        seen = []
+        factorize = cli.factorize_monomer_hamiltonian
+        monkeypatch.setattr(
+            cli, "factorize_monomer_hamiltonian", lambda *a: seen.append(a) or factorize(*a)
+        )
+        flags = [x for m in given for x in (f"--lambda{m}", "53.9")]
+        assert main(["estimate", "--archive", str(archive_path), *flags]) == 0
+        assert len(seen) == calls
 
     def test_explicit_parameters(self, capsys):
         code = main([
@@ -707,6 +732,13 @@ class TestInputContract:
     def test_large_v_runs_without_warnings(self, tmp_path, capsys, command):
         save_archive(tmp_path / "a.sapt", edited(demo_archive(3, 2), ("scale", "v", 1e300)))
         assert run_on_archive(command, tmp_path / "a.sapt", tmp_path, capsys) == (0, "")
+
+    @pytest.mark.parametrize("command", ["norms", "budget", "estimate"])
+    def test_overflowing_norm_is_exit_3(self, tmp_path, capsys, command):
+        save_archive(tmp_path / "a.sapt", edited(demo_archive(3, 2), ("scale", "v", 1e307)))
+        code, err = run_on_archive(command, tmp_path / "a.sapt", tmp_path, capsys)
+        rep = "sparse" if command == "norms" else "tensor_factorized"
+        assert (code, err) == (3, f"error: V {rep} norm overflows\n")
 
     @settings(
         max_examples=30,

@@ -1,9 +1,5 @@
 import itertools
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +7,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from saptkit import fock
+from saptkit.archive import demo_archive
 from saptkit.errors import ShapeError
 from saptkit.fock import (
     FockSpace,
@@ -29,6 +26,7 @@ from saptkit.fock import (
     verify_complete_basis,
 )
 from saptkit.tensors import build_majorana_coefficients
+from saptkit.verify import run_verification
 from .conftest import half_weighted_dressing, random_dimer, random_sector_state
 
 
@@ -434,41 +432,43 @@ class TestSizeGuard:
             FockSpace(5, 4)
         assert fock._monomer_ops.cache_info().misses == misses
 
-    def test_largest_allowed_dimer_constructs(self):
-        assert FockSpace(5, 3).dim == 2**16
-
-    def test_product_budget_refuses_v_p_at_5x3(self):
-        # V and P hold 18 pairs each at 5x3, as at 3x3: their product would hold
-        # up to 324 monomer-A factors of 8 MiB.  The child caps its own address
-        # space, so without the guard it fails at once instead of taking 2.5 GiB.
-        code = textwrap.dedent(
-            f"""
-            import resource, sys
-            sys.path.insert(0, {str(Path(fock.__file__).parents[1])!r})
-            import numpy as np
-            from saptkit.errors import ShapeError
-            from saptkit.fock import FockSpace, PairSum
-
-            space = FockSpace(5, 3)
-            a = np.ones((space.dim_A, space.dim_A))
-            ops = [PairSum(space), PairSum(space)]
-            for op in ops:
-                for i in range(18):
-                    op.add(a, np.full((space.dim_B, space.dim_B), i + 1.0))
-            size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
-            resource.setrlimit(resource.RLIMIT_AS, (size + (256 << 20),) * 2)
+    def test_admission_follows_the_model(self):
+        for n_a, n_b in itertools.product(range(1, 9), repeat=2):
+            over = fock.oracle_bytes(n_a, n_b) > fock.ORACLE_BUDGET
+            misses = fock._monomer_ops.cache_info().misses
             try:
-                ops[0] @ ops[1]
-            except ShapeError as exc:
-                print("refused:", exc)
-            """
-        )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        run = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
-        )
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.startswith("refused: operator product needs up to 2.5")
+                FockSpace(n_a, n_b)
+            except ShapeError:
+                assert over, (n_a, n_b)
+                assert fock._monomer_ops.cache_info().misses == misses
+            else:
+                assert not over, (n_a, n_b)
+            for bigger in ((n_a + 1, n_b), (n_a, n_b + 1)):
+                assert fock.oracle_bytes(*bigger) >= fock.oracle_bytes(n_a, n_b)
+
+    def test_admission_table_and_refusal_message(self):
+        admitted = [(a, b) for a in range(1, 4) for b in range(1, 4)] + [(4, 1), (1, 4), (4, 2)]
+        refused = [(1, 7), (7, 1), (5, 1), (5, 2), (5, 3), (5, 4), (4, 4), (3, 4), (2, 4)]
+        for n_a, n_b in admitted:
+            FockSpace(n_a, n_b)
+        for n_a, n_b in refused:
+            need = f"needs up to {fock.oracle_bytes(n_a, n_b) / 2**30:.2f} GiB, over its 1 GiB"
+            with pytest.raises(ShapeError, match=need):
+                FockSpace(n_a, n_b)
+
+    # 2x3 is where the model is tightest over the traced peak (about 1.4x)
+    @pytest.mark.parametrize("n_a, n_b", [(3, 3), (4, 1), (2, 3)])
+    def test_model_bounds_traced_verify_peak(self, n_a, n_b, capsys):
+        archive = demo_archive(n_a, n_b)
+        fock._monomer_ops.cache_clear()  # the run builds, and is charged for, its tables
+        tracemalloc.start()
+        try:
+            assert run_verification(archive)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "built-in dimer" not in capsys.readouterr().out
+        assert peak <= fock.oracle_bytes(n_a, n_b)
 
 
 class TestCompleteBasis:
