@@ -87,35 +87,33 @@ class SpacePartition:
         )
 
 
-def _restrict(v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None, part: SpacePartition):
-    """Reorder tensors to (active..., core...) per monomer, dropping virtuals."""
+def _order(part: SpacePartition, n_a: int, n_b: int):
+    """Orbital order (active..., core...) per monomer, dropping virtuals."""
     ia = list(part.active_A) + list(part.core_A)
     ib = list(part.active_B) + list(part.core_B)
-    if max(ia, default=-1) >= S.shape[0] or max(ib, default=-1) >= S.shape[1]:
+    if max(ia, default=-1) >= n_a or max(ib, default=-1) >= n_b:
         raise ShapeError("partition indexes orbitals outside the tensor ranges")
-    vr = v[np.ix_(ia, ia, ib, ib)]
-    sr = S[np.ix_(ia, ib)]
-    mr = None
-    if mixed is not None:
-        mr = MixedTensors(
-            m1=mixed.m1[np.ix_(ia, ib, ib, ia)],
-            m2=mixed.m2[np.ix_(ia, ia, ib, ia)],
-            m3=mixed.m3[np.ix_(ia, ib, ib, ib)],
-        )
-    return vr, sr, mr
+    return ia, ib
 
 
-def _core_pieces(vr: np.ndarray, sr: np.ndarray, nta: int, ntb: int):
-    """Shared core-contracted intermediates (active output indices)."""
+def _coulomb_core(vr: np.ndarray, nta: int, ntb: int):
+    """Core traces of the reordered Coulomb tensor (active output indices)."""
     a, b = slice(0, nta), slice(0, ntb)
     ca, cb = slice(nta, None), slice(ntb, None)
     f_core_b = np.einsum("abjj->ab", vr[a, a, cb, cb])  # Coulomb trace over B cores
     f_core_a = np.einsum("iicd->cd", vr[ca, ca, b, b])
     v0_core = float(np.einsum("iijj->", vr[ca, ca, cb, cb]))
+    return f_core_b, f_core_a, v0_core
+
+
+def _overlap_core(sr: np.ndarray, nta: int, ntb: int):
+    """Core contractions of the reordered overlap (active output indices)."""
+    a, b = slice(0, nta), slice(0, ntb)
+    ca, cb = slice(nta, None), slice(ntb, None)
     ps_core_a = np.einsum("aj,bj->ab", sr[a, cb], sr[a, cb])  # overlap square over B cores
     ps_core_b = np.einsum("ic,id->cd", sr[ca, b], sr[ca, b])
     ss_cc = float(np.einsum("ij,ij->", sr[ca, cb], sr[ca, cb]))
-    return f_core_b, f_core_a, v0_core, ps_core_a, ps_core_b, ss_cc
+    return ps_core_a, ps_core_b, ss_cc
 
 
 def renormalize_electrostatic(v: np.ndarray, partition: SpacePartition) -> SaptCoefficients:
@@ -125,10 +123,11 @@ def renormalize_electrostatic(v: np.ndarray, partition: SpacePartition) -> SaptC
     declared active electron counts; with no cores it reduces to the plain
     full-space coefficients.
     """
-    vr, sr, _ = _restrict(v, np.zeros((v.shape[0], v.shape[2])), None, partition)
+    ia, ib = _order(partition, v.shape[0], v.shape[2])
+    vr = v[np.ix_(ia, ia, ib, ib)]
     nta, ntb = len(partition.active_A), len(partition.active_B)
     a, b = slice(0, nta), slice(0, ntb)
-    f_core_b, f_core_a, v0_core, *_ = _core_pieces(vr, sr, nta, ntb)
+    f_core_b, f_core_a, v0_core = _coulomb_core(vr, nta, ntb)
 
     if nta == 0 or ntb == 0:
         return SaptCoefficients(
@@ -160,13 +159,12 @@ def renormalize_electrostatic(v: np.ndarray, partition: SpacePartition) -> SaptC
 
 def renormalize_exchange(S: np.ndarray, partition: SpacePartition) -> SaptCoefficients:
     """Active single-exchange observable with core-dressed one-body tensors."""
-    dummy_v = np.zeros((S.shape[0], S.shape[0], S.shape[1], S.shape[1]))
-    vr, sr, _ = _restrict(dummy_v, S, None, partition)
+    ia, ib = _order(partition, *S.shape)
+    sr = S[np.ix_(ia, ib)]
     nta, ntb = len(partition.active_A), len(partition.active_B)
-    a, b = slice(0, nta), slice(0, ntb)
-    *_, ps_core_a, ps_core_b, ss_cc = _core_pieces(vr, sr, nta, ntb)
+    ps_core_a, ps_core_b, ss_cc = _overlap_core(sr, nta, ntb)
 
-    s_tt = sr[a, b]
+    s_tt = sr[:nta, :ntb]
     p_act_a = s_tt @ s_tt.T
     p_act_b = s_tt.T @ s_tt
     constant = (
@@ -192,7 +190,8 @@ def _core_terms_a(bk: _Buckets, vr, sr, t1, lam2, nta: int, ntb: int) -> None:
     ca, cb = slice(nta, None), slice(ntb, None)
     v_tt, s_tt = vr[a, a, b, b], sr[a, b]
     s_tc, s_ct, s_cc = sr[a, cb], sr[ca, b], sr[ca, cb]
-    f_core_b, f_core_a, v0_core, ps_core_a, _, ss_cc = _core_pieces(vr, sr, nta, ntb)
+    f_core_b, f_core_a, v0_core = _coulomb_core(vr, nta, ntb)
+    ps_core_a, _, ss_cc = _overlap_core(sr, nta, ntb)
     bs = bk.swapped()  # one-body terms on monomer B
 
     # ---- locked pair term: internal core contraction
@@ -256,7 +255,15 @@ def renormalize_vp(
     explicit blocks, including the row-coupled overlap blocks '2r'/'3r' that
     only appear with nonempty cores.
     """
-    vr, sr, mr = _restrict(v, S, mixed, partition)
+    ia, ib = _order(partition, *S.shape)
+    vr, sr = v[np.ix_(ia, ia, ib, ib)], S[np.ix_(ia, ib)]
+    mr = None
+    if mixed is not None:
+        mr = MixedTensors(
+            m1=mixed.m1[np.ix_(ia, ib, ib, ia)],
+            m2=mixed.m2[np.ix_(ia, ia, ib, ia)],
+            m3=mixed.m3[np.ix_(ia, ib, ib, ib)],
+        )
     nta, ntb = len(partition.active_A), len(partition.active_B)
     a, b = slice(0, nta), slice(0, ntb)
     ca, cb = slice(nta, None), slice(ntb, None)
@@ -264,7 +271,8 @@ def renormalize_vp(
 
     v_tt, s_tt = vr[a, a, b, b], sr[a, b]
     s_tc, s_ct = sr[a, cb], sr[ca, b]
-    _, _, v0_core, ps_core_a, ps_core_b, ss_cc = _core_pieces(vr, sr, nta, ntb)
+    v0_core = _coulomb_core(vr, nta, ntb)[2]
+    ps_core_a, ps_core_b, ss_cc = _overlap_core(sr, nta, ntb)
 
     bk = _Buckets.zeros(nta, ntb)
 

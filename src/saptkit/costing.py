@@ -235,13 +235,10 @@ class CostGraph:
         self.root.finalize(1)
 
     def _check_acyclic(self):
-        seen: set[int] = set()
-
         def walk(node: CostNode, path: set[int]):
             if id(node) in path:
                 raise DomainError("cost graph contains a cycle")
             path = path | {id(node)}
-            seen.add(id(node))
             for _, child in node.children:
                 walk(child, path)
 

@@ -174,10 +174,7 @@ def one_body_eigendecompose(m: np.ndarray) -> Factorization:
 
 def overlap_svd(s: np.ndarray) -> Factorization:
     """SVD of the rectangular intermolecular overlap matrix."""
-    fact = decompose_matrix(np.asarray(s, dtype=float), symmetric=False)
-    if fact.rank > min(s.shape):
-        raise ShapeError("overlap rank exceeded its bound")
-    return fact
+    return decompose_matrix(np.asarray(s, dtype=float), symmetric=False)
 
 
 @dataclass

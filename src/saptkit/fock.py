@@ -23,8 +23,8 @@ smaller monomer has matrix units e_rc is rewritten exactly as sum_rc over
 those units, so none holds more than min(dim_A, dim_B)^2 pairs.  Every
 coefficient family has the form sum_spins C * prod_k X^{sigma_k}(p_k q_k),
 with X the excitation operators E or the traceless quadratics w = E - delta/2,
-and one einsum-driven assembler builds them all, planning each contraction
-once per expression and operand shapes.  Its pairs are keyed by the basis
+and one einsum-driven assembler builds them all, one contraction per family
+with the spin labels as subscripts.  Its pairs are keyed by the basis
 element X^sigma(p q) of the monomer carrying a single factor (B when both
 do), so spin sums accumulate into one pair per element; a family on one
 monomer is a single monomer pair.
@@ -37,7 +37,6 @@ Their agreement to 1e-12 is the ground truth the rest of the package leans on.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -314,43 +313,34 @@ def one_body_matrix(space: FockSpace, which: str, h: np.ndarray, basis: str) -> 
     return np.einsum("ab,sabij->ij", h, mats, optimize=True)
 
 
-# einsum contraction path per (expr, operand shapes), planned once per process
-_PATHS: dict[tuple, list] = {}
-
-
 def _family(space: FockSpace, spec: str, tensors, factors, basis: str) -> PairSum:
     """sum_spins einsum(spec, *tensors) * prod_k X^{spin_k}_{monomer_k}(pair_k).
 
     ``factors`` lists (monomer, spin label, index pair) in product order, the
-    index pairs in the letters of ``spec``; each distinct spin label is summed
-    over both spins.  Pairs are keyed as the module docstring describes.
+    index pairs in the letters of ``spec``; each distinct spin label is a
+    subscript of the one contraction, so it is summed over both spins.  Pairs
+    are keyed as the module docstring describes.
     """
     mats = {m: _mats(space, m, basis) for m in {m for m, _, _ in factors}}
     singles = {f[0]: f for f in factors if sum(g[0] == f[0] for g in factors) == 1}
     key = singles.get("B", singles.get("A"))
     rest = [f for f in factors if f is not key]
-    labels = sorted({s for _, s, _ in factors})
     chain = "IJKLMN"  # matrix-product indices of the non-keyed monomer
-    subs = [pq + chain[k : k + 2] for k, (_, _, pq) in enumerate(rest)]
-    expr = ",".join([spec, *subs]) + "->" + (key[2] if key else "") + chain[0] + chain[len(rest)]
-    acc = {}
-    for spins in itertools.product(range(2), repeat=len(labels)):
-        spin = dict(zip(labels, spins))
-        operands = [*tensors, *(mats[m][spin[s]] for m, s, _ in rest)]
-        plan = (expr, *(op.shape for op in operands))
-        if plan not in _PATHS:
-            # the greedy path contracts the overlap last, several times the work at 4x1
-            _PATHS[plan] = np.einsum_path(expr, *operands, optimize="optimal")[0]
-        term = np.einsum(expr, *operands, optimize=_PATHS[plan])
-        k = spin[key[1]] if key else 0
-        acc[k] = acc.get(k, 0) + term
+    subs = [s + pq + chain[k : k + 2] for k, (_, s, pq) in enumerate(rest)]
+    # the key's spin is an output index where another factor carries it; else
+    # the sum does not depend on it and both key spins take the same block
+    spin = key[1] if key and any(s == key[1] for _, s, _ in rest) else ""
+    out_subs = spin + (key[2] if key else "") + chain[0] + chain[len(rest)]
+    operands = [*tensors, *(mats[m] for m, _, _ in rest)]
+    # the greedy path contracts the overlap last, several times the work at 4x1
+    block = np.einsum(",".join([spec, *subs]) + "->" + out_subs, *operands, optimize="optimal")
     out = PairSum(space)
     if key is None:
-        return out.add_monomer(rest[0][0], acc[0])
+        return out.add_monomer(rest[0][0], block)
     which = key[0]
-    for s, block in acc.items():
-        for p, q in np.ndindex(block.shape[:2]):
-            pair = (mats[which][s, p, q], block[p, q])
+    for s, b in enumerate(block if spin else (block, block)):
+        for p, q in np.ndindex(b.shape[:2]):
+            pair = (mats[which][s, p, q], b[p, q])
             out._put(*(pair[::-1] if which == "B" else pair), which)
     return out._capped()
 

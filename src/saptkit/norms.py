@@ -1,10 +1,12 @@
-"""Block-encoding l1 norms in the sparse and tensor-factorized representations.
+"""Block-encoding l1 norms: one formula, two representations.
 
-Sparse norms are entrywise coefficient sums with the intra-monomer
-antisymmetry reduction on the monomer blocks; tensor-factorized norms follow
-the nested-factor structure, with the complete-square halving applied to
-intra-monomer blocks whose grouped matrix factorizes through the symmetric
-branch (those are the blocks a squared-polynomial load can implement).
+:func:`_components` holds every weight of lambda once, for V, P and VPs.  A
+representation only says how it measures one-body tensors, two-body blocks and
+the overlap: sparse norms are entrywise sums, with the intra-monomer
+antisymmetry reduction on ``A2``/``B2``; tensor-factorized norms are eigenvalue
+sums and nested factor sums, with the complete-square halving on the ``A2``/``B2``
+blocks whose grouped matrix factorizes through the symmetric branch (those a
+squared-polynomial load can implement).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .factorize import BlockFactors, Factorization, FactorizedOperator, first_factorize
+from .factorize import _ONE_BODY, BlockFactors, FactorizedOperator, first_factorize
 from .factorize import inner_values, one_body_eigendecompose
 from .tensors import SaptCoefficients
 
@@ -71,6 +73,60 @@ def format_table(reports: list[NormReport]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the one formula
+
+
+# the resource model excludes the overlap-carrying VPs circuits: each of these
+# components, with the blocks it sums, is reported outside ``total``
+EXCLUDED_BLOCKS = {"VP_2": ("2", "2r"), "VP_3": ("3", "3r")}
+
+
+def _l1(x) -> float:
+    return float(np.abs(x).sum())
+
+
+def _factor_sum(values, lefts, rights) -> float:
+    """sum_t |values_t| l1(lefts_t) l1(rights_t)."""
+    total = 0.0
+    for value, left, right in zip(values, lefts, rights):
+        total += abs(value) * _l1(left) * _l1(right)
+    return float(total)
+
+
+def _components(observable: str, one, pair, s: float, held) -> tuple[dict, dict]:
+    """(components, excluded) of one observable's lambda.
+
+    A representation supplies three measures: ``one(name)``, the l1 of a
+    one-body tensor (named as in ``FactorizedOperator.one_body``);
+    ``pair(label)``, the weighted l1 of a two-body block; and ``s``, the l1 of
+    the overlap.  An excluded component (:data:`EXCLUDED_BLOCKS`) is reported
+    only when ``held`` holds one of its blocks.
+    """
+    if observable == "V":
+        return {"one_body_A": one("f_A"), "one_body_B": one("f_B"), "two_body": pair("v")}, {}
+    if observable not in ("P", "VPs"):
+        raise DomainError(f"unknown observable {observable!r}")
+    # P's components sum to lambda_P, the weight of v in VP_4
+    lam_p = {"one_body_A": 0.5 * one("p_A"), "one_body_B": 0.5 * one("p_B")}
+    lam_p["two_body"] = 0.5 * s**2
+    if observable == "P":
+        return lam_p, {}
+    components = {
+        "VP_A": 0.5 * one("kappa_A") + pair("A2"),
+        "VP_B": 0.5 * one("kappa_B") + pair("B2"),
+        "VP_1m": 0.5 * pair("1m"),
+        "VP_1l": 0.5 * pair("1l"),
+        "VP_4": sum(lam_p.values()) * pair("v"),
+    }
+    excluded = {
+        name: 0.5 * s * sum(pair(k) for k in labels if k in held)
+        for name, labels in EXCLUDED_BLOCKS.items()
+        if any(k in held for k in labels)
+    }
+    return components, excluded
+
+
+# ---------------------------------------------------------------------------
 # sparse representation
 
 
@@ -87,137 +143,50 @@ def _antisym_reduced_sum(lam: np.ndarray) -> float:
 # an overflowing sum ends in NormReport's finiteness check, not in a warning
 @np.errstate(over="ignore", invalid="ignore")
 def sparse_norms(coeffs: SaptCoefficients) -> NormReport:
-    """Entrywise l1 norms of one observable's coefficient set."""
+    """Entrywise l1 norms of one observable's coefficient set, with the
+    intra-monomer antisymmetry reduction on ``A2`` and ``B2``."""
     blocks = coeffs.two_body_blocks
-    if coeffs.observable == "V":
-        return NormReport(
-            "V",
-            "sparse",
-            components={
-                "one_body_A": float(np.abs(coeffs.one_body_A).sum()),
-                "one_body_B": float(np.abs(coeffs.one_body_B).sum()),
-                "two_body": float(np.abs(blocks["v"]).sum()),
-            },
-        )
-    if coeffs.observable == "P":
-        s_sum = float(np.abs(coeffs.overlap).sum())
-        return NormReport(
-            "P",
-            "sparse",
-            components={
-                "one_body_A": 0.5 * float(np.abs(coeffs.one_body_A).sum()),
-                "one_body_B": 0.5 * float(np.abs(coeffs.one_body_B).sum()),
-                "two_body": 0.5 * s_sum**2,
-            },
-        )
-    if coeffs.observable == "VPs":
-        s_sum = float(np.abs(coeffs.overlap).sum())
-        lam_p_sparse = (
-            0.5 * float(np.abs(coeffs.vp4_one_body_A).sum())
-            + 0.5 * float(np.abs(coeffs.vp4_one_body_B).sum())
-            + 0.5 * s_sum**2
-        )
-        comp = {
-            "VP_A": 0.5 * float(np.abs(coeffs.one_body_A).sum())
-            + 0.25 * float(np.abs(blocks["A2"]).sum())
-            + _antisym_reduced_sum(blocks["A2"]),
-            "VP_B": 0.5 * float(np.abs(coeffs.one_body_B).sum())
-            + 0.25 * float(np.abs(blocks["B2"]).sum())
-            + _antisym_reduced_sum(blocks["B2"]),
-            "VP_1m": 0.5 * float(np.abs(blocks["1m"]).sum()),
-            "VP_1l": 0.5 * float(np.abs(blocks["1l"]).sum()),
-            "VP_2": 0.5 * float(np.abs(blocks["2"]).sum()) * s_sum
-            + (0.5 * float(np.abs(blocks["2r"]).sum()) * s_sum if "2r" in blocks else 0.0),
-            "VP_3": 0.5 * float(np.abs(blocks["3"]).sum()) * s_sum
-            + (0.5 * float(np.abs(blocks["3r"]).sum()) * s_sum if "3r" in blocks else 0.0),
-            "VP_4": lam_p_sparse * float(np.abs(blocks["v"]).sum()),
-        }
-        return NormReport("VPs", "sparse", components=comp)
-    raise DomainError(f"unknown observable {coeffs.observable!r}")
+    names = _ONE_BODY.get(coeffs.observable, {})
+
+    def pair(label: str) -> float:
+        if label in ("A2", "B2"):
+            return 0.25 * _l1(blocks[label]) + _antisym_reduced_sum(blocks[label])
+        return _l1(blocks[label])
+
+    s = _l1(coeffs.overlap) if coeffs.overlap is not None else 0.0
+    comp, excluded = _components(
+        coeffs.observable, lambda name: _l1(getattr(coeffs, names[name])), pair, s, blocks
+    )
+    return NormReport(coeffs.observable, "sparse", components=comp, excluded=excluded)
 
 
 # ---------------------------------------------------------------------------
 # tensor-factorized representation
 
 
-def _one_body_sum(fact: Factorization) -> float:
-    return float(np.abs(fact.values).sum())
-
-
 def block_factor_sum(bf: BlockFactors) -> float:
     """sum_t |s_t| (sum_k |alpha_kt|)(sum_l |beta_lt|) of a nested block."""
-    total = 0.0
-    for t in range(bf.outer.rank):
-        left = np.abs(bf.inner_left[t].values).sum()
-        right = np.abs(bf.inner_right[t].values).sum()
-        total += abs(bf.outer.values[t]) * left * right
-    return float(total)
-
-
-def _intra_weight(bf: BlockFactors) -> float:
-    # squared-polynomial loading halves complete-square (symmetric) blocks
-    return 0.25 if bf.outer.symmetric else 0.5
-
-
-# the resource model excludes the overlap-carrying VPs circuits: each of these
-# components, with the blocks it sums, is reported outside ``total``
-EXCLUDED_BLOCKS = {"VP_2": ("2", "2r"), "VP_3": ("3", "3r")}
+    lefts = [f.values for f in bf.inner_left]
+    return _factor_sum(bf.outer.values, lefts, [f.values for f in bf.inner_right])
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def tf_norm(fop: FactorizedOperator) -> NormReport:
-    """Tensor-factorized l1 norm of one observable.
+    """Tensor-factorized l1 norm of one observable: eigenvalue l1s of the
+    one-body tensors, nested factor sums of the blocks, and lambda_s."""
 
-    An excluded VPs component (:data:`EXCLUDED_BLOCKS`) is reported only when
-    the operator holds one of its blocks.
-    """
-    if fop.observable == "V":
-        return NormReport(
-            "V",
-            "tensor_factorized",
-            components={
-                "one_body_A": _one_body_sum(fop.one_body["f_A"]),
-                "one_body_B": _one_body_sum(fop.one_body["f_B"]),
-                "two_body": block_factor_sum(fop.blocks["v"]),
-            },
-        )
-    if fop.observable == "P":
-        lam_s = fop.lambda_s
-        return NormReport(
-            "P",
-            "tensor_factorized",
-            components={
-                "one_body_A": 0.5 * _one_body_sum(fop.one_body["p_A"]),
-                "one_body_B": 0.5 * _one_body_sum(fop.one_body["p_B"]),
-                "two_body": 0.5 * lam_s**2,
-            },
-            lambda_s=lam_s,
-        )
-    if fop.observable == "VPs":
-        lam_s = fop.lambda_s
-        lam_p = (
-            0.5 * _one_body_sum(fop.one_body["p_A"])
-            + 0.5 * _one_body_sum(fop.one_body["p_B"])
-            + 0.5 * lam_s**2
-        )
-        comp = {
-            "VP_A": 0.5 * _one_body_sum(fop.one_body["kappa_A"])
-            + _intra_weight(fop.blocks["A2"]) * block_factor_sum(fop.blocks["A2"]),
-            "VP_B": 0.5 * _one_body_sum(fop.one_body["kappa_B"])
-            + _intra_weight(fop.blocks["B2"]) * block_factor_sum(fop.blocks["B2"]),
-            "VP_1m": 0.5 * block_factor_sum(fop.blocks["1m"]),
-            "VP_1l": 0.5 * block_factor_sum(fop.blocks["1l"]),
-            "VP_4": lam_p * block_factor_sum(fop.blocks["v"]),
-        }
-        excluded = {}
-        for name, labels in EXCLUDED_BLOCKS.items():
-            held = [k for k in labels if k in fop.blocks]
-            if held:
-                excluded[name] = 0.5 * lam_s * sum(block_factor_sum(fop.blocks[k]) for k in held)
-        return NormReport(
-            "VPs", "tensor_factorized", components=comp, lambda_s=lam_s, excluded=excluded
-        )
-    raise DomainError(f"unknown observable {fop.observable!r}")
+    def pair(label: str) -> float:
+        bf = fop.blocks[label]
+        if label in ("A2", "B2"):
+            # squared-polynomial loading halves complete-square (symmetric) blocks
+            return (0.25 if bf.outer.symmetric else 0.5) * block_factor_sum(bf)
+        return block_factor_sum(bf)
+
+    lam_s = fop.lambda_s
+    comp, excluded = _components(
+        fop.observable, lambda name: _l1(fop.one_body[name].values), pair, lam_s, fop.blocks
+    )
+    return NormReport(fop.observable, "tensor_factorized", comp, lam_s, excluded)
 
 
 def tf_norms(factors) -> dict[str, NormReport]:
@@ -236,10 +205,8 @@ def tf_norms(factors) -> dict[str, NormReport]:
 
 def df_hamiltonian_norm(one_body_eigs: np.ndarray, two_body) -> float:
     """lambda = 1/2 sum|s_k| + 1/4 sum_t |s_t| (sum_k |alpha_kt|)^2 over (s_t, alphas_t) pairs."""
-    lam = 0.5 * float(np.abs(np.asarray(one_body_eigs, dtype=float)).sum())
-    for s_t, alphas in two_body:
-        lam += 0.25 * abs(float(s_t)) * float(np.abs(np.asarray(alphas)).sum()) ** 2
-    return lam
+    values, alphas = [s_t for s_t, _ in two_body], [a for _, a in two_body]
+    return 0.5 * _l1(one_body_eigs) + 0.25 * _factor_sum(values, alphas, alphas)
 
 
 def factorize_monomer_hamiltonian(h1: np.ndarray, eri: np.ndarray):

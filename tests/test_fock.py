@@ -394,29 +394,15 @@ class TestCompaction:
         assert np.abs((x + y_c).apply_block(vecs) - want).max() <= 1e-15 * scale
 
 
-class TestPathCache:
-    def test_family_plans_each_contraction_once(self, rng, monkeypatch):
+class TestFamilyRepeat:
+    def test_two_calls_give_bit_equal_pairs(self, rng):
         space = FockSpace(2, 2)
         lam, S = rng.normal(size=(2, 2, 2, 2)), rng.normal(size=(2, 2))
-        monkeypatch.setattr(fock, "_PATHS", {})
-        plans = []
-        einsum_path = np.einsum_path
-
-        def counting_path(*args, **kwargs):
-            plans.append(args[0])
-            return einsum_path(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum_path", counting_path)
         first = fock.family_g2(space, lam, S, "w")
         second = fock.family_g2(space, lam, S, "w")
-        assert len(plans) == 1
-        fock._PATHS.clear()
-        cleared = fock.family_g2(space, lam, S, "w")
-        assert len(plans) == 2
-        for op in (second, cleared):
-            assert len(op.pairs) == len(first.pairs)
-            for (a, b), (a0, b0) in zip(op.pairs, first.pairs):
-                assert np.array_equal(a, a0) and np.array_equal(b, b0)
+        assert first.pairs and len(second.pairs) == len(first.pairs)
+        for (a, b), (a0, b0) in zip(second.pairs, first.pairs):
+            assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
 class TestSizeGuard:

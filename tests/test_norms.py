@@ -3,6 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from saptkit.active import (
+    SpacePartition,
+    renormalize_electrostatic,
+    renormalize_exchange,
+    renormalize_vp,
+)
 from saptkit.factorize import factorize_block, factorize_coefficients, one_body_eigendecompose
 from saptkit.norms import (
     block_factor_sum,
@@ -136,6 +142,29 @@ class TestTensorFactorized:
         assert "tensor_factorized" in table
 
 
+class TestRepresentationParity:
+    """Both representations read one formula: same components, same exclusions."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_same_component_and_excluded_keys(self, rng, frozen):
+        v, s = random_dimer(rng, 3, 3)
+        if frozen:
+            part = SpacePartition.from_counts([0], [1, 2], [2], [0, 1], 4, 4)
+            sets = {
+                "V": renormalize_electrostatic(v, part),
+                "P": renormalize_exchange(s, part),
+                "VPs": renormalize_vp(v, s, part),
+            }
+            assert {"2r", "3r"} <= set(sets["VPs"].two_body_blocks)
+        else:
+            sets = build_majorana_coefficients(v, s)
+        for obs, coeffs in sets.items():
+            sparse, tf = sparse_norms(coeffs), tf_norm(factorize_coefficients(coeffs))
+            assert list(sparse.components) == list(tf.components), obs
+            assert list(sparse.excluded) == list(tf.excluded), obs
+        assert list(tf.excluded) == ["VP_2", "VP_3"]
+
+
 class TestDfHamiltonian:
     def test_zero(self):
         assert df_hamiltonian_norm(np.zeros(3), []) == 0.0
@@ -185,6 +214,9 @@ class TestDfSpectra:
         want, bf = df_norm_reference(h1, eri)
         assert [len(alphas) for _, alphas in pairs] == [f.rank for f in bf.inner_left]
         assert df_hamiltonian_norm(eigs, pairs) == pytest.approx(want, rel=1e-12, abs=0)
+        # the DF two-body term is the nested factor sum of eri as an A2 block
+        a2 = 0.5 * np.abs(eigs).sum() + 0.25 * block_factor_sum(factorize_block(eri, "A2"))
+        assert df_hamiltonian_norm(eigs, pairs) == pytest.approx(a2, rel=1e-12, abs=0)
         return bf
 
     def test_random_eightfold_eri(self, rng):
