@@ -29,7 +29,6 @@ import numpy as np
 from .errors import PartitionError, ShapeError
 from .tensors import (
     DressedTensors,
-    MixedTensors,
     SaptCoefficients,
     _Buckets,
     _accumulate_vp_buckets,
@@ -242,12 +241,7 @@ def _core_terms_a(bk: _Buckets, vr, sr, t1, lam2, nta: int, ntb: int) -> None:
     convert_one_a(bk, np.einsum("ibju,aj,iu->ab", vr[ca, a, cb, b], s_tc, s_ct, optimize=True))
 
 
-def renormalize_vp(
-    v: np.ndarray,
-    S: np.ndarray,
-    partition: SpacePartition,
-    mixed: MixedTensors | None = None,
-) -> SaptCoefficients:
+def renormalize_vp(v: np.ndarray, S: np.ndarray, partition: SpacePartition) -> SaptCoefficients:
     """Active electrostatic-exchange observable (all seven coefficient blocks).
 
     The product-form term keeps the unfolded active Coulomb block and the
@@ -257,17 +251,10 @@ def renormalize_vp(
     """
     ia, ib = _order(partition, *S.shape)
     vr, sr = v[np.ix_(ia, ia, ib, ib)], S[np.ix_(ia, ib)]
-    mr = None
-    if mixed is not None:
-        mr = MixedTensors(
-            m1=mixed.m1[np.ix_(ia, ib, ib, ia)],
-            m2=mixed.m2[np.ix_(ia, ia, ib, ia)],
-            m3=mixed.m3[np.ix_(ia, ib, ib, ib)],
-        )
     nta, ntb = len(partition.active_A), len(partition.active_B)
     a, b = slice(0, nta), slice(0, ntb)
     ca, cb = slice(nta, None), slice(ntb, None)
-    dressed = build_dressed_nu(vr, sr, mr)
+    dressed = build_dressed_nu(vr, sr)
 
     v_tt, s_tt = vr[a, a, b, b], sr[a, b]
     s_tc, s_ct = sr[a, cb], sr[ca, b]

@@ -39,44 +39,57 @@ from .tensors import build_majorana_coefficients
 OBSERVABLES = ("V", "P", "VPs")
 
 
-def _coefficient_sets(archive: ar.TensorArchive):
-    """The three coefficient sets; none of their arrays views the archive's payload."""
-    if "partition_A_core" in archive.arrays or "partition_B_core" in archive.arrays:
-        part = archive.partition()
+def _coefficient_sets(v, S, part):
+    """The three coefficient sets of ``v`` and ``S``, in the active space of
+    the partition ``part`` unless it is None."""
+    if part is not None:
         return {
-            "V": renormalize_electrostatic(archive.v, part),
-            "P": renormalize_exchange(archive.S, part),
-            "VPs": renormalize_vp(archive.v, archive.S, part),
+            "V": renormalize_electrostatic(v, part),
+            "P": renormalize_exchange(S, part),
+            "VPs": renormalize_vp(v, S, part),
         }
-    return build_majorana_coefficients(archive.v, archive.S.copy())
+    return build_majorana_coefficients(v, S)
 
 
-def _read_archive(path, observables, lambdas: str | None = None):
-    """Load the archive once and return what a command reads of it: the basis,
-    unless ``lambdas`` is None the monomer values `estimate` reads (the DF norm
-    only of the monomers in ``lambdas``), and the coefficient sets of
-    ``observables``.  None of these views the payload, so it is freed on
-    return, before anything is factorized."""
-    archive = ar.load_archive(path)
+def _monomer_values(archive: ar.TensorArchive, lambdas: str) -> dict:
+    """The monomer values `estimate` reads, the DF norm only of the monomers in ``lambdas``."""
     values = {}
-    for m in "AB" if lambdas is not None else "":
+    for m in "AB":
         h1, eri = (archive.arrays.get(f"{name}_{m}") for name in ("h1", "eri"))
         if m in lambdas and h1 is not None and eri is not None:
             values[f"lambda_{m}"] = df_hamiltonian_norm(*factorize_monomer_hamiltonian(h1, eri))
         values[f"delta_{m}"] = archive.scalar(f"gap_{m}", 0.0) or None
         values[f"overlap_{m}"] = archive.scalar(f"overlap_{m}", 1.0)
         values[f"n_orb_{m}"] = getattr(archive.basis, f"n_orb_{m}")
-    sets = _coefficient_sets(archive) if observables else {}
-    return archive.basis, values, {name: sets[name] for name in observables}
+    return values
 
 
-def _operators(coeffs: dict, truncation: float):
+def _read_archive(path, observables, lambdas: str | None = None):
+    """Load the archive once and return what a command reads of it: the basis,
+    unless ``lambdas`` is None the monomer values (:func:`_monomer_values`),
+    and the coefficient sets of ``observables``.  The payload is freed before
+    the sets are built: they are built from copies of ``v`` (projected on
+    load) and ``S``."""
+    archive = ar.load_archive(path)
+    basis = archive.basis
+    values = {} if lambdas is None else _monomer_values(archive, lambdas)
+    if not observables:
+        return basis, values, {}
+    cores = any(f"partition_{m}_core" in archive.arrays for m in "AB")
+    part = archive.partition() if cores else None
+    v, S = archive.v.copy(), archive.S.copy()
+    del archive
+    sets = _coefficient_sets(v, S, part)
+    return basis, values, {name: sets[name] for name in observables}
+
+
+def _operators(coeffs: dict, truncation: float, outer_vectors: bool = True):
     """Yield the factorized operator of each coefficient set, in order, one at
     a time; a block two sets hold alike is factorized once."""
     check_threshold(truncation)  # before shared_blocks factorizes anything
     shared = shared_blocks(list(coeffs.values()))
     for c in coeffs.values():
-        yield factorize_coefficients(c, truncation, blocks=shared)
+        yield factorize_coefficients(c, truncation, blocks=shared, outer_vectors=outer_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +111,7 @@ def cmd_norms(args) -> int:
     check_threshold(args.truncation)  # before the archive is read
     _, _, coeffs = _read_archive(args.archive, args.observables)
     tf = args.representation in ("tf", "both")
-    fops = _operators(coeffs, args.truncation) if tf else None
+    fops = _operators(coeffs, args.truncation, outer_vectors=False) if tf else None
     reports = []
     for c in coeffs.values():
         if args.representation in ("sparse", "both"):
@@ -139,7 +152,7 @@ def _total_norms(coeffs: dict, truncation: float) -> dict[str, float]:
         for label in skip & c.two_body_blocks.keys():
             del c.two_body_blocks[label]
     lam = {}
-    for fop in _operators(coeffs, truncation):
+    for fop in _operators(coeffs, truncation, outer_vectors=False):
         lam[fop.observable] = tf_norm(fop).total
         del fop  # hold one operator at a time
     return lam

@@ -24,7 +24,7 @@ of its own would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +58,8 @@ class Factorization:
     """Exact decomposition of a real matrix: m = left @ diag(values) @ right.T."""
 
     values: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    left: np.ndarray | None  # None once dropped (see factorize_coefficients)
+    right: np.ndarray | None
     symmetric: bool
 
     @property
@@ -71,9 +71,8 @@ class Factorization:
 
     def truncated(self, keep: int) -> "Factorization":
         keep = max(1, keep) if self.rank else 0
-        return Factorization(
-            self.values[:keep], self.left[:, :keep], self.right[:, :keep], self.symmetric
-        )
+        left, right = (None if m is None else m[:, :keep] for m in (self.left, self.right))
+        return Factorization(self.values[:keep], left, right, self.symmetric)
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
@@ -420,10 +419,18 @@ def shared_blocks(sets: list[SaptCoefficients]) -> dict[str, BlockFactors]:
 
 
 def factorize_coefficients(
-    coeffs: SaptCoefficients, threshold: float = 0.0, blocks: dict[str, BlockFactors] | None = None
+    coeffs: SaptCoefficients,
+    threshold: float = 0.0,
+    blocks: dict[str, BlockFactors] | None = None,
+    outer_vectors: bool = True,
 ) -> FactorizedOperator:
     """Factorize every block and one-body tensor of a coefficient set; the
-    untruncated factors in ``blocks`` (see :func:`shared_blocks`) are used as given."""
+    untruncated factors in ``blocks`` (see :func:`shared_blocks`) are used as given.
+
+    ``outer_vectors=False`` drops each block's outer vectors once its inner
+    step has run, in the given ``blocks`` too (the norms read only the outer
+    values); such an operator can be truncated, not reconstructed or saved.
+    """
     check_threshold(threshold)
     if coeffs.observable not in _ONE_BODY:
         raise DomainError(f"unknown observable {coeffs.observable!r}")
@@ -434,8 +441,10 @@ def factorize_coefficients(
         out.overlap = overlap_svd(coeffs.overlap)
     for label in _BLOCK_LABELS[coeffs.observable]:
         if label in coeffs.two_body_blocks:
-            made = (blocks or {}).get(label)
-            out.blocks[label] = made or factorize_block(coeffs.two_body_blocks[label], label)
+            bf = (blocks or {}).get(label) or factorize_block(coeffs.two_body_blocks[label], label)
+            if not outer_vectors:
+                bf.outer = replace(bf.outer, left=None, right=None)
+            out.blocks[label] = bf
     if threshold:
         out.blocks = {k: truncate_block(bf, threshold) for k, bf in out.blocks.items()}
         out.threshold = threshold

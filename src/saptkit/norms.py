@@ -153,11 +153,12 @@ def sparse_norms(coeffs: SaptCoefficients) -> NormReport:
             return 0.25 * _l1(blocks[label]) + _antisym_reduced_sum(blocks[label])
         return _l1(blocks[label])
 
-    s = _l1(coeffs.overlap) if coeffs.overlap is not None else 0.0
+    # the overlap enters P and VPs only, as in the factorized lambda_s
+    s = _l1(coeffs.overlap) if coeffs.observable != "V" and coeffs.overlap is not None else 0.0
     comp, excluded = _components(
         coeffs.observable, lambda name: _l1(getattr(coeffs, names[name])), pair, s, blocks
     )
-    return NormReport(coeffs.observable, "sparse", components=comp, excluded=excluded)
+    return NormReport(coeffs.observable, "sparse", comp, s, excluded)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,9 @@ class DressedTensors:
     nu2: np.ndarray  # [p1, p2, q1, p4]
     nu3: np.ndarray  # [p1, q4, q1, q2]
 
+    def __iter__(self):
+        return iter((self.nu1, self.nu2, self.nu3))
+
 
 @dataclass
 class SaptCoefficients:
@@ -127,11 +130,15 @@ def symmetrize_v(v: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     """Project ``v`` onto its four-fold symmetric part.
 
     Asymmetry below ``tol`` (relative, Frobenius) is silently projected out;
-    anything larger raises :class:`SymmetryError`.
+    anything larger raises :class:`SymmetryError`.  A ``v`` already invariant
+    under both swaps, such as one this function returned, is its own
+    projection bit for bit and is returned as given, not copied.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 4 or v.shape[0] != v.shape[1] or v.shape[2] != v.shape[3]:
         raise ShapeError(f"v must have shape (NA, NA, NB, NB), got {v.shape}")
+    if (v == v.transpose(1, 0, 2, 3)).all() and (v == v.transpose(0, 1, 3, 2)).all():
+        return v
     vs = sym_v4(v)
     # the test on v over its largest entry: np.linalg.norm(v) overflows from |v| ~ 1e154
     big = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
@@ -179,6 +186,11 @@ def build_dressed_nu(
     v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = None
 ) -> DressedTensors:
     """Overlap-dressed Coulomb tensors over the full orbital ranges."""
+    return DressedTensors(*_dressed_nu(v, S, mixed))
+
+
+def _dressed_nu(v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = None):
+    """Yield nu1, nu2 and nu3 of :func:`build_dressed_nu`, each computed when taken."""
     v = np.asarray(v, dtype=float)
     S = np.asarray(S, dtype=float)
     n_a, n_b = S.shape
@@ -187,15 +199,14 @@ def build_dressed_nu(
     if mixed is None:
         mixed = MixedTensors.zeros(n_a, n_b)
 
-    nu1 = (
+    yield (
         mixed.m1
         + np.einsum("axby,xj,qy->ajbq", v, S, S, optimize=True)
         - np.einsum("ajby,qy->ajbq", mixed.m3, S, optimize=True)
         - np.einsum("axbq,xj->ajbq", mixed.m2, S, optimize=True)
     )
-    nu2 = mixed.m2 - np.einsum("abcy,dy->abcd", v, S, optimize=True)
-    nu3 = mixed.m3 - np.einsum("axcd,xb->abcd", v, S, optimize=True)
-    return DressedTensors(nu1, nu2, nu3)
+    yield mixed.m2 - np.einsum("abcy,dy->abcd", v, S, optimize=True)
+    yield mixed.m3 - np.einsum("axcd,xb->abcd", v, S, optimize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +386,7 @@ def convert_t3a(bk: _Buckets, T: np.ndarray, h: np.ndarray) -> None:
     bk.dir_ += np.einsum("ab,cd->abcd", h, t_tr_a)
 
 
-def _accumulate_vp_buckets(
-    bk: _Buckets,
-    v: np.ndarray,
-    S: np.ndarray,
-    dressed: DressedTensors,
-) -> None:
+def _accumulate_vp_buckets(bk: _Buckets, v: np.ndarray, S: np.ndarray, dressed) -> None:
     """Reduce the four-term exchange-electrostatic operator onto the buckets.
 
     The reduction splits every excitation factor into its scalar half and its
@@ -388,8 +394,14 @@ def _accumulate_vp_buckets(
     in its family.  No operator reordering is involved, so the bookkeeping is
     exact; the Fock-space oracle pins it down term by term.  The monomer-B
     terms are the monomer-A ones on the swapped buckets and tensors.
+
+    ``dressed`` yields nu1, nu2 and nu3 in that order: a :class:`DressedTensors`,
+    or :func:`_dressed_nu`, which computes each when it is taken.  Only the
+    negated copy of a tensor is kept while its converter runs, so a tensor
+    nothing else holds is freed before then.
     """
-    convert_lock(bk, -dressed.nu1.transpose(0, 3, 2, 1))  # [p1,p2,q1,q2]
+    nus = iter(dressed)
+    convert_lock(bk, -next(nus).transpose(0, 3, 2, 1))  # [p1,p2,q1,q2]
 
     # symmetric product term, with the pure two-body factors kept as an
     # operator product (block 'v' against the exchange factors)
@@ -398,11 +410,9 @@ def _accumulate_vp_buckets(
     bk.const += v0 * p0
     bk.lock += -v0 * np.einsum("ad,bc->abcd", S, S)
     bk.dir_ += p0 * v
-    for side, vs, ss, lam in (
-        (bk, v, S, dressed.nu2),
-        (bk.swapped(), _swap(v), S.T, _swap(dressed.nu3)),
-    ):
-        convert_g2(side, -lam, ss)
+    for side, ss, axes in ((bk, S, (0, 1, 2, 3)), (bk.swapped(), S.T, (2, 3, 0, 1))):
+        vs = v.transpose(axes)
+        convert_g2(side, -next(nus).transpose(axes), ss)  # nu2, then nu3 swapped
         f, p = np.einsum("abqq->ab", vs), ss @ ss.T
         side.h_a += -0.5 * v0 * p + p0 * f
         side.aa += -0.5 * np.einsum("ab,cd->abcd", f, p)
@@ -461,9 +471,8 @@ def build_vp_coefficients(
     v = np.asarray(v, dtype=float)
     S = np.asarray(S, dtype=float)
     n_a, n_b = S.shape
-    dressed = build_dressed_nu(v, S, mixed)
     bk = _Buckets.zeros(n_a, n_b)
-    _accumulate_vp_buckets(bk, v, S, dressed)
+    _accumulate_vp_buckets(bk, v, S, _dressed_nu(v, S, mixed))
     return _coefficients_from_buckets(bk, v, S, S @ S.T, S.T @ S, "full")
 
 
@@ -471,7 +480,7 @@ def build_majorana_coefficients(
     v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = None
 ) -> dict[str, SaptCoefficients]:
     """Coefficient sets of all three observables from full-space tensors."""
-    v = symmetrize_v(v)
+    v = symmetrize_v(v)  # a projected v is held as given, not copied
     S = validate_overlap(S)
     return {  # v is projected, and sym_v4 is idempotent: V and VPs share the array
         "V": _electrostatic(v, S, v),

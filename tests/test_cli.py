@@ -19,7 +19,11 @@ from saptkit.archive import (
 )
 from saptkit.cli import main
 from saptkit.costing import budget_errors
-from saptkit.norms import df_hamiltonian_norm, factorize_monomer_hamiltonian
+from saptkit.factorize import factorize_coefficients
+from saptkit.norms import df_hamiltonian_norm, factorize_monomer_hamiltonian, tf_norm
+from saptkit.tensors import build_majorana_coefficients
+
+from .test_archive import assert_same_operator
 
 FCIDUMP_TEXT = """&FCI NORB=2,NELEC=2,MS2=0,
 &END
@@ -97,6 +101,17 @@ class TestNorms:
         data = json.loads(out.read_text())
         assert {d["observable"] for d in data} == {"V", "P", "VPs"}
 
+    def test_sparse_rows_carry_the_overlap_norm(self, tmp_path, capsys):
+        # the sparse P and VPs weights use s = l1(S); V holds no overlap term
+        path = tmp_path / "demo.sapt"
+        save_archive(path, demo_archive(3, 2))
+        out = tmp_path / "norms.json"
+        assert main(["norms", str(path), "--representation", "sparse", "--json", str(out)]) == 0
+        s = float(np.abs(load_archive(path).S).sum())
+        assert s > 0.0
+        rows = {d["observable"]: d["lambda_s"] for d in json.loads(out.read_text())}
+        assert rows == {"V": 0.0, "P": s, "VPs": s}
+
 
 ESTIMATE = [
     "estimate", "--lambda-a", "53.9", "--lambda-b", "53.9", "--gap-a", "0.455", "--gap-b", "0.455",
@@ -141,7 +156,7 @@ class TestBudget:
             cli, "factorize_coefficients",
             lambda c, *a, **k: factorized.append(c.observable) or factorize(c, *a, **k),
         )
-        monkeypatch.setattr(cli, "_coefficient_sets", lambda a: built.append(1) or build(a))
+        monkeypatch.setattr(cli, "_coefficient_sets", lambda *a: built.append(1) or build(*a))
         assert main([command, "--archive", str(archive_path)]) == 0
         assert factorized == ["V", "P", "VPs"]
         assert main([command, "--archive", str(archive_path), "--lambda-p", "7.5"]) == 0
@@ -157,7 +172,7 @@ class TestBudget:
     def test_bad_settings_rejected_before_factorizing(
         self, archive_path, monkeypatch, capsys, flag, value
     ):
-        monkeypatch.setattr(cli, "_coefficient_sets", lambda a: pytest.fail("factorized"))
+        monkeypatch.setattr(cli, "_coefficient_sets", lambda *a: pytest.fail("factorized"))
         for command in ("budget", "estimate"):
             assert_data_error([command, "--archive", str(archive_path), flag, value], capsys)
 
@@ -496,7 +511,7 @@ class TestFactorizedBlocks:
         path = tmp_path / "dimer.sapt"
         save_archive(path, partitioned_archive() if partitioned else decaying_archive())
         excluded = self.EXCLUDED | ({"2r", "3r"} if partitioned else set())
-        assert set(cli._coefficient_sets(load_archive(path))["VPs"].two_body_blocks) == (
+        assert set(cli._read_archive(path, cli.OBSERVABLES)[2]["VPs"].two_body_blocks) == (
             self.TOTALS | excluded
         )
         for command in ("estimate", "norms", "factorize"):
@@ -524,48 +539,97 @@ class TestFactorizedBlocks:
 
 
 class TestLifetimes:
-    """By the first outer factorization of `estimate` and `budget`, nothing holds
-    the archive's payload, and the coefficient sets hold only the blocks the
-    norm totals read."""
+    """The archive's payload is freed before the coefficient sets are built.
+    By the first outer factorization of `estimate` and `budget` the sets hold
+    only the blocks the norm totals read, and when any outer factorization of
+    `estimate`, `budget` or `norms` starts, no earlier block holds its outer
+    vectors."""
 
     @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
-    @pytest.mark.parametrize("command", ["estimate", "budget"])
+    @pytest.mark.parametrize("command", ["estimate", "budget", "norms"])
     def test_held_at_first_factorization(self, tmp_path, monkeypatch, capsys, command, partitioned):
         path = tmp_path / "dimer.sapt"
         save_archive(path, partitioned_archive() if partitioned else decaying_archive())
-        payloads, sets, seen = [], [], []
+        payloads, sets, seen, vectors = [], [], [], []
         load, build, first = cli.ar.load_archive, cli._coefficient_sets, fz.first_factorize
+        majorana = cli.build_majorana_coefficients
 
         def loaded(p):
             archive = load(p)
             payloads.append(weakref.ref(archive.arrays["v"].base))
             return archive
 
-        def built(archive):
-            sets.append(build(archive))
-            payload = payloads[-1]()
-            for coeffs in sets[-1].values():
-                arrays = [*coeffs.two_body_blocks.values(), coeffs.one_body_A, coeffs.one_body_B]
-                arrays += [coeffs.overlap, coeffs.vp4_one_body_A, coeffs.vp4_one_body_B]
-                assert not any(np.shares_memory(a, payload) for a in arrays if a is not None)
+        def built(*args):
+            # nothing views the freed payload, so no set array can
+            assert payloads[-1]() is None
+            sets.append(build(*args))
             return sets[-1]
 
+        def built_full(*args):
+            assert payloads[-1]() is None
+            return majorana(*args)
+
         def factorized(block, label, *args):
-            if not seen:
-                seen.append(label)
-                assert payloads[-1]() is None
+            assert all(ref() is None for ref in vectors), label
+            if not seen and command != "norms":
                 assert "exch" not in sets[-1]["P"].two_body_blocks
                 assert {"2", "3", "2r", "3r"}.isdisjoint(sets[-1]["VPs"].two_body_blocks)
-            return first(block, label, *args)
+            seen.append(label)
+            bf = first(block, label, *args)
+            vectors.extend(weakref.ref(m) for m in (bf.outer.left, bf.outer.right))
+            return bf
 
         monkeypatch.setattr(cli.ar, "load_archive", loaded)
         monkeypatch.setattr(cli, "_coefficient_sets", built)
+        monkeypatch.setattr(cli, "build_majorana_coefficients", built_full)
         monkeypatch.setattr(fz, "first_factorize", factorized)
-        if command == "estimate":
-            command_outputs("estimate", path, tmp_path / "out", "0")
-        else:
+        if command == "budget":
             assert main(["budget", "--archive", str(path)]) == 0
+        else:
+            command_outputs(command, path, tmp_path / "out", "0")
         assert seen and len(payloads) == len(sets) == 1
+        assert {"v", "A2", "B2", "1m", "1l"} <= set(seen)
+        assert all(ref() is None for ref in vectors)
+
+    @pytest.mark.parametrize("truncation", ["0", "1e-3"])
+    def test_factor_caches_keep_outer_vectors(self, tmp_path, monkeypatch, capsys, truncation):
+        path = tmp_path / "dimer.sapt"
+        save_archive(path, decaying_archive())
+        fops = []
+        factorize = cli.factorize_coefficients
+        monkeypatch.setattr(
+            cli, "factorize_coefficients",
+            lambda *a, **k: fops.append(factorize(*a, **k)) or fops[-1],
+        )
+        command_outputs("factorize", path, tmp_path / "out", truncation)
+        assert [fop.observable for fop in fops] == list(cli.OBSERVABLES)
+        for fop in fops:
+            for bf in fop.blocks.values():
+                assert bf.outer.left is not None and bf.outer.right is not None
+            cache = tmp_path / "out" / f"cache.{fop.observable}.factors"
+            assert_same_operator(load_factor_cache(cache), fop)
+
+    @pytest.mark.parametrize("truncation", ["0", "1e-3"])
+    def test_totals_equal_factors_with_vectors(self, tmp_path, capsys, truncation):
+        path = tmp_path / "dimer.sapt"
+        save_archive(path, decaying_archive())
+        archive = load_archive(path)
+        ref = {
+            name: tf_norm(factorize_coefficients(c, float(truncation))).total
+            for name, c in build_majorana_coefficients(archive.v, archive.S).items()
+        }
+        assert ref["VPs"] != 0.0
+        out = command_outputs("norms", path, tmp_path / "norms", truncation)
+        assert {r["observable"]: r["total"] for r in json.loads(out["n.json"])} == ref
+        out = command_outputs("estimate", path, tmp_path / "estimate", truncation)
+        for name, total in ref.items():
+            assert json.loads(out[f"estimate.{name}.json"])["meta"]["lambda_F"] == total
+        capsys.readouterr()
+        assert main(["budget", "--archive", str(path), "--truncation", truncation]) == 0
+        budget = budget_errors(ref["V"], ref["P"], ref["VPs"], 0.0016)
+        data = json.loads(capsys.readouterr().out)
+        assert data["eps_V"] == budget.eps_V and data["eps_P"] == budget.eps_P
+        assert data["eps_VP"] == budget.eps_VP
 
 
 class TestTruncationDomain:

@@ -1,9 +1,10 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from saptkit import factorize
+from saptkit import factorize, tensors
 from saptkit.errors import ShapeError, SymmetryError
 from saptkit.tensors import (
     MixedTensors,
@@ -152,6 +153,34 @@ class TestSharedV:
         others = [b for label, b in coeffs["VPs"].two_body_blocks.items() if label != "v"]
         for i, a in enumerate(others):
             assert not any(np.shares_memory(a, b) for b in others[i + 1 :] + [block])
+
+    def test_projected_v_is_held_uncopied(self, rng):
+        v, s = random_dimer(rng, 3, 2)
+        projected = symmetrize_v(v + 1e-13 * rng.normal(size=v.shape))
+        assert symmetrize_v(projected) is projected
+        assert build_majorana_coefficients(projected, s)["VPs"].two_body_blocks["v"] is projected
+
+    def test_each_dressed_tensor_freed_before_its_converter(self, rng, monkeypatch):
+        v, s = random_dimer(rng, 3, 2)
+        refs, dressed = [], tensors._dressed_nu
+
+        def tracked(*args):
+            for nu in dressed(*args):
+                refs.append(weakref.ref(nu))
+                yield nu
+
+        def converter(convert):
+            def checked(bk, *args):
+                # only the negated copy of the tensor being converted is alive
+                assert len(refs) > 0 and all(ref() is None for ref in refs[:-1])
+                return convert(bk, *args)
+            return checked
+
+        monkeypatch.setattr(tensors, "_dressed_nu", tracked)
+        for name in ("convert_lock", "convert_g2"):
+            monkeypatch.setattr(tensors, name, converter(getattr(tensors, name)))
+        tensors.build_vp_coefficients(v, s)
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
 
     def test_electrostatic_alone_projects_raw_v(self, rng):
         raw = rng.normal(size=(3, 3, 2, 2))
