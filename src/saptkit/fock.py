@@ -15,8 +15,10 @@ operator product, from pair counts known before anything is built), and
 is built.  Every dimer up to 3x3 orbitals, 4x1, 1x4 and 4x2 is admitted.
 
 Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i``, each
-under a content key: the bytes of its B factor, or of its A factor where that
-is the shared table element or matrix unit.  Adding, scaling and multiplying
+under a content key: a digest of the bytes of its B factor, or of its A factor
+where that is the shared table element or matrix unit.  A key holds no copy of
+that factor, and two keys are equal only when their factors are bitwise equal,
+so a digest collision keeps two pairs apart.  Adding, scaling and multiplying
 operators merge pairs with equal keys by summing their other factors, and
 drop a pair whose sum is exactly zero.  An operator with more pairs than the
 smaller monomer has matrix units e_rc is rewritten exactly as sum_rc over
@@ -56,8 +58,8 @@ ORACLE_BUDGET = 1 << 30  # bytes an oracle run may hold at its peak
 def oracle_bytes(n_a: int, n_b: int) -> int:
     """Bytes the oracle holds at its peak on an n_a x n_b dimer: both monomers'
     tables (adag, E, w, number) and, per pair of the largest product its checks
-    form, six pair sizes 8(d_A^2 + d_B^2), for a pair's factors and content key
-    in the product, in the cap's stacked copy and in the operators held meanwhile."""
+    form, five pair sizes 8(d_A^2 + d_B^2), for a pair's factors in the product,
+    in the cap's stacked copy and in the operators held meanwhile."""
     cap = 16 ** min(n_a, n_b)  # matrix units of the smaller monomer: no operator holds more pairs
     # a keyed family holds 2 n^2 pairs: g3 keys on A; V, P, lock, g2 and v_mod on B
     fam_a, fam_b = min(2 * n_a * n_a, cap), min(2 * n_b * n_b, cap)
@@ -66,7 +68,7 @@ def oracle_bytes(n_a: int, n_b: int) -> int:
     # v_mod @ p_mod (p_mod adds two one-body pairs; V @ P is no larger) and VPs @ N
     pairs = max(fam_b * min(fam_b + 2, cap), 2 * vps)
     tables = sum(8 * 16**n * (4 * n * n + 2 * n + 1) for n in (n_a, n_b))
-    return tables + 6 * 8 * (16**n_a + 16**n_b) * pairs
+    return tables + 5 * 8 * (16**n_a + 16**n_b) * pairs
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +173,46 @@ class FockSpace:
 # dimer operators as sums of Kronecker pairs
 
 
+class _Key:
+    """A pair's content key (module docstring); ``factor`` is the pair's own array."""
+
+    __slots__ = ("side", "digest", "factor")
+
+    def __init__(self, side: str, factor: np.ndarray):
+        self.side, self.factor, self.digest = side, factor, _digest(factor)
+
+    def __hash__(self) -> int:
+        return self.digest
+
+    def __eq__(self, other: "_Key") -> bool:
+        # bitwise, as the digest is: -0.0 and 0.0 stay apart
+        return self.side == other.side and (
+            self.factor.view(np.int64) == other.factor.view(np.int64)
+        ).all()
+
+
+def _digest(factor: np.ndarray) -> int:
+    return hash(factor.tobytes())  # the bytes object dies here: a key keeps no copy
+
+
 class PairSum:
     """Operator sum_i A_i (x) B_i on the dimer space; ``_terms`` maps each
-    pair's content key (side, bytes of that factor) to the pair."""
+    pair's content key (:class:`_Key`) to the pair."""
 
     def __init__(self, space: FockSpace):
         self.space = space
-        self._terms: dict[tuple[str, bytes], tuple[np.ndarray, np.ndarray]] = {}
+        self._terms: dict[_Key, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return list(self._terms.values())
 
-    def _merge(self, key, a: np.ndarray, b: np.ndarray) -> None:
+    def _merge(self, key: _Key, a: np.ndarray, b: np.ndarray) -> None:
         """Add one pair; a pair whose summed factor is exactly zero vanishes."""
-        if key in self._terms:
-            old_a, old_b = self._terms[key]
-            a, b = (old_a, old_b + b) if key[0] == "A" else (old_a + a, old_b)
-        if (b if key[0] == "A" else a).any():
+        old = self._terms.get(key)
+        if old is not None:
+            a, b = (old[0], old[1] + b) if key.side == "A" else (old[0] + a, old[1])
+        if (b if key.side == "A" else a).any():
             self._terms[key] = (a, b)
         else:
             self._terms.pop(key, None)
@@ -196,7 +220,7 @@ class PairSum:
     def _put(self, a: np.ndarray, b: np.ndarray, side: str = "B") -> None:
         keyed = a if side == "A" else b
         if keyed.any():
-            self._merge((side, keyed.tobytes()), a, b)
+            self._merge(_Key(side, keyed), a, b)
 
     def _capped(self) -> "PairSum":
         """Once the pairs outnumber the smaller monomer's matrix units e_rc,
@@ -240,22 +264,22 @@ class PairSum:
         """c times the operator: each pair scales its unkeyed factor and shares the keyed one."""
         out = PairSum(self.space)
         out._terms = {
-            k: (a, c * b) if k[0] == "A" else (c * a, b) for k, (a, b) in self._terms.items()
+            k: (a, c * b) if k.side == "A" else (c * a, b) for k, (a, b) in self._terms.items()
         }
         return out
 
     def dagger(self) -> "PairSum":
         out = PairSum(self.space)
-        for (side, _), (a, b) in self._terms.items():
-            out._terms[side, (a.T if side == "A" else b.T).tobytes()] = (a.T, b.T)
+        for key, (a, b) in self._terms.items():
+            out._put(a.T, b.T, key.side)
         return out
 
     def __matmul__(self, other: "PairSum") -> "PairSum":
         out = PairSum(self.space)
         # the product of two shared A factors (units, table elements) is the one that recurs
-        for (s1, _), (a1, b1) in self._terms.items():
-            for (s2, _), (a2, b2) in other._terms.items():
-                out._put(a1 @ a2, b1 @ b2, "A" if s1 == s2 == "A" else "B")
+        for k1, (a1, b1) in self._terms.items():
+            for k2, (a2, b2) in other._terms.items():
+                out._put(a1 @ a2, b1 @ b2, "A" if k1.side == k2.side == "A" else "B")
         return out._capped()
 
     def hermitized(self) -> "PairSum":

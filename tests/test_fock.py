@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from saptkit.fock import (
     verify_complete_basis,
 )
 from saptkit.tensors import build_majorana_coefficients
-from saptkit.verify import run_verification
+from saptkit.verify import _oracle_operators, run_verification
 from .conftest import half_weighted_dressing, random_dimer, random_sector_state
 
 
@@ -383,8 +384,8 @@ class TestCompaction:
         y = assemble_majorana(space, build_majorana_coefficients(v, s)["V"])
         y_c = y.scaled(c)
         assert list(y_c._terms) == list(y._terms)
-        for (side, _), (a, b), (a_c, b_c) in zip(y._terms, y.pairs, y_c.pairs):
-            if side == "A":  # the keyed factor is shared, the other one scaled
+        for key, (a, b), (a_c, b_c) in zip(y._terms, y.pairs, y_c.pairs):
+            if key.side == "A":  # the keyed factor is shared, the other one scaled
                 assert a_c is a and np.array_equal(b_c, c * b)
             else:
                 assert b_c is b and np.array_equal(a_c, c * a)
@@ -392,6 +393,42 @@ class TestCompaction:
         want = apply_pairs(space, x.pairs + [(c * a, b) for a, b in y.pairs], vecs)
         scale = np.abs(apply_pairs(space, x.pairs, vecs)).max()  # x - y is zero up to rounding
         assert np.abs((x + y_c).apply_block(vecs) - want).max() <= 1e-15 * scale
+
+
+class TestContentKeys:
+    @staticmethod
+    def operators(dims):
+        _, _, _, ops, n_op = _oracle_operators(demo_archive(*dims))
+        return ops, n_op
+
+    def test_forced_digest_collisions_merge_as_the_normal_path(self, monkeypatch):
+        ops, _ = self.operators((2, 2))
+        ops["V @ P"] = ops["V"] @ ops["P"]
+        monkeypatch.setattr(fock, "_digest", lambda factor: 0)  # every key collides
+        collided, _ = self.operators((2, 2))
+        collided["V @ P"] = collided["V"] @ collided["P"]
+        for kind, op in ops.items():
+            assert len(collided[kind].pairs) == len(op.pairs), kind
+            assert np.array_equal(collided[kind].to_dense(), op.to_dense()), kind
+
+    def test_keys_hold_no_factor_copy(self, rng, monkeypatch):
+        monkeypatch.setattr(PairSum, "_capped", lambda self: self)  # keep the 2 n_A^2 pairs keyed on A
+        lam, S = rng.normal(size=(4, 1, 1, 1)), rng.normal(size=(4, 1))
+        op = fock.family_g3(FockSpace(4, 1), lam, S, "w")
+        assert len(op._terms) == 32
+        for key, (a, _) in op._terms.items():
+            assert key.side == "A" and key.factor is a  # the pair's own 256 x 256 factor
+        held = {id(x): sys.getsizeof(x) for key in op._terms for x in (key, key.side, key.digest)}
+        assert sum(held.values()) < 4096
+
+    # pair counts of verify's V, P and VPs and of the VPs @ N product it forms
+    @pytest.mark.parametrize(
+        "dims,counts", [((3, 3), (18, 18, 171, 342)), ((4, 1), (2, 2, 5, 8))]
+    )
+    def test_pair_counts(self, dims, counts):
+        ops, n_op = self.operators(dims)
+        got = (*(len(ops[kind].pairs) for kind in ("V", "P", "VPs")), len((ops["VPs"] @ n_op).pairs))
+        assert got == counts
 
 
 class TestFamilyRepeat:
@@ -442,7 +479,8 @@ class TestSizeGuard:
             with pytest.raises(ShapeError, match=need):
                 FockSpace(n_a, n_b)
 
-    # 2x3 is where the model is tightest over the traced peak (about 1.4x)
+    # 4x1 is where the model is tightest over the traced peak (about 1.6x, 2x3 1.7x);
+    # at 3x3 the traced peak was 114 MiB while each pair's key copied its factor
     @pytest.mark.parametrize("n_a, n_b", [(3, 3), (4, 1), (2, 3)])
     def test_model_bounds_traced_verify_peak(self, n_a, n_b, capsys):
         archive = demo_archive(n_a, n_b)
@@ -455,6 +493,8 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert "built-in dimer" not in capsys.readouterr().out
         assert peak <= fock.oracle_bytes(n_a, n_b)
+        if (n_a, n_b) == (3, 3):
+            assert peak < 95 * 2**20
 
 
 class TestCompleteBasis:
