@@ -9,27 +9,23 @@ Z^(x)m (x) sigma+ (x) I (x) ... (x) I with sigma+ = |1><0|, so every table
 and every assembled operator is float64; states handed in may be complex.
 
 One memory model decides which dimers the oracle admits: :func:`oracle_bytes`
-bounds the bytes its checks hold at their peak (the tables and the largest
-operator product, from pair counts known before anything is built), and
+bounds the bytes its checks hold at their peak (the tables, the family blocks
+and the probe vectors, from sizes known before anything is built), and
 ``FockSpace`` refuses a dimer over ``ORACLE_BUDGET`` (1 GiB) before any table
-is built.  Every dimer up to 3x3 orbitals, 4x1, 1x4 and 4x2 is admitted.
+is built.  Every dimer of up to 4x4 orbitals is admitted; no dimer with a
+5-orbital monomer is.
 
-Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i``, each
-under a content key: a digest of the bytes of its B factor, or of its A factor
-where that is the shared table element or matrix unit.  A key holds no copy of
-that factor, and two keys are equal only when their factors are bitwise equal,
-so a digest collision keeps two pairs apart.  Adding, scaling and multiplying
-operators merge pairs with equal keys by summing their other factors, and
-drop a pair whose sum is exactly zero.  An operator with more pairs than the
-smaller monomer has matrix units e_rc is rewritten exactly as sum_rc over
-those units, so none holds more than min(dim_A, dim_B)^2 pairs.  Every
-coefficient family has the form sum_spins C * prod_k X^{sigma_k}(p_k q_k),
-with X the excitation operators E or the traceless quadratics w = E - delta/2,
-and one einsum-driven assembler builds them all, one contraction per family
-with the spin labels as subscripts.  Its pairs are keyed by the basis
-element X^sigma(p q) of the monomer carrying a single factor (B when both
-do), so spin sums accumulate into one pair per element; a family on one
-monomer is a single monomer pair.
+Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i`` plus
+unexpanded products: a product is a chain of operators that is applied to a
+state right to left and never multiplied out into pairs.  Sums concatenate
+pairs and chains; nothing is merged or dropped, so an operator holds exactly
+the pairs its assembly made.  Every coefficient family has the form
+sum_spins C * prod_k X^{sigma_k}(p_k q_k), with X the excitation operators E
+or the traceless quadratics w = E - delta/2, and one einsum-driven assembler
+builds them all, one contraction per family with the spin labels as
+subscripts.  It makes one pair per basis element X^sigma(p q) of the monomer
+carrying a single factor (B when both do), with the spin sums accumulated in
+the pair's other factor; a family on one monomer is a single monomer pair.
 
 Two assembly routes exist for every observable: the ``excitation`` form
 contracts the dressed tensors against excitation-operator products, and the
@@ -52,23 +48,22 @@ from .tensors import (
     build_dressed_nu,
 )
 
-ORACLE_BUDGET = 1 << 30  # bytes an oracle run may hold at its peak
+ORACLE_BUDGET = 1 << 30  # bytes an oracle run may hold at its peak, as oracle_bytes counts them
 
 
 def oracle_bytes(n_a: int, n_b: int) -> int:
     """Bytes the oracle holds at its peak on an n_a x n_b dimer: both monomers'
-    tables (adag, E, w, number) and, per pair of the largest product its checks
-    form, five pair sizes 8(d_A^2 + d_B^2), for a pair's factors in the product,
-    in the cap's stacked copy and in the operators held meanwhile."""
-    cap = 16 ** min(n_a, n_b)  # matrix units of the smaller monomer: no operator holds more pairs
-    # a keyed family holds 2 n^2 pairs: g3 keys on A; V, P, lock, g2 and v_mod on B
-    fam_a, fam_b = min(2 * n_a * n_a, cap), min(2 * n_b * n_b, cap)
-    # VPs: lock and g2 share keys, then g3 and V @ P; its adjoint adds none
-    vps = min(cap, fam_b + fam_a + min(fam_b * fam_b, cap))
-    # v_mod @ p_mod (p_mod adds two one-body pairs; V @ P is no larger) and VPs @ N
-    pairs = max(fam_b * min(fam_b + 2, cap), 2 * vps)
+    tables (adag, E, w, number); the blocks of 32 families, each 2 n_K^2
+    matrices of the other monomer R (the checks hold 22 at once: 8 in the three
+    excitation operators, 6 in the majorana VPs and 8 in its negated copy; the
+    rest covers an assembly's einsum intermediates); four n^2 stacks of the
+    larger monomer's matrices, which a one-monomer family contracts; and 16
+    blocks of six probe vectors, the work of applying nested chains."""
     tables = sum(8 * 16**n * (4 * n * n + 2 * n + 1) for n in (n_a, n_b))
-    return tables + 5 * 8 * (16**n_a + 16**n_b) * pairs
+    family = 16 * max(n_a * n_a * 16**n_b, n_b * n_b * 16**n_a)
+    stack = 8 * max(n * n * 16**n for n in (n_a, n_b))
+    probes = 8 * 6 * 4 ** (n_a + n_b)
+    return tables + 32 * family + 4 * stack + 16 * probes
 
 
 # ---------------------------------------------------------------------------
@@ -170,76 +165,25 @@ class FockSpace:
 
 
 # ---------------------------------------------------------------------------
-# dimer operators as sums of Kronecker pairs
-
-
-class _Key:
-    """A pair's content key (module docstring); ``factor`` is the pair's own array."""
-
-    __slots__ = ("side", "digest", "factor")
-
-    def __init__(self, side: str, factor: np.ndarray):
-        self.side, self.factor, self.digest = side, factor, _digest(factor)
-
-    def __hash__(self) -> int:
-        return self.digest
-
-    def __eq__(self, other: "_Key") -> bool:
-        # bitwise, as the digest is: -0.0 and 0.0 stay apart
-        return self.side == other.side and (
-            self.factor.view(np.int64) == other.factor.view(np.int64)
-        ).all()
-
-
-def _digest(factor: np.ndarray) -> int:
-    return hash(factor.tobytes())  # the bytes object dies here: a key keeps no copy
+# dimer operators as Kronecker pairs plus unexpanded product chains
 
 
 class PairSum:
-    """Operator sum_i A_i (x) B_i on the dimer space; ``_terms`` maps each
-    pair's content key (:class:`_Key`) to the pair."""
+    """Operator sum_i A_i (x) B_i + sum_j c_j F_j1 F_j2 ... on the dimer space.
 
-    def __init__(self, space: FockSpace):
+    ``pairs`` holds the Kronecker pairs (A_i, B_i); ``chains`` holds each
+    product as (c_j, factors), its factors PairSums kept unexpanded and applied
+    right to left.
+    """
+
+    def __init__(self, space: FockSpace, pairs=(), chains=()):
         self.space = space
-        self._terms: dict[_Key, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return list(self._terms.values())
-
-    def _merge(self, key: _Key, a: np.ndarray, b: np.ndarray) -> None:
-        """Add one pair; a pair whose summed factor is exactly zero vanishes."""
-        old = self._terms.get(key)
-        if old is not None:
-            a, b = (old[0], old[1] + b) if key.side == "A" else (old[0] + a, old[1])
-        if (b if key.side == "A" else a).any():
-            self._terms[key] = (a, b)
-        else:
-            self._terms.pop(key, None)
-
-    def _put(self, a: np.ndarray, b: np.ndarray, side: str = "B") -> None:
-        keyed = a if side == "A" else b
-        if keyed.any():
-            self._merge(_Key(side, keyed), a, b)
-
-    def _capped(self) -> "PairSum":
-        """Once the pairs outnumber the smaller monomer's matrix units e_rc,
-        rewrite the operator as one pair per unit, keyed by the unit."""
-        d = min(self.space.dim_A, self.space.dim_B)
-        if len(self._terms) <= d * d:
-            return self
-        small = int(self.space.dim_B <= self.space.dim_A)  # factor index of the smaller monomer
-        stacks = [np.stack(factors) for factors in zip(*self._terms.values())]
-        summed = np.tensordot(stacks[small], stacks[1 - small], axes=(0, 0))
-        summed = summed.reshape(d * d, *stacks[1 - small].shape[1:])
-        self._terms = {}
-        for e, m in zip(np.eye(d * d).reshape(-1, d, d), summed):
-            self._put(*((m, e) if small else (e, m)), "AB"[small])
-        return self
+        self.pairs: list[tuple[np.ndarray, np.ndarray]] = list(pairs)
+        self.chains: list[tuple[float, tuple[PairSum, ...]]] = list(chains)
 
     def add(self, a_mat, b_mat) -> "PairSum":
-        self._put(np.asarray(a_mat, dtype=float), np.asarray(b_mat, dtype=float))
-        return self._capped()
+        self.pairs.append((np.asarray(a_mat, dtype=float), np.asarray(b_mat, dtype=float)))
+        return self
 
     def add_scalar(self, c) -> "PairSum":
         if c != 0.0:
@@ -254,71 +198,53 @@ class PairSum:
         return self
 
     def __add__(self, other: "PairSum") -> "PairSum":
-        out = PairSum(self.space)
-        out._terms = dict(self._terms)
-        for key, (a, b) in other._terms.items():
-            out._merge(key, a, b)
-        return out._capped()
+        return PairSum(self.space, self.pairs + other.pairs, self.chains + other.chains)
 
     def scaled(self, c) -> "PairSum":
-        """c times the operator: each pair scales its unkeyed factor and shares the keyed one."""
-        out = PairSum(self.space)
-        out._terms = {
-            k: (a, c * b) if k.side == "A" else (c * a, b) for k, (a, b) in self._terms.items()
-        }
-        return out
+        """c times the operator: each pair scales its smaller factor and shares the larger."""
+        pairs = [(c * a, b) if a.size <= b.size else (a, c * b) for a, b in self.pairs]
+        return PairSum(self.space, pairs, [(c * k, factors) for k, factors in self.chains])
 
     def dagger(self) -> "PairSum":
-        out = PairSum(self.space)
-        for key, (a, b) in self._terms.items():
-            out._put(a.T, b.T, key.side)
-        return out
+        chains = [(k, tuple(f.dagger() for f in reversed(factors))) for k, factors in self.chains]
+        return PairSum(self.space, [(a.T, b.T) for a, b in self.pairs], chains)
 
     def __matmul__(self, other: "PairSum") -> "PairSum":
-        out = PairSum(self.space)
-        # the product of two shared A factors (units, table elements) is the one that recurs
-        for k1, (a1, b1) in self._terms.items():
-            for k2, (a2, b2) in other._terms.items():
-                out._put(a1 @ a2, b1 @ b2, "A" if k1.side == k2.side == "A" else "B")
-        return out._capped()
+        return PairSum(self.space, chains=[(1.0, (self, other))])
 
     def hermitized(self) -> "PairSum":
-        return (self + self.dagger()).scaled(0.5)
+        half = self.scaled(0.5)  # its adjoint shares the scaled factors as views
+        return half + half.dagger()
 
     def to_dense(self) -> np.ndarray:
-        da, db = self.space.dim_A, self.space.dim_B
-        if not self.pairs:
-            return np.zeros((da * db, da * db))
-        stack_a = np.stack([a for a, _ in self.pairs]).reshape(len(self.pairs), da * da)
-        stack_b = np.stack([b for _, b in self.pairs]).reshape(len(self.pairs), db * db)
-        m = stack_a.T @ stack_b
-        return m.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
+        return self.apply_block(np.eye(self.space.dim))
 
     def apply_block(self, vecs: np.ndarray) -> np.ndarray:
         """Apply to several state vectors at once (columns of ``vecs``)."""
         da, db = self.space.dim_A, self.space.dim_B
         k = vecs.shape[1]
-        # [da, db, k] -> contract A on the left, then B on the middle axis
-        psi = np.ascontiguousarray(vecs.reshape(da, db, k))
-        flat = psi.reshape(da, db * k)
-        out = np.zeros((da * k, db), dtype=np.result_type(vecs, float))
+        # each vector as a (da, db) matrix psi, on which A (x) B acts as A psi B^T
+        psi = np.ascontiguousarray(vecs.T).reshape(k, da, db)
+        out = np.zeros(psi.shape, dtype=np.result_type(vecs, float))
         for a, b in self.pairs:
-            tmp = (a @ flat).reshape(da, db, k).transpose(0, 2, 1)
-            out += tmp.reshape(da * k, db) @ b.T
-        return out.reshape(da, k, db).transpose(0, 2, 1).reshape(da * db, k)
+            out += (a @ psi) @ b.T
+        out = out.reshape(k, da * db).T
+        for c, factors in self.chains:
+            x = vecs
+            for f in reversed(factors):
+                x = f.apply_block(x)
+            out += c * x
+        return out
 
     def expectation_product(self, psi_a: np.ndarray, psi_b: np.ndarray) -> float | complex:
-        val = 0.0
-        for a, b in self.pairs:
-            val += (psi_a.conj() @ a @ psi_a) * (psi_b.conj() @ b @ psi_b)
-        return val
+        """<psi_a psi_b| O |psi_a psi_b> on the product of two monomer states."""
+        psi = np.kron(psi_a, psi_b)
+        return np.vdot(psi, self.apply_block(psi[:, None])[:, 0])
 
     def norm_estimate(self, rng: np.random.Generator, probes: int = 6) -> float:
         """Max |O psi| over random unit probes; zero iff the operator is zero."""
         vecs = rng.normal(size=(self.space.dim, probes))
         vecs /= np.linalg.norm(vecs, axis=0)
-        if not self.pairs:
-            return 0.0
         return float(np.linalg.norm(self.apply_block(vecs), axis=0).max())
 
 
@@ -342,14 +268,15 @@ def _family(space: FockSpace, spec: str, tensors, factors, basis: str) -> PairSu
 
     ``factors`` lists (monomer, spin label, index pair) in product order, the
     index pairs in the letters of ``spec``; each distinct spin label is a
-    subscript of the one contraction, so it is summed over both spins.  Pairs
-    are keyed as the module docstring describes.
+    subscript of the one contraction, so it is summed over both spins.  The
+    ``key`` factor is the one whose basis elements index the pairs (module
+    docstring).
     """
     mats = {m: _mats(space, m, basis) for m in {m for m, _, _ in factors}}
     singles = {f[0]: f for f in factors if sum(g[0] == f[0] for g in factors) == 1}
     key = singles.get("B", singles.get("A"))
     rest = [f for f in factors if f is not key]
-    chain = "IJKLMN"  # matrix-product indices of the non-keyed monomer
+    chain = "IJKLMN"  # matrix-product indices of the other monomer
     subs = [s + pq + chain[k : k + 2] for k, (_, s, pq) in enumerate(rest)]
     # the key's spin is an output index where another factor carries it; else
     # the sum does not depend on it and both key spins take the same block
@@ -365,8 +292,8 @@ def _family(space: FockSpace, spec: str, tensors, factors, basis: str) -> PairSu
     for s, b in enumerate(block if spin else (block, block)):
         for p, q in np.ndindex(b.shape[:2]):
             pair = (mats[which][s, p, q], b[p, q])
-            out._put(*(pair[::-1] if which == "B" else pair), which)
-    return out._capped()
+            out.add(*(pair[::-1] if which == "B" else pair))
+    return out
 
 
 def family_lock(space: FockSpace, T: np.ndarray, basis: str) -> PairSum:
@@ -568,8 +495,8 @@ def assemble_monomer_hamiltonian(
     # effective one-body from normal ordering: -1/2 sum_r eri[p r r q] E+_pq
     h_eff = h1 - 0.5 * np.einsum("arrb->ab", eri)
     op = one_body_matrix(space, which, h_eff, "E")
-    for a_mat, b_mat in family_intra(space, which, 0.5 * eri, "E").pairs:  # one pair; none if eri = 0
-        op = op + (a_mat if which == "A" else b_mat)
+    ((a_mat, b_mat),) = family_intra(space, which, 0.5 * eri, "E").pairs  # one pair, zero or not
+    op = op + (a_mat if which == "A" else b_mat)
     return PairSum(space).add_monomer(which, op)
 
 

@@ -1,5 +1,5 @@
+import functools
 import itertools
-import sys
 import tracemalloc
 
 import numpy as np
@@ -15,7 +15,6 @@ from saptkit.fock import (
     PairSum,
     assemble_electrostatic,
     assemble_exchange,
-    assemble_majorana,
     assemble_modified_factors,
     assemble_vp_excitation,
     assemble_vp_majorana_families,
@@ -27,7 +26,7 @@ from saptkit.fock import (
     verify_complete_basis,
 )
 from saptkit.tensors import build_majorana_coefficients
-from saptkit.verify import _oracle_operators, run_verification
+from saptkit.verify import run_verification
 from .conftest import half_weighted_dressing, random_dimer, random_sector_state
 
 
@@ -231,7 +230,7 @@ class TestFamilyReference:
             op = getattr(fock, f"family_{name}")(space, T, S, basis)
         ref = dense_family_reference(space, name, T, S, basis)
         assert np.abs(op.to_dense() - ref).max() < 1e-13 * max(1.0, np.abs(ref).max())
-        # pairs are keyed by the one-body basis of the monomer with one factor
+        # one pair per one-body basis element of the monomer with one factor
         n_key = n_a if name in ("g3", "g3r") else n_b
         expected = 1 if name.startswith("intra") else 2 * n_key**2
         assert len(op.pairs) == expected
@@ -271,164 +270,104 @@ class TestRealOracle:
         assert probe_dtypes and set(probe_dtypes) == {np.dtype(np.float64)}
 
 
-def apply_pairs(space, pairs, vecs):
-    """sum_i (A_i (x) B_i) vecs over a raw pair list: B on the middle axis, then A."""
-    psi = vecs.reshape(space.dim_A, space.dim_B, -1)
-    out = np.zeros_like(psi)
-    for a, b in pairs:
-        out += np.tensordot(a, b @ psi, axes=(1, 0))
-    return out.reshape(vecs.shape)
+def kron_dense(op):
+    """Dense matrix of an operator from its structure alone: the Kronecker
+    product of every pair, and the dense product of every chain's factors.
 
-
-class RawPairSum(PairSum):
-    """PairSum algebra with every pair kept: no content key, no merge, no zero dropped, no cap.
-
-    A product stays unexpanded as ``products`` entries (c, left, right), applied
-    right factor first, so the reference never forms the pairwise products.
+    The pairs' products come from ``scipy.sparse.kron`` (np.kron's product,
+    summed as one COO matrix): at dimension 1024 that is several times faster
+    than summing dense np.kron matrices, and exactly equal to it.
     """
-
-    def __init__(self, space):
-        super().__init__(space)
-        self.products = []
-
-    def _merge(self, key, a, b):
-        self._terms["raw", len(self._terms)] = (a, b)
-
-    def _put(self, a, b, side="B"):
-        self._merge(None, a, b)
-
-    def _capped(self):
-        return self
-
-    def _with(self, pairs, products):
-        out = RawPairSum(self.space)
-        out._terms = {("raw", i): pair for i, pair in enumerate(pairs)}
-        out.products = products
-        return out
-
-    def __add__(self, other):
-        return self._with(self.pairs + other.pairs, self.products + other.products)
-
-    def __matmul__(self, other):
-        return self._with([], [(1.0, self, other)])
-
-    def scaled(self, c):
-        products = [(c * k, left, right) for k, left, right in self.products]
-        return self._with([(c * a, b) for a, b in self.pairs], products)
-
-    def dagger(self):
-        products = [(k, right.dagger(), left.dagger()) for k, left, right in self.products]
-        return self._with([(a.T, b.T) for a, b in self.pairs], products)
-
-    def apply_raw(self, vecs):
-        out = apply_pairs(self.space, self.pairs, vecs)
-        for c, left, right in self.products:
-            out += c * left.apply_raw(right.apply_raw(vecs))
-        return out
+    dim = op.space.dim
+    kron = [sparse.kron(sparse.coo_matrix(a), sparse.coo_matrix(b), format="coo") for a, b in op.pairs]
+    out = np.zeros((dim, dim))
+    if kron:
+        entries = [np.concatenate(x) for x in zip(*((k.data, k.row, k.col) for k in kron))]
+        out += sparse.coo_matrix((entries[0], (entries[1], entries[2])), shape=(dim, dim)).toarray()
+    for c, factors in op.chains:
+        out += c * functools.reduce(np.matmul, [kron_dense(f) for f in factors])
+    return out
 
 
-class TestCompaction:
-    @pytest.mark.parametrize(
-        "n_a,n_b",
-        [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (4, 1), (1, 4)],
-    )
-    def test_compact_matches_raw_pairs(self, rng, monkeypatch, n_a, n_b):
+# every size whose dimer dimension is at most 1024; to_dense, which applies each pair
+# to the identity, is checked up to dimension 256 (at 1024 it takes seconds per operator)
+KRON_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4), (4, 1)]
+DENSE_DIM = 256
+
+
+class TestOperatorAlgebra:
+    @pytest.mark.parametrize("n_a,n_b", KRON_SIZES)
+    def test_routes_and_difference_match_kron(self, rng, n_a, n_b):
         v, s = random_dimer(rng, n_a, n_b)
         space = FockSpace(n_a, n_b)
-        ops = dense_ops(space, v, s)
-        ops = {kind: (exc, maj, exc + maj.scaled(-1.0)) for kind, (exc, maj) in ops.items()}
-        monkeypatch.setattr(fock, "PairSum", RawPairSum)
-        raw = dense_ops(space, v, s)
         vecs = rng.normal(size=(space.dim, 3))
-        for kind in ops:
-            exc_ref, maj_ref = (op.apply_raw(vecs) for op in raw[kind])
-            scale = np.abs(exc_ref).max()  # not that of exc - maj, which is zero up to rounding
-            for op, want in zip(ops[kind], (exc_ref, maj_ref, exc_ref - maj_ref)):
-                assert len(op.pairs) <= min(space.dim_A, space.dim_B) ** 2, kind
-                assert np.abs(op.apply_block(vecs) - want).max() <= 1e-13 * scale, kind
+        for kind, (exc, maj) in dense_ops(space, v, s).items():
+            ref_exc, ref_maj = kron_dense(exc), kron_dense(maj)
+            scale = np.abs(ref_exc).max()  # not that of exc - maj, which is zero up to rounding
+            for op, ref in ((exc, ref_exc), (maj, ref_maj), (exc + maj.scaled(-1.0), ref_exc - ref_maj)):
+                assert np.abs(op.apply_block(vecs) - ref @ vecs).max() <= 1e-13 * scale, kind
+                if space.dim <= DENSE_DIM:
+                    assert np.abs(op.to_dense() - ref).max() <= 1e-13 * scale, kind
+            assert np.abs(ref_exc - ref_maj).max() <= 1e-12 * max(1.0, scale), kind
 
-    @pytest.mark.parametrize("n_a,n_b", [(2, 2), (4, 1), (1, 4)])
-    def test_difference_with_itself_has_no_pairs(self, rng, n_a, n_b):
-        v, s = random_dimer(rng, n_a, n_b)
-        for op in dense_ops(FockSpace(n_a, n_b), v, s)["VPs"]:
-            assert op.pairs and not (op + op.scaled(-1.0)).pairs
-
-    @pytest.mark.parametrize("n_a,n_b", [(4, 1), (1, 4)])
-    def test_random_pairs_through_cap_dagger_and_product(self, rng, n_a, n_b):
-        space = FockSpace(n_a, n_b)
-        pairs = [(rng.normal(size=(space.dim_A,) * 2), rng.normal(size=(space.dim_B,) * 2))
-                 for _ in range(20)]
-        op = PairSum(space)
-        for a, b in pairs:
-            op.add(a, b)
-        assert len(op.pairs) == 16
-        vecs = rng.normal(size=(space.dim, 3))
-        want = apply_pairs(space, pairs, vecs)
-        assert np.abs(op.apply_block(vecs) - want).max() <= 1e-13 * np.abs(want).max()
-        dense = op.to_dense()
-        assert np.abs(op.dagger().to_dense() - dense.T).max() <= 1e-13 * np.abs(dense).max()
-        square = (op @ op).apply_block(vecs)
-        assert np.abs(square - dense @ dense @ vecs).max() <= 1e-13 * np.abs(square).max()
-
-    def test_vps_difference_at_3x3_is_compact(self, rng):
-        v, s = random_dimer(rng, 3, 3)
-        exc, maj = dense_ops(FockSpace(3, 3), v, s)["VPs"]
-        assert len((exc + maj.scaled(-1.0)).pairs) <= 400
-
-    @pytest.mark.parametrize("n_a,n_b", [(4, 1), (1, 4)])
-    @pytest.mark.parametrize("c", [-1.0, 0.5])
-    def test_scaled_keeps_keys_and_copies_one_side(self, rng, n_a, n_b, c):
+    @pytest.mark.parametrize("n_a,n_b", KRON_SIZES)
+    def test_products_adjoints_and_scaling(self, rng, n_a, n_b):
         v, s = random_dimer(rng, n_a, n_b)
         space = FockSpace(n_a, n_b)
-        x = assemble_electrostatic(space, v)
-        y = assemble_majorana(space, build_majorana_coefficients(v, s)["V"])
-        y_c = y.scaled(c)
-        assert list(y_c._terms) == list(y._terms)
-        for key, (a, b), (a_c, b_c) in zip(y._terms, y.pairs, y_c.pairs):
-            if key.side == "A":  # the keyed factor is shared, the other one scaled
-                assert a_c is a and np.array_equal(b_c, c * b)
-            else:
-                assert b_c is b and np.array_equal(a_c, c * a)
+        ops = {kind: build_operator_matrix(space, kind, (v, s)) for kind in ("V", "P", "VPs")}
+        num_a, num_b = space.monomer("A").number, space.monomer("B").number
+        n_op = PairSum(space).add_monomer("A", num_a) + PairSum(space).add_monomer("B", num_b)
+        dense = {kind: kron_dense(op) for kind, op in ops.items()}
+        vp = ops["V"] @ ops["P"]
+        vp_ref = dense["V"] @ dense["P"]
+        cases = [
+            (vp, vp_ref),
+            (ops["VPs"] @ n_op, dense["VPs"] @ kron_dense(n_op)),
+            (vp.dagger(), vp_ref.T),
+            (vp.scaled(-0.3), -0.3 * vp_ref),
+            (vp.scaled(-0.3).dagger(), -0.3 * vp_ref.T),
+            (vp.hermitized(), 0.5 * (vp_ref + vp_ref.T)),
+        ]
         vecs = rng.normal(size=(space.dim, 3))
-        want = apply_pairs(space, x.pairs + [(c * a, b) for a, b in y.pairs], vecs)
-        scale = np.abs(apply_pairs(space, x.pairs, vecs)).max()  # x - y is zero up to rounding
-        assert np.abs((x + y_c).apply_block(vecs) - want).max() <= 1e-15 * scale
+        for op, ref in cases:
+            scale = np.abs(ref).max()
+            assert np.abs(op.apply_block(vecs) - ref @ vecs).max() <= 1e-13 * scale
+            if space.dim <= DENSE_DIM:
+                assert np.abs(op.to_dense() - ref).max() <= 1e-13 * scale
 
-
-class TestContentKeys:
-    @staticmethod
-    def operators(dims):
-        _, _, _, ops, n_op = _oracle_operators(demo_archive(*dims))
-        return ops, n_op
-
-    def test_forced_digest_collisions_merge_as_the_normal_path(self, monkeypatch):
-        ops, _ = self.operators((2, 2))
-        ops["V @ P"] = ops["V"] @ ops["P"]
-        monkeypatch.setattr(fock, "_digest", lambda factor: 0)  # every key collides
-        collided, _ = self.operators((2, 2))
-        collided["V @ P"] = collided["V"] @ collided["P"]
+    @pytest.mark.parametrize("n_a,n_b", KRON_SIZES)
+    def test_expectation_and_energy_through_a_chain(self, rng, n_a, n_b):
+        v, s = random_dimer(rng, n_a, n_b)
+        space = FockSpace(n_a, n_b)
+        ops = {kind: build_operator_matrix(space, kind, (v, s)) for kind in ("V", "P", "VPs")}
+        assert ops["VPs"].chains  # the V P term stays a product
+        psi_a = random_sector_state(space, "A", n_a, rng)
+        psi_b = random_sector_state(space, "B", n_b, rng)
+        psi = np.kron(psi_a, psi_b)
+        ev = {kind: (psi.conj() @ kron_dense(op) @ psi).real for kind, op in ops.items()}
         for kind, op in ops.items():
-            assert len(collided[kind].pairs) == len(op.pairs), kind
-            assert np.array_equal(collided[kind].to_dense(), op.to_dense()), kind
+            assert op.expectation_product(psi_a, psi_b).real == pytest.approx(ev[kind], abs=1e-12)
+        res = first_order_energy(ops, psi_a, psi_b)
+        assert res["E_pol"] == pytest.approx(ev["V"], abs=1e-12)
+        assert res["E_exch"] == pytest.approx(ev["VPs"] - ev["V"] * ev["P"], abs=1e-12)
 
-    def test_keys_hold_no_factor_copy(self, rng, monkeypatch):
-        monkeypatch.setattr(PairSum, "_capped", lambda self: self)  # keep the 2 n_A^2 pairs keyed on A
-        lam, S = rng.normal(size=(4, 1, 1, 1)), rng.normal(size=(4, 1))
-        op = fock.family_g3(FockSpace(4, 1), lam, S, "w")
-        assert len(op._terms) == 32
-        for key, (a, _) in op._terms.items():
-            assert key.side == "A" and key.factor is a  # the pair's own 256 x 256 factor
-        held = {id(x): sys.getsizeof(x) for key in op._terms for x in (key, key.side, key.digest)}
-        assert sum(held.values()) < 4096
+    def test_product_holds_its_factors(self, rng):
+        v, s = random_dimer(rng, 2, 1)
+        space = FockSpace(2, 1)
+        x, y = assemble_electrostatic(space, v), assemble_exchange(space, s)
+        xy = x @ y
+        assert xy.pairs == [] and len(xy.chains) == 1
+        c, factors = xy.chains[0]
+        assert c == 1.0 and len(factors) == 2 and factors[0] is x and factors[1] is y
 
-    # pair counts of verify's V, P and VPs and of the VPs @ N product it forms
-    @pytest.mark.parametrize(
-        "dims,counts", [((3, 3), (18, 18, 171, 342)), ((4, 1), (2, 2, 5, 8))]
-    )
-    def test_pair_counts(self, dims, counts):
-        ops, n_op = self.operators(dims)
-        got = (*(len(ops[kind].pairs) for kind in ("V", "P", "VPs")), len((ops["VPs"] @ n_op).pairs))
-        assert got == counts
+    @pytest.mark.parametrize("n_a,n_b", [(4, 1), (1, 4)])
+    def test_scaled_shares_the_larger_factor(self, rng, n_a, n_b):
+        v, _ = random_dimer(rng, n_a, n_b)
+        op = assemble_electrostatic(FockSpace(n_a, n_b), v)
+        for c in (-1.0, 0.5):
+            for (a, b), (a_c, b_c) in zip(op.pairs, op.scaled(c).pairs):
+                big, small, big_c, small_c = (a, b, a_c, b_c) if a.size > b.size else (b, a, b_c, a_c)
+                assert big_c is big and np.array_equal(small_c, c * small)
 
 
 class TestFamilyRepeat:
@@ -470,8 +409,8 @@ class TestSizeGuard:
                 assert fock.oracle_bytes(*bigger) >= fock.oracle_bytes(n_a, n_b)
 
     def test_admission_table_and_refusal_message(self):
-        admitted = [(a, b) for a in range(1, 4) for b in range(1, 4)] + [(4, 1), (1, 4), (4, 2)]
-        refused = [(1, 7), (7, 1), (5, 1), (5, 2), (5, 3), (5, 4), (4, 4), (3, 4), (2, 4)]
+        admitted = [(a, b) for a in range(1, 5) for b in range(1, 5)]
+        refused = [(1, 7), (7, 1), (1, 5), (5, 1), (5, 2), (5, 3), (5, 4), (4, 5), (5, 5)]
         for n_a, n_b in admitted:
             FockSpace(n_a, n_b)
         for n_a, n_b in refused:
@@ -479,9 +418,8 @@ class TestSizeGuard:
             with pytest.raises(ShapeError, match=need):
                 FockSpace(n_a, n_b)
 
-    # 4x1 is where the model is tightest over the traced peak (about 1.6x, 2x3 1.7x);
-    # at 3x3 the traced peak was 114 MiB while each pair's key copied its factor
-    @pytest.mark.parametrize("n_a, n_b", [(3, 3), (4, 1), (2, 3)])
+    # 4x1 is where the model is tightest over the traced peak (about 1.4x, 2x3 1.5x)
+    @pytest.mark.parametrize("n_a, n_b", [(3, 3), (4, 1), (2, 3), (2, 4), (4, 2)])
     def test_model_bounds_traced_verify_peak(self, n_a, n_b, capsys):
         archive = demo_archive(n_a, n_b)
         fock._monomer_ops.cache_clear()  # the run builds, and is charged for, its tables
