@@ -15,6 +15,7 @@ from saptkit.fock import (
     PairSum,
     assemble_electrostatic,
     assemble_exchange,
+    assemble_majorana,
     assemble_modified_factors,
     assemble_vp_excitation,
     assemble_vp_majorana_families,
@@ -360,14 +361,26 @@ class TestOperatorAlgebra:
         c, factors = xy.chains[0]
         assert c == 1.0 and len(factors) == 2 and factors[0] is x and factors[1] is y
 
+
+
+class TestCompaction:
     @pytest.mark.parametrize("n_a,n_b", [(4, 1), (1, 4)])
-    def test_scaled_shares_the_larger_factor(self, rng, n_a, n_b):
-        v, _ = random_dimer(rng, n_a, n_b)
-        op = assemble_electrostatic(FockSpace(n_a, n_b), v)
-        for c in (-1.0, 0.5):
-            for (a, b), (a_c, b_c) in zip(op.pairs, op.scaled(c).pairs):
-                big, small, big_c, small_c = (a, b, a_c, b_c) if a.size > b.size else (b, a, b_c, a_c)
-                assert big_c is big and np.array_equal(small_c, c * small)
+    @pytest.mark.parametrize("c", [-1.0, 0.5])
+    def test_scaled_keeps_keys_and_copies_one_side(self, rng, n_a, n_b, c):
+        """scaled() keeps the pairs in order, shares each larger factor and scales a copy of the smaller."""
+        v, s = random_dimer(rng, n_a, n_b)
+        space = FockSpace(n_a, n_b)
+        x = assemble_electrostatic(space, v)
+        y = assemble_majorana(space, build_majorana_coefficients(v, s)["V"])
+        y_c = y.scaled(c)
+        assert len(y_c.pairs) == len(y.pairs) and y_c.chains == y.chains == []
+        for (a, b), (a_c, b_c) in zip(y.pairs, y_c.pairs):
+            big, small, big_c, small_c = (a, b, a_c, b_c) if a.size > b.size else (b, a, b_c, a_c)
+            assert big_c is big and np.array_equal(small_c, c * small)
+        vecs = rng.normal(size=(space.dim, 3))
+        want = x.apply_block(vecs) + c * y.apply_block(vecs)
+        scale = np.abs(x.apply_block(vecs)).max()  # x - y is zero up to rounding
+        assert np.abs((x + y_c).apply_block(vecs) - want).max() <= 1e-15 * scale
 
 
 class TestFamilyRepeat:
