@@ -27,9 +27,11 @@ block's ``shape`` and ``discarded`` weight, and, per list of factorizations
 flag for each.  The payload holds only the stacked factors, per list under
 ``factor.`` names: ``values``, the transposed ``left`` factors row-wise, and
 ``right`` likewise where the right factor is not the left, streamed from
-the factors themselves (:class:`RowStack`).  The payload checksum covers
-the object too, hashed first as sorted-key JSON.  Caches without it, from
-earlier versions, are rejected; re-run ``saptkit factorize``.
+the factors themselves (:class:`RowStack`).  A block's outer step stores its
+``values`` only: past the inner step it has no vectors.  The payload
+checksum covers the object too, hashed first as sorted-key JSON.  Caches of
+earlier versions, without the object or with outer vectors, are rejected;
+re-run ``saptkit factorize``.
 """
 
 from __future__ import annotations
@@ -313,7 +315,7 @@ def load_archive(path) -> TensorArchive:
 # factor caches ride in the same container
 
 
-def _put_factors(arrays: dict, prefix: str, facts: list[Factorization]) -> dict:
+def _put_factors(arrays: dict, prefix: str, facts: list[Factorization], vectors=True) -> dict:
     """Stack a list of factorizations of equally shaped matrices; return its
     ``factors`` entry, the ``rank`` and ``symmetric`` flag of each.
 
@@ -322,13 +324,15 @@ def _put_factors(arrays: dict, prefix: str, facts: list[Factorization]) -> dict:
     non-symmetric and the empty factorizations only: a symmetric one's right
     factor is its left, but the empty one of a zero matrix keeps its own
     column count.  It is written only when one of those is in the list.
-    The three stacks are :class:`RowStack` views of the factors' own memory.
+    ``vectors=False`` writes ``values`` alone.  The stacks are
+    :class:`RowStack` views of the factors' own memory.
     """
     arrays[f"{prefix}.values"] = RowStack([f.values for f in facts], (0,))
-    arrays[f"{prefix}.left"] = RowStack([f.left.T for f in facts], (0, 0))
-    rights = [f.right.T for f in facts if not f.symmetric or not f.rank]
-    if rights:
-        arrays[f"{prefix}.right"] = RowStack(rights, (0, 0))
+    if vectors:
+        arrays[f"{prefix}.left"] = RowStack([f.left.T for f in facts], (0, 0))
+        rights = [f.right.T for f in facts if not f.symmetric or not f.rank]
+        if rights:
+            arrays[f"{prefix}.right"] = RowStack(rights, (0, 0))
     return {"rank": [f.rank for f in facts], "symmetric": [bool(f.symmetric) for f in facts]}
 
 
@@ -346,7 +350,7 @@ def factor_archive(fop: FactorizedOperator, basis: DimerBasis) -> TensorArchive:
         block = factors["blocks"][label] = {
             "shape": [int(n) for n in bf.shape],
             "discarded": float(bf.discarded_weight),
-            "outer": _put_factors(arrays, f"{prefix}.outer", [bf.outer]),
+            "outer": _put_factors(arrays, f"{prefix}.outer", [bf.outer], vectors=False),
             "inner_left": _put_factors(arrays, f"{prefix}.inner_left", bf.inner_left),
         }
         if bf.inner_right is not bf.inner_left:
@@ -358,6 +362,9 @@ def save_factor_cache(path, fop: FactorizedOperator, basis: DimerBasis) -> None:
     save_archive(path, factor_archive(fop, basis))
 
 
+_EARLIER = "caches written by earlier versions are not read, re-run `saptkit factorize`"
+
+
 def _invalid(what: str) -> ArchiveError:
     return ArchiveError("schema", f"factor cache {what}")
 
@@ -366,17 +373,18 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0  # a JSON int; type(True) is bool
 
 
-def _get_factors(arrays: dict, named: set, prefix: str, entry, count=None) -> list[Factorization]:
+def _get_factors(arrays: dict, named: set, prefix: str, entry, count=None, vectors=True) -> list:
     """The factorizations of one ``factors`` entry, as views of the stacks
-    :func:`_put_factors` wrote; their names are added to ``named``, which
-    :func:`load_factor_cache` checks against the stored ones."""
+    :func:`_put_factors` wrote (vectors None unless ``vectors``); their names
+    are added to ``named``, which :func:`load_factor_cache` checks."""
     ranks, flags = _required(entry, ("rank", "symmetric"), f"factor cache entry {prefix}")
     if not isinstance(ranks, list) or not all(_is_count(k) for k in ranks):
         raise _invalid(f"entry {prefix} holds ranks that are not counts")
     if not isinstance(flags, list) or not all(type(s) is bool for s in flags):
         raise _invalid(f"entry {prefix} holds symmetric flags that are not true or false")
     stored = [k for k, sym in zip(ranks, flags) if not sym or not k]  # ranks of the right stack
-    named.update(f"{prefix}.{field}" for field in ("values", "left", "right")[: 2 + bool(stored)])
+    fields = ("values", "left", "right")[: 2 + bool(stored) if vectors else 1]
+    named.update(f"{prefix}.{field}" for field in fields)
     values, left, right = (
         arrays.get(f"{prefix}.{field}", np.zeros((0,) * ndim))  # a missing one fails below
         for field, ndim in (("values", 1), ("left", 2), ("right", 2))
@@ -385,18 +393,18 @@ def _get_factors(arrays: dict, named: set, prefix: str, entry, count=None) -> li
         len(ranks) != len(flags)
         or (count is not None and len(ranks) != count)
         or (values.ndim, left.ndim, right.ndim) != (1, 2, 2)
-        or not len(values) == len(left) == sum(ranks)
-        or len(right) != sum(stored)
+        or len(values) != sum(ranks)
+        or (vectors and (len(left), len(right)) != (sum(ranks), sum(stored)))
     ):
         raise _invalid(f"arrays {prefix}.* do not fit together")
     facts = []
     lo = lo_right = 0
     for k, sym in zip(ranks, flags):
-        u = left[lo : lo + k].T
-        if sym and k:
-            v = u
-        else:
-            v = right[lo_right : lo_right + k].T
+        u = v = None
+        if vectors and sym and k:
+            u = v = left[lo : lo + k].T
+        elif vectors:
+            u, v = left[lo : lo + k].T, right[lo_right : lo_right + k].T
             lo_right += k
         facts.append(Factorization(values[lo : lo + k], u, v, sym))
         lo += k
@@ -406,20 +414,17 @@ def _get_factors(arrays: dict, named: set, prefix: str, entry, count=None) -> li
 def _check_block(bf: BlockFactors) -> None:
     """Schema error unless a loaded block's factors fit its label and shape.
 
-    The outer factors span the grouped rows and columns, each side of the
-    inner step holds one factorization per outer factor, and those
-    factorize matrices of the grouped index sizes.
+    Each side of the inner step holds one factorization per outer factor,
+    and those factorize matrices of the grouped index sizes.
     """
     try:
         (r1, r2), (c1, c2) = bf.row_shape, bf.col_shape
     except KeyError:
         raise _invalid(f"holds unknown block {bf.label!r}") from None
-    fits = (bf.outer.left.shape[0], bf.outer.right.shape[0]) == (r1 * r2, c1 * c2)
     for facts, n1, n2 in ((bf.inner_left, r1, r2), (bf.inner_right, c1, c2)):
-        fits = fits and len(facts) == bf.outer.rank
-        fits = fits and all((f.left.shape[0], f.right.shape[0]) == (n1, n2) for f in facts)
-    if not fits:
-        raise _invalid(f"block {bf.label!r} does not fit its shape {list(bf.shape)}")
+        shapes = {(f.left.shape[0], f.right.shape[0]) for f in facts}
+        if len(facts) != bf.outer.rank or not shapes <= {(n1, n2)}:
+            raise _invalid(f"block {bf.label!r} does not fit its shape {list(bf.shape)}")
 
 
 def load_factor_cache(path) -> FactorizedOperator:
@@ -427,10 +432,7 @@ def load_factor_cache(path) -> FactorizedOperator:
     archive = load_archive(path)
     meta, arrays, named = archive.factors, archive.arrays, set()
     if meta is None:
-        raise _invalid(
-            "lacks its factors object; caches written by earlier versions are not read, "
-            "re-run `saptkit factorize`"
-        )
+        raise _invalid(f"lacks its factors object; {_EARLIER}")
     observable, space, threshold, one_body, blocks = _required(
         meta, ("observable", "space", "threshold", "one_body", "blocks"), "factor cache object"
     )
@@ -453,7 +455,7 @@ def load_factor_cache(path) -> FactorizedOperator:
             raise _invalid(f"block {label!r} shape is not 4 counts")
         if type(discarded) is not float or not 0.0 <= discarded < math.inf:
             raise _invalid(f"block {label!r} discarded weight is not a finite number >= 0")
-        (outer,) = _get_factors(arrays, named, f"{prefix}.outer", outer, 1)
+        (outer,) = _get_factors(arrays, named, f"{prefix}.outer", outer, 1, vectors=False)
         bf = BlockFactors(label, tuple(shape), outer, discarded_weight=discarded)
         bf.inner_left = _get_factors(arrays, named, f"{prefix}.inner_left", inner)
         bf.inner_right = bf.inner_left
@@ -468,7 +470,8 @@ def load_factor_cache(path) -> FactorizedOperator:
     if missing:
         raise _invalid(f"of {observable} lacks {', '.join(missing)}")
     if set(arrays) != named:
-        raise _invalid(f"arrays differ from those its object names: {sorted(set(arrays) ^ named)}")
+        diff = sorted(set(arrays) ^ named)
+        raise _invalid(f"arrays differ from those its object names: {diff}; {_EARLIER}")
     return fop
 
 

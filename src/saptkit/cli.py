@@ -83,13 +83,13 @@ def _read_archive(path, observables, lambdas: str | None = None):
     return basis, values, {name: sets[name] for name in observables}
 
 
-def _operators(coeffs: dict, truncation: float, outer_vectors: bool = True):
+def _operators(coeffs: dict, truncation: float):
     """Yield the factorized operator of each coefficient set, in order, one at
     a time; a block two sets hold alike is factorized once."""
     check_threshold(truncation)  # before shared_blocks factorizes anything
     shared = shared_blocks(list(coeffs.values()))
     for c in coeffs.values():
-        yield factorize_coefficients(c, truncation, blocks=shared, outer_vectors=outer_vectors)
+        yield factorize_coefficients(c, truncation, blocks=shared)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def cmd_norms(args) -> int:
     check_threshold(args.truncation)  # before the archive is read
     _, _, coeffs = _read_archive(args.archive, args.observables)
     tf = args.representation in ("tf", "both")
-    fops = _operators(coeffs, args.truncation, outer_vectors=False) if tf else None
+    fops = _operators(coeffs, args.truncation) if tf else None
     reports = []
     for c in coeffs.values():
         if args.representation in ("sparse", "both"):
@@ -152,7 +152,7 @@ def _total_norms(coeffs: dict, truncation: float) -> dict[str, float]:
         for label in skip & c.two_body_blocks.keys():
             del c.two_body_blocks[label]
     lam = {}
-    for fop in _operators(coeffs, truncation, outer_vectors=False):
+    for fop in _operators(coeffs, truncation):
         lam[fop.observable] = tf_norm(fop).total
         del fop  # hold one operator at a time
     return lam

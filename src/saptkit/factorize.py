@@ -19,7 +19,8 @@ An eigendecomposition packs both sides or neither.
 Batched inner step: all grouped vectors of one block are stacked and
 decomposed by one broadcast ``eigh`` over the symmetric matrices and one
 broadcast ``svd`` over the rest; each matrix gets exactly the result a call
-of its own would give.
+of its own would give.  It consumes the grouped vectors: past it, a block's
+outer step keeps its values and symmetry only, all the block encoding loads.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class Factorization:
     """Exact decomposition of a real matrix: m = left @ diag(values) @ right.T."""
 
     values: np.ndarray
-    left: np.ndarray | None  # None once dropped (see factorize_coefficients)
+    left: np.ndarray | None  # None in a block's outer step past second_factorize
     right: np.ndarray | None
     symmetric: bool
 
@@ -300,12 +301,14 @@ def _inner(vecs: np.ndarray, shape: tuple[int, int], vectors: bool = True, packe
 
 
 def second_factorize(bf: BlockFactors) -> BlockFactors:
-    """Decompose every grouped vector of the first step, one stack per side."""
-    bf.inner_left = _inner(bf.outer.left, bf.row_shape, packed=bf.packed[0])
-    if bf.outer.symmetric:
+    """Decompose every grouped vector of the first step, one stack per side;
+    the outer step keeps only its values and symmetry."""
+    outer, bf.outer = bf.outer, replace(bf.outer, left=None, right=None)
+    bf.inner_left = _inner(outer.left, bf.row_shape, packed=bf.packed[0])
+    if outer.symmetric:
         bf.inner_right = bf.inner_left
     else:
-        bf.inner_right = _inner(bf.outer.right, bf.col_shape, packed=bf.packed[1])
+        bf.inner_right = _inner(outer.right, bf.col_shape, packed=bf.packed[1])
     return bf
 
 
@@ -392,8 +395,9 @@ class FactorizedOperator:
         return float(np.abs(self.overlap.values).sum()) if self.overlap is not None else 0.0
 
 
-# the two-body blocks each observable's factorization holds, in this order
-_BLOCK_LABELS = {"V": ("v",), "P": (), "VPs": ("A2", "B2", "1m", "1l", "2", "3", "2r", "3r", "v")}
+# the two-body blocks each observable's factorization holds, in this order: 1l first,
+# so its unpacked outer eigh, the largest, runs before other blocks hold inner factors
+_BLOCK_LABELS = {"V": ("v",), "P": (), "VPs": ("1l", "A2", "B2", "1m", "2", "3", "2r", "3r", "v")}
 # the one-body factorizations each holds: name -> SaptCoefficients attribute
 _ONE_BODY = {
     "V": {"f_A": "one_body_A", "f_B": "one_body_B"},
@@ -422,15 +426,9 @@ def factorize_coefficients(
     coeffs: SaptCoefficients,
     threshold: float = 0.0,
     blocks: dict[str, BlockFactors] | None = None,
-    outer_vectors: bool = True,
 ) -> FactorizedOperator:
     """Factorize every block and one-body tensor of a coefficient set; the
-    untruncated factors in ``blocks`` (see :func:`shared_blocks`) are used as given.
-
-    ``outer_vectors=False`` drops each block's outer vectors once its inner
-    step has run, in the given ``blocks`` too (the norms read only the outer
-    values); such an operator can be truncated, not reconstructed or saved.
-    """
+    untruncated factors in ``blocks`` (see :func:`shared_blocks`) are used as given."""
     check_threshold(threshold)
     if coeffs.observable not in _ONE_BODY:
         raise DomainError(f"unknown observable {coeffs.observable!r}")
@@ -441,10 +439,8 @@ def factorize_coefficients(
         out.overlap = overlap_svd(coeffs.overlap)
     for label in _BLOCK_LABELS[coeffs.observable]:
         if label in coeffs.two_body_blocks:
-            bf = (blocks or {}).get(label) or factorize_block(coeffs.two_body_blocks[label], label)
-            if not outer_vectors:
-                bf.outer = replace(bf.outer, left=None, right=None)
-            out.blocks[label] = bf
+            block = coeffs.two_body_blocks[label]
+            out.blocks[label] = (blocks or {}).get(label) or factorize_block(block, label)
     if threshold:
         out.blocks = {k: truncate_block(bf, threshold) for k, bf in out.blocks.items()}
         out.threshold = threshold

@@ -29,6 +29,7 @@ from saptkit.factorize import (
     FactorizedOperator,
     decompose_matrix,
     factorize_coefficients,
+    first_factorize,
     reconstruct_block,
 )
 from saptkit.norms import tf_norm
@@ -189,7 +190,10 @@ def assert_same_factors(got, ref, where):
     assert got.symmetric == ref.symmetric, where
     for field in ("values", "left", "right"):
         a, b = getattr(got, field), getattr(ref, field)
-        assert a.shape == b.shape and np.array_equal(a, b), f"{where}.{field}"
+        if a is None or b is None:  # the vectors of a block's outer step
+            assert a is b is None, f"{where}.{field}"
+        else:
+            assert a.shape == b.shape and np.array_equal(a, b), f"{where}.{field}"
 
 
 def assert_same_operator(got: FactorizedOperator, ref: FactorizedOperator):
@@ -220,8 +224,9 @@ def old_layout_arrays(fop: FactorizedOperator) -> dict:
 
     def put(prefix, fact):
         out[f"{prefix}.values"] = fact.values
-        out[f"{prefix}.left"] = fact.left
-        out[f"{prefix}.right"] = fact.right
+        for field in ("left", "right"):
+            if getattr(fact, field) is not None:
+                out[f"{prefix}.{field}"] = getattr(fact, field)
         out[f"{prefix}.symmetric"] = np.array(float(fact.symmetric))
 
     for name, fact in fop.one_body.items():
@@ -256,10 +261,11 @@ class TestStackedCache:
         zero = decompose_matrix(np.zeros((3, 2)))
         zero_t = decompose_matrix(np.zeros((2, 3)))
         assert zero.symmetric and zero.left.shape == (3, 0) and zero.right.shape == (2, 0)
+        outer = decompose_matrix(rng.normal(size=(6, 3)) @ rng.normal(size=(3, 6)))
         block = BlockFactors(
             label="2",
             shape=(3, 2, 2, 3),
-            outer=decompose_matrix(rng.normal(size=(6, 3)) @ rng.normal(size=(3, 6))),
+            outer=Factorization(outer.values, None, None, outer.symmetric),
             inner_left=[decompose_matrix(rng.normal(size=(3, 2))), zero, zero],
             inner_right=[zero_t, decompose_matrix(np.outer([1.0, 2.0], [1.0, 0.0, 3.0])), zero_t],
         )
@@ -280,7 +286,9 @@ class TestStackedCache:
         all_symmetric = 0
         for prefix, facts in cache_lists(fop):
             stored = [f.rank for f in facts if not f.symmetric or not f.rank]
-            if stored:
+            if prefix.endswith(".outer"):  # values only
+                assert {f"{prefix}.left", f"{prefix}.right"}.isdisjoint(arrays), prefix
+            elif stored:
                 assert arrays[f"{prefix}.right"].shape[0] == sum(stored), prefix
             else:
                 all_symmetric += 1
@@ -290,12 +298,24 @@ class TestStackedCache:
 
     def test_old_layout_is_rejected(self, tmp_path):
         archive = demo_archive()
-        fop = factorize_coefficients(build_majorana_coefficients(archive.v, archive.S)["V"])
+        coeffs = build_majorana_coefficients(archive.v, archive.S)["V"]
+        fop = factorize_coefficients(coeffs)
         path = tmp_path / "old.factors"
         save_archive(path, TensorArchive(basis=archive.basis, arrays=old_layout_arrays(fop)))
         with pytest.raises(ArchiveError) as err:
             load_factor_cache(path)
         assert err.value.code == "schema"
+        assert "re-run `saptkit factorize`" in str(err.value)
+        # the stacked layout with the outer vectors earlier versions also stored
+        cache = factor_archive(fop, archive.basis)
+        outer = first_factorize(coeffs.two_body_blocks["v"], "v").outer
+        cache.arrays["factor.block.v.outer.left"] = outer.left.T
+        cache.arrays["factor.block.v.outer.right"] = outer.right.T
+        save_archive(path, cache)
+        with pytest.raises(ArchiveError) as err:
+            load_factor_cache(path)
+        assert err.value.code == "schema"
+        assert "factor.block.v.outer.left" in str(err.value)
         assert "re-run `saptkit factorize`" in str(err.value)
 
     def test_float_coded_layout_is_rejected(self, tmp_path):
@@ -556,6 +576,8 @@ def joined_stacks(fop: FactorizedOperator) -> dict:
 
     for prefix, facts in cache_lists(fop):
         out[f"{prefix}.values"] = np.concatenate([f.values for f in facts] or [np.zeros(0)])
+        if prefix.endswith(".outer"):
+            continue  # a block's outer step stores its values only
         out[f"{prefix}.left"] = stack([f.left.T for f in facts])
         rights = [f.right.T for f in facts if not f.symmetric or not f.rank]
         if rights:
@@ -620,7 +642,8 @@ def factorized_operators(draw) -> FactorizedOperator:
         shape = tuple(n_a if x == "A" else n_b for x in MONOMERS[label])
         bf = BlockFactors(label=label, shape=shape, outer=None)
         (r1, r2), (c1, c2) = bf.row_shape, bf.col_shape
-        bf.outer = draw(factorizations(r1 * r2, c1 * c2))
+        outer = draw(factorizations(r1 * r2, c1 * c2))  # past the inner step: no vectors
+        bf.outer = Factorization(outer.values, None, None, outer.symmetric)
         bf.inner_left = [draw(factorizations(r1, r2)) for _ in range(bf.outer.rank)]
         if (r1, r2) == (c1, c2) and draw(st.booleans()):
             bf.inner_right = bf.inner_left

@@ -541,12 +541,12 @@ class TestFactorizedBlocks:
 class TestLifetimes:
     """The archive's payload is freed before the coefficient sets are built.
     By the first outer factorization of `estimate` and `budget` the sets hold
-    only the blocks the norm totals read, and when any outer factorization of
-    `estimate`, `budget` or `norms` starts, no earlier block holds its outer
-    vectors."""
+    only the blocks the norm totals read; when any outer factorization
+    starts, no earlier block holds its outer vectors, and no factor cache
+    stores them; `estimate` factorizes `1l` before any other VPs block."""
 
     @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
-    @pytest.mark.parametrize("command", ["estimate", "budget", "norms"])
+    @pytest.mark.parametrize("command", ["estimate", "budget", "norms", "factorize"])
     def test_held_at_first_factorization(self, tmp_path, monkeypatch, capsys, command, partitioned):
         path = tmp_path / "dimer.sapt"
         save_archive(path, partitioned_archive() if partitioned else decaying_archive())
@@ -571,7 +571,7 @@ class TestLifetimes:
 
         def factorized(block, label, *args):
             assert all(ref() is None for ref in vectors), label
-            if not seen and command != "norms":
+            if not seen and command in ("estimate", "budget"):
                 assert "exch" not in sets[-1]["P"].two_body_blocks
                 assert {"2", "3", "2r", "3r"}.isdisjoint(sets[-1]["VPs"].two_body_blocks)
             seen.append(label)
@@ -591,10 +591,34 @@ class TestLifetimes:
         assert {"v", "A2", "B2", "1m", "1l"} <= set(seen)
         assert all(ref() is None for ref in vectors)
 
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
+    def test_1l_outer_step_beside_no_inner_factors(self, tmp_path, monkeypatch, capsys, partitioned):
+        # 1l's unpacked outer eigh is the largest step of `estimate`: no VPs
+        # block but the shared v may hold inner factors by then
+        path = tmp_path / "dimer.sapt"
+        save_archive(path, partitioned_archive() if partitioned else decaying_archive())
+        inner, held_at_1l = [], []
+        first, second = fz.first_factorize, fz.second_factorize
+
+        def factorized(block, label, *args):
+            if label == "1l":
+                held_at_1l.append({bf.label for bf in (ref() for ref in inner) if bf is not None})
+            return first(block, label, *args)
+
+        def decomposed(bf):
+            inner.append(weakref.ref(bf))
+            return second(bf)
+
+        monkeypatch.setattr(fz, "first_factorize", factorized)
+        monkeypatch.setattr(fz, "second_factorize", decomposed)
+        command_outputs("estimate", path, tmp_path / "out", "0")
+        assert held_at_1l == [set() if partitioned else {"v"}]
+
     @pytest.mark.parametrize("truncation", ["0", "1e-3"])
-    def test_factor_caches_keep_outer_vectors(self, tmp_path, monkeypatch, capsys, truncation):
+    def test_factor_caches_hold_no_outer_vectors(self, tmp_path, monkeypatch, capsys, truncation):
         path = tmp_path / "dimer.sapt"
         save_archive(path, decaying_archive())
+        estimate = command_outputs("estimate", path, tmp_path / "estimate", truncation)
         fops = []
         factorize = cli.factorize_coefficients
         monkeypatch.setattr(
@@ -604,10 +628,14 @@ class TestLifetimes:
         command_outputs("factorize", path, tmp_path / "out", truncation)
         assert [fop.observable for fop in fops] == list(cli.OBSERVABLES)
         for fop in fops:
-            for bf in fop.blocks.values():
-                assert bf.outer.left is not None and bf.outer.right is not None
             cache = tmp_path / "out" / f"cache.{fop.observable}.factors"
-            assert_same_operator(load_factor_cache(cache), fop)
+            names = load_archive(cache).arrays
+            assert not [n for n in names if n.endswith((".outer.left", ".outer.right"))]
+            loaded = load_factor_cache(cache)
+            assert_same_operator(loaded, fop)  # the None outer vectors too
+            assert all(bf.outer.left is bf.outer.right is None for bf in loaded.blocks.values())
+            meta = json.loads(estimate[f"estimate.{fop.observable}.json"])["meta"]
+            assert tf_norm(loaded).total == meta["lambda_F"]
 
     @pytest.mark.parametrize("truncation", ["0", "1e-3"])
     def test_totals_equal_factors_with_vectors(self, tmp_path, capsys, truncation):

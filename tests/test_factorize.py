@@ -161,10 +161,10 @@ class TestRoundTrip:
     def test_determinism(self, rng):
         block = rng.normal(size=(3, 3, 3, 3))
         block = 0.5 * (block + block.transpose(2, 3, 0, 1))
-        a = factorize_block(block.copy(), "A2")
-        b = factorize_block(block.copy(), "A2")
+        a, b = (first_factorize(block.copy(), "A2") for _ in range(2))
         assert np.array_equal(a.outer.values, b.outer.values)
         assert np.array_equal(a.outer.left, b.outer.left)
+        a, b = second_factorize(a), second_factorize(b)
         for t in range(a.outer.rank):
             assert np.array_equal(a.inner_left[t].left, b.inner_left[t].left)
 
@@ -337,10 +337,11 @@ class TestBatchedInner:
     def test_equals_per_matrix_decomposition(self, rng, label, inner_symmetric):
         v, s = random_dimer(rng, 4, 3)
         block = build_majorana_coefficients(v, s)["VPs"].two_body_blocks[label]
-        bf = factorize_block(block, label)
+        bf, outer = factorize_with_outer_vectors(block, label)
+        assert bf.outer.left is bf.outer.right is None  # consumed by the inner step
         for facts, vecs, shape in (
-            (bf.inner_left, bf.outer.left, bf.row_shape),
-            (bf.inner_right, bf.outer.right, bf.col_shape),
+            (bf.inner_left, outer.left, bf.row_shape),
+            (bf.inner_right, outer.right, bf.col_shape),
         ):
             assert len(facts) == bf.outer.rank > 0
             for t, fact in enumerate(facts):
@@ -362,8 +363,8 @@ class TestBatchedInner:
         pairs.append(("A2", a2 + 3e-12 * np.abs(a2).max() * noise))
         seen = set()
         for label, block in pairs:
-            bf = factorize_block(block, label)
-            for facts, vecs, shape, packed in sides(bf):
+            bf, outer = factorize_with_outer_vectors(block, label)
+            for facts, vecs, shape, packed in sides(bf, outer):
                 assert len(facts) == bf.outer.rank > 0, label
                 for t, fact in enumerate(facts):
                     ref = decompose_matrix(vecs[:, t].reshape(shape))
@@ -379,7 +380,7 @@ class TestBatchedInner:
         packed_sides = 0
         for label, block in blocks_of_every_label(rng):
             bf = first_factorize(block, label)
-            for _, vecs, shape, packed in sides(bf):
+            for _, vecs, shape, packed in sides(bf, bf.outer):
                 if packed:
                     ms = vecs.T.reshape(-1, *shape)
                     assert np.array_equal(ms, ms.transpose(0, 2, 1)), label
@@ -432,11 +433,20 @@ def assert_same_factors(got, want, where):
         assert a.shape == b.shape and np.array_equal(a, b), where
 
 
-def sides(bf):
-    """(inner factors, grouped vectors, matrix shape, packed) of each side of a block."""
+def factorize_with_outer_vectors(block, label):
+    """factorize_block's factors, and the outer step of its first_factorize,
+    with the vectors its inner step consumed."""
+    first = first_factorize(block, label)
+    outer = first.outer
+    return second_factorize(first), outer
+
+
+def sides(bf, outer):
+    """(inner factors, grouped vectors, matrix shape, packed) of each side of a
+    block, the vectors those of ``outer``, the block's first_factorize step."""
     return (
-        (bf.inner_left, bf.outer.left, bf.row_shape, bf.packed[0]),
-        (bf.inner_right, bf.outer.right, bf.col_shape, bf.packed[1]),
+        (bf.inner_left, outer.left, bf.row_shape, bf.packed[0]),
+        (bf.inner_right, outer.right, bf.col_shape, bf.packed[1]),
     )
 
 
@@ -466,7 +476,7 @@ class TestPackedOuter:
             n1, n2, n3, n4 = t.shape
             m = t.reshape(n1 * n2, n3 * n4)
             ref = decompose_matrix(m)
-            bf = factorize_block(block, label)
+            bf, outer = factorize_with_outer_vectors(block, label)
             assert bf.outer.symmetric == ref.symmetric and bf.outer.rank == ref.rank, label
             top = np.abs(ref.values).max()
             assert np.abs(bf.outer.values - ref.values).max() <= 1e-12 * top, label
@@ -476,8 +486,8 @@ class TestPackedOuter:
             scale = np.abs(m).max()
             sides = []
             for vecs, (a, b), swapped in (
-                (bf.outer.left, (n1, n2), t.transpose(1, 0, 2, 3)),
-                (bf.outer.right, (n3, n4), t.transpose(0, 1, 3, 2)),
+                (outer.left, (n1, n2), t.transpose(1, 0, 2, 3)),
+                (outer.right, (n3, n4), t.transpose(0, 1, 3, 2)),
             ):
                 pair_symmetric = a == b and np.abs(t - swapped).max() <= 1e-12 * scale
                 sides.append((vecs.reshape(a, b, -1), pair_symmetric))
@@ -509,11 +519,12 @@ class TestPackedOuter:
         block = build_majorana_coefficients(v, s)["V"].two_body_blocks["v"]
         noise = rng.normal(size=block.shape)
         block = block + 1e-9 * np.abs(block).max() * (noise - noise.transpose(1, 0, 2, 3))
-        bf = factorize_block(block, "v")
+        first = first_factorize(block, "v")
         ref = decompose_matrix(block.reshape(16, 9))
         for got, want in zip(
-            (bf.outer.values, bf.outer.left, bf.outer.right), (ref.values, ref.left, ref.right)
+            (first.outer.values, first.outer.left, first.outer.right),
+            (ref.values, ref.left, ref.right),
         ):
             assert np.array_equal(got, want)
-        rec = reconstruct_block(bf)
+        rec = reconstruct_block(second_factorize(first))
         assert np.abs(rec - block).max() <= 1e-10 * np.abs(block).max()
