@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import PartitionError, ShapeError
 from .tensors import (
-    DressedTensors,
     SaptCoefficients,
     _Buckets,
     _accumulate_vp_buckets,
@@ -136,7 +135,6 @@ def renormalize_electrostatic(v: np.ndarray, partition: SpacePartition) -> SaptC
             one_body_B=np.zeros((ntb, ntb)),
             two_body_blocks={"v": np.zeros((nta, nta, ntb, ntb))},
             space_tag="active",
-            overlap=np.zeros((nta, ntb)),
         )
 
     v_tt = vr[a, a, b, b].copy()
@@ -151,7 +149,7 @@ def renormalize_electrostatic(v: np.ndarray, partition: SpacePartition) -> SaptC
             + (2.0 / eta_a) * np.einsum("ab,cd->abcd", eye_a, f_core_a)
             + (4.0 * v0_core / (eta_a * eta_b)) * np.einsum("ab,cd->abcd", eye_a, eye_b)
         )
-    out = build_electrostatic_coefficients(v_tt, np.zeros((nta, ntb)))
+    out = build_electrostatic_coefficients(v_tt)
     out.space_tag = "active"
     return out
 
@@ -254,7 +252,7 @@ def renormalize_vp(v: np.ndarray, S: np.ndarray, partition: SpacePartition) -> S
     nta, ntb = len(partition.active_A), len(partition.active_B)
     a, b = slice(0, nta), slice(0, ntb)
     ca, cb = slice(nta, None), slice(ntb, None)
-    dressed = build_dressed_nu(vr, sr)
+    nu1, nu2, nu3 = build_dressed_nu(vr, sr)
 
     v_tt, s_tt = vr[a, a, b, b], sr[a, b]
     s_tc, s_ct = sr[a, cb], sr[ca, b]
@@ -265,17 +263,12 @@ def renormalize_vp(v: np.ndarray, S: np.ndarray, partition: SpacePartition) -> S
 
     # fully active assignments reduce to the full-space bookkeeping on the
     # active slices of the (core+active)-range dressed tensors
-    dressed_act = DressedTensors(
-        nu1=dressed.nu1[a, b, b, a],
-        nu2=dressed.nu2[a, a, b, a],
-        nu3=dressed.nu3[a, b, b, b],
-    )
-    _accumulate_vp_buckets(bk, v_tt, s_tt, dressed_act)
+    _accumulate_vp_buckets(bk, v_tt, s_tt, (nu1[a, b, b, a], nu2[a, a, b, a], nu3[a, b, b, b]))
 
     # core contractions: each monomer-A term and its monomer-B mirror ...
-    t1 = dressed.nu1.transpose(0, 3, 2, 1)  # [p1,p2,q1,q2]
-    _core_terms_a(bk, vr, sr, t1, dressed.nu2, nta, ntb)
-    _core_terms_a(bk.swapped(), _swap(vr), sr.T, _swap(t1), _swap(dressed.nu3), ntb, nta)
+    t1 = nu1.transpose(0, 3, 2, 1)  # [p1,p2,q1,q2]
+    _core_terms_a(bk, vr, sr, t1, nu2, nta, ntb)
+    _core_terms_a(bk.swapped(), _swap(vr), sr.T, _swap(t1), _swap(nu3), ntb, nta)
     # ... and the self-mirrored terms
     convert_const(bk, -2.0 * np.einsum("iijj->", t1[ca, ca, cb, cb]))
     convert_lock(bk, -4.0 * v0_core * np.einsum("ad,bc->abcd", s_tt, s_tt))

@@ -86,7 +86,6 @@ def _read_archive(path, observables, lambdas: str | None = None):
 def _operators(coeffs: dict, truncation: float):
     """Yield the factorized operator of each coefficient set, in order, one at
     a time; a block two sets hold alike is factorized once."""
-    check_threshold(truncation)  # before shared_blocks factorizes anything
     shared = shared_blocks(list(coeffs.values()))
     for c in coeffs.values():
         yield factorize_coefficients(c, truncation, blocks=shared)
@@ -259,9 +258,9 @@ def cmd_convert_fcidump(args) -> int:
     else:
         h1, eri, n_orb, n_elec, _ = ar.read_fcidump(args.fcidump)
         if args.monomer == "A":
-            basis = ar.DimerBasis(n_orb, max(args.n_orb_other, 1), n_elec, 0)
+            basis = ar.DimerBasis(n_orb, args.n_orb_other, n_elec, 0)
         else:
-            basis = ar.DimerBasis(max(args.n_orb_other, 1), n_orb, 0, n_elec)
+            basis = ar.DimerBasis(args.n_orb_other, n_orb, 0, n_elec)
         arrays = {f"h1_{args.monomer}": h1, f"eri_{args.monomer}": eri}
         archive = ar.TensorArchive(basis=basis, arrays=arrays)
     ar.save_archive(args.archive, archive)

@@ -435,7 +435,7 @@ def factorize_coefficients(
     out = FactorizedOperator(observable=coeffs.observable, space_tag=coeffs.space_tag)
     for name, attr in _ONE_BODY[coeffs.observable].items():
         out.one_body[name] = one_body_eigendecompose(getattr(coeffs, attr))
-    if coeffs.observable != "V":
+    if coeffs.overlap is not None:
         out.overlap = overlap_svd(coeffs.overlap)
     for label in _BLOCK_LABELS[coeffs.observable]:
         if label in coeffs.two_body_blocks:

@@ -377,12 +377,11 @@ def assemble_vp_excitation(
     With ``symmetrize=False`` this is the bare product-ordered operator whose
     deviation from V P vanishes in the complete-basis construction.
     """
-    dressed = build_dressed_nu(v, S, mixed)
-    t1 = dressed.nu1.transpose(0, 3, 2, 1)
+    nu1, nu2, nu3 = build_dressed_nu(v, S, mixed)
     x = (
-        family_lock(space, t1, "E").scaled(-1.0)
-        + family_g2(space, dressed.nu2, S, "E").scaled(-1.0)
-        + family_g3(space, dressed.nu3, S, "E").scaled(-1.0)
+        family_lock(space, nu1.transpose(0, 3, 2, 1), "E").scaled(-1.0)
+        + family_g2(space, nu2, S, "E").scaled(-1.0)
+        + family_g3(space, nu3, S, "E").scaled(-1.0)
         + assemble_electrostatic(space, v) @ assemble_exchange(space, S)
     )
     return x.hermitized() if symmetrize else x

@@ -154,7 +154,7 @@ def sparse_norms(coeffs: SaptCoefficients) -> NormReport:
         return _l1(blocks[label])
 
     # the overlap enters P and VPs only, as in the factorized lambda_s
-    s = _l1(coeffs.overlap) if coeffs.observable != "V" and coeffs.overlap is not None else 0.0
+    s = _l1(coeffs.overlap) if coeffs.overlap is not None else 0.0
     comp, excluded = _components(
         coeffs.observable, lambda name: _l1(getattr(coeffs, names[name])), pair, s, blocks
     )

@@ -11,7 +11,7 @@ Index conventions (all arrays row-major float64):
 * ``v[p1, p2, q1, q2]``  -- (NA, NA, NB, NB), four-fold symmetric in
   (p1<->p2) and (q1<->q2).
 * ``S[p, q]``            -- (NA, NB).
-* mixed blocks (zero unless supplied; see :class:`MixedTensors`):
+* mixed blocks (absent unless supplied; see :class:`MixedTensors`):
   ``m1[p1, q2, q1, p2]``, ``m2[p1, p2, q1, p4]``, ``m3[p1, q4, q1, q2]``.
 
 Two-body coefficient blocks are stored in the layout ``T[a, b, c, d]`` where
@@ -57,39 +57,15 @@ class DimerBasis:
 class MixedTensors:
     """Optional hybrid-charge-distribution Coulomb blocks.
 
-    Standard archives do not carry these (they default to zero, which makes
-    every exchange-dressing term carry at least one overlap factor).  The
-    shared-span construction used by the complete-basis check supplies the
-    genuine blocks.
+    Absent unless supplied: standard archives do not carry these, and without
+    them every exchange-dressing term carries at least one overlap factor.
+    The shared-span construction used by the complete-basis check supplies
+    the genuine blocks.
     """
 
     m1: np.ndarray  # [p1, q2, q1, p2]
     m2: np.ndarray  # [p1, p2, q1, p4]
     m3: np.ndarray  # [p1, q4, q1, q2]
-
-    @staticmethod
-    def zeros(n_a: int, n_b: int) -> "MixedTensors":
-        return MixedTensors(
-            m1=np.zeros((n_a, n_b, n_b, n_a)),
-            m2=np.zeros((n_a, n_a, n_b, n_a)),
-            m3=np.zeros((n_a, n_b, n_b, n_b)),
-        )
-
-
-@dataclass(frozen=True)
-class DressedTensors:
-    """Overlap-dressed Coulomb tensors of the exchange expansion.
-
-    ``nu1``/``nu2``/``nu3`` follow the plain (unsymmetrized) dressing; they
-    are the ones the oracle certifies against the excitation-operator form.
-    """
-
-    nu1: np.ndarray  # [p1, q2, q1, p2]
-    nu2: np.ndarray  # [p1, p2, q1, p4]
-    nu3: np.ndarray  # [p1, q4, q1, q2]
-
-    def __iter__(self):
-        return iter((self.nu1, self.nu2, self.nu3))
 
 
 @dataclass
@@ -117,7 +93,7 @@ class SaptCoefficients:
     one_body_B: np.ndarray
     two_body_blocks: dict[str, np.ndarray] = field(default_factory=dict)
     space_tag: str = "full"
-    overlap: np.ndarray | None = None  # S in the operator's orbital ranges
+    overlap: np.ndarray | None = None  # S in the operator's orbital ranges; None for V
     vp4_one_body_A: np.ndarray | None = None  # dressed p~(A) of the product form
     vp4_one_body_B: np.ndarray | None = None
 
@@ -182,31 +158,37 @@ def sym_joint(T: np.ndarray) -> np.ndarray:
 # dressed tensors
 
 
-def build_dressed_nu(
-    v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = None
-) -> DressedTensors:
-    """Overlap-dressed Coulomb tensors over the full orbital ranges."""
-    return DressedTensors(*_dressed_nu(v, S, mixed))
+def build_dressed_nu(v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = None):
+    """Yield the overlap-dressed Coulomb tensors nu1 ``[p1,q2,q1,p2]``, nu2
+    ``[p1,p2,q1,p4]`` and nu3 ``[p1,q4,q1,q2]`` over the full orbital ranges,
+    each computed when it is taken; the hybrid terms enter only when ``mixed``
+    is given.  This is the plain (unsymmetrized) dressing, the one the oracle
+    certifies against the excitation-operator form.
 
-
-def _dressed_nu(v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = None):
-    """Yield nu1, nu2 and nu3 of :func:`build_dressed_nu`, each computed when taken."""
+    Each tensor is yielded C-contiguous.  The einsum results are strided views,
+    and the reductions downstream round differently on another layout, so
+    without the copy the coefficient sets would depend on the layout einsum
+    happens to return.
+    """
     v = np.asarray(v, dtype=float)
     S = np.asarray(S, dtype=float)
     n_a, n_b = S.shape
     if v.shape != (n_a, n_a, n_b, n_b):
         raise ShapeError("v inconsistent with S")
-    if mixed is None:
-        mixed = MixedTensors.zeros(n_a, n_b)
 
-    yield (
+    if mixed is None:
+        yield np.ascontiguousarray(np.einsum("axby,xj,qy->ajbq", v, S, S, optimize=True))
+        yield np.ascontiguousarray(-np.einsum("abcy,dy->abcd", v, S, optimize=True))
+        yield np.ascontiguousarray(-np.einsum("axcd,xb->abcd", v, S, optimize=True))
+        return
+    yield np.ascontiguousarray(
         mixed.m1
         + np.einsum("axby,xj,qy->ajbq", v, S, S, optimize=True)
         - np.einsum("ajby,qy->ajbq", mixed.m3, S, optimize=True)
         - np.einsum("axbq,xj->ajbq", mixed.m2, S, optimize=True)
     )
-    yield mixed.m2 - np.einsum("abcy,dy->abcd", v, S, optimize=True)
-    yield mixed.m3 - np.einsum("axcd,xb->abcd", v, S, optimize=True)
+    yield np.ascontiguousarray(mixed.m2 - np.einsum("abcy,dy->abcd", v, S, optimize=True))
+    yield np.ascontiguousarray(mixed.m3 - np.einsum("axcd,xb->abcd", v, S, optimize=True))
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +200,11 @@ def one_body_f(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("abqq->ab", v), np.einsum("ppab->ab", v)
 
 
-def build_electrostatic_coefficients(v: np.ndarray, S: np.ndarray) -> SaptCoefficients:
-    return _electrostatic(v, S, sym_v4(v))
+def build_electrostatic_coefficients(v: np.ndarray) -> SaptCoefficients:
+    return _electrostatic(v, sym_v4(v))
 
 
-def _electrostatic(v: np.ndarray, S: np.ndarray, v_block: np.ndarray) -> SaptCoefficients:
+def _electrostatic(v: np.ndarray, v_block: np.ndarray) -> SaptCoefficients:
     """The V set with its two-body block given, already projected."""
     f_a, f_b = one_body_f(v)
     return SaptCoefficients(
@@ -231,7 +213,6 @@ def _electrostatic(v: np.ndarray, S: np.ndarray, v_block: np.ndarray) -> SaptCoe
         one_body_A=f_a,
         one_body_B=f_b,
         two_body_blocks={"v": v_block},
-        overlap=np.asarray(S, dtype=float),
     )
 
 
@@ -395,8 +376,8 @@ def _accumulate_vp_buckets(bk: _Buckets, v: np.ndarray, S: np.ndarray, dressed) 
     exact; the Fock-space oracle pins it down term by term.  The monomer-B
     terms are the monomer-A ones on the swapped buckets and tensors.
 
-    ``dressed`` yields nu1, nu2 and nu3 in that order: a :class:`DressedTensors`,
-    or :func:`_dressed_nu`, which computes each when it is taken.  Only the
+    ``dressed`` yields nu1, nu2 and nu3 in that order: a tuple, or
+    :func:`build_dressed_nu`, which computes each when it is taken.  Only the
     negated copy of a tensor is kept while its converter runs, so a tensor
     nothing else holds is freed before then.
     """
@@ -472,7 +453,7 @@ def build_vp_coefficients(
     S = np.asarray(S, dtype=float)
     n_a, n_b = S.shape
     bk = _Buckets.zeros(n_a, n_b)
-    _accumulate_vp_buckets(bk, v, S, _dressed_nu(v, S, mixed))
+    _accumulate_vp_buckets(bk, v, S, build_dressed_nu(v, S, mixed))
     return _coefficients_from_buckets(bk, v, S, S @ S.T, S.T @ S, "full")
 
 
@@ -483,7 +464,7 @@ def build_majorana_coefficients(
     v = symmetrize_v(v)  # a projected v is held as given, not copied
     S = validate_overlap(S)
     return {  # v is projected, and sym_v4 is idempotent: V and VPs share the array
-        "V": _electrostatic(v, S, v),
+        "V": _electrostatic(v, v),
         "P": build_exchange_coefficients(S),
         "VPs": build_vp_coefficients(v, S, mixed),
     }

@@ -24,7 +24,7 @@ def half_weighted_dressing(v, s):
     Returns its spin-locked tensor [p1, q2, q1, p2] and its spin-free tensor
     [p1, p2, q1, q2]; the plain dressing of build_dressed_nu is canonical.
     """
-    nubar_lock = 0.5 * build_dressed_nu(v, s).nu1
+    nubar_lock = 0.5 * next(build_dressed_nu(v, s))
     w1 = np.einsum("axby,xy->ab", v, s, optimize=True)
     nubar_dir = 0.5 * np.einsum("ab,cd->acbd", w1, s)
     return nubar_lock, nubar_dir

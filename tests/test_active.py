@@ -107,12 +107,26 @@ class TestEmptyCoreIdentity:
         v, s = random_dimer(rng, 2, 2)
         part = SpacePartition.from_counts([], range(2), [], range(2), 2, 2)
         act_v = renormalize_electrostatic(v, part)
-        full_v = build_electrostatic_coefficients(v, np.zeros((2, 2)))
+        full_v = build_electrostatic_coefficients(v)
         assert np.array_equal(act_v.two_body_blocks["v"], full_v.two_body_blocks["v"])
         act_p = renormalize_exchange(s, part)
         full_p = build_exchange_coefficients(s)
         assert act_p.constant == pytest.approx(full_p.constant)
         assert np.allclose(act_p.one_body_A, full_p.one_body_A)
+
+
+FROZEN_A = SpacePartition.from_counts([0, 1, 2], [], [0], [1, 2], 6, 4)
+
+
+class TestElectrostaticOverlap:
+    @pytest.mark.parametrize("part", [None, *PARTS, FROZEN_A])
+    def test_v_set_holds_no_overlap(self, rng, part):
+        # S enters P and VPs only; the V set carries none, full or cored
+        v, s = random_dimer(rng, 3, 3)
+        if part is None:
+            assert build_majorana_coefficients(v, s)["V"].overlap is None
+        else:
+            assert renormalize_electrostatic(v, part).overlap is None
 
 
 class TestDegenerateCases:
@@ -147,7 +161,9 @@ MIRROR_LABELS = {"A2": "B2", "B2": "A2", "2": "3", "3": "2", "2r": "3r", "3r": "
 def mirrored(c):
     """Arrays of a coefficient set, relabelled as if the monomers swapped roles."""
     out = {"constant": np.array(c.constant), "one_body_A": c.one_body_B,
-           "one_body_B": c.one_body_A, "overlap": c.overlap.T}
+           "one_body_B": c.one_body_A}
+    if c.overlap is not None:
+        out["overlap"] = c.overlap.T
     if c.vp4_one_body_A is not None:
         out["vp4_one_body_A"], out["vp4_one_body_B"] = c.vp4_one_body_B, c.vp4_one_body_A
     for label, block in c.two_body_blocks.items():
@@ -158,7 +174,9 @@ def mirrored(c):
 
 def arrays(c):
     out = {"constant": np.array(c.constant), "one_body_A": c.one_body_A,
-           "one_body_B": c.one_body_B, "overlap": c.overlap, **c.two_body_blocks}
+           "one_body_B": c.one_body_B, **c.two_body_blocks}
+    if c.overlap is not None:
+        out["overlap"] = c.overlap
     if c.vp4_one_body_A is not None:
         out["vp4_one_body_A"], out["vp4_one_body_B"] = c.vp4_one_body_A, c.vp4_one_body_B
     return out

@@ -701,6 +701,20 @@ class TestConvertFcidump:
         assert "[schema] FCIDUMP index outside 1..2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("monomer", ["A", "B"])
+    @pytest.mark.parametrize("n_orb_other", ["0", "-5"])
+    def test_nonpositive_other_monomer_is_exit_3(self, tmp_path, capsys, monomer, n_orb_other):
+        fcid = tmp_path / "m.fcidump"
+        fcid.write_text(FCIDUMP_TEXT)
+        out = tmp_path / "mono.sapt"
+        code = main([
+            "convert-fcidump", str(fcid), str(out), "--monomer", monomer, "--new",
+            "--n-orb-other", n_orb_other,
+        ])
+        assert code == 3
+        assert "at least one orbital" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("new", [True, False])
     def test_each_fcidump_is_parsed_once(self, tmp_path, monkeypatch, new):
         import saptkit.archive as ar

@@ -126,7 +126,7 @@ class TestDressingVariant:
 
         v, s = random_dimer(rng, 2, 2)
         space = FockSpace(2, 2)
-        d = build_dressed_nu(v, s)
+        _, nu2, nu3 = build_dressed_nu(v, s)
         nubar_lock, nubar_dir = half_weighted_dressing(v, s)
         canonical = assemble_vp_excitation(space, v, s)
 
@@ -134,8 +134,8 @@ class TestDressingVariant:
         variant = (
             family_lock(space, t_bar, "E").scaled(-1.0)
             + family_dir_tensor(space, nubar_dir)
-            + family_g2(space, d.nu2, s, "E").scaled(-1.0)
-            + family_g3(space, d.nu3, s, "E").scaled(-1.0)
+            + family_g2(space, nu2, s, "E").scaled(-1.0)
+            + family_g3(space, nu3, s, "E").scaled(-1.0)
             + (assemble_electrostatic(space, v) @ assemble_exchange(space, s))
         ).hermitized()
         diff = (canonical + variant.scaled(-1.0)).norm_estimate(rng)

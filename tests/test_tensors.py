@@ -68,27 +68,23 @@ class TestDressed:
     def test_zero_overlap_gives_bare_blocks(self, rng):
         v, _ = random_dimer(rng, 2, 3)
         s = np.zeros((2, 3))
-        d = build_dressed_nu(v, s)
-        assert not d.nu1.any() and not d.nu2.any() and not d.nu3.any()
+        assert not any(nu.any() for nu in build_dressed_nu(v, s))
         mixed = MixedTensors(
             m1=rng.normal(size=(2, 3, 3, 2)),
             m2=rng.normal(size=(2, 2, 3, 2)),
             m3=rng.normal(size=(2, 3, 3, 3)),
         )
-        d = build_dressed_nu(v, s, mixed)
-        assert np.array_equal(d.nu1, mixed.m1)
-        assert np.array_equal(d.nu2, mixed.m2)
-        assert np.array_equal(d.nu3, mixed.m3)
+        for nu, m in zip(build_dressed_nu(v, s, mixed), (mixed.m1, mixed.m2, mixed.m3)):
+            assert np.array_equal(nu, m)
 
     def test_zero_coulomb_gives_zero(self, rng):
         _, s = random_dimer(rng, 2, 2)
-        d = build_dressed_nu(np.zeros((2, 2, 2, 2)), s)
-        for arr in (d.nu1, d.nu2, d.nu3):
+        for arr in build_dressed_nu(np.zeros((2, 2, 2, 2)), s):
             assert not arr.any()
 
     def test_against_index_loop_reference(self, rng):
         v, s = random_dimer(rng, 2, 2)
-        d = build_dressed_nu(v, s)
+        nu1, nu2, nu3 = build_dressed_nu(v, s)
         n = 2
         for p1, q2, q1, p2 in itertools.product(range(n), repeat=4):
             ref = sum(
@@ -96,13 +92,27 @@ class TestDressed:
                 for p3 in range(n)
                 for q3 in range(n)
             )
-            assert d.nu1[p1, q2, q1, p2] == pytest.approx(ref, abs=1e-13)
+            assert nu1[p1, q2, q1, p2] == pytest.approx(ref, abs=1e-13)
         for p1, p2, q1, p4 in itertools.product(range(n), repeat=4):
             ref = -sum(v[p1, p2, q1, q3] * s[p4, q3] for q3 in range(n))
-            assert d.nu2[p1, p2, q1, p4] == pytest.approx(ref, abs=1e-13)
+            assert nu2[p1, p2, q1, p4] == pytest.approx(ref, abs=1e-13)
         for p1, q4, q1, q2 in itertools.product(range(n), repeat=4):
             ref = -sum(v[p1, p3, q1, q2] * s[p3, q4] for p3 in range(n))
-            assert d.nu3[p1, q4, q1, q2] == pytest.approx(ref, abs=1e-13)
+            assert nu3[p1, q4, q1, q2] == pytest.approx(ref, abs=1e-13)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (5, 4)])
+    def test_absent_hybrid_blocks_equal_zero_ones(self, rng, dims):
+        n_a, n_b = dims
+        v, s = random_dimer(rng, n_a, n_b)
+        zeros = MixedTensors(
+            m1=np.zeros((n_a, n_b, n_b, n_a)),
+            m2=np.zeros((n_a, n_a, n_b, n_a)),
+            m3=np.zeros((n_a, n_b, n_b, n_b)),
+        )
+        got = list(build_dressed_nu(v, s))
+        for nu, ref in zip(got, build_dressed_nu(v, s, zeros), strict=True):
+            assert nu.flags.c_contiguous
+            assert nu.shape == ref.shape and nu.tobytes() == ref.tobytes()
 
 
 class TestCoefficients:
@@ -162,7 +172,7 @@ class TestSharedV:
 
     def test_each_dressed_tensor_freed_before_its_converter(self, rng, monkeypatch):
         v, s = random_dimer(rng, 3, 2)
-        refs, dressed = [], tensors._dressed_nu
+        refs, dressed = [], tensors.build_dressed_nu
 
         def tracked(*args):
             for nu in dressed(*args):
@@ -176,7 +186,7 @@ class TestSharedV:
                 return convert(bk, *args)
             return checked
 
-        monkeypatch.setattr(tensors, "_dressed_nu", tracked)
+        monkeypatch.setattr(tensors, "build_dressed_nu", tracked)
         for name in ("convert_lock", "convert_g2"):
             monkeypatch.setattr(tensors, name, converter(getattr(tensors, name)))
         tensors.build_vp_coefficients(v, s)
@@ -184,7 +194,7 @@ class TestSharedV:
 
     def test_electrostatic_alone_projects_raw_v(self, rng):
         raw = rng.normal(size=(3, 3, 2, 2))
-        coeffs = build_electrostatic_coefficients(raw, np.zeros((3, 2)))
+        coeffs = build_electrostatic_coefficients(raw)
         assert np.array_equal(coeffs.two_body_blocks["v"], sym_v4(raw))
         f_a, f_b = one_body_f(raw)
         assert np.array_equal(coeffs.one_body_A, f_a) and np.array_equal(coeffs.one_body_B, f_b)
