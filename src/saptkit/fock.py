@@ -7,25 +7,33 @@ alpha block before the beta block; Jordan-Wigner strings stay inside each
 monomer.  The creation operator of mode m is the real Kronecker chain
 Z^(x)m (x) sigma+ (x) I (x) ... (x) I with sigma+ = |1><0|, so every table
 and every assembled operator is float64; states handed in may be complex.
+With alpha before beta, every one-body basis element acts on one spin,
+E^alpha_pq = e_pq (x) I and E^beta_pq = I (x) e_pq with e_pq on one spin's
+2^n states, so the module builds only single-spin tables (:class:`SpinTables`)
+and no table of a monomer's dimension.
 
 One memory model decides which dimers the oracle admits: :func:`oracle_bytes`
-bounds the bytes its checks hold at their peak (the tables, the family blocks
-and the probe vectors, from sizes known before anything is built), and
-``FockSpace`` refuses a dimer over ``ORACLE_BUDGET`` (1 GiB) before any table
-is built.  Every dimer of up to 4x4 orbitals is admitted; no dimer with a
-5-orbital monomer is.
+bounds the bytes its checks hold at their peak (the tables, the dense family
+blocks, the dense one-monomer matrices and the probe vectors, from sizes
+known before anything is built), and ``FockSpace`` refuses a dimer over
+``ORACLE_BUDGET`` (1 GiB) before any table is built.  Every dimer of up to
+4x4 orbitals is admitted, and so are 5x1, 5x2 and their mirror images; 5x3,
+6x1 and every larger dimer are refused.
 
 Operators are held as sums of Kronecker pairs ``sum_i A_i (x) B_i`` plus
 unexpanded products: a product is a chain of operators that is applied to a
 state right to left and never multiplied out into pairs.  Sums concatenate
 pairs and chains; nothing is merged or dropped, so an operator holds exactly
-the pairs its assembly made.  Every coefficient family has the form
-sum_spins C * prod_k X^{sigma_k}(p_k q_k), with X the excitation operators E
-or the traceless quadratics w = E - delta/2, and one einsum-driven assembler
-builds them all, one contraction per family with the spin labels as
-subscripts.  It makes one pair per basis element X^sigma(p q) of the monomer
-carrying a single factor (B when both do), with the spin sums accumulated in
-the pair's other factor; a family on one monomer is a single monomer pair.
+the pairs its assembly made.  A pair's factor is a dense monomer matrix or a
+:class:`SpinFactor`, a single-spin matrix applied along one spin axis.
+Every coefficient family has the form sum_spins C * prod_k X^{sigma_k}(p_k
+q_k), with X the excitation operators E or the traceless quadratics
+w = E - delta/2, and one einsum-driven assembler builds them all, one
+contraction with the single-spin tables per assignment of spins to the spin
+labels.  It makes one pair per basis element X^sigma(p q) of the monomer
+carrying a single factor (B when both do), held as the SpinFactor e_pq on
+spin sigma, with the spin sums accumulated in the pair's other factor; a
+family on one monomer is a single monomer pair.
 
 Two assembly routes exist for every observable: the ``excitation`` form
 contracts the dressed tensors against excitation-operator products, and the
@@ -35,6 +43,7 @@ Their agreement to 1e-12 is the ground truth the rest of the package leans on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -53,43 +62,43 @@ ORACLE_BUDGET = 1 << 30  # bytes an oracle run may hold at its peak, as oracle_b
 
 def oracle_bytes(n_a: int, n_b: int) -> int:
     """Bytes the oracle holds at its peak on an n_a x n_b dimer: both monomers'
-    tables (adag, E, w, number); the blocks of 32 families, each 2 n_K^2
-    matrices of the other monomer R (the checks hold 22 at once: 8 in the three
-    excitation operators, 6 in the majorana VPs and 8 in its negated copy; the
-    rest covers an assembly's einsum intermediates); four n^2 stacks of the
-    larger monomer's matrices, which a one-monomer family contracts; and 16
-    blocks of six probe vectors, the work of applying nested chains."""
-    tables = sum(8 * 16**n * (4 * n * n + 2 * n + 1) for n in (n_a, n_b))
-    family = 16 * max(n_a * n_a * 16**n_b, n_b * n_b * 16**n_a)
-    stack = 8 * max(n * n * 16**n for n in (n_a, n_b))
+    single-spin tables (adag, parity, E, w); the dense partner blocks of 16
+    families, each n_K^2 matrices of the other monomer R per orientation (the
+    checks hold about ten at once: four in the three excitation operators,
+    four in the majorana VPs, and a family's per-spin parts while it is
+    summed); 16 dense matrices of each monomer (one-monomer families and
+    one-body terms); and 16 blocks of six probe
+    vectors, the work of applying nested chains."""
+    tables = sum(8 * (n * 4**n * (2 * n + 1) + 2**n) for n in (n_a, n_b))
+    family = 8 * (n_b * n_b * 16**n_a + n_a * n_a * 16**n_b)
+    monomer = 8 * (16**n_a + 16**n_b)
     probes = 8 * 6 * 4 ** (n_a + n_b)
-    return tables + 32 * family + 4 * stack + 16 * probes
+    return tables + 16 * (family + monomer + probes)
 
 
 # ---------------------------------------------------------------------------
 # single-monomer algebra
 
 
-class MonomerOps(NamedTuple):
-    """Jordan-Wigner tables of one monomer.
+class SpinTables(NamedTuple):
+    """Jordan-Wigner tables of one spin of an n-orbital monomer, on its h = 2^n states.
 
-    ``adag`` has shape (2n, dim, dim); ``E`` and ``w`` have shape
-    (2, n, n, dim, dim) indexed by [spin, p1, p2] with
-    E[s, p1, p2] = a^dag_{p1 s} a_{p2 s} and w = E - delta/2.
+    ``adag`` (n, h, h) holds the spin's creation operators c_p, ``parity``
+    (h,) the diagonal of (-1)^N on the spin, and ``E``/``w`` (n, n, h, h) the
+    excitations e[p, q] = c_p c_q^T and w = e - delta/2.  On the monomer,
+    E^alpha_pq = e_pq (x) I, E^beta_pq = I (x) e_pq (w likewise), a^dag_{p
+    alpha} = c_p (x) I and a^dag_{p beta} = diag(parity) (x) c_p.
     """
 
     adag: np.ndarray
+    parity: np.ndarray
     E: np.ndarray
     w: np.ndarray
-    number: np.ndarray
-    dim: int
 
 
 @lru_cache(maxsize=16)
-def _monomer_ops(n_orb: int) -> MonomerOps:
-    """Jordan-Wigner matrices and derived one-body operators for one monomer."""
-    n_modes = 2 * n_orb
-    dim = 2**n_modes
+def _spin_tables(n_orb: int) -> SpinTables:
+    """Single-spin Jordan-Wigner matrices of an n_orb-orbital monomer."""
     z = np.diag([1.0, -1.0])
     sigma_plus = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|
 
@@ -100,15 +109,55 @@ def _monomer_ops(n_orb: int) -> MonomerOps:
         return out
 
     adag = np.stack(
-        [chain([z] * m + [sigma_plus] + [np.eye(2)] * (n_modes - m - 1)) for m in range(n_modes)]
+        [chain([z] * m + [sigma_plus] + [np.eye(2)] * (n_orb - m - 1)) for m in range(n_orb)]
     )
-    a = adag.transpose(0, 2, 1)
-    E = adag.reshape(2, n_orb, 1, dim, dim) @ a.reshape(2, 1, n_orb, dim, dim)
+    E = adag[:, None] @ adag.transpose(0, 2, 1)[None]
     w = E.copy()
     diag = np.arange(n_orb)
-    w[:, diag, diag] -= 0.5 * np.eye(dim)
-    number = np.einsum("sppij->ij", E)
-    return MonomerOps(adag, E, w, number, dim)
+    w[diag, diag] -= 0.5 * np.eye(2**n_orb)
+    return SpinTables(adag, np.diag(chain([z] * n_orb)).copy(), E, w)
+
+
+class SpinFactor:
+    """A monomer factor acting on one spin: ``mat`` (x) I for spin 0 (alpha),
+    I (x) ``mat`` for spin 1 (beta), ``mat`` on the 2^n states of one spin."""
+
+    __slots__ = ("mat", "spin")
+
+    def __init__(self, mat: np.ndarray, spin: int):
+        self.mat, self.spin = mat, spin
+
+    @property
+    def T(self) -> "SpinFactor":
+        return SpinFactor(self.mat.T, self.spin)
+
+    @property
+    def size(self) -> int:
+        return self.mat.size
+
+    @property
+    def dtype(self):
+        return self.mat.dtype
+
+    def __rmul__(self, c) -> "SpinFactor":
+        return SpinFactor(c * self.mat, self.spin)
+
+
+def _identity(space: FockSpace, which: str) -> SpinFactor:
+    """One monomer's identity, held as the identity of its alpha spin."""
+    return SpinFactor(np.eye(2 ** space.n_orb(which)), 0)
+
+
+def _act(f, x: np.ndarray, pre: int, post: int) -> np.ndarray:
+    """A monomer factor (a matrix or a SpinFactor) applied to the middle axis of
+    ``x`` viewed as (pre, d, post): one reshape and one matmul."""
+    mat = f
+    if isinstance(f, SpinFactor):
+        mat, h = f.mat, f.mat.shape[0]
+        pre, post = (pre, h * post) if f.spin == 0 else (pre * h, post)
+    if post == 1:
+        return x.reshape(pre, -1) @ mat.T
+    return mat @ x.reshape(pre, -1, post)
 
 
 @dataclass(frozen=True)
@@ -141,9 +190,6 @@ class FockSpace:
     def n_orb(self, which: str) -> int:
         return self.n_orb_A if which == "A" else self.n_orb_B
 
-    def monomer(self, which: str) -> MonomerOps:
-        return _monomer_ops(self.n_orb(which))
-
     def occupations(self, which: str) -> np.ndarray:
         """Mode occupations of one monomer's basis states (mode 0 = MSB)."""
         n_modes = 2 * self.n_orb(which)
@@ -171,9 +217,10 @@ class FockSpace:
 class PairSum:
     """Operator sum_i A_i (x) B_i + sum_j c_j F_j1 F_j2 ... on the dimer space.
 
-    ``pairs`` holds the Kronecker pairs (A_i, B_i); ``chains`` holds each
-    product as (c_j, factors), its factors PairSums kept unexpanded and applied
-    right to left.
+    ``pairs`` holds the Kronecker pairs (A_i, B_i), each factor a dense
+    monomer matrix or a :class:`SpinFactor`; ``chains`` holds each product as
+    (c_j, factors), its factors PairSums kept unexpanded and applied right to
+    left.
     """
 
     def __init__(self, space: FockSpace, pairs=(), chains=()):
@@ -182,19 +229,19 @@ class PairSum:
         self.chains: list[tuple[float, tuple[PairSum, ...]]] = list(chains)
 
     def add(self, a_mat, b_mat) -> "PairSum":
-        self.pairs.append((np.asarray(a_mat, dtype=float), np.asarray(b_mat, dtype=float)))
+        self.pairs.append((a_mat, b_mat))
         return self
 
     def add_scalar(self, c) -> "PairSum":
         if c != 0.0:
-            self.add(c * np.eye(self.space.dim_A), np.eye(self.space.dim_B))
+            self.add(c * _identity(self.space, "A"), _identity(self.space, "B"))
         return self
 
     def add_monomer(self, which: str, mat) -> "PairSum":
         if which == "A":
-            self.add(mat, np.eye(self.space.dim_B))
+            self.add(mat, _identity(self.space, "B"))
         else:
-            self.add(np.eye(self.space.dim_A), mat)
+            self.add(_identity(self.space, "A"), mat)
         return self
 
     def __add__(self, other: "PairSum") -> "PairSum":
@@ -227,7 +274,7 @@ class PairSum:
         psi = np.ascontiguousarray(vecs.T).reshape(k, da, db)
         out = np.zeros(psi.shape, dtype=np.result_type(vecs, float))
         for a, b in self.pairs:
-            out += (a @ psi) @ b.T
+            out += _act(b, _act(a, psi, k, db), k * da, 1).reshape(psi.shape)
         out = out.reshape(k, da * db).T
         for c, factors in self.chains:
             x = vecs
@@ -252,47 +299,84 @@ class PairSum:
 # family assembly (shared by the excitation and majorana routes)
 
 
-def _mats(space: FockSpace, which: str, basis: str):
-    ops = space.monomer(which)
-    return ops.E if basis == "E" else ops.w
+def _table(space: FockSpace, which: str, basis: str) -> np.ndarray:
+    """Single-spin basis elements of one monomer, (n, n, h, h)."""
+    tables = _spin_tables(space.n_orb(which))
+    return tables.E if basis == "E" else tables.w
 
 
 def one_body_matrix(space: FockSpace, which: str, h: np.ndarray, basis: str) -> np.ndarray:
     """sum_sigma sum_{p1 p2} h[p1, p2] X^sigma_{p1 p2} on one monomer."""
-    mats = _mats(space, which, basis)
-    return np.einsum("ab,sabij->ij", h, mats, optimize=True)
+    m = np.einsum("ab,abij->ij", h, _table(space, which, basis))
+    eye = np.eye(len(m))
+    return np.kron(m, eye) + np.kron(eye, m)
 
 
 def _family(space: FockSpace, spec: str, tensors, factors, basis: str) -> PairSum:
     """sum_spins einsum(spec, *tensors) * prod_k X^{spin_k}_{monomer_k}(pair_k).
 
     ``factors`` lists (monomer, spin label, index pair) in product order, the
-    index pairs in the letters of ``spec``; each distinct spin label is a
-    subscript of the one contraction, so it is summed over both spins.  The
-    ``key`` factor is the one whose basis elements index the pairs (module
-    docstring).
+    index pairs in the letters of ``spec``; each distinct spin label is summed
+    over both spins.  The ``key`` factor is the one whose basis elements index
+    the pairs (module docstring); the others sit on one monomer.  Per spin
+    assignment of their labels, one einsum contracts the coefficients with the
+    single-spin tables: factors of one spin multiply inside that spin's space,
+    and the two spins' products form a Kronecker product, a spin without
+    factors taking the identity.
     """
-    mats = {m: _mats(space, m, basis) for m in {m for m, _, _ in factors}}
     singles = {f[0]: f for f in factors if sum(g[0] == f[0] for g in factors) == 1}
     key = singles.get("B", singles.get("A"))
     rest = [f for f in factors if f is not key]
-    chain = "IJKLMN"  # matrix-product indices of the other monomer
-    subs = [s + pq + chain[k : k + 2] for k, (_, s, pq) in enumerate(rest)]
-    # the key's spin is an output index where another factor carries it; else
-    # the sum does not depend on it and both key spins take the same block
-    spin = key[1] if key and any(s == key[1] for _, s, _ in rest) else ""
-    out_subs = spin + (key[2] if key else "") + chain[0] + chain[len(rest)]
-    operands = [*tensors, *(mats[m] for m, _, _ in rest)]
-    # the greedy path contracts the overlap last, several times the work at 4x1
-    block = np.einsum(",".join([spec, *subs]) + "->" + out_subs, *operands, optimize="optimal")
+    which = rest[0][0]
+    table = _table(space, which, basis)
+    eye = np.eye(table.shape[-1])
+    labels = sorted({s for _, s, _ in rest})
+    # spin assignments grouped by the key's spin; None where no other factor
+    # carries the key's label, so that both key spins take the same block
+    groups = {}
+    for spins in itertools.product((0, 1), repeat=len(labels)):
+        spin_of = dict(zip(labels, spins))
+        groups.setdefault(spin_of.get(key[1]) if key else None, []).append(spin_of)
+    blocks = {}
+    for key_spin, group in groups.items():
+        # a lone assignment with every factor on one spin stays a one-spin block
+        lone = len(group) == 1 and len(set(group[0].values())) == 1
+        block = None
+        for spin_of in group:
+            chains, count, subs, ops = {0: "IJK", 1: "LMN"}, {0: 0, 1: 0}, [], []
+            for _, label, pq in rest:
+                s = spin_of[label]
+                subs.append(pq + chains[s][count[s] : count[s] + 2])
+                ops.append(table)
+                count[s] += 1
+            for s in (0, 1):
+                if not lone and not count[s]:  # the identity on a spin without factors
+                    subs.append(chains[s][:2])
+                    ops.append(eye)
+                    count[s] = 1
+            used = [s for s in (0, 1) if count[s]]
+            rows_cols = "".join(chains[s][0] for s in used) + "".join(chains[s][count[s]] for s in used)
+            arr = np.einsum(
+                ",".join([spec, *subs]) + "->" + (key[2] if key else "") + rows_cols,
+                *tensors, *ops, optimize=True,
+            )
+            if block is None:
+                block = arr  # a fresh einsum result, summed into in place
+            else:
+                block += arr
+        if lone:
+            blocks[key_spin] = [SpinFactor(m, used[0]) for m in block.reshape(-1, *eye.shape)]
+        else:
+            blocks[key_spin] = list(block.reshape(-1, eye.size, eye.size))
     out = PairSum(space)
     if key is None:
-        return out.add_monomer(rest[0][0], block)
-    which = key[0]
-    for s, b in enumerate(block if spin else (block, block)):
-        for p, q in np.ndindex(b.shape[:2]):
-            pair = (mats[which][s, p, q], b[p, q])
-            out.add(*(pair[::-1] if which == "B" else pair))
+        return out.add_monomer(which, blocks[None][0])
+    key_table = _table(space, key[0], basis)
+    for s in (0, 1):
+        partners = blocks[s if s in blocks else None]
+        for (p, q), partner in zip(np.ndindex(key_table.shape[:2]), partners):
+            pair = (SpinFactor(key_table[p, q], s), partner)
+            out.add(*(pair[::-1] if key[0] == "B" else pair))
     return out
 
 
@@ -389,6 +473,12 @@ def assemble_vp_excitation(
 
 def _one_body_pairsum(space: FockSpace, which: str, h: np.ndarray, basis: str) -> PairSum:
     return PairSum(space).add_monomer(which, one_body_matrix(space, which, h, basis))
+
+
+def number_operator(space: FockSpace) -> PairSum:
+    """N_A + N_B, the particle-number operators of both monomers."""
+    n_a, n_b = (_one_body_pairsum(space, m, np.eye(space.n_orb(m)), "E") for m in "AB")
+    return n_a + n_b
 
 
 def _exchange_form(space: FockSpace, p_a, p_b, S: np.ndarray) -> PairSum:
@@ -567,9 +657,13 @@ def verify_complete_basis(
     space = FockSpace(n_orb, n_orb)
     vp_four = assemble_vp_excitation(space, v, S, mixed, symmetrize=False)
     vp_prod = assemble_electrostatic(space, v) @ assemble_exchange(space, S)
-    diff = (vp_four + vp_prod.scaled(-1.0)).to_dense()
-    ref = vp_prod.to_dense()
-    return float(np.linalg.norm(diff) / np.linalg.norm(ref))
+    diff = vp_four + vp_prod.scaled(-1.0)
+    # squared Frobenius norms from 16 columns of the identity at a time, no dim x dim matrix
+    sq = np.zeros(2)
+    for start in range(0, space.dim, 16):
+        cols = np.eye(space.dim, 16, -start)
+        sq += [np.linalg.norm(op.apply_block(cols)) ** 2 for op in (diff, vp_prod)]
+    return float(np.sqrt(sq[0] / sq[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +683,9 @@ def embed_with_core(
     vacuum in both spaces, so the embedding is exact for any mode ordering.
     """
     n_full = space_full.n_orb(which)
-    adag_full, *_, dim_full = space_full.monomer(which)
     n_act = len(active)
-    adag_act, *_, dim_act = _monomer_ops(n_act)
     n_modes_act = 2 * n_act
+    dim_full, dim_act = 4**n_full, 4**n_act
     out = np.zeros(dim_full, dtype=np.result_type(psi_active, float))
     vac_full = np.zeros(dim_full)
     vac_full[0] = 1.0
@@ -609,7 +702,7 @@ def embed_with_core(
         # sign linking |b> to the ordered creation string in the active space
         ref = vac_act
         for m in reversed(act_modes):
-            ref = adag_act[m] @ ref
+            ref = _create(n_act, m, ref)
         sign = ref[b]
         # same creation content in the full space: cores first, then actives
         full_modes = core_modes_full + [
@@ -617,6 +710,15 @@ def embed_with_core(
         ]
         vec = vac_full
         for m in reversed(full_modes):
-            vec = adag_full[m] @ vec
+            vec = _create(n_full, m, vec)
         out += amp * sign * vec
     return out
+
+
+def _create(n_orb: int, mode: int, vec: np.ndarray) -> np.ndarray:
+    """a^dag of one spin-orbital mode (alpha modes first) on a monomer state."""
+    tables = _spin_tables(n_orb)
+    x = vec.reshape(2**n_orb, 2**n_orb)  # [alpha state, beta state]
+    if mode < n_orb:
+        return (tables.adag[mode] @ x).ravel()
+    return (tables.parity[:, None] * (x @ tables.adag[mode - n_orb].T)).ravel()

@@ -11,12 +11,12 @@ from .errors import ShapeError
 from .factorize import factorize_coefficients
 from .fock import (
     FockSpace,
-    PairSum,
     assemble_electrostatic,
     assemble_exchange,
     assemble_majorana,
     assemble_vp_excitation,
     embed_with_core,
+    number_operator,
     verify_complete_basis,
 )
 from .factorize import reconstruct_block
@@ -51,10 +51,7 @@ def _oracle_operators(archive: TensorArchive):
         "P": assemble_exchange(space, s),
         "VPs": assemble_vp_excitation(space, v, s),
     }
-    num_a = space.monomer("A").number
-    num_b = space.monomer("B").number
-    n_op = PairSum(space).add_monomer("A", num_a) + PairSum(space).add_monomer("B", num_b)
-    return space, v, s, ops, n_op
+    return space, v, s, ops, number_operator(space)
 
 
 def _oracle_checks(rep: _Reporter, space, v, s, ops, n_op, rng: np.random.Generator):

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,38 @@ def random_dimer(rng, n_a, n_b, s_scale=0.5):
     s = rng.normal(size=(n_a, n_b))
     s = s_scale * s / max(1.0, np.abs(s).max())
     return v, s
+
+
+class JWReference(NamedTuple):
+    adag: np.ndarray  # (2n, dim, dim), alpha modes first
+    E: np.ndarray  # (2, n, n, dim, dim), [spin, p, q]
+    w: np.ndarray  # E - delta/2
+    number: np.ndarray  # (dim, dim)
+
+
+def jw_reference(n_orb):
+    """Dense Jordan-Wigner tables of an n-orbital monomer from complex Pauli
+    strings, a^dag_m = Z^(x)m (x) (X - iY)/2 (x) I (x) ... with the alpha modes
+    before the beta modes; independent of ``saptkit.fock``."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    z = np.diag([1.0, -1.0]).astype(complex)
+    n_modes = 2 * n_orb
+    adag = []
+    for m in range(n_modes):
+        op = np.ones((1, 1), dtype=complex)
+        for f in [z] * m + [(x - 1j * y) / 2] + [np.eye(2)] * (n_modes - m - 1):
+            op = np.kron(op, f)
+        adag.append(op)
+    adag = np.array(adag)
+    assert not adag.imag.any()
+    adag = adag.real
+    modes = adag.reshape(2, n_orb, *adag.shape[1:])
+    E = np.array([[[a_p @ a_q.T for a_q in spin] for a_p in spin] for spin in modes])
+    w = E.copy()
+    for p in range(n_orb):
+        w[:, p, p] -= 0.5 * np.eye(4**n_orb)
+    return JWReference(adag, E, w, np.einsum("sppij->ij", E))
 
 
 def half_weighted_dressing(v, s):

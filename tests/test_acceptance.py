@@ -27,12 +27,12 @@ from saptkit.costing import (
 from saptkit.factorize import factorize_coefficients, reconstruct_block
 from saptkit.fock import (
     FockSpace,
-    PairSum,
     assemble_electrostatic,
     assemble_exchange,
     assemble_majorana,
     assemble_vp_excitation,
     embed_with_core,
+    number_operator,
     verify_complete_basis,
 )
 from saptkit.norms import df_hamiltonian_norm, factorize_monomer_hamiltonian, tf_norm
@@ -86,9 +86,7 @@ def test_criterion_03_oracle_equivalence_bulk():
         v, s = random_dimer(rng, n_a, n_b)
         space = FockSpace(n_a, n_b)
         coeffs = build_majorana_coefficients(v, s)
-        num_a = space.monomer("A").number
-        num_b = space.monomer("B").number
-        n_op = PairSum(space).add_monomer("A", num_a) + PairSum(space).add_monomer("B", num_b)
+        n_op = number_operator(space)
         for kind in ("V", "P", "VPs"):
             exc = {
                 "V": assemble_electrostatic(space, v),

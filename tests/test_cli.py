@@ -59,12 +59,12 @@ class TestVerify:
         assert main(["verify", str(archive_path)]) == 0
 
     @pytest.mark.parametrize(
-        "n_a, n_b", [(7, 1), (5, 4), (5, 1), (5, 2), (5, 3), (1, 5), (4, 5)]
+        "n_a, n_b", [(7, 1), (5, 4), (6, 1), (3, 5), (5, 3), (1, 6), (4, 5)]
     )
     def test_oversized_archive_falls_back(self, tmp_path, monkeypatch, capsys, n_a, n_b):
         built = []
-        monomer_ops = fock._monomer_ops
-        monkeypatch.setattr(fock, "_monomer_ops", lambda n: built.append(n) or monomer_ops(n))
+        spin_tables = fock._spin_tables
+        monkeypatch.setattr(fock, "_spin_tables", lambda n: built.append(n) or spin_tables(n))
         path = tmp_path / "wide.sapt"
         save_archive(path, demo_archive(n_a, n_b))
         assert main(["verify", str(path)]) == 0
