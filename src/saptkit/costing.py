@@ -38,6 +38,13 @@ def _ceil(x: float, what: str) -> int:
     return math.ceil(x)
 
 
+def _check_orbitals(counts: dict[str, int]) -> None:
+    """Raise DomainError unless every named orbital count is an integer >= 1."""
+    for name, n in counts.items():
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError(f"orbital count {name} must be an integer >= 1, got {n!r}")
+
+
 # ---------------------------------------------------------------------------
 # parameter containers
 
@@ -63,6 +70,7 @@ class SystemParams:
                 raise DomainError("state overlaps must lie in (0, 1]")
         if not _positive(self.lambda_A, self.lambda_B):
             raise DomainError("Hamiltonian norms must be positive and finite")
+        _check_orbitals({"n_orb_A": self.n_orb_A, "n_orb_B": self.n_orb_B})
 
 
 @dataclass(frozen=True)
@@ -218,57 +226,37 @@ class CostNode:
         child_max = max((c.qubits for _, c in self.children), default=0)
         return max(self.own_qubits, child_max)
 
-    def finalize(self, calls: int = 1) -> "CostNode":
-        self.calls = calls
-        for mult, child in self.children:
-            child.finalize(calls * mult)
-        return self
-
 
 @dataclass
 class CostGraph:
+    """A call tree; ``nodes`` lists its nodes in pre-order.  A node reached
+    twice, through a cycle or a second caller, is refused: it would carry the
+    call count of one of its places only."""
+
     root: CostNode
     meta: dict = field(default_factory=dict)
+    nodes: list[CostNode] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._check_acyclic()
-        self.root.finalize(1)
-
-    def _check_acyclic(self):
-        def walk(node: CostNode, path: set[int]):
-            if id(node) in path:
-                raise DomainError("cost graph contains a cycle")
-            path = path | {id(node)}
-            for _, child in node.children:
-                walk(child, path)
-
-        walk(self.root, set())
+        self.nodes, seen, todo = [], set(), [(1, self.root)]
+        while todo:
+            calls, node = todo.pop()
+            if id(node) in seen:
+                raise DomainError(f"cost graph reaches node {node.name!r} twice: not a tree")
+            seen.add(id(node))
+            node.calls = calls
+            self.nodes.append(node)
+            todo.extend((calls * m, child) for m, child in reversed(node.children))
 
     def node(self, name: str) -> CostNode:
-        found = []
-
-        def walk(node: CostNode):
+        """The first node of that name in pre-order."""
+        for node in self.nodes:
             if node.name == name:
-                found.append(node)
-            for _, child in node.children:
-                walk(child)
-
-        walk(self.root)
-        if not found:
-            raise KeyError(name)
-        return found[0]
+                return node
+        raise KeyError(name)
 
     def leaf_total(self) -> int:
-        total = 0
-
-        def walk(node: CostNode):
-            nonlocal total
-            total += node.calls * node.leaf_toffolis
-            for _, child in node.children:
-                walk(child)
-
-        walk(self.root)
-        return total
+        return sum(node.calls * node.leaf_toffolis for node in self.nodes)
 
     def to_dict(self) -> dict:
         def node_dict(node: CostNode) -> dict:
@@ -289,23 +277,23 @@ class CostGraph:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
     def to_dot(self) -> str:
-        lines = ["digraph costs {", "  node [shape=box];"]
-        counter = [0]
-
-        def walk(node: CostNode) -> str:
-            ident = f"n{counter[0]}"
-            counter[0] += 1
+        """Node ``n<i>`` is the i-th in pre-order; each edge line follows the
+        lines of its child's subtree."""
+        into = {id(c): (i, m) for i, node in enumerate(self.nodes) for m, c in node.children}
+        lines, open_edges = ["digraph costs {", "  node [shape=box];"], []
+        for i, node in enumerate(self.nodes):
+            parent, mult = into.get(id(node), (None, 0))
+            # the subtrees entered after the parent's are complete: their edges follow
+            while open_edges and open_edges[-1][0] != parent:
+                lines.append(open_edges.pop()[1])
             label = (
                 f"{node.name}\\nper_call={node.per_call}\\n"
                 f"calls={node.calls}\\ntotal={node.total}"
             )
-            lines.append(f'  {ident} [label="{label}"];')
-            for mult, child in node.children:
-                cid = walk(child)
-                lines.append(f'  {ident} -> {cid} [label="{mult}"];')
-            return ident
-
-        walk(self.root)
+            lines.append(f'  n{i} [label="{label}"];')
+            if parent is not None:
+                open_edges.append((i, f'  n{parent} -> n{i} [label="{mult}"];'))
+        lines.extend(edge for _, edge in reversed(open_edges))
         lines.append("}")
         return "\n".join(lines)
 
@@ -331,20 +319,25 @@ def _qsp_degree(lam_x: float, delta_x: float, big_lambda: float, calib) -> int:
     return max(1, _ceil(degree, "the QSP degree (lambda/gap)"))
 
 
-def hamiltonian_encoding_node(
-    name: str, n_orb: int, calib: CalibrationConstants
+def _encoding_leaf(
+    name: str, entries: int, givens: int, extra: int, system: int, calib: CalibrationConstants
 ) -> CostNode:
-    """Block encoding of one double-factorized monomer Hamiltonian."""
-    l_coeff = n_orb * n_orb + n_orb
-    _, lookup = qrom_cost(l_coeff, calib.b_coeff)
-    _, angles = qrom_cost(l_coeff, calib.b_rot)
-    rotations = 4 * n_orb * calib.givens_toffoli
+    """A block encoding priced by its coefficient and angle lookups over
+    ``entries`` items, a layer of ``givens`` rotations and ``extra`` Toffolis,
+    on ``system`` qubits besides the lookup and coefficient registers."""
+    _, lookup = qrom_cost(entries, calib.b_coeff)
+    _, angles = qrom_cost(entries, calib.b_rot)
     toffolis = _ceil(
-        calib.be_prefactor * (lookup + angles + rotations + 2 * calib.b_coeff),
+        calib.be_prefactor * (lookup + angles + givens * calib.givens_toffoli + extra),
         "the block-encoding Toffoli count",
     )
-    qubits = qrom_qubits(l_coeff, calib.b_rot) + 2 * n_orb + calib.b_coeff
+    qubits = qrom_qubits(entries, calib.b_rot) + system + calib.b_coeff
     return CostNode(name, leaf_toffolis=toffolis, own_qubits=qubits)
+
+
+def hamiltonian_encoding_node(name: str, n_orb: int, calib: CalibrationConstants) -> CostNode:
+    """Block encoding of one double-factorized monomer Hamiltonian."""
+    return _encoding_leaf(name, n_orb * (n_orb + 1), 4 * n_orb, 2 * calib.b_coeff, 2 * n_orb, calib)
 
 
 def observable_encoding_node(
@@ -364,16 +357,9 @@ def observable_encoding_node(
     l_v = counts.get("L_V", n_a * n_b * (1 + n_a + n_b))
     l_p = counts.get("L_P", min(n_a, n_b) ** 2 + n_a * n_a + n_b * n_b)
     system = 2 * (n_a + n_b)
-    rotations = 2 * (n_a + n_b) * calib.givens_toffoli
 
     def enc_leaf(name: str, entries: int) -> CostNode:
-        _, lookup = qrom_cost(entries, calib.b_coeff)
-        _, angles = qrom_cost(entries, calib.b_rot)
-        toffolis = _ceil(
-            calib.be_prefactor * (lookup + angles + rotations), "the block-encoding Toffoli count"
-        )
-        qubits = qrom_qubits(entries, calib.b_rot) + system + calib.b_coeff
-        return CostNode(name, leaf_toffolis=toffolis, own_qubits=qubits)
+        return _encoding_leaf(name, entries, system, 0, system, calib)
 
     if observable == "V":
         return enc_leaf("B[V]", l_v)
@@ -433,24 +419,27 @@ def estimate_observable(
     iterations = _iterations(lambda_f, eps_f, calib)
     p_outer = math.ceil(math.log2(iterations)) + 2
 
-    bh = {}
-    iqpe = {}
-    for which, lam_x, delta_x, n_x in (
-        ("A", params.lambda_A, params.delta_A, params.n_orb_A),
-        ("B", params.lambda_B, params.delta_B, params.n_orb_B),
+    r_pi, asp, refl = CostNode("R_pi"), CostNode("ASP"), 0
+    for which, lam_x, delta_x, ov, n_x in (
+        ("A", params.lambda_A, params.delta_A, params.overlap_A, params.n_orb_A),
+        ("B", params.lambda_B, params.delta_B, params.overlap_B, params.n_orb_B),
     ):
-        bh[which] = hamiltonian_encoding_node(f"B[H_{which}]", n_x, calib)
+        bh = hamiltonian_encoding_node(f"B[H_{which}]", n_x, calib)
         degree = _qsp_degree(lam_x, delta_x, big_lambda, calib)
         p_inner = math.ceil(math.log2(degree)) + 2
-        node = CostNode(f"iQPE_{which}", own_qubits=bh[which].own_qubits + p_inner)
-        node.add(degree, bh[which])
-        node.add(1, CostNode(f"phase_{which}", leaf_toffolis=4 * p_inner))
-        iqpe[which] = (node, p_inner)
+        iqpe = CostNode(f"iQPE_{which}", own_qubits=bh.own_qubits + p_inner)
+        iqpe.add(degree, bh)
+        iqpe.add(1, CostNode(f"phase_{which}", leaf_toffolis=4 * p_inner))
+        r_pi.add(2, iqpe)
+        refl += 2 * p_inner
 
-    r_pi = CostNode("R_pi")
-    r_pi.add(2, iqpe["A"][0])
-    r_pi.add(2, iqpe["B"][0])
-    r_pi.add(1, CostNode("Refl", leaf_toffolis=2 * (iqpe["A"][1] + iqpe["B"][1])))
+        asp_degree = _qsp_degree(lam_x, delta_x, calib.asp_phase_factor, calib)
+        aqpe = CostNode(f"aQPE_{which}")
+        # a separate encoding instance: CostGraph refuses a node reached twice
+        aqpe.add(asp_degree, hamiltonian_encoding_node(f"B[H_{which}]asp", n_x, calib))
+        repeats = _ceil(calib.asp_rus / ov**2 if ov**2 else math.inf, "ASP repeats (1/overlap^2)")
+        asp.add(repeats, aqpe)
+    r_pi.add(1, CostNode("Refl", leaf_toffolis=refl))
 
     bf = observable_encoding_node(observable, params, calib, rank_counts)
     r_tau = CostNode("R_tau")
@@ -462,22 +451,10 @@ def estimate_observable(
     oqpe.add(iterations, r_tau)
     oqpe.add(1, CostNode("qft", leaf_toffolis=2 * p_outer * p_outer))
 
-    asp = CostNode("ASP")
-    for which, lam_x, delta_x, ov, n_x in (
-        ("A", params.lambda_A, params.delta_A, params.overlap_A, params.n_orb_A),
-        ("B", params.lambda_B, params.delta_B, params.overlap_B, params.n_orb_B),
-    ):
-        degree = _qsp_degree(lam_x, delta_x, calib.asp_phase_factor, calib)
-        aqpe = CostNode(f"aQPE_{which}")
-        # separate encoding instance: the call graph is a tree, not a DAG
-        aqpe.add(degree, hamiltonian_encoding_node(f"B[H_{which}]asp", n_x, calib))
-        repeats = _ceil(calib.asp_rus / ov**2 if ov**2 else math.inf, "ASP repeats (1/overlap^2)")
-        asp.add(repeats, aqpe)
-
     root = CostNode(f"E_{observable}")
     root.add(1, asp)
     root.add(1, oqpe)
-    graph = CostGraph(
+    return CostGraph(
         root=root,
         meta={
             "observable": observable,
@@ -487,7 +464,6 @@ def estimate_observable(
             "iterations": iterations,
         },
     )
-    return graph
 
 
 def calibrate_qsp_prefactor(
@@ -522,25 +498,17 @@ def estimate_supermolecular(
     if not _positive(lam_ab, lam_a, lam_b, eps_targ):
         raise DomainError("norms and target precision must be positive and finite")
     roots = math.sqrt(lam_ab) + math.sqrt(lam_a) + math.sqrt(lam_b)
-    runs = []
     n_ab, n_a, n_b = n_orbs or (2, 1, 1)
+    _check_orbitals({"n_orb_AB": n_ab, "n_orb_A": n_a, "n_orb_B": n_b})
+    root, eps_split = CostNode("E_int(supermolecular)"), {}
     for name, lam, n_orb in (("E_AB", lam_ab, n_ab), ("E_A", lam_a, n_a), ("E_B", lam_b, n_b)):
-        eps_x = eps_targ * math.sqrt(lam) / roots
+        eps_x = eps_split[name] = eps_targ * math.sqrt(lam) / roots
         ratio = calib.oqpe_prefactor * math.pi * lam / (2.0 * eps_x) if eps_x else math.inf
         iters = _ceil(ratio, "the iteration count (lambda/eps)")
         node = CostNode(name, own_qubits=2 * n_orb + math.ceil(math.log2(iters)) + 2)
         node.add(iters, hamiltonian_encoding_node(f"B[H]({name})", n_orb, calib))
-        runs.append((node, eps_x))
-    root = CostNode("E_int(supermolecular)")
-    for node, _ in runs:
         root.add(1, node)
-    return CostGraph(
-        root=root,
-        meta={
-            "eps_split": {name: eps for (node, eps), name in zip(runs, ("E_AB", "E_A", "E_B"))},
-            "eps_targ": eps_targ,
-        },
-    )
+    return CostGraph(root=root, meta={"eps_split": eps_split, "eps_targ": eps_targ})
 
 
 def emit_callgraph(graph: CostGraph, fmt: str = "json") -> str:
@@ -552,20 +520,10 @@ def emit_callgraph(graph: CostGraph, fmt: str = "json") -> str:
     raise DomainError(f"unknown call-graph format {fmt!r}")
 
 
-_TSV_COLUMNS = [
-    "E_F",
-    "ASP",
-    "aQPE_A",
-    "aQPE_B",
-    "oQPE",
-    "R_pi",
-    "iQPE_A",
-    "B[H_A]",
-    "iQPE_B",
-    "B[H_B]",
-    "R_tau",
-    "B[F]",
-]
+_TSV_COLUMNS = (
+    "E_F", "ASP", "aQPE_A", "aQPE_B", "oQPE", "R_pi", "iQPE_A", "B[H_A]", "iQPE_B", "B[H_B]",
+    "R_tau", "B[F]",
+)
 
 
 def summary_tsv(graphs: dict[str, CostGraph]) -> str:
@@ -573,22 +531,18 @@ def summary_tsv(graphs: dict[str, CostGraph]) -> str:
     lines = ["observable\tlambda_F\teps_F\tLambda_F\t" + "\t".join(_TSV_COLUMNS)]
     for obs in sorted(graphs):
         graph = graphs[obs]
+        first = {node.name: node for node in reversed(graph.nodes)}  # as node() picks
         row = [obs]
         for key in ("lambda_F", "eps_F", "Lambda_F"):
             val = graph.meta.get(key)
             row.append("-" if val is None else f"{val:.6g}")
+        encoding = {"V": "B[V]", "P": "B[P]", "VPs": "B[VP]"}.get(obs, "B[F]")
         for col in _TSV_COLUMNS:
-            name = col
-            if col == "E_F":
-                name = graph.root.name
-            elif col == "B[F]":
-                name = {"V": "B[V]", "P": "B[P]", "VPs": "B[VP]"}.get(obs, "B[F]")
-            try:
-                node = graph.node(name)
-            except KeyError:
+            name = {"E_F": graph.root.name, "B[F]": encoding}.get(col, col)
+            node = first.get(name)
+            if node is None:
                 row.append("-")
-                continue
-            # encoding columns report per-call cost, aggregates report totals
-            row.append(str(node.per_call if name.startswith("B[") else node.total))
+            else:  # encoding columns report per-call cost, aggregates report totals
+                row.append(str(node.per_call if name.startswith("B[") else node.total))
         lines.append("\t".join(row))
     return "\n".join(lines)

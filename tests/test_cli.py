@@ -206,6 +206,17 @@ def test_non_finite_number_is_exit_3(argv, tmp_path, capsys):
     assert_data_error(argv, capsys, "finite")
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [ESTIMATE + ["--n-orb-a", "{}"], SUPERMOLECULAR + ["--n-orbs", "{}", "1", "1"]],
+    ids=["estimate", "supermolecular"],
+)
+def test_orbital_count_below_one_is_exit_3(argv, count, capsys):
+    name = "n_orb_A" if argv[0] == "estimate" else "n_orb_AB"
+    assert_data_error([a.format(count) for a in argv], capsys, f"orbital count {name}")
+
+
 class TestCalibrationFile:
     @pytest.mark.parametrize(
         "text, message",

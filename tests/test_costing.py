@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -119,12 +120,19 @@ class TestCostGraph:
         assert graph.root.qubits >= max(c.qubits for _, c in graph.root.children)
 
     def test_cycle_detection(self):
+        """A node reached twice is refused: through a cycle, or under two callers."""
         a = CostNode("a")
         b = CostNode("b")
         a.add(1, b)
         b.children.append((1, a))
-        with pytest.raises(DomainError):
-            CostGraph(root=a)
+        # one leaf under callers of multiplicity 3 and 5 would total 80 at the
+        # root but sum to 100 over the leaves
+        leaf = CostNode("leaf", leaf_toffolis=10)
+        shared = CostNode("root").add(3, CostNode("p").add(1, leaf))
+        shared.add(5, CostNode("q").add(1, leaf))
+        for root in (a, shared):
+            with pytest.raises(DomainError):
+                CostGraph(root=root)
 
     def test_json_round_trip_stable(self):
         graph = estimate_observable("V", 65.54, HEME, 7.29e-5)
@@ -137,6 +145,35 @@ class TestCostGraph:
         dot = emit_callgraph(graph, "dot")
         assert dot.count("label=") == 1
         assert "solo" in dot
+
+    def test_dot_lines_match_dict_in_preorder(self):
+        """One node line per node named by its pre-order index, one edge line per edge."""
+        graph = estimate_observable("VPs", 537.3, HEME, 5.66e-4)
+        names, edges = [], []
+
+        def walk(nd):
+            i = len(names)
+            names.append(nd["name"])
+            for entry in nd["children"]:
+                edges.append((i, entry["multiplicity"], len(names)))
+                walk(entry["node"])
+
+        walk(graph.to_dict()["root"])
+        dot = emit_callgraph(graph, "dot").splitlines()
+        node_lines = [re.fullmatch(r'  n(\d+) \[label="([^\\]+)\\n.*"\];', ln) for ln in dot]
+        edge_lines = [re.fullmatch(r'  n(\d+) -> n(\d+) \[label="(\d+)"\];', ln) for ln in dot]
+        nodes = [(int(m[1]), m[2]) for m in node_lines if m]
+        dot_edges = [(int(m[1]), int(m[3]), int(m[2])) for m in edge_lines if m]
+        assert nodes == list(enumerate(names)) and names == [n.name for n in graph.nodes]
+        assert sorted(dot_edges, key=lambda e: e[2]) == edges
+        assert len(dot) == 3 + len(names) + len(edges)
+
+    def test_tsv_dash_for_missing_nodes(self):
+        graph = estimate_supermolecular(142.8, 53.9, 53.9, 0.0016, n_orbs=(83, 43, 40))
+        header, row = (line.split("\t") for line in summary_tsv({"super": graph}).splitlines())
+        cells = dict(zip(header, row))
+        assert cells.pop("observable") == "super" and cells.pop("E_F") == str(graph.root.total)
+        assert set(cells.values()) == {"-"}
 
     def test_tsv_has_required_columns(self):
         graphs = {
@@ -207,6 +244,14 @@ def vp4_product_per_call(cost_v: int, cost_p: int) -> int:
     v = CostNode("B[V']", leaf_toffolis=cost_v, own_qubits=300)
     p = CostNode("B[P']", leaf_toffolis=cost_p, own_qubits=300)
     return vp4_product_node(v, p).per_call
+
+
+@pytest.mark.parametrize("count", [0, -2, 2.5, True])
+def test_orbital_counts_are_integers_from_one(count):
+    with pytest.raises(DomainError, match="orbital count n_orb_B"):
+        SystemParams(1.0, 1.0, 1.0, 1.0, n_orb_B=count)
+    with pytest.raises(DomainError, match="orbital count n_orb_A"):
+        estimate_supermolecular(1.0, 1.0, 1.0, 0.0016, n_orbs=(2, count, 1))
 
 
 class TestSupermolecular:
