@@ -167,6 +167,10 @@ def cmd_budget(args) -> int:
     return 0
 
 
+# valid monomer values for the flags to override, so that they are checked alone
+_PLACEHOLDERS = dict.fromkeys(("lambda_A", "lambda_B", "delta_A", "delta_B"), 1.0)
+
+
 def _system_params(args, values: dict) -> SystemParams:
     """The archive's monomer values with the flags that override them."""
     overrides = {
@@ -198,6 +202,7 @@ def _calibration(path: str | None) -> CalibrationConstants:
 
 def cmd_estimate(args) -> int:
     calib = _calibration(args.calibration)
+    _system_params(args, _PLACEHOLDERS)  # the monomer flags, before the archive is read
     flags = zip("AB", (args.lambda_a, args.lambda_b))
     lam, values, coeffs = _norm_inputs(args, "".join(m for m, val in flags if val is None))
     params = _system_params(args, values)
@@ -232,9 +237,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_supermolecular(args) -> int:
     calib = _calibration(args.calibration)
-    n_orbs = tuple(args.n_orbs) if args.n_orbs else None
     graph = estimate_supermolecular(
-        args.lambda_ab, args.lambda_a, args.lambda_b, args.eps_targ, calib, n_orbs
+        args.lambda_ab, args.lambda_a, args.lambda_b, args.eps_targ, tuple(args.n_orbs), calib
     )
     print(json.dumps(graph.meta["eps_split"], indent=2, sort_keys=True))
     for _, child in graph.root.children:
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-a", type=float, required=True)
     p.add_argument("--lambda-b", type=float, required=True)
     p.add_argument("--eps-targ", type=float, default=0.0016)
-    p.add_argument("--n-orbs", type=int, nargs=3, metavar=("NAB", "NA", "NB"))
+    p.add_argument("--n-orbs", type=int, nargs=3, metavar=("NAB", "NA", "NB"), required=True)
     p.add_argument("--calibration")
     p.add_argument("-o", "--output", help="write the call graph JSON here")
     p.set_defaults(func=cmd_supermolecular)

@@ -490,15 +490,16 @@ def estimate_supermolecular(
     lam_a: float,
     lam_b: float,
     eps_targ: float,
+    n_orbs: tuple[int, int, int],
     calib: CalibrationConstants | None = None,
-    n_orbs: tuple[int, int, int] | None = None,
 ) -> CostGraph:
-    """Three standard phase-estimation runs with sqrt-weighted budgets."""
+    """Three standard phase-estimation runs with sqrt-weighted budgets, on
+    ``n_orbs`` = (n_AB, n_A, n_B) orbitals."""
     calib = calib or CalibrationConstants()
     if not _positive(lam_ab, lam_a, lam_b, eps_targ):
         raise DomainError("norms and target precision must be positive and finite")
     roots = math.sqrt(lam_ab) + math.sqrt(lam_a) + math.sqrt(lam_b)
-    n_ab, n_a, n_b = n_orbs or (2, 1, 1)
+    n_ab, n_a, n_b = n_orbs
     _check_orbitals({"n_orb_AB": n_ab, "n_orb_A": n_a, "n_orb_B": n_b})
     root, eps_split = CostNode("E_int(supermolecular)"), {}
     for name, lam, n_orb in (("E_AB", lam_ab, n_ab), ("E_A", lam_a, n_a), ("E_B", lam_b, n_b)):

@@ -12,6 +12,11 @@ E^alpha_pq = e_pq (x) I and E^beta_pq = I (x) e_pq with e_pq on one spin's
 2^n states, so the module builds only single-spin tables (:class:`SpinTables`)
 and no table of a monomer's dimension.
 
+A monomer state's index is its alpha occupation bits, then its beta bits,
+mode 0 the leading bit; a mode's Jordan-Wigner string runs over every lower
+mode.  The sectors, the count operators and the frozen-core embedding all take
+that rule from the bit counts of :func:`_counts`.
+
 One memory model decides which dimers the oracle admits: :func:`oracle_bytes`
 bounds the bytes its checks hold at their peak (the tables, the dense family
 blocks, the dense one-monomer matrices and the probe vectors, from sizes
@@ -62,14 +67,14 @@ ORACLE_BUDGET = 1 << 30  # bytes an oracle run may hold at its peak, as oracle_b
 
 def oracle_bytes(n_a: int, n_b: int) -> int:
     """Bytes the oracle holds at its peak on an n_a x n_b dimer: both monomers'
-    single-spin tables (adag, parity, E, w); the dense partner blocks of 16
+    single-spin tables (adag, E, w); the dense partner blocks of 16
     families, each n_K^2 matrices of the other monomer R per orientation (the
     checks hold about ten at once: four in the three excitation operators,
     four in the majorana VPs, and a family's per-spin parts while it is
     summed); 16 dense matrices of each monomer (one-monomer families and
     one-body terms); and 16 blocks of six probe
     vectors, the work of applying nested chains."""
-    tables = sum(8 * (n * 4**n * (2 * n + 1) + 2**n) for n in (n_a, n_b))
+    tables = sum(8 * n * 4**n * (2 * n + 1) for n in (n_a, n_b))
     family = 8 * (n_b * n_b * 16**n_a + n_a * n_a * 16**n_b)
     monomer = 8 * (16**n_a + 16**n_b)
     probes = 8 * 6 * 4 ** (n_a + n_b)
@@ -80,18 +85,23 @@ def oracle_bytes(n_a: int, n_b: int) -> int:
 # single-monomer algebra
 
 
+def _counts(n: int) -> np.ndarray:
+    """Occupied modes of each of the 2^n states of n modes (one spin's electron
+    counts at n = n_orb), as signed integers; mode 0 is the leading bit, so
+    the occupied modes below mode m of a state s number _counts(n)[s >> (n - m)]."""
+    states = np.arange(2**n)
+    return ((states[:, None] >> np.arange(n)) & 1).sum(axis=1)
+
+
 class SpinTables(NamedTuple):
     """Jordan-Wigner tables of one spin of an n-orbital monomer, on its h = 2^n states.
 
-    ``adag`` (n, h, h) holds the spin's creation operators c_p, ``parity``
-    (h,) the diagonal of (-1)^N on the spin, and ``E``/``w`` (n, n, h, h) the
-    excitations e[p, q] = c_p c_q^T and w = e - delta/2.  On the monomer,
-    E^alpha_pq = e_pq (x) I, E^beta_pq = I (x) e_pq (w likewise), a^dag_{p
-    alpha} = c_p (x) I and a^dag_{p beta} = diag(parity) (x) c_p.
+    ``adag`` (n, h, h) holds the spin's creation operators c_p, and ``E``/``w``
+    (n, n, h, h) the excitations e[p, q] = c_p c_q^T and w = e - delta/2.  On
+    the monomer, E^alpha_pq = e_pq (x) I and E^beta_pq = I (x) e_pq (w likewise).
     """
 
     adag: np.ndarray
-    parity: np.ndarray
     E: np.ndarray
     w: np.ndarray
 
@@ -115,7 +125,7 @@ def _spin_tables(n_orb: int) -> SpinTables:
     w = E.copy()
     diag = np.arange(n_orb)
     w[diag, diag] -= 0.5 * np.eye(2**n_orb)
-    return SpinTables(adag, np.diag(chain([z] * n_orb)).copy(), E, w)
+    return SpinTables(adag, E, w)
 
 
 class SpinFactor:
@@ -190,24 +200,15 @@ class FockSpace:
     def n_orb(self, which: str) -> int:
         return self.n_orb_A if which == "A" else self.n_orb_B
 
-    def occupations(self, which: str) -> np.ndarray:
-        """Mode occupations of one monomer's basis states (mode 0 = MSB)."""
-        n_modes = 2 * self.n_orb(which)
-        dim = 2**n_modes
-        occ = np.zeros((dim, n_modes), dtype=int)
-        for state in range(dim):
-            for m in range(n_modes):
-                occ[state, m] = (state >> (n_modes - 1 - m)) & 1
-        return occ
-
     def sector_indices(self, which: str, n_elec: int, sz: float | None = None) -> np.ndarray:
-        occ = self.occupations(which)
-        n = self.n_orb(which)
-        mask = occ.sum(axis=1) == n_elec
+        """Indices of one monomer's basis states with ``n_elec`` electrons (and
+        spin ``sz`` unless None), from the (alpha, beta) count grid."""
+        counts = _counts(self.n_orb(which))
+        n_alpha, n_beta = counts[:, None], counts[None, :]
+        mask = n_alpha + n_beta == n_elec
         if sz is not None:
-            sz_vals = 0.5 * (occ[:, :n].sum(axis=1) - occ[:, n:].sum(axis=1))
-            mask &= np.isclose(sz_vals, sz)
-        return np.nonzero(mask)[0]
+            mask &= np.isclose(0.5 * (n_alpha - n_beta), sz)
+        return np.flatnonzero(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +476,18 @@ def _one_body_pairsum(space: FockSpace, which: str, h: np.ndarray, basis: str) -
     return PairSum(space).add_monomer(which, one_body_matrix(space, which, h, basis))
 
 
-def number_operator(space: FockSpace) -> PairSum:
-    """N_A + N_B, the particle-number operators of both monomers."""
-    n_a, n_b = (_one_body_pairsum(space, m, np.eye(space.n_orb(m)), "E") for m in "AB")
-    return n_a + n_b
+def sector_operator(space: FockSpace) -> PairSum:
+    """N_Aalpha + sqrt2 N_Abeta + sqrt3 N_Balpha + sqrt5 N_Bbeta as four count
+    SpinFactor pairs.  The weights are rationally independent, so its
+    eigenspaces are exactly the sectors of the four counts: an operator
+    commutes with it iff it conserves each monomer's alpha and beta electron
+    counts.  Up to 8 electrons per spin, two sectors' eigenvalues differ by at
+    least 1.46e-3."""
+    op, weights = PairSum(space), iter(np.sqrt([1.0, 2.0, 3.0, 5.0]))
+    for which, spin in itertools.product("AB", (0, 1)):
+        counts = np.diag(_counts(space.n_orb(which)))
+        op.add_monomer(which, SpinFactor(next(weights) * counts, spin))
+    return op
 
 
 def _exchange_form(space: FockSpace, p_a, p_b, S: np.ndarray) -> PairSum:
@@ -679,46 +688,30 @@ def embed_with_core(
 ) -> np.ndarray:
     """Lift an active-space monomer state to the full space with filled cores.
 
-    Fermionic phases are handled by applying explicit creation strings to the
-    vacuum in both spaces, so the embedding is exact for any mode ordering.
+    An active basis state is the ascending creation string of its occupied
+    modes on the vacuum, with no sign.  Its image is the creation string of
+    the core modes, then the mapped active modes, on the full vacuum: the full
+    state with those modes filled, times the parity of the permutation that
+    sorts that creation order.  So the embedding is exact for any order of
+    the ``core`` and ``active`` lists, which must not share an orbital.
     """
-    n_full = space_full.n_orb(which)
-    n_act = len(active)
-    n_modes_act = 2 * n_act
-    dim_full, dim_act = 4**n_full, 4**n_act
-    out = np.zeros(dim_full, dtype=np.result_type(psi_active, float))
-    vac_full = np.zeros(dim_full)
-    vac_full[0] = 1.0
-    vac_act = np.zeros(dim_act)
-    vac_act[0] = 1.0
-
-    core_modes_full = [s * n_full + p for s in range(2) for p in core]
-    for b in range(dim_act):
-        amp = psi_active[b]
-        if abs(amp) < 1e-15:
-            continue
-        occ = [(b >> (n_modes_act - 1 - m)) & 1 for m in range(n_modes_act)]
-        act_modes = [m for m in range(n_modes_act) if occ[m]]
-        # sign linking |b> to the ordered creation string in the active space
-        ref = vac_act
-        for m in reversed(act_modes):
-            ref = _create(n_act, m, ref)
-        sign = ref[b]
-        # same creation content in the full space: cores first, then actives
-        full_modes = core_modes_full + [
-            (m // n_act) * n_full + active[m % n_act] for m in act_modes
-        ]
-        vec = vac_full
-        for m in reversed(full_modes):
-            vec = _create(n_full, m, vec)
-        out += amp * sign * vec
+    if len(set(core) | set(active)) < len(core) + len(active):
+        raise DomainError("core and active orbitals must be distinct")
+    n_full, n_act = space_full.n_orb(which), len(active)
+    n_modes = 2 * n_full
+    states = np.arange(4**n_act)
+    # (full mode, the active states that fill it), in creation order
+    string = [(s * n_full + p, np.full(len(states), True)) for s in range(2) for p in core]
+    string += [
+        (s * n_full + p, (states >> (2 * n_act - 1 - s * n_act - i)) & 1 == 1)
+        for s in range(2) for i, p in enumerate(active)
+    ]
+    below = _counts(n_modes)
+    index, sign = np.zeros_like(states), np.ones(len(states))
+    for mode, filled in reversed(string):  # the string acts right to left
+        # a^dag of the mode takes the sign of the occupied modes below it
+        sign[filled & (below[index >> (n_modes - mode)] % 2 == 1)] *= -1
+        index[filled] |= 1 << (n_modes - 1 - mode)
+    out = np.zeros(4**n_full, dtype=np.result_type(psi_active, float))
+    out[index] += sign * psi_active  # += keeps an exact zero amplitude +0.0
     return out
-
-
-def _create(n_orb: int, mode: int, vec: np.ndarray) -> np.ndarray:
-    """a^dag of one spin-orbital mode (alpha modes first) on a monomer state."""
-    tables = _spin_tables(n_orb)
-    x = vec.reshape(2**n_orb, 2**n_orb)  # [alpha state, beta state]
-    if mode < n_orb:
-        return (tables.adag[mode] @ x).ravel()
-    return (tables.parity[:, None] * (x @ tables.adag[mode - n_orb].T)).ravel()

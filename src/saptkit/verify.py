@@ -16,7 +16,7 @@ from .fock import (
     assemble_majorana,
     assemble_vp_excitation,
     embed_with_core,
-    number_operator,
+    sector_operator,
     verify_complete_basis,
 )
 from .factorize import reconstruct_block
@@ -41,7 +41,7 @@ def _unit_v(archive: TensorArchive) -> np.ndarray:
 
 
 def _oracle_operators(archive: TensorArchive):
-    """(space, v, S, V/P/VPs operators, particle-number operator) of an archive,
+    """(space, v, S, V/P/VPs operators, sector operator) of an archive,
     ``v`` scaled by :func:`_unit_v`; ShapeError if the oracle's memory model
     refuses the dimer."""
     space = FockSpace(archive.basis.n_orb_A, archive.basis.n_orb_B)
@@ -51,10 +51,10 @@ def _oracle_operators(archive: TensorArchive):
         "P": assemble_exchange(space, s),
         "VPs": assemble_vp_excitation(space, v, s),
     }
-    return space, v, s, ops, number_operator(space)
+    return space, v, s, ops, sector_operator(space)
 
 
-def _oracle_checks(rep: _Reporter, space, v, s, ops, n_op, rng: np.random.Generator):
+def _oracle_checks(rep: _Reporter, space, v, s, ops, sectors, rng: np.random.Generator):
     coeffs = build_majorana_coefficients(v, s)
     for kind, exc in ops.items():
         maj = assemble_majorana(space, coeffs[kind])
@@ -64,8 +64,9 @@ def _oracle_checks(rep: _Reporter, space, v, s, ops, n_op, rng: np.random.Genera
         rep.check(f"{kind}: Hermitian", herm < 1e-12, f"diff={herm:.2e}")
 
     for kind, op in ops.items():
-        comm = ((op @ n_op) + (n_op @ op).scaled(-1.0)).norm_estimate(rng)
-        rep.check(f"{kind}: conserves monomer particle numbers", comm < 1e-12)
+        comm = ((op @ sectors) + (sectors @ op).scaled(-1.0)).norm_estimate(rng)
+        name = f"{kind}: conserves each monomer's alpha and beta electron counts"
+        rep.check(name, comm < 1e-12)
 
     zero_s = np.zeros_like(s)
     p0 = assemble_exchange(space, zero_s).norm_estimate(rng)
@@ -80,16 +81,14 @@ def _embedding_check(rep: _Reporter, rng: np.random.Generator):
     part = SpacePartition.from_counts([0], [1, 2], [2], [0, 1], 4, 4)
     space_full, space_act = FockSpace(3, 3), FockSpace(2, 2)
 
-    idx = space_act.sector_indices("A", part.n_act_elec_A)
-    psi_a = np.zeros(space_act.dim_A)
-    psi_a[idx] = rng.normal(size=len(idx))
-    psi_a /= np.linalg.norm(psi_a)
-    idx = space_act.sector_indices("B", part.n_act_elec_B)
-    psi_b = np.zeros(space_act.dim_B)
-    psi_b[idx] = rng.normal(size=len(idx))
-    psi_b /= np.linalg.norm(psi_b)
-    emb_a = embed_with_core(space_full, "A", [0], [1, 2], psi_a)
-    emb_b = embed_with_core(space_full, "B", [2], [0, 1], psi_b)
+    psi, emb = {}, {}
+    for m in "AB":
+        idx = space_act.sector_indices(m, getattr(part, f"n_act_elec_{m}"))
+        psi[m] = np.zeros(4 ** space_act.n_orb(m))
+        psi[m][idx] = rng.normal(size=len(idx))
+        psi[m] /= np.linalg.norm(psi[m])
+        core, active = (list(getattr(part, f"{kind}_{m}")) for kind in ("core", "active"))
+        emb[m] = embed_with_core(space_full, m, core, active, psi[m])
 
     cases = (
         ("V", assemble_electrostatic(space_full, v),
@@ -101,8 +100,8 @@ def _embedding_check(rep: _Reporter, rng: np.random.Generator):
     )
     for kind, full, act, tol in cases:
         d = abs(
-            full.expectation_product(emb_a, emb_b).real
-            - act.expectation_product(psi_a, psi_b).real
+            full.expectation_product(emb["A"], emb["B"]).real
+            - act.expectation_product(psi["A"], psi["B"]).real
         )
         rep.check(f"{kind}: frozen-core embedding", d < tol, f"diff={d:.2e}")
 

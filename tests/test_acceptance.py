@@ -32,7 +32,7 @@ from saptkit.fock import (
     assemble_majorana,
     assemble_vp_excitation,
     embed_with_core,
-    number_operator,
+    sector_operator,
     verify_complete_basis,
 )
 from saptkit.norms import df_hamiltonian_norm, factorize_monomer_hamiltonian, tf_norm
@@ -86,7 +86,7 @@ def test_criterion_03_oracle_equivalence_bulk():
         v, s = random_dimer(rng, n_a, n_b)
         space = FockSpace(n_a, n_b)
         coeffs = build_majorana_coefficients(v, s)
-        n_op = number_operator(space)
+        n_op = sector_operator(space)
         for kind in ("V", "P", "VPs"):
             exc = {
                 "V": assemble_electrostatic(space, v),

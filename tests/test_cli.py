@@ -119,6 +119,7 @@ ESTIMATE = [
 ]
 SUPERMOLECULAR = [
     "supermolecular", "--lambda-ab", "142.8", "--lambda-a", "53.9", "--lambda-b", "53.9",
+    "--n-orbs", "2", "1", "1",
 ]
 BUDGET = ["budget", "--lambda-v", "65.54", "--lambda-p", "6.35", "--lambda-vp", "537.3"]
 
@@ -193,7 +194,7 @@ class TestBudget:
         ESTIMATE + ["--gap-a", "1e-320"],
         ESTIMATE + ["--overlap-a", "1e-200"],
         ["supermolecular", "--lambda-ab", "1e300", "--lambda-a", "1", "--lambda-b", "1",
-         "--eps-targ", "1e-300"],
+         "--n-orbs", "2", "1", "1", "--eps-targ", "1e-300"],
         SUPERMOLECULAR + ["--eps-targ", "1e-300", "--lambda-a", "1e-300"],  # its eps_A underflows
         ESTIMATE + ["--calibration", '{"be_prefactor": 1e308}'],  # the file's text
     ],
@@ -347,6 +348,12 @@ class TestSupermolecular:
         eps = json.loads("".join(capsys.readouterr().out.split("}")[0]) + "}")
         assert eps["E_A"] == pytest.approx(eps["E_B"])
         assert out.exists()
+
+    def test_orbital_counts_are_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(SUPERMOLECULAR[:-4])  # without --n-orbs
+        assert exc.value.code == 2
+        assert "--n-orbs" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -856,6 +863,25 @@ class TestInputContract:
         code, err = run_on_archive(command, tmp_path / "a.sapt", tmp_path, capsys)
         rep = "sparse" if command == "norms" else "tensor_factorized"
         assert (code, err) == (3, f"error: V {rep} norm overflows\n")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n-orb-a", "0", "orbital count n_orb_A"),
+            ("--n-orb-b", "-2", "orbital count n_orb_B"),
+            ("--gap-a", "-1", "spectral gaps"),
+            ("--gap-b", "nan", "spectral gaps"),
+            ("--overlap-a", "1.5", "state overlaps"),
+            ("--overlap-b", "0", "state overlaps"),
+            ("--lambda-a", "-1", "Hamiltonian norms"),
+            ("--lambda-b", "inf", "Hamiltonian norms"),
+        ],
+    )
+    def test_monomer_flag_refused_before_the_archive_is_read(
+        self, archive_path, monkeypatch, capsys, flag, value, message
+    ):
+        monkeypatch.setattr(cli.ar, "load_archive", lambda path: pytest.fail("archive read"))
+        assert_data_error(["estimate", "--archive", str(archive_path), flag, value], capsys, message)
 
     @settings(
         max_examples=30,

@@ -256,7 +256,7 @@ def test_orbital_counts_are_integers_from_one(count):
 
 class TestSupermolecular:
     def test_equal_norms_split_evenly(self):
-        graph = estimate_supermolecular(5.0, 5.0, 5.0, 0.0016)
+        graph = estimate_supermolecular(5.0, 5.0, 5.0, 0.0016, n_orbs=(2, 1, 1))
         eps = graph.meta["eps_split"]
         for val in eps.values():
             assert val == pytest.approx(0.0016 / 3)

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from saptkit import fock
 from saptkit.archive import demo_archive
-from saptkit.errors import ShapeError
+from saptkit.errors import DomainError, ShapeError
 from saptkit.fock import (
     FockSpace,
     PairSum,
@@ -24,8 +24,8 @@ from saptkit.fock import (
     build_operator_matrix,
     embed_with_core,
     first_order_energy,
-    number_operator,
     one_body_matrix,
+    sector_operator,
     shared_span_tensors,
     verify_complete_basis,
 )
@@ -36,10 +36,21 @@ from saptkit.verify import run_verification
 from .conftest import half_weighted_dressing, jw_reference, random_dimer, random_sector_state
 
 
-def reference_number_operator(space):
-    """N_A + N_B from the Pauli-string reference tables."""
-    num_a, num_b = (jw_reference(space.n_orb(m)).number for m in "AB")
-    return PairSum(space).add_monomer("A", num_a) + PairSum(space).add_monomer("B", num_b)
+SECTOR_WEIGHTS = np.sqrt([1.0, 2.0, 3.0, 5.0])
+
+
+def reference_counts(space, weights):
+    """weights . (N_Aalpha, N_Abeta, N_Balpha, N_Bbeta) from the Pauli-string
+    reference tables."""
+    op, weights = PairSum(space), iter(weights)
+    for m in "AB":
+        for count in np.einsum("sppij->sij", jw_reference(space.n_orb(m)).E):
+            op.add_monomer(m, next(weights) * count)
+    return op
+
+
+def commutator_norm(op, n_op, rng):
+    return ((op @ n_op) + (n_op @ op).scaled(-1.0)).norm_estimate(rng)
 
 
 def monomer_matrix(f):
@@ -86,10 +97,22 @@ class TestEquivalence:
     def test_number_conservation(self, rng):
         v, s = random_dimer(rng, 2, 2)
         space = FockSpace(2, 2)
-        n_op = reference_number_operator(space)
+        n_op = sector_operator(space)
         for kind, (exc, _) in dense_ops(space, v, s).items():
-            comm = (exc @ n_op) + (n_op @ exc).scaled(-1.0)
-            assert comm.norm_estimate(rng) < 1e-12, kind
+            assert commutator_norm(exc, n_op, rng) < 1e-12, kind
+
+    @pytest.mark.parametrize("move", ["hop", "spin flip"])
+    def test_moved_electron_fails_the_sector_check(self, rng, move):
+        space = FockSpace(2, 2)
+        adag = jw_reference(2).adag
+        if move == "hop":  # a^dag(A, 0 alpha) a(B, 0 alpha) + h.c.
+            op = PairSum(space).add(adag[0], adag[0].T)
+        else:  # a^dag(A, 0 beta) a(A, 0 alpha) + h.c.
+            op = PairSum(space).add_monomer("A", adag[2] @ adag[0].T)
+        op = op + op.dagger()
+        assert commutator_norm(op, sector_operator(space), rng) > 0.1
+        # N_A + N_B, the check it replaces, cannot see either move
+        assert commutator_norm(op, reference_counts(space, np.ones(4)), rng) < 1e-12
 
     def test_zero_overlap_kills_exchange_operators(self, rng):
         v, _ = random_dimer(rng, 2, 2)
@@ -261,7 +284,6 @@ class TestRealOracle:
         ref, eye = jw_reference(n).adag, np.eye(2**n)
         for p in range(n):
             assert np.array_equal(ref[p], np.kron(tables.adag[p], eye))
-            assert np.array_equal(ref[n + p], np.kron(np.diag(tables.parity), tables.adag[p]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_monomer_tables_are_spin_kronecker_products(self, rng, n):
@@ -276,7 +298,8 @@ class TestRealOracle:
             assert np.abs(dense - np.einsum("ab,sabij->ij", h, want)).max() < 1e-13 * np.abs(h).sum()
         space = FockSpace(n, 1)
         assert np.array_equal(one_body_matrix(space, "A", np.eye(n), "E"), ref.number)
-        assert np.array_equal(kron_dense(number_operator(space)), kron_dense(reference_number_operator(space)))
+        want = kron_dense(reference_counts(space, SECTOR_WEIGHTS))
+        assert np.array_equal(kron_dense(sector_operator(space)), want)
 
     def test_assembled_pairs_and_probes_are_real(self, rng, monkeypatch):
         v, s = random_dimer(rng, 2, 2)
@@ -344,7 +367,7 @@ class TestOperatorAlgebra:
         v, s = random_dimer(rng, n_a, n_b)
         space = FockSpace(n_a, n_b)
         ops = {kind: build_operator_matrix(space, kind, (v, s)) for kind in ("V", "P", "VPs")}
-        n_op = reference_number_operator(space)
+        n_op = reference_counts(space, SECTOR_WEIGHTS)
         dense = {kind: kron_dense(op) for kind, op in ops.items()}
         vp = ops["V"] @ ops["P"]
         vp_ref = dense["V"] @ dense["P"]
@@ -568,3 +591,57 @@ class TestEmbedding:
         assert np.linalg.norm(emb) == pytest.approx(1.0)
         num = jw_reference(3).number
         assert (emb.conj() @ num @ emb).real == pytest.approx(4.0)
+
+    def test_embedding_matches_creation_strings(self, rng):
+        # every core set and every order of both lists up to 3 orbitals, cores
+        # between actives included
+        for n_full in (1, 2, 3):
+            for n_core in range(n_full + 1):
+                for core in itertools.permutations(range(n_full), n_core):
+                    rest = [p for p in range(n_full) if p not in core]
+                    for active in itertools.permutations(rest):
+                        dim = 4 ** len(active)
+                        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                        got = embed_with_core(FockSpace(n_full, 1), "A", list(core), list(active), psi)
+                        assert np.array_equal(got, reference_embedding(n_full, core, active, psi))
+
+    @pytest.mark.parametrize("core, active", [([0], [0, 1]), ([], [1, 1]), ([0, 0], [1])])
+    def test_shared_orbital_is_refused(self, core, active):
+        # the scatter would collide two active states on one full state
+        with pytest.raises(DomainError, match="distinct"):
+            embed_with_core(FockSpace(2, 1), "A", core, active, np.ones(4 ** len(active)))
+
+
+def creation_string(adag, modes):
+    """a^dag_{m_1} ... a^dag_{m_k} on the vacuum."""
+    vac = np.eye(len(adag[0]) if len(adag) else 1)[0]
+    return functools.reduce(np.matmul, [adag[m] for m in modes], np.eye(len(vac))) @ vac
+
+
+def reference_embedding(n_full, core, active, psi):
+    """Each active state b, signed as its ascending creation string, lifted to
+    the creation string of the cores, then the mapped actives, from the
+    Pauli-string tables."""
+    n_act = len(active)
+    act = jw_reference(n_act).adag if n_act else []
+    full = jw_reference(n_full).adag
+    out = np.zeros(4**n_full, dtype=complex)
+    for b in range(len(psi)):
+        modes = [m for m in range(2 * n_act) if b >> (2 * n_act - 1 - m) & 1]
+        string = [s * n_full + p for s in range(2) for p in core]
+        string += [(m // n_act) * n_full + active[m % n_act] for m in modes]
+        sign = creation_string(act, modes)[b]
+        out += psi[b] * sign * creation_string(full, string)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sector_indices_match_reference_counts(n):
+    n_alpha, n_beta = (np.einsum("ppii->i", e) for e in jw_reference(n).E)
+    space = FockSpace(n, 1)
+    for n_elec in range(2 * n + 1):
+        for sz in [None] + [k / 2 for k in range(-n, n + 1)]:
+            mask = n_alpha + n_beta == n_elec
+            if sz is not None:
+                mask &= np.isclose(0.5 * (n_alpha - n_beta), sz)
+            assert np.array_equal(space.sector_indices("A", n_elec, sz), np.flatnonzero(mask))
