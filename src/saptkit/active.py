@@ -10,7 +10,7 @@ the full-space builder decomposes.  Each excitation factor either stays fully
 active, contracts internally over a core pair, or cross-contracts the outer
 creation/annihilation pair of a same-monomer product (which flips the index
 order of the surviving factor and locks its spin).  The resulting emissions
-go through the full-space bucket converters.  The operator is symmetric under
+go through the full-space family reduction (``tensors.convert``).  The operator is symmetric under
 exchanging the monomers, so the monomer-A half of the core contractions is
 written once and run again on ``_Buckets.swapped()`` with swapped tensors and
 ``S.T``; only the self-mirrored terms stand on their own.  Products of the
@@ -35,14 +35,7 @@ from .tensors import (
     _swap,
     build_dressed_nu,
     build_electrostatic_coefficients,
-    convert_aa,
-    convert_const,
-    convert_dir,
-    convert_g2,
-    convert_g2r,
-    convert_lock,
-    convert_one_a,
-    convert_t3a,
+    convert,
 )
 
 
@@ -192,51 +185,53 @@ def _core_terms_a(bk: _Buckets, vr, sr, t1, lam2, nta: int, ntb: int) -> None:
     bs = bk.swapped()  # one-body terms on monomer B
 
     # ---- locked pair term: internal core contraction
-    convert_one_a(bk, -np.einsum("abjj->ab", t1[a, a, cb, cb]))
+    convert(bk, "one_a", -np.einsum("abjj->ab", t1[a, a, cb, cb]))
 
     # ---- monomer-A triple term
-    convert_aa(bk, -np.einsum("abjd,cj->abcd", lam2[a, a, cb, a], s_tc))
-    convert_lock(bk, -2.0 * np.einsum("iicb,ad->abcd", lam2[ca, ca, b, a], s_tt))
-    convert_one_a(bk, -2.0 * np.einsum("iijb,aj->ab", lam2[ca, ca, cb, a], s_tc))
-    convert_dir(bk, -np.einsum("abci,id->abcd", lam2[a, a, b, ca], s_ct))
-    convert_one_a(bk, -2.0 * np.einsum("abji,ij->ab", lam2[a, a, cb, ca], s_cc))
-    convert_one_a(bs, -2.0 * np.einsum("iicx,xd->cd", lam2[ca, ca, b, ca], s_ct))
-    convert_const(bk, -4.0 * np.einsum("iijx,xj->", lam2[ca, ca, cb, ca], s_cc))
-    convert_one_a(bs, -np.einsum("itci,td->cd", lam2[ca, a, b, ca], s_tt))
-    convert_lock(bk, np.einsum("ibci,ad->abcd", lam2[ca, a, b, ca], s_tt))
-    convert_const(bk, -2.0 * np.einsum("itji,tj->", lam2[ca, a, cb, ca], s_tc))
-    convert_one_a(bk, np.einsum("ibji,aj->ab", lam2[ca, a, cb, ca], s_tc))
+    convert(bk, "aa", -np.einsum("abjd,cj->abcd", lam2[a, a, cb, a], s_tc))
+    convert(bk, "lock", -2.0 * np.einsum("iicb,ad->abcd", lam2[ca, ca, b, a], s_tt))
+    convert(bk, "one_a", -2.0 * np.einsum("iijb,aj->ab", lam2[ca, ca, cb, a], s_tc))
+    convert(bk, "dir", -np.einsum("abci,id->abcd", lam2[a, a, b, ca], s_ct))
+    convert(bk, "one_a", -2.0 * np.einsum("abji,ij->ab", lam2[a, a, cb, ca], s_cc))
+    convert(bs, "one_a", -2.0 * np.einsum("iicx,xd->cd", lam2[ca, ca, b, ca], s_ct))
+    bk.const += -4.0 * np.einsum("iijx,xj->", lam2[ca, ca, cb, ca], s_cc)
+    convert(bs, "one_a", -np.einsum("itci,td->cd", lam2[ca, a, b, ca], s_tt))
+    convert(bk, "lock", np.einsum("ibci,ad->abcd", lam2[ca, a, b, ca], s_tt))
+    bk.const += -2.0 * np.einsum("itji,tj->", lam2[ca, a, cb, ca], s_tc)
+    convert(bk, "one_a", np.einsum("ibji,aj->ab", lam2[ca, a, cb, ca], s_tc))
 
     # ---- product term: core contractions of the electrostatic/exchange pair
-    convert_g2(bk, -2.0 * np.einsum("ab,dc->abcd", f_core_b, s_tt), s_tt)
-    convert_t3a(bk, -v_tt, ps_core_a)
-    convert_aa(bk, -2.0 * np.einsum("ab,cd->abcd", f_core_b, ps_core_a))
+    convert(bk, "g2", -2.0 * np.einsum("ab,dc->abcd", f_core_b, s_tt), s_tt)
+    convert(bk, "t3a", -v_tt, ps_core_a)
+    convert(bk, "aa", -2.0 * np.einsum("ab,cd->abcd", f_core_b, ps_core_a))
     # outer cross contraction of the monomer-A pair
-    convert_aa(bk, -np.einsum("abju,cj,du->abcd", vr[a, a, cb, b], s_tc, s_tt, optimize=True))
-    convert_g2r(bk, np.einsum("abjc,dj->abcd", vr[a, a, cb, b], s_tc), s_tt)
+    convert(bk, "aa", -np.einsum("abju,cj,du->abcd", vr[a, a, cb, b], s_tc, s_tt, optimize=True))
+    convert(bk, "g2r", np.einsum("abjc,dj->abcd", vr[a, a, cb, b], s_tc), s_tt)
     # doubly contracted cells
-    convert_dir(bk, -2.0 * np.einsum("ab,cd->abcd", ps_core_a, f_core_a))
-    convert_one_a(bk, -4.0 * v0_core * ps_core_a)
-    convert_one_a(bk, -4.0 * ss_cc * f_core_b)
+    convert(bk, "dir", -2.0 * np.einsum("ab,cd->abcd", ps_core_a, f_core_a))
+    convert(bk, "one_a", -4.0 * v0_core * ps_core_a)
+    convert(bk, "one_a", -4.0 * ss_cc * f_core_b)
     # cross contractions paired with internal ones
-    convert_one_a(
-        bk, -2.0 * np.einsum("iiju,aj,bu->ab", vr[ca, ca, cb, b], s_tc, s_tt, optimize=True)
+    convert(
+        bk, "one_a",
+        -2.0 * np.einsum("iiju,aj,bu->ab", vr[ca, ca, cb, b], s_tc, s_tt, optimize=True),
     )
-    convert_lock(
-        bk, 2.0 * np.einsum("iijd,aj,bc->abcd", vr[ca, ca, cb, b], s_tc, s_tt, optimize=True)
+    convert(
+        bk, "lock",
+        2.0 * np.einsum("iijd,aj,bc->abcd", vr[ca, ca, cb, b], s_tc, s_tt, optimize=True),
     )
-    convert_one_a(
-        bk, -2.0 * np.einsum("abju,iu,ij->ab", vr[a, a, cb, b], s_ct, s_cc, optimize=True)
+    convert(
+        bk, "one_a",
+        -2.0 * np.einsum("abju,iu,ij->ab", vr[a, a, cb, b], s_ct, s_cc, optimize=True),
     )
-    convert_dir(bk, np.einsum("abjd,ic,ij->abcd", vr[a, a, cb, b], s_ct, s_cc, optimize=True))
-    convert_const(
-        bk, -4.0 * np.einsum("iiju,xu,xj->", vr[ca, ca, cb, b], s_ct, s_cc, optimize=True)
-    )
-    convert_one_a(
-        bs, 2.0 * np.einsum("iijd,xc,xj->cd", vr[ca, ca, cb, b], s_ct, s_cc, optimize=True)
+    convert(bk, "dir", np.einsum("abjd,ic,ij->abcd", vr[a, a, cb, b], s_ct, s_cc, optimize=True))
+    bk.const += -4.0 * np.einsum("iiju,xu,xj->", vr[ca, ca, cb, b], s_ct, s_cc, optimize=True)
+    convert(
+        bs, "one_a",
+        2.0 * np.einsum("iijd,xc,xj->cd", vr[ca, ca, cb, b], s_ct, s_cc, optimize=True),
     )
     # both monomer pairs cross contracted
-    convert_one_a(bk, np.einsum("ibju,aj,iu->ab", vr[ca, a, cb, b], s_tc, s_ct, optimize=True))
+    convert(bk, "one_a", np.einsum("ibju,aj,iu->ab", vr[ca, a, cb, b], s_tc, s_ct, optimize=True))
 
 
 def renormalize_vp(v: np.ndarray, S: np.ndarray, partition: SpacePartition) -> SaptCoefficients:
@@ -270,12 +265,12 @@ def renormalize_vp(v: np.ndarray, S: np.ndarray, partition: SpacePartition) -> S
     _core_terms_a(bk, vr, sr, t1, nu2, nta, ntb)
     _core_terms_a(bk.swapped(), _swap(vr), sr.T, _swap(t1), _swap(nu3), ntb, nta)
     # ... and the self-mirrored terms
-    convert_const(bk, -2.0 * np.einsum("iijj->", t1[ca, ca, cb, cb]))
-    convert_lock(bk, -4.0 * v0_core * np.einsum("ad,bc->abcd", s_tt, s_tt))
-    convert_dir(bk, -2.0 * ss_cc * v_tt)
-    convert_const(bk, -8.0 * v0_core * ss_cc)
-    convert_const(bk, -2.0 * np.einsum("itju,tj,iu->", vr[ca, a, cb, b], s_tc, s_ct, optimize=True))
-    convert_lock(bk, -np.einsum("ibjd,aj,ic->abcd", vr[ca, a, cb, b], s_tc, s_ct, optimize=True))
+    bk.const += -2.0 * np.einsum("iijj->", t1[ca, ca, cb, cb])
+    convert(bk, "lock", -4.0 * v0_core * np.einsum("ad,bc->abcd", s_tt, s_tt))
+    convert(bk, "dir", -2.0 * ss_cc * v_tt)
+    bk.const += -8.0 * v0_core * ss_cc
+    bk.const += -2.0 * np.einsum("itju,tj,iu->", vr[ca, a, cb, b], s_tc, s_ct, optimize=True)
+    convert(bk, "lock", -np.einsum("ibjd,aj,ic->abcd", vr[ca, a, cb, b], s_tc, s_ct, optimize=True))
 
     p_tilde_a = s_tt @ s_tt.T + 2.0 * ps_core_a
     p_tilde_b = s_tt.T @ s_tt + 2.0 * ps_core_b

@@ -33,12 +33,13 @@ the pairs its assembly made.  A pair's factor is a dense monomer matrix or a
 :class:`SpinFactor`, a single-spin matrix applied along one spin axis.
 Every coefficient family has the form sum_spins C * prod_k X^{sigma_k}(p_k
 q_k), with X the excitation operators E or the traceless quadratics
-w = E - delta/2, and one einsum-driven assembler builds them all, one
-contraction with the single-spin tables per assignment of spins to the spin
-labels.  It makes one pair per basis element X^sigma(p q) of the monomer
-carrying a single factor (B when both do), held as the SpinFactor e_pq on
-spin sigma, with the spin sums accumulated in the pair's other factor; a
-family on one monomer is a single monomer pair.
+w = E - delta/2, and is written once, in ``tensors.FAMILIES``.  One
+einsum-driven assembler builds them all from that table, one contraction
+with the single-spin tables per assignment of spins to the spin labels.  It
+makes one pair per basis element X^sigma(p q) of the monomer carrying a
+single factor (B when both do), held as the SpinFactor e_pq on spin sigma,
+with the spin sums accumulated in the pair's other factor; a family on one
+monomer is a single monomer pair.
 
 Two assembly routes exist for every observable: the ``excitation`` form
 contracts the dressed tensors against excitation-operator products, and the
@@ -57,6 +58,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .tensors import (
+    FAMILIES,
     MixedTensors,
     SaptCoefficients,
     build_dressed_nu,
@@ -313,18 +315,19 @@ def one_body_matrix(space: FockSpace, which: str, h: np.ndarray, basis: str) -> 
     return np.kron(m, eye) + np.kron(eye, m)
 
 
-def _family(space: FockSpace, spec: str, tensors, factors, basis: str) -> PairSum:
+def _family(space: FockSpace, name: str, tensors, basis: str) -> PairSum:
     """sum_spins einsum(spec, *tensors) * prod_k X^{spin_k}_{monomer_k}(pair_k).
 
-    ``factors`` lists (monomer, spin label, index pair) in product order, the
-    index pairs in the letters of ``spec``; each distinct spin label is summed
-    over both spins.  The ``key`` factor is the one whose basis elements index
-    the pairs (module docstring); the others sit on one monomer.  Per spin
-    assignment of their labels, one einsum contracts the coefficients with the
-    single-spin tables: factors of one spin multiply inside that spin's space,
-    and the two spins' products form a Kronecker product, a spin without
-    factors taking the identity.
+    ``spec`` and the factors, (monomer, spin label, index pair) in product
+    order, are the family's entry in ``tensors.FAMILIES``; each distinct spin
+    label is summed over both spins.  The ``key`` factor is the one whose
+    basis elements index the pairs (module docstring); the others sit on one
+    monomer.  Per spin assignment of their labels, one einsum contracts the
+    coefficients with the single-spin tables: factors of one spin multiply
+    inside that spin's space, and the two spins' products form a Kronecker
+    product, a spin without factors taking the identity.
     """
+    spec, factors = FAMILIES[name]
     singles = {f[0]: f for f in factors if sum(g[0] == f[0] for g in factors) == 1}
     key = singles.get("B", singles.get("A"))
     rest = [f for f in factors if f is not key]
@@ -383,22 +386,17 @@ def _family(space: FockSpace, spec: str, tensors, factors, basis: str) -> PairSu
 
 def family_lock(space: FockSpace, T: np.ndarray, basis: str) -> PairSum:
     """sum_sigma T[p1,p2,q1,q2] X^sigma_A(p1 p2) X^sigma_B(q1 q2)."""
-    return _family(space, "abqr", [T], [("A", "s", "ab"), ("B", "s", "qr")], basis)
+    return _family(space, "lock", [T], basis)
 
 
 def family_dir(space: FockSpace, T: np.ndarray, basis: str) -> PairSum:
     """sum_{sigma tau} T[p1,p2,q1,q2] X^sigma_A X^tau_B."""
-    return _family(space, "abqr", [T], [("A", "s", "ab"), ("B", "t", "qr")], basis)
+    return _family(space, "dir", [T], basis)
 
 
 def family_intra(space: FockSpace, which: str, T: np.ndarray, basis: str) -> PairSum:
     """sum_{sigma tau} T[a,b,c,d] X^sigma(a b) X^tau(c d), both on one monomer."""
-    return _family(space, "abcd", [T], [(which, "s", "ab"), (which, "t", "cd")], basis)
-
-
-# X^{s1}_A(p1 p2) X^{s2}_A(p3 p4) X^{s2}_B(q1 q2) and its mirror image
-_G2_FACTORS = [("A", "s", "ab"), ("A", "t", "cd"), ("B", "t", "qr")]
-_G3_FACTORS = [("A", "t", "ab"), ("B", "s", "qr"), ("B", "t", "cd")]
+    return _family(space, "aa" if which == "A" else "bb", [T], basis)
 
 
 def family_g2(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
@@ -407,7 +405,7 @@ def family_g2(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> P
     sum_{s1 s2} lam[p1,p2,q1,p4] S[p3,q2]
         X^{s1}_A(p1 p2) X^{s2}_A(p3 p4) X^{s2}_B(q1 q2)
     """
-    return _family(space, "abqd,cr", [lam, S], _G2_FACTORS, basis)
+    return _family(space, "g2", [lam, S], basis)
 
 
 def family_g3(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
@@ -416,7 +414,7 @@ def family_g3(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> P
     sum_{s1 s2} lam[p1,q4,q1,q2] S[p2,q3]
         X^{s2}_A(p1 p2) X^{s1}_B(q1 q2) X^{s2}_B(q3 q4)
     """
-    return _family(space, "adqr,bc", [lam, S], _G3_FACTORS, basis)
+    return _family(space, "g3", [lam, S], basis)
 
 
 def family_g2r(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
@@ -425,7 +423,7 @@ def family_g2r(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> 
     sum_{s1 s2} lam[p1,p2,q2,p3] S[p4,q1]
         X^{s1}_A(p1 p2) X^{s2}_A(p3 p4) X^{s2}_B(q1 q2)
     """
-    return _family(space, "abrc,dq", [lam, S], _G2_FACTORS, basis)
+    return _family(space, "g2r", [lam, S], basis)
 
 
 def family_g3r(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
@@ -434,7 +432,7 @@ def family_g3r(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> 
     sum_{s1 s2} lam[p2,q3,q1,q2] S[p1,q4]
         X^{s2}_A(p1 p2) X^{s1}_B(q1 q2) X^{s2}_B(q3 q4)
     """
-    return _family(space, "bcqr,ad", [lam, S], _G3_FACTORS, basis)
+    return _family(space, "g3r", [lam, S], basis)
 
 
 # ---------------------------------------------------------------------------

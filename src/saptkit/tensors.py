@@ -21,6 +21,8 @@ inter-monomer blocks (a, b) belong to monomer A and (c, d) to monomer B.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +86,8 @@ class SaptCoefficients:
     ``1l``    ``[p1,p2,q1,q2]`` spin-locked channel   VPs
     ``2``     ``[p1,p2,q1,p4]`` + shared overlap      VPs (extra S factor)
     ``3``     ``[p1,q4,q1,q2]`` + shared overlap      VPs (extra S factor)
+    ``2r``    ``[p1,p2,q2,p3]`` + shared overlap      VPs, frozen cores only
+    ``3r``    ``[p2,q3,q1,q2]`` + shared overlap      VPs, frozen cores only
     ========  ======================================  =========================
     """
 
@@ -275,9 +279,9 @@ class _Buckets:
     def swapped(self) -> "_Buckets":
         """Views of these accumulators with monomer B first.
 
-        Every ``+=`` on the view lands here, so each converter is written once,
-        for monomer A: run on the view with swapped tensors and ``S.T``, it
-        emits the mirrored monomer-B term.
+        Every ``+=`` on the view lands here, so a monomer-A family reduced on
+        the view with swapped tensors and ``S.T`` emits the mirrored monomer-B
+        term.
         """
         return _Buckets(
             self.const, self.h_b, self.h_a, _swap(self.lock), _swap(self.dir_), self.bb,
@@ -285,104 +289,98 @@ class _Buckets:
         )
 
 
-def convert_const(bk: _Buckets, c: float) -> None:
-    bk.const += c
+# Every coefficient family: sum_spins einsum(spec, *tensors) * prod_k
+# E^{spin_k}_{monomer_k}(pair_k), its factors (monomer, spin label, index pair)
+# in product order with the pairs in the letters of the spec; each distinct
+# spin label is summed over both spins.  The oracle assembles the same table.
+FAMILIES = {
+    "one_a": ("ab", [("A", "s", "ab")]),
+    "lock": ("abqr", [("A", "s", "ab"), ("B", "s", "qr")]),
+    "dir": ("abqr", [("A", "s", "ab"), ("B", "t", "qr")]),
+    "aa": ("abcd", [("A", "s", "ab"), ("A", "t", "cd")]),
+    "bb": ("abcd", [("B", "s", "ab"), ("B", "t", "cd")]),
+    # lam[p1,p2,q1,p4] S[p3,q2] E^{s1}_A(p1 p2) E^{s2}_A(p3 p4) E^{s2}_B(q1 q2),
+    # its row-coupled variant lam[p1,p2,q2,p3] S[p4,q1], and their mirror images
+    "g2": ("abqd,cr", [("A", "s", "ab"), ("A", "t", "cd"), ("B", "t", "qr")]),
+    "g2r": ("abrc,dq", [("A", "s", "ab"), ("A", "t", "cd"), ("B", "t", "qr")]),
+    "g3": ("adqr,bc", [("A", "t", "ab"), ("B", "s", "qr"), ("B", "t", "cd")]),
+    "g3r": ("bcqr,ad", [("A", "t", "ab"), ("B", "s", "qr"), ("B", "t", "cd")]),
+    # T[p1,p2,q1,q2] h[p3,p4] E^sigma_A(p1 p2) E^mu_A(p3 p4) E^tau_B(q1 q2)
+    "t3a": ("abqr,cd", [("A", "s", "ab"), ("A", "u", "cd"), ("B", "t", "qr")]),
+}
+
+_BUCKET = {"": "const", "A": "h_a", "B": "h_b", "AA": "aa", "BB": "bb"}
 
 
-def convert_one_a(bk: _Buckets, h: np.ndarray) -> None:
-    """sum_sigma h[p1,p2] E^sigma on monomer A."""
-    bk.const += float(np.trace(h))
-    bk.h_a += h
+@functools.cache
+def _reduction(family: str) -> tuple[tuple[str | None, str, float], ...]:
+    """The terms of a family in the w basis as (einsum subscripts, bucket, scale).
 
-
-def convert_lock(bk: _Buckets, T: np.ndarray) -> None:
-    """sum_sigma T[p1,p2,q1,q2] E^sigma_A E^sigma_B."""
-    bk.const += 0.5 * np.einsum("ppqq->", T)
-    bk.h_a += 0.5 * np.einsum("abqq->ab", T)
-    bk.h_b += 0.5 * np.einsum("ppab->ab", T)
-    bk.lock += T
-
-
-def convert_dir(bk: _Buckets, T: np.ndarray) -> None:
-    """sum_{sigma tau} T[p1,p2,q1,q2] E^sigma_A E^tau_B."""
-    bk.const += np.einsum("ppqq->", T)
-    bk.h_a += np.einsum("abqq->ab", T)
-    bk.h_b += np.einsum("ppab->ab", T)
-    bk.dir_ += T
-
-
-def convert_aa(bk: _Buckets, T: np.ndarray) -> None:
-    """sum_{sigma tau} T[a,b,c,d] E^sigma(ab) E^tau(cd), both on monomer A."""
-    bk.const += np.einsum("pprr->", T)
-    bk.h_a += np.einsum("abrr->ab", T) + np.einsum("rrab->ab", T)
-    bk.aa += T
-
-
-def _add_half(acc: np.ndarray, subscripts: str, lam: np.ndarray, S: np.ndarray) -> None:
-    """acc += 0.5 * einsum(subscripts, lam, S), scaling the contraction in place."""
-    term = np.einsum(subscripts, lam, S, optimize=True)
-    term *= 0.5
-    acc += term
-
-
-def convert_g2(bk: _Buckets, lam: np.ndarray, S: np.ndarray) -> None:
-    """sum_{s1 s2} lam[p1,p2,q1,p4] S[p3,q2] E^{s1}(p1p2) E^{s2}(p3p4) E^{s2}_B(q1q2)."""
-    _add_half(bk.const, "ppqr,rq->", lam, S)
-    _add_half(bk.h_b, "ppcr,rd->cd", lam, S)
-    _add_half(bk.h_a, "ppqb,aq->ab", lam, S)
-    _add_half(bk.h_a, "abqr,rq->ab", lam, S)
-    bk.lock += np.einsum("ppcb,ad->abcd", lam, S, optimize=True)
-    _add_half(bk.dir_, "abcr,rd->abcd", lam, S)
-    _add_half(bk.aa, "abqd,cq->abcd", lam, S)
-    bk.g2 += lam
-
-
-def convert_g2r(bk: _Buckets, lam: np.ndarray, S: np.ndarray) -> None:
-    """Row-coupled variant: lam[p1,p2,q2,p3] S[p4,q1] with the same spins."""
-    _add_half(bk.const, "ppqr,rq->", lam, S)
-    _add_half(bk.h_b, "ppdr,rc->cd", lam, S)
-    _add_half(bk.h_a, "ppqa,bq->ab", lam, S)
-    _add_half(bk.h_a, "abqr,rq->ab", lam, S)
-    bk.lock += np.einsum("ppda,bc->abcd", lam, S, optimize=True)
-    _add_half(bk.dir_, "abdr,rc->abcd", lam, S)
-    _add_half(bk.aa, "abqc,dq->abcd", lam, S)
-    bk.g2r += lam
-
-
-def convert_t3a(bk: _Buckets, T: np.ndarray, h: np.ndarray) -> None:
-    """sum_{sigma mu tau} T[p1,p2,q1,q2] h[p3,p4] E^sigma(p1p2) E^mu(p3p4) E^tau_B.
-
-    The pure three-quadratic part is omitted: it is exactly the product of the
-    two-body electrostatic factor with a one-body exchange dressing and lives
-    inside the product-form term through the dressed one-body exchange tensor.
+    Each factor is E = w + delta/2.  For each subset of the factors kept in
+    w, every other factor contracts its index pair at 1/2, and the term
+    doubles once for each spin label no kept factor carries.  The kept factors
+    choose the bucket: none the constant, one its monomer's one-body term, two
+    on one monomer ``aa``/``bb``, one per monomer ``lock`` with a shared label
+    and ``dir_`` without.  A g family's all-w term is its first tensor as it
+    stands (subscripts None) in its own bucket; t3a's is left out, as it is the
+    two-body electrostatic factor times a one-body exchange dressing, which
+    the product-form term holds through the dressed one-body tensor.
     """
-    tr_h = float(np.trace(h))
-    t_tr_b = np.einsum("abqq->ab", T)
-    t_tr_a = np.einsum("ppab->ab", T)
-    bk.const += np.einsum("ppqq->", T) * tr_h
-    bk.h_a += t_tr_b * tr_h + np.einsum("ppqq->", T) * h
-    bk.h_b += t_tr_a * tr_h
-    bk.aa += np.einsum("ab,cd->abcd", t_tr_b, h)
-    bk.dir_ += T * tr_h
-    bk.dir_ += np.einsum("ab,cd->abcd", h, t_tr_a)
+    spec, factors = FAMILIES[family]
+    terms = []
+    # subsets in binary order, the last factor's bit the fastest: this is the
+    # order, and so the rounding, of the additions into one bucket
+    for keep in itertools.product((False, True), repeat=len(factors)):
+        kept = [f for f, k in zip(factors, keep) if k]
+        if len(kept) == 3:
+            if family != "t3a":
+                terms.append((None, family, 1.0))
+            continue
+        subscripts, out = spec, "".join(pq for _, _, pq in kept)
+        for (_, _, pq), k in zip(factors, keep):
+            if not k:
+                subscripts = subscripts.replace(pq[1], pq[0])
+        free = {s for _, s, _ in factors} - {s for _, s, _ in kept}
+        scale = 0.5 ** (len(factors) - len(kept)) * 2 ** len(free)
+        monomers = "".join(m for m, _, _ in kept)
+        if monomers != "AB":
+            name = _BUCKET[monomers]
+        else:
+            name = "lock" if kept[0][1] == kept[1][1] else "dir_"
+        terms.append((f"{subscripts}->{out}", name, scale))
+    return tuple(terms)
+
+
+def convert(bk: _Buckets, family: str, *tensors: np.ndarray) -> None:
+    """Add the terms of :func:`_reduction` of one family to the buckets."""
+    for subscripts, name, scale in _reduction(family):
+        acc = getattr(bk, name)
+        if subscripts is None:
+            acc += tensors[0]
+            continue
+        # a path search only pays for itself with two tensors to contract
+        term = np.einsum(subscripts, *tensors, optimize=len(tensors) > 1)
+        if scale != 1:
+            term *= scale  # in place: a contraction is a fresh array, never a view
+        acc += term
+        del term  # no 4-index term outlives its addition
 
 
 def _accumulate_vp_buckets(bk: _Buckets, v: np.ndarray, S: np.ndarray, dressed) -> None:
     """Reduce the four-term exchange-electrostatic operator onto the buckets.
 
-    The reduction splits every excitation factor into its scalar half and its
-    traceless quadratic part; identity halves contract indices, the rest stays
-    in its family.  No operator reordering is involved, so the bookkeeping is
-    exact; the Fock-space oracle pins it down term by term.  The monomer-B
-    terms are the monomer-A ones on the swapped buckets and tensors.
+    Each family goes through :func:`convert`.  No operator reordering is
+    involved, so the bookkeeping is exact; the Fock-space oracle pins it down
+    term by term.  The monomer-B terms are the monomer-A ones on the swapped
+    buckets and tensors.
 
     ``dressed`` yields nu1, nu2 and nu3 in that order: a tuple, or
     :func:`build_dressed_nu`, which computes each when it is taken.  Only the
-    negated copy of a tensor is kept while its converter runs, so a tensor
+    negated copy of a tensor is kept while its family is reduced, so a tensor
     nothing else holds is freed before then.
     """
     nus = iter(dressed)
-    convert_lock(bk, -next(nus).transpose(0, 3, 2, 1))  # [p1,p2,q1,q2]
+    convert(bk, "lock", -next(nus).transpose(0, 3, 2, 1))  # [p1,p2,q1,q2]
 
     # symmetric product term, with the pure two-body factors kept as an
     # operator product (block 'v' against the exchange factors)
@@ -393,7 +391,7 @@ def _accumulate_vp_buckets(bk: _Buckets, v: np.ndarray, S: np.ndarray, dressed) 
     bk.dir_ += p0 * v
     for side, ss, axes in ((bk, S, (0, 1, 2, 3)), (bk.swapped(), S.T, (2, 3, 0, 1))):
         vs = v.transpose(axes)
-        convert_g2(side, -next(nus).transpose(axes), ss)  # nu2, then nu3 swapped
+        convert(side, "g2", -next(nus).transpose(axes), ss)  # nu2, then nu3 swapped
         f, p = np.einsum("abqq->ab", vs), ss @ ss.T
         side.h_a += -0.5 * v0 * p + p0 * f
         side.aa += -0.5 * np.einsum("ab,cd->abcd", f, p)

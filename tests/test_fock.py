@@ -10,6 +10,12 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from saptkit import fock
+from saptkit.active import (
+    SpacePartition,
+    renormalize_electrostatic,
+    renormalize_exchange,
+    renormalize_vp,
+)
 from saptkit.archive import demo_archive
 from saptkit.errors import DomainError, ShapeError
 from saptkit.fock import (
@@ -513,6 +519,44 @@ class TestLambdaBound:
         v, s = random_dimer(np.random.default_rng(seed), *size)
         space = FockSpace(*size)
         for kind, c in build_majorana_coefficients(v, s).items():
+            eig = np.linalg.eigvalsh(assemble_majorana(space, c).to_dense())
+            half_width = 0.5 * (eig[-1] - eig[0])
+            for lam in (tf_norm(factorize_coefficients(c)), sparse_norms(c)):
+                assert half_width <= lam.total_with_excluded * (1 + 1e-12), (kind, lam.representation)
+
+    # the frozen-core sets are the only ones whose VPs reduction runs the aa,
+    # t3a and g2r families; dimers of 2x2 to 3x3 orbitals with one or two cores,
+    # at most two active orbitals per monomer
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        size_cores=st.sampled_from([
+            ((2, 2), (1, 0)), ((2, 2), (0, 1)), ((2, 2), (1, 1)), ((2, 3), (0, 1)),
+            ((3, 2), (1, 0)), ((2, 3), (1, 1)), ((3, 2), (1, 1)), ((3, 3), (1, 1)),
+        ]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_half_spectral_width_below_lambda_with_frozen_cores(self, size_cores, seed):
+        size, cores = size_cores
+        rng = np.random.default_rng(seed)
+        v, s = random_dimer(rng, *size)
+        core_a, core_b = (list(rng.permutation(n)[:c]) for n, c in zip(size, cores))
+        active_a, active_b = (
+            [p for p in range(n) if p not in core] for n, core in zip(size, (core_a, core_b))
+        )
+        n_elec_a, n_elec_b = (
+            2 * len(core) + int(rng.integers(1, 2 * len(active) + 1))
+            for core, active in ((core_a, active_a), (core_b, active_b))
+        )
+        part = SpacePartition.from_counts(core_a, active_a, core_b, active_b, n_elec_a, n_elec_b)
+        space = FockSpace(len(active_a), len(active_b))
+        sets = {
+            "V": renormalize_electrostatic(v, part),
+            "P": renormalize_exchange(s, part),
+            "VPs": renormalize_vp(v, s, part),
+        }
+        blocks = sets["VPs"].two_body_blocks  # the row-coupled blocks of the g2r reductions
+        assert ("2r" in blocks, "3r" in blocks) == (bool(core_b), bool(core_a))
+        for kind, c in sets.items():
             eig = np.linalg.eigvalsh(assemble_majorana(space, c).to_dense())
             half_width = 0.5 * (eig[-1] - eig[0])
             for lam in (tf_norm(factorize_coefficients(c)), sparse_norms(c)):

@@ -4,8 +4,9 @@ import weakref
 import numpy as np
 import pytest
 
-from saptkit import factorize, tensors
+from saptkit import factorize, fock, tensors
 from saptkit.errors import ShapeError, SymmetryError
+from saptkit.fock import FockSpace, PairSum, one_body_matrix
 from saptkit.tensors import (
     MixedTensors,
     build_dressed_nu,
@@ -179,18 +180,19 @@ class TestSharedV:
                 refs.append(weakref.ref(nu))
                 yield nu
 
-        def converter(convert):
-            def checked(bk, *args):
-                # only the negated copy of the tensor being converted is alive
-                assert len(refs) > 0 and all(ref() is None for ref in refs[:-1])
-                return convert(bk, *args)
-            return checked
+        convert, families = tensors.convert, []
+
+        def checked(bk, family, *args):
+            # only the negated copy of the tensor being converted is alive
+            assert len(refs) > 0 and all(ref() is None for ref in refs[:-1])
+            families.append(family)
+            return convert(bk, family, *args)
 
         monkeypatch.setattr(tensors, "build_dressed_nu", tracked)
-        for name in ("convert_lock", "convert_g2"):
-            monkeypatch.setattr(tensors, name, converter(getattr(tensors, name)))
+        monkeypatch.setattr(tensors, "convert", checked)
         tensors.build_vp_coefficients(v, s)
         assert len(refs) == 3 and all(ref() is None for ref in refs)
+        assert families == ["lock", "g2", "g2"]
 
     def test_electrostatic_alone_projects_raw_v(self, rng):
         raw = rng.normal(size=(3, 3, 2, 2))
@@ -214,3 +216,55 @@ class TestSharedV:
         shared = factorize.shared_blocks([coeffs["V"], coeffs["VPs"]])
         assert list(shared) == ["v"] and made == ["v"]
         assert compared == []  # identical objects need no comparison
+
+
+# coefficient shapes of each family convert reduces, in orbitals of monomer a or b
+FAMILY_SHAPES = {
+    "one_a": "aa", "lock": "aabb", "dir": "aabb", "aa": "aaaa", "bb": "bbbb",
+    "g2": "aaba", "g2r": "aaba", "g3": "abbb", "g3r": "abbb", "t3a": "aabb",
+}
+
+
+def bucket_operator(space, bk, S):
+    """The w-basis operator of filled buckets: const I, the one-body terms and
+    each two-body bucket as its family."""
+    op = PairSum(space).add_scalar(float(bk.const))
+    op.add_monomer("A", one_body_matrix(space, "A", bk.h_a, "w"))
+    op.add_monomer("B", one_body_matrix(space, "B", bk.h_b, "w"))
+    for name, block in (("lock", bk.lock), ("dir", bk.dir_), ("aa", bk.aa), ("bb", bk.bb)):
+        op = op + fock._family(space, name, [block], "w")
+    for name in ("g2", "g2r", "g3", "g3r"):
+        op = op + fock._family(space, name, [getattr(bk, name), S], "w")
+    return op
+
+
+class TestFamilyReduction:
+    """Each family's E-basis operator equals the w-basis assembly of the buckets
+    that convert fills from zeros (plus t3a's all-w term, which it leaves out)."""
+
+    @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("family", [*FAMILY_SHAPES, "g2 swapped"])
+    def test_buckets_reassemble_the_family(self, rng, family, n_a, n_b):
+        space = FockSpace(n_a, n_b)
+        name = "g3" if family == "g2 swapped" else family
+        T = rng.normal(size=[n_a if c == "a" else n_b for c in FAMILY_SHAPES[name]])
+        S = rng.normal(size=(n_a, n_b))
+        args = [T]
+        if name.startswith("g"):
+            args.append(S)
+        elif name == "t3a":
+            args.append(rng.normal(size=(n_a, n_a)))
+        bk = tensors._Buckets.zeros(n_a, n_b)
+        if family == "g2 swapped":  # the g3 family, reduced as g2 on the swapped view
+            tensors.convert(bk.swapped(), "g2", tensors._swap(T), S.T)
+        else:
+            tensors.convert(bk, name, *args)
+        if name == "one_a":
+            ref = PairSum(space).add_monomer("A", one_body_matrix(space, "A", T, "E"))
+        else:
+            ref = fock._family(space, name, args, "E")
+        op = bucket_operator(space, bk, S)
+        if name == "t3a":
+            op = op + fock._family(space, "t3a", args, "w")
+        ref = ref.to_dense()
+        assert np.abs(op.to_dense() - ref).max() <= 1e-13 * np.abs(ref).max()
