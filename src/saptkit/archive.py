@@ -50,7 +50,7 @@ import numpy as np
 from .active import SpacePartition
 from .errors import ArchiveError, ShapeError
 from .factorize import _BLOCK_LABELS, _ONE_BODY, BlockFactors, Factorization, FactorizedOperator
-from .tensors import DimerBasis, symmetrize_v, validate_overlap
+from .tensors import OPTIONAL_BLOCKS, DimerBasis, symmetrize_v, validate_overlap
 
 MAGIC = b"SAPTKIT1"
 SCHEMA_VERSION = 1
@@ -465,8 +465,7 @@ def load_factor_cache(path) -> FactorizedOperator:
         _check_block(bf)
         fop.blocks[label] = bf
     missing = [name for name in _ONE_BODY[observable] if name not in one_body]
-    # the row-coupled blocks are held only where a frozen core gives them
-    missing += [k for k in _BLOCK_LABELS[observable] if k not in blocks and k not in ("2r", "3r")]
+    missing += [k for k in _BLOCK_LABELS[observable] if k not in (*blocks, *OPTIONAL_BLOCKS)]
     if missing:
         raise _invalid(f"of {observable} lacks {', '.join(missing)}")
     if set(arrays) != named:
@@ -556,8 +555,12 @@ def read_fcidump(path):
         what = "value is not finite" if nonfinite[row] else f"index outside 1..{n_orb}"
         raise ArchiveError("schema", f"FCIDUMP {what}: {line!r}")
 
-    h1 = np.zeros((n_orb, n_orb))
-    eri = np.zeros((n_orb, n_orb, n_orb, n_orb))
+    try:
+        h1 = np.zeros((n_orb, n_orb))
+        eri = np.zeros((n_orb, n_orb, n_orb, n_orb))
+    except (MemoryError, ValueError):  # ValueError: a size past numpy's index range
+        need = 8 * (n_orb**2 + n_orb**4)
+        raise ArchiveError("shape", f"FCIDUMP NORB={n_orb} needs {need} bytes") from None
     # lines of one symmetry orbit write the same entries, of two orbits
     # disjoint ones: keep the last line of each orbit, then scatter
     a, b, c, d = idx[:, two] - 1

@@ -1,8 +1,9 @@
 """Command-line surface: factorize, norms, budget, estimate, supermolecular,
 verify, convert-fcidump.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 data error,
-4 internal error (any other exception, reported on one line).
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 data error or
+a path that cannot be read or written, 4 internal error (any other exception,
+reported on one line).
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SaptError as exc:
+    except (SaptError, OSError) as exc:  # bad input, or a path it cannot read or write
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a fault of saptkit itself, not of its input

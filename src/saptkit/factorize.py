@@ -31,28 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ShapeError, SymmetryError
-from .tensors import SaptCoefficients
+from .tensors import BLOCKS, SaptCoefficients
 
 RANK_CUTOFF = 1e-12
 SYM_TOL = 1e-10
-
-# grouped-matrix layout per block label: axes permutation bringing the stored
-# tensor to [row-pair, col-pair] order, plus which monomer each grouped index
-# of the row/col pair belongs to ('A' or 'B')
-_BLOCK_LAYOUT = {
-    "v": ((0, 1, 2, 3), "AA", "BB"),
-    "A2": ((0, 1, 2, 3), "AA", "AA"),
-    "B2": ((0, 1, 2, 3), "BB", "BB"),
-    "1m": ((0, 1, 2, 3), "AA", "BB"),
-    # locked block stored [p1,p2,q1,q2]; grouped matrix pairs (p1,q2) x (p2,q1)
-    "1l": ((0, 3, 1, 2), "AB", "AB"),
-    # overlap-carrying blocks keep their extra factor outside the grouping
-    "2": ((0, 1, 2, 3), "AA", "BA"),
-    "2r": ((0, 1, 2, 3), "AA", "BA"),
-    "3": ((0, 1, 2, 3), "AB", "BB"),
-    "3r": ((0, 1, 2, 3), "AB", "BB"),
-}
-
 
 @dataclass
 class Factorization:
@@ -193,11 +175,11 @@ class BlockFactors:
 
     @property
     def row_shape(self) -> tuple[int, int]:
-        return tuple(self.shape[p] for p in _BLOCK_LAYOUT[self.label][0][:2])
+        return tuple(self.shape[p] for p in BLOCKS[self.label].axes[:2])
 
     @property
     def col_shape(self) -> tuple[int, int]:
-        return tuple(self.shape[p] for p in _BLOCK_LAYOUT[self.label][0][2:])
+        return tuple(self.shape[p] for p in BLOCKS[self.label].axes[2:])
 
 
 class _PairPacking(NamedTuple):
@@ -259,8 +241,7 @@ def first_factorize(block: np.ndarray, label: str) -> BlockFactors:
     Pair-symmetric sides are decomposed in packed pair space; the checks,
     the scale of the rank cutoff and the symmetry test see the full matrix.
     """
-    perm, _, _ = _BLOCK_LAYOUT[label]
-    t = np.transpose(np.asarray(block, dtype=float), perm)
+    t = np.transpose(np.asarray(block, dtype=float), BLOCKS[label].axes)
     n1, n2, n3, n4 = t.shape
     m = t.reshape(1, n1 * n2, n3 * n4)
     scale, sym = _check_stack(m, None)
@@ -324,13 +305,12 @@ def factorize_block(block: np.ndarray, label: str) -> BlockFactors:
 def reconstruct_block(bf: BlockFactors) -> np.ndarray:
     """Assemble the block back from its nested factors."""
     (r1, r2), (c1, c2) = bf.row_shape, bf.col_shape
-    perm, _, _ = _BLOCK_LAYOUT[bf.label]
     m = np.zeros((r1 * r2, c1 * c2))
     for t in range(bf.outer.rank):
         u = bf.inner_left[t].reconstruct().reshape(r1 * r2)
         w = bf.inner_right[t].reconstruct().reshape(c1 * c2)
         m += bf.outer.values[t] * np.outer(u, w)
-    return np.transpose(m.reshape(r1, r2, c1, c2), np.argsort(perm))
+    return np.transpose(m.reshape(r1, r2, c1, c2), np.argsort(BLOCKS[bf.label].axes))
 
 
 def check_threshold(threshold: float) -> None:
@@ -397,7 +377,7 @@ class FactorizedOperator:
 
 # the two-body blocks each observable's factorization holds, in this order: 1l first,
 # so its unpacked outer eigh, the largest, runs before other blocks hold inner factors
-_BLOCK_LABELS = {"V": ("v",), "P": (), "VPs": ("1l", "A2", "B2", "1m", "2", "3", "2r", "3r", "v")}
+_BLOCK_LABELS = {"V": ("v",), "P": (), "VPs": ("1l", *(k for k in BLOCKS if k != "1l"))}
 # the one-body factorizations each holds: name -> SaptCoefficients attribute
 _ONE_BODY = {
     "V": {"f_A": "one_body_A", "f_B": "one_body_B"},

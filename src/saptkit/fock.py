@@ -58,6 +58,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .tensors import (
+    BLOCKS,
     FAMILIES,
     MixedTensors,
     SaptCoefficients,
@@ -315,8 +316,9 @@ def one_body_matrix(space: FockSpace, which: str, h: np.ndarray, basis: str) -> 
     return np.kron(m, eye) + np.kron(eye, m)
 
 
-def _family(space: FockSpace, name: str, tensors, basis: str) -> PairSum:
-    """sum_spins einsum(spec, *tensors) * prod_k X^{spin_k}_{monomer_k}(pair_k).
+def family(space: FockSpace, name: str, tensors, basis: str) -> PairSum:
+    """sum_spins einsum(spec, *tensors) * prod_k X^{spin_k}_{monomer_k}(pair_k),
+    X the basis 'E' or 'w'; the one assembler of every coefficient family.
 
     ``spec`` and the factors, (monomer, spin label, index pair) in product
     order, are the family's entry in ``tensors.FAMILIES``; each distinct spin
@@ -384,68 +386,17 @@ def _family(space: FockSpace, name: str, tensors, basis: str) -> PairSum:
     return out
 
 
-def family_lock(space: FockSpace, T: np.ndarray, basis: str) -> PairSum:
-    """sum_sigma T[p1,p2,q1,q2] X^sigma_A(p1 p2) X^sigma_B(q1 q2)."""
-    return _family(space, "lock", [T], basis)
-
-
-def family_dir(space: FockSpace, T: np.ndarray, basis: str) -> PairSum:
-    """sum_{sigma tau} T[p1,p2,q1,q2] X^sigma_A X^tau_B."""
-    return _family(space, "dir", [T], basis)
-
-
-def family_intra(space: FockSpace, which: str, T: np.ndarray, basis: str) -> PairSum:
-    """sum_{sigma tau} T[a,b,c,d] X^sigma(a b) X^tau(c d), both on one monomer."""
-    return _family(space, "aa" if which == "A" else "bb", [T], basis)
-
-
-def family_g2(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
-    """Monomer-A pair with a locked monomer-B factor.
-
-    sum_{s1 s2} lam[p1,p2,q1,p4] S[p3,q2]
-        X^{s1}_A(p1 p2) X^{s2}_A(p3 p4) X^{s2}_B(q1 q2)
-    """
-    return _family(space, "g2", [lam, S], basis)
-
-
-def family_g3(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
-    """Monomer-B pair with a locked monomer-A factor (mirror of family_g2).
-
-    sum_{s1 s2} lam[p1,q4,q1,q2] S[p2,q3]
-        X^{s2}_A(p1 p2) X^{s1}_B(q1 q2) X^{s2}_B(q3 q4)
-    """
-    return _family(space, "g3", [lam, S], basis)
-
-
-def family_g2r(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
-    """Row-coupled variant of family_g2.
-
-    sum_{s1 s2} lam[p1,p2,q2,p3] S[p4,q1]
-        X^{s1}_A(p1 p2) X^{s2}_A(p3 p4) X^{s2}_B(q1 q2)
-    """
-    return _family(space, "g2r", [lam, S], basis)
-
-
-def family_g3r(space: FockSpace, lam: np.ndarray, S: np.ndarray, basis: str) -> PairSum:
-    """Row-coupled variant of family_g3.
-
-    sum_{s1 s2} lam[p2,q3,q1,q2] S[p1,q4]
-        X^{s2}_A(p1 p2) X^{s1}_B(q1 q2) X^{s2}_B(q3 q4)
-    """
-    return _family(space, "g3r", [lam, S], basis)
-
-
 # ---------------------------------------------------------------------------
 # observable assembly
 
 
 def assemble_electrostatic(space: FockSpace, v: np.ndarray) -> PairSum:
-    return family_dir(space, v, "E")
+    return family(space, "dir", [v], "E")
 
 
 def assemble_exchange(space: FockSpace, S: np.ndarray) -> PairSum:
     t_ss = np.einsum("ad,bc->abcd", S, S)
-    return family_lock(space, t_ss, "E").scaled(-1.0)
+    return family(space, "lock", [t_ss], "E").scaled(-1.0)
 
 
 def assemble_vp_excitation(
@@ -462,9 +413,9 @@ def assemble_vp_excitation(
     """
     nu1, nu2, nu3 = build_dressed_nu(v, S, mixed)
     x = (
-        family_lock(space, nu1.transpose(0, 3, 2, 1), "E").scaled(-1.0)
-        + family_g2(space, nu2, S, "E").scaled(-1.0)
-        + family_g3(space, nu3, S, "E").scaled(-1.0)
+        family(space, "lock", [nu1.transpose(0, 3, 2, 1)], "E").scaled(-1.0)
+        + family(space, "g2", [nu2, S], "E").scaled(-1.0)
+        + family(space, "g3", [nu3, S], "E").scaled(-1.0)
         + assemble_electrostatic(space, v) @ assemble_exchange(space, S)
     )
     return x.hermitized() if symmetrize else x
@@ -494,35 +445,30 @@ def _exchange_form(space: FockSpace, p_a, p_b, S: np.ndarray) -> PairSum:
     return (
         _one_body_pairsum(space, "A", -0.5 * p_a, "w")
         + _one_body_pairsum(space, "B", -0.5 * p_b, "w")
-        + family_lock(space, t_ss, "w").scaled(-1.0)
+        + family(space, "lock", [t_ss], "w").scaled(-1.0)
     )
 
 
 def assemble_modified_factors(space: FockSpace, coeffs: SaptCoefficients) -> tuple[PairSum, PairSum]:
     """Pure two-body electrostatic factor and constant-free exchange factor."""
-    v_mod = family_dir(space, coeffs.two_body_blocks["v"], "w")
+    v_mod = family(space, BLOCKS["v"].family, [coeffs.two_body_blocks["v"]], "w")
     p_mod = _exchange_form(space, coeffs.vp4_one_body_A, coeffs.vp4_one_body_B, coeffs.overlap)
     return v_mod, p_mod
 
 
 def assemble_vp_majorana_families(space: FockSpace, coeffs: SaptCoefficients) -> dict[str, PairSum]:
-    """Per-term assembly of the seven-block coefficient form (each Hermitian)."""
+    """Per-term assembly of the coefficient blocks of ``tensors.BLOCKS`` (each Hermitian)."""
     blocks = coeffs.two_body_blocks
-    S = coeffs.overlap
     v_mod, p_mod = assemble_modified_factors(space, coeffs)
-    fams = {
-        "VP_A": family_intra(space, "A", blocks["A2"], "w").scaled(-0.5),
-        "VP_B": family_intra(space, "B", blocks["B2"], "w").scaled(-0.5),
-        "VP_1m": family_dir(space, blocks["1m"], "w").scaled(-0.5),
-        "VP_1l": family_lock(space, blocks["1l"], "w").scaled(-1.0),
-        "VP_2": family_g2(space, blocks["2"], S, "w").scaled(-0.5),
-        "VP_3": family_g3(space, blocks["3"], S, "w").scaled(-0.5),
-        "VP_4": v_mod @ p_mod,
-    }
-    if "2r" in blocks:
-        fams["VP_2"] = fams["VP_2"] + family_g2r(space, blocks["2r"], S, "w").scaled(-0.5)
-    if "3r" in blocks:
-        fams["VP_3"] = fams["VP_3"] + family_g3r(space, blocks["3r"], S, "w").scaled(-0.5)
+    fams = {}
+    for label, block in BLOCKS.items():
+        if label == "v" or label not in blocks:
+            continue
+        # a family takes the tensors its spec names: the block, then S if it carries one
+        tensors = [blocks[label], coeffs.overlap][: FAMILIES[block.family][0].count(",") + 1]
+        fam = family(space, block.family, tensors, "w").scaled(block.prefactor)
+        fams[block.term] = fams[block.term] + fam if block.term in fams else fam
+    fams["VP_4"] = v_mod @ p_mod
     out = {name: fam.hermitized() for name, fam in fams.items()}
     out["VP_A"] = out["VP_A"] + _one_body_pairsum(space, "A", -0.5 * coeffs.one_body_A, "w")
     out["VP_B"] = out["VP_B"] + _one_body_pairsum(space, "B", -0.5 * coeffs.one_body_B, "w")
@@ -535,7 +481,7 @@ def assemble_majorana(space: FockSpace, coeffs: SaptCoefficients) -> PairSum:
     if coeffs.observable == "V":
         op = op + _one_body_pairsum(space, "A", coeffs.one_body_A, "w")
         op = op + _one_body_pairsum(space, "B", coeffs.one_body_B, "w")
-        return op + family_dir(space, coeffs.two_body_blocks["v"], "w")
+        return op + family(space, BLOCKS["v"].family, [coeffs.two_body_blocks["v"]], "w")
     if coeffs.observable == "P":
         return op + _exchange_form(space, coeffs.one_body_A, coeffs.one_body_B, coeffs.overlap)
     if coeffs.observable == "VPs":
@@ -591,7 +537,8 @@ def assemble_monomer_hamiltonian(
     # effective one-body from normal ordering: -1/2 sum_r eri[p r r q] E+_pq
     h_eff = h1 - 0.5 * np.einsum("arrb->ab", eri)
     op = one_body_matrix(space, which, h_eff, "E")
-    ((a_mat, b_mat),) = family_intra(space, which, 0.5 * eri, "E").pairs  # one pair, zero or not
+    intra = "aa" if which == "A" else "bb"
+    ((a_mat, b_mat),) = family(space, intra, [0.5 * eri], "E").pairs  # one pair, zero or not
     op = op + (a_mat if which == "A" else b_mat)
     return PairSum(space).add_monomer(which, op)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .factorize import _ONE_BODY, BlockFactors, FactorizedOperator, first_factorize
 from .factorize import inner_values, one_body_eigendecompose
-from .tensors import SaptCoefficients
+from .tensors import BLOCKS, SaptCoefficients
 
 
 @dataclass
@@ -78,7 +78,7 @@ def format_table(reports: list[NormReport]) -> str:
 
 # the resource model excludes the overlap-carrying VPs circuits: each of these
 # components, with the blocks it sums, is reported outside ``total``
-EXCLUDED_BLOCKS = {"VP_2": ("2", "2r"), "VP_3": ("3", "3r")}
+EXCLUDED_BLOCKS = {t: tuple(k for k, b in BLOCKS.items() if b.term == t) for t in ("VP_2", "VP_3")}
 
 
 def _l1(x) -> float:

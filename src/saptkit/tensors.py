@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,21 +75,8 @@ class MixedTensors:
 class SaptCoefficients:
     """Coefficient set of one observable in the self-inverse-operator form.
 
-    ``two_body_blocks`` maps block labels to arrays:
-
-    ========  ======================================  =========================
-    label     layout                                  appears in
-    ========  ======================================  =========================
-    ``v``     ``[p1,p2,q1,q2]``                       V two-body / VP4 factor
-    ``A2``    ``[p1,p2,p3,p4]``                       monomer-A two-body of VPs
-    ``B2``    ``[q1,q2,q3,q4]``                       monomer-B two-body of VPs
-    ``1m``    ``[p1,p2,q1,q2]`` spin-free channel     VPs
-    ``1l``    ``[p1,p2,q1,q2]`` spin-locked channel   VPs
-    ``2``     ``[p1,p2,q1,p4]`` + shared overlap      VPs (extra S factor)
-    ``3``     ``[p1,q4,q1,q2]`` + shared overlap      VPs (extra S factor)
-    ``2r``    ``[p1,p2,q2,p3]`` + shared overlap      VPs, frozen cores only
-    ``3r``    ``[p2,q3,q1,q2]`` + shared overlap      VPs, frozen cores only
-    ========  ======================================  =========================
+    ``two_body_blocks`` maps block labels to arrays; :data:`BLOCKS` lists
+    every label with its layout, family, prefactor and term.
     """
 
     observable: str  # 'V' | 'P' | 'VPs'
@@ -252,7 +240,7 @@ class _Buckets:
     h_a: np.ndarray
     h_b: np.ndarray
     lock: np.ndarray
-    dir_: np.ndarray
+    dir: np.ndarray
     aa: np.ndarray
     bb: np.ndarray
     g2: np.ndarray
@@ -267,7 +255,7 @@ class _Buckets:
             h_a=np.zeros((n_a, n_a)),
             h_b=np.zeros((n_b, n_b)),
             lock=np.zeros((n_a, n_a, n_b, n_b)),
-            dir_=np.zeros((n_a, n_a, n_b, n_b)),
+            dir=np.zeros((n_a, n_a, n_b, n_b)),
             aa=np.zeros((n_a, n_a, n_a, n_a)),
             bb=np.zeros((n_b, n_b, n_b, n_b)),
             g2=np.zeros((n_a, n_a, n_b, n_a)),
@@ -284,7 +272,7 @@ class _Buckets:
         term.
         """
         return _Buckets(
-            self.const, self.h_b, self.h_a, _swap(self.lock), _swap(self.dir_), self.bb,
+            self.const, self.h_b, self.h_a, _swap(self.lock), _swap(self.dir), self.bb,
             self.aa, _swap(self.g3), _swap(self.g2), _swap(self.g3r), _swap(self.g2r),
         )
 
@@ -312,6 +300,37 @@ FAMILIES = {
 _BUCKET = {"": "const", "A": "h_a", "B": "h_b", "AA": "aa", "BB": "bb"}
 
 
+class Block(NamedTuple):
+    """A two-body block: its family (a key of :data:`FAMILIES`, and the bucket
+    that builds it), its prefactor in the assembled operator, its term, and the
+    axis order that groups it into its [row pair, col pair] matrix."""
+
+    family: str
+    prefactor: float
+    term: str
+    axes: tuple[int, int, int, int] = (0, 1, 2, 3)
+
+
+# Every two-body block, in order, with its layout ('2', '3', '2r' and '3r' carry
+# an S factor outside it).  A block is stored as its bucket over its prefactor,
+# so entrywise sums feed the sparse norms directly; 'v' (V's block, and the
+# electrostatic factor of VP_4 = v_mod @ p_mod) is stored as given.
+BLOCKS = {
+    "A2": Block("aa", -0.5, "VP_A"),  # [p1,p2,p3,p4]
+    "B2": Block("bb", -0.5, "VP_B"),  # [q1,q2,q3,q4]
+    "1m": Block("dir", -0.5, "VP_1m"),  # [p1,p2,q1,q2], spin-free
+    # [p1,p2,q1,q2], spin-locked; its grouped matrix pairs (p1,q2) x (p2,q1)
+    "1l": Block("lock", -1.0, "VP_1l", (0, 3, 1, 2)),
+    "2": Block("g2", -0.5, "VP_2"),  # [p1,p2,q1,p4]
+    "3": Block("g3", -0.5, "VP_3"),  # [p1,q4,q1,q2]
+    "2r": Block("g2r", -0.5, "VP_2"),  # [p1,p2,q2,p3]
+    "3r": Block("g3r", -0.5, "VP_3"),  # [p2,q3,q1,q2]
+    "v": Block("dir", 1.0, "VP_4"),  # [p1,p2,q1,q2]
+}
+# the row-coupled blocks, held only where a frozen core gives them
+OPTIONAL_BLOCKS = ("2r", "3r")
+
+
 @functools.cache
 def _reduction(family: str) -> tuple[tuple[str | None, str, float], ...]:
     """The terms of a family in the w basis as (einsum subscripts, bucket, scale).
@@ -321,7 +340,7 @@ def _reduction(family: str) -> tuple[tuple[str | None, str, float], ...]:
     doubles once for each spin label no kept factor carries.  The kept factors
     choose the bucket: none the constant, one its monomer's one-body term, two
     on one monomer ``aa``/``bb``, one per monomer ``lock`` with a shared label
-    and ``dir_`` without.  A g family's all-w term is its first tensor as it
+    and ``dir`` without.  A g family's all-w term is its first tensor as it
     stands (subscripts None) in its own bucket; t3a's is left out, as it is the
     two-body electrostatic factor times a one-body exchange dressing, which
     the product-form term holds through the dressed one-body tensor.
@@ -346,7 +365,7 @@ def _reduction(family: str) -> tuple[tuple[str | None, str, float], ...]:
         if monomers != "AB":
             name = _BUCKET[monomers]
         else:
-            name = "lock" if kept[0][1] == kept[1][1] else "dir_"
+            name = "lock" if kept[0][1] == kept[1][1] else "dir"
         terms.append((f"{subscripts}->{out}", name, scale))
     return tuple(terms)
 
@@ -388,14 +407,14 @@ def _accumulate_vp_buckets(bk: _Buckets, v: np.ndarray, S: np.ndarray, dressed) 
     p0 = float(-0.5 * np.sum(S * S))
     bk.const += v0 * p0
     bk.lock += -v0 * np.einsum("ad,bc->abcd", S, S)
-    bk.dir_ += p0 * v
+    bk.dir += p0 * v
     for side, ss, axes in ((bk, S, (0, 1, 2, 3)), (bk.swapped(), S.T, (2, 3, 0, 1))):
         vs = v.transpose(axes)
         convert(side, "g2", -next(nus).transpose(axes), ss)  # nu2, then nu3 swapped
         f, p = np.einsum("abqq->ab", vs), ss @ ss.T
         side.h_a += -0.5 * v0 * p + p0 * f
         side.aa += -0.5 * np.einsum("ab,cd->abcd", f, p)
-        side.dir_ += -0.5 * np.einsum("ab,cd->abcd", f, ss.T @ ss)
+        side.dir += -0.5 * np.einsum("ab,cd->abcd", f, ss.T @ ss)
         side.g2 += -np.einsum("ab,dc->abcd", f, ss)
 
 
@@ -407,29 +426,22 @@ def _coefficients_from_buckets(
     p_b: np.ndarray,
     space_tag: str,
 ) -> SaptCoefficients:
-    """Package bucket accumulators with the documented block normalization.
+    """Package bucket accumulators as the blocks of :data:`BLOCKS`.
 
-    Stored blocks use the convention in which the assembled operator carries
-    prefactors -1/2 (one-body, 'A2', 'B2', '1m', '2', '3') and -1 ('1l'), so
-    entrywise block sums feed the sparse-norm formulas directly.
+    Each block is its bucket over its prefactor, the inter-monomer families
+    taken at their joint-swap symmetric part; the one-body terms carry the
+    prefactor -1/2.
     """
-    blocks = {
-        "A2": bk.aa,
-        "B2": bk.bb,
-        "1m": sym_joint(bk.dir_),
-        "1l": sym_joint(bk.lock),
-        "2": bk.g2,
-        "3": bk.g3,
-        "v": v_block,
-    }
-    if bk.g2r.any():
-        blocks["2r"] = bk.g2r
-    if bk.g3r.any():
-        blocks["3r"] = bk.g3r
-    # the buckets are this set's own, so the (exact) scalings go in place
-    for label, block in blocks.items():
-        if label != "v":
-            block *= -1.0 if label == "1l" else -2.0
+    blocks = {}
+    for label, block in BLOCKS.items():
+        acc = getattr(bk, block.family)
+        if label == "v" or (label in OPTIONAL_BLOCKS and not acc.any()):
+            continue
+        if block.family in ("lock", "dir"):
+            acc = sym_joint(acc)
+        acc /= block.prefactor  # in place: the buckets are this set's own, the division exact
+        blocks[label] = acc
+    blocks["v"] = v_block  # the table's last row
     return SaptCoefficients(
         observable="VPs",
         constant=float(bk.const),

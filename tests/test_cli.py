@@ -416,6 +416,24 @@ class TestErrors:
         assert main(["budget"]) == 4
         assert capsys.readouterr().err == "error: internal: ValueError: two lines\n"
 
+    @pytest.mark.parametrize(
+        "command", ["factorize", "norms", "estimate", "convert-fcidump", "supermolecular"]
+    )
+    def test_unwritable_output_is_exit_3(self, archive_path, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing" / "out")
+        a_file = tmp_path / "a_file"  # an output directory that is a file
+        a_file.write_text("")
+        fcid = tmp_path / "m.fcidump"
+        fcid.write_text(FCIDUMP_TEXT)
+        argv = {
+            "factorize": ["factorize", str(archive_path), "-o", missing],
+            "norms": ["norms", str(archive_path), "--json", missing],
+            "estimate": ["estimate", "--archive", str(archive_path), "-o", str(a_file)],
+            "convert-fcidump": ["convert-fcidump", str(fcid), missing, "--monomer", "A", "--new"],
+            "supermolecular": [*SUPERMOLECULAR, "-o", missing],
+        }[command]
+        assert_data_error(argv, capsys, str(tmp_path))
+
     def test_non_finite_array_is_exit_3(self, tmp_path, capsys):
         archive = demo_archive()
         archive.arrays["v"][0, 1, 0, 1] = np.nan
@@ -717,6 +735,15 @@ class TestConvertFcidump:
         ])
         assert code == 3
         assert "[schema] FCIDUMP index outside 1..2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_norb_too_large_to_allocate_is_exit_3(self, tmp_path, capsys):
+        # numpy refuses this size before it asks for memory
+        fcid = tmp_path / "m.fcidump"
+        fcid.write_text(FCIDUMP_TEXT.replace("NORB=2", "NORB=10000000000"))
+        out = tmp_path / "mono.sapt"
+        argv = ["convert-fcidump", str(fcid), str(out), "--monomer", "A", "--new"]
+        assert_data_error(argv, capsys, "[shape] FCIDUMP NORB=10000000000 needs 8")
         assert not out.exists()
 
     @pytest.mark.parametrize("monomer", ["A", "B"])

@@ -10,7 +10,6 @@ from saptkit.active import (
 from saptkit.errors import DomainError, SymmetryError
 from saptkit import factorize
 from saptkit.factorize import (
-    _BLOCK_LAYOUT,
     RANK_CUTOFF,
     BlockFactors,
     _check_stack,
@@ -31,7 +30,7 @@ from saptkit.factorize import (
     truncate_block,
 )
 from saptkit.norms import tf_norm
-from saptkit.tensors import build_majorana_coefficients
+from saptkit.tensors import BLOCKS, build_majorana_coefficients
 from .conftest import random_dimer
 
 
@@ -232,7 +231,7 @@ class TestSymmetrizeInPlace:
     def test_first_factorize_keeps_the_bits(self, rng):
         # "1l" is the one label whose grouped matrix is a copy, symmetrized in place
         block = build_majorana_coefficients(*random_dimer(rng, 4, 3))["VPs"].two_body_blocks["1l"]
-        m = np.transpose(block, _BLOCK_LAYOUT["1l"][0]).reshape(1, 12, 12)
+        m = np.transpose(block, BLOCKS["1l"].axes).reshape(1, 12, 12)
         want = _decompose_stack(m, *_check_stack(m, None))[0]
         got = first_factorize(block, "1l").outer
         assert got.symmetric and want.symmetric
@@ -451,7 +450,7 @@ def sides(bf, outer):
 
 
 def blocks_of_every_label(rng):
-    """(label, block) pairs at 4 x 3 orbitals covering every label of _BLOCK_LAYOUT.
+    """(label, block) pairs at 4 x 3 orbitals covering every label of BLOCKS.
 
     The full-space coefficient sets, plus the active-space sets of a 5 x 4
     dimer with one core orbital per monomer, which carry 2r and 3r.
@@ -464,7 +463,7 @@ def blocks_of_every_label(rng):
         renormalize_vp(v, s, part),
     ]
     pairs = [item for c in sets for item in c.two_body_blocks.items()]
-    assert {label for label, _ in pairs} == set(_BLOCK_LAYOUT)
+    assert {label for label, _ in pairs} == set(BLOCKS)
     return pairs
 
 
@@ -472,7 +471,7 @@ class TestPackedOuter:
     def test_packed_sides_match_unpacked_reference(self, rng):
         packed_labels = set()
         for label, block in blocks_of_every_label(rng):
-            t = np.transpose(block, _BLOCK_LAYOUT[label][0])
+            t = np.transpose(block, BLOCKS[label].axes)
             n1, n2, n3, n4 = t.shape
             m = t.reshape(n1 * n2, n3 * n4)
             ref = decompose_matrix(m)
@@ -497,7 +496,7 @@ class TestPackedOuter:
                 if pair_symmetric:
                     assert np.array_equal(vecs, vecs.transpose(1, 0, 2)), label
                     packed_labels.add(label)
-        assert packed_labels == set(_BLOCK_LAYOUT) - {"1l"}
+        assert packed_labels == set(BLOCKS) - {"1l"}
 
     @pytest.mark.parametrize("n1, n2", [(3, 3), (3, 2), (1, 1)])
     def test_packing_decision_matches_full_swap(self, rng, n1, n2):

@@ -166,7 +166,7 @@ class TestDressingVariant:
     def test_plain_dressing_is_canonical(self, rng):
         # the half-weighted (barred) dressing does not reproduce the
         # product-ordered operator; the plain dressing does by construction
-        from saptkit.fock import family_lock, family_g2, family_g3
+        from saptkit.fock import family
         from saptkit.tensors import build_dressed_nu
 
         v, s = random_dimer(rng, 2, 2)
@@ -177,10 +177,10 @@ class TestDressingVariant:
 
         t_bar = nubar_lock.transpose(0, 3, 2, 1)
         variant = (
-            family_lock(space, t_bar, "E").scaled(-1.0)
+            family(space, "lock", [t_bar], "E").scaled(-1.0)
             + family_dir_tensor(space, nubar_dir)
-            + family_g2(space, nu2, s, "E").scaled(-1.0)
-            + family_g3(space, nu3, s, "E").scaled(-1.0)
+            + family(space, "g2", [nu2, s], "E").scaled(-1.0)
+            + family(space, "g3", [nu3, s], "E").scaled(-1.0)
             + (assemble_electrostatic(space, v) @ assemble_exchange(space, s))
         ).hermitized()
         diff = (canonical + variant.scaled(-1.0)).norm_estimate(rng)
@@ -200,9 +200,9 @@ class TestDressingVariant:
 
 
 def family_dir_tensor(space, tensor):
-    from saptkit.fock import family_dir
+    from saptkit.fock import family
 
-    return family_dir(space, tensor, "E").scaled(-1.0)
+    return family(space, "dir", [tensor], "E").scaled(-1.0)
 
 
 def _terms(name, T, S, na, nb):
@@ -268,11 +268,11 @@ class TestFamilyReference:
         T = rng.normal(size=[n_a if c == "a" else n_b for c in FAMILY_SHAPES[name]])
         S = rng.normal(size=(n_a, n_b))
         if name.startswith("intra"):
-            op = fock.family_intra(space, name[-1], T, basis)
+            op = fock.family(space, "aa" if name[-1] == "A" else "bb", [T], basis)
         elif name in ("lock", "dir"):
-            op = getattr(fock, f"family_{name}")(space, T, basis)
+            op = fock.family(space, name, [T], basis)
         else:
-            op = getattr(fock, f"family_{name}")(space, T, S, basis)
+            op = fock.family(space, name, [T, S], basis)
         ref = dense_family_reference(space, name, T, S, basis)
         assert np.abs(op.to_dense() - ref).max() < 1e-13 * max(1.0, np.abs(ref).max())
         # one pair per one-body basis element of the monomer with one factor
@@ -444,8 +444,8 @@ class TestFamilyRepeat:
     def test_two_calls_give_bit_equal_pairs(self, rng):
         space = FockSpace(2, 2)
         lam, S = rng.normal(size=(2, 2, 2, 2)), rng.normal(size=(2, 2))
-        first = fock.family_g2(space, lam, S, "w")
-        second = fock.family_g2(space, lam, S, "w")
+        first = fock.family(space, "g2", [lam, S], "w")
+        second = fock.family(space, "g2", [lam, S], "w")
         assert first.pairs and len(second.pairs) == len(first.pairs)
         for (a, b), (a0, b0) in zip(second.pairs, first.pairs):
             assert np.array_equal(monomer_matrix(a), monomer_matrix(a0))

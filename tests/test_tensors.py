@@ -231,10 +231,10 @@ def bucket_operator(space, bk, S):
     op = PairSum(space).add_scalar(float(bk.const))
     op.add_monomer("A", one_body_matrix(space, "A", bk.h_a, "w"))
     op.add_monomer("B", one_body_matrix(space, "B", bk.h_b, "w"))
-    for name, block in (("lock", bk.lock), ("dir", bk.dir_), ("aa", bk.aa), ("bb", bk.bb)):
-        op = op + fock._family(space, name, [block], "w")
+    for name, block in (("lock", bk.lock), ("dir", bk.dir), ("aa", bk.aa), ("bb", bk.bb)):
+        op = op + fock.family(space, name, [block], "w")
     for name in ("g2", "g2r", "g3", "g3r"):
-        op = op + fock._family(space, name, [getattr(bk, name), S], "w")
+        op = op + fock.family(space, name, [getattr(bk, name), S], "w")
     return op
 
 
@@ -262,9 +262,9 @@ class TestFamilyReduction:
         if name == "one_a":
             ref = PairSum(space).add_monomer("A", one_body_matrix(space, "A", T, "E"))
         else:
-            ref = fock._family(space, name, args, "E")
+            ref = fock.family(space, name, args, "E")
         op = bucket_operator(space, bk, S)
         if name == "t3a":
-            op = op + fock._family(space, "t3a", args, "w")
+            op = op + fock.family(space, "t3a", args, "w")
         ref = ref.to_dense()
         assert np.abs(op.to_dense() - ref).max() <= 1e-13 * np.abs(ref).max()
