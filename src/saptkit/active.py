@@ -32,8 +32,8 @@ from .tensors import (
     _Buckets,
     _accumulate_vp_buckets,
     _coefficients_from_buckets,
+    _dressed,
     _swap,
-    build_dressed_nu,
     build_electrostatic_coefficients,
     convert,
 )
@@ -173,9 +173,10 @@ def renormalize_exchange(S: np.ndarray, partition: SpacePartition) -> SaptCoeffi
     )
 
 
-def _core_terms_a(bk: _Buckets, vr, sr, t1, lam2, nta: int, ntb: int) -> None:
+def _core_terms_a(bk: _Buckets, vr, sr, t1_core, dressed, nta: int, ntb: int) -> None:
     """Monomer-A half of the core contractions of :func:`renormalize_vp`: locked
-    pair t1[p1,p2,q1,q2], triple term lam2[p1,p2,q1,p4] and product term."""
+    pair (its B-core trace ``t1_core``), triple term lam2[p1,p2,q1,p4] (computed
+    by ``dressed()``, and freed before the product term) and product term."""
     a, b = slice(0, nta), slice(0, ntb)
     ca, cb = slice(nta, None), slice(ntb, None)
     v_tt, s_tt = vr[a, a, b, b], sr[a, b]
@@ -185,9 +186,10 @@ def _core_terms_a(bk: _Buckets, vr, sr, t1, lam2, nta: int, ntb: int) -> None:
     bs = bk.swapped()  # one-body terms on monomer B
 
     # ---- locked pair term: internal core contraction
-    convert(bk, "one_a", -np.einsum("abjj->ab", t1[a, a, cb, cb]))
+    convert(bk, "one_a", -t1_core)
 
     # ---- monomer-A triple term
+    lam2 = dressed()
     convert(bk, "aa", -np.einsum("abjd,cj->abcd", lam2[a, a, cb, a], s_tc))
     convert(bk, "lock", -2.0 * np.einsum("iicb,ad->abcd", lam2[ca, ca, b, a], s_tt))
     convert(bk, "one_a", -2.0 * np.einsum("iijb,aj->ab", lam2[ca, ca, cb, a], s_tc))
@@ -199,6 +201,7 @@ def _core_terms_a(bk: _Buckets, vr, sr, t1, lam2, nta: int, ntb: int) -> None:
     convert(bk, "lock", np.einsum("ibci,ad->abcd", lam2[ca, a, b, ca], s_tt))
     bk.const += -2.0 * np.einsum("itji,tj->", lam2[ca, a, cb, ca], s_tc)
     convert(bk, "one_a", np.einsum("ibji,aj->ab", lam2[ca, a, cb, ca], s_tc))
+    del lam2
 
     # ---- product term: core contractions of the electrostatic/exchange pair
     convert(bk, "g2", -2.0 * np.einsum("ab,dc->abcd", f_core_b, s_tt), s_tt)
@@ -241,13 +244,17 @@ def renormalize_vp(v: np.ndarray, S: np.ndarray, partition: SpacePartition) -> S
     core-dressed exchange one-body tensors p~; everything else lands in the
     explicit blocks, including the row-coupled overlap blocks '2r'/'3r' that
     only appear with nonempty cores.
+
+    One dressed tensor is held at a time, as in the full-space build: nu1
+    leaves its locked-pair term and its three core traces, and nu2 and nu3 are
+    computed once for their active slices and again for the core terms, so
+    every bucket gets its additions in the same order.
     """
     ia, ib = _order(partition, *S.shape)
     vr, sr = v[np.ix_(ia, ia, ib, ib)], S[np.ix_(ia, ib)]
     nta, ntb = len(partition.active_A), len(partition.active_B)
     a, b = slice(0, nta), slice(0, ntb)
     ca, cb = slice(nta, None), slice(ntb, None)
-    nu1, nu2, nu3 = build_dressed_nu(vr, sr)
 
     v_tt, s_tt = vr[a, a, b, b], sr[a, b]
     s_tc, s_ct = sr[a, cb], sr[ca, b]
@@ -258,14 +265,26 @@ def renormalize_vp(v: np.ndarray, S: np.ndarray, partition: SpacePartition) -> S
 
     # fully active assignments reduce to the full-space bookkeeping on the
     # active slices of the (core+active)-range dressed tensors
-    _accumulate_vp_buckets(bk, v_tt, s_tt, (nu1[a, b, b, a], nu2[a, a, b, a], nu3[a, b, b, b]))
+    t1 = _dressed(1, vr, sr).transpose(0, 3, 2, 1)  # [p1,p2,q1,q2]
+    t1_core = (
+        np.einsum("abjj->ab", t1[a, a, cb, cb]),
+        np.einsum("abjj->ab", _swap(t1)[b, b, ca, ca]),
+        np.einsum("iijj->", t1[ca, ca, cb, cb]),
+    )
+    lock = -t1[a, a, b, b]  # only this negated slice is held while its family is reduced
+    del t1
+    convert(bk, "lock", lock)
+    del lock
+    slices = ((2, np.s_[a, a, b, a]), (3, np.s_[a, b, b, b]))
+    _accumulate_vp_buckets(bk, v_tt, s_tt, (_dressed(k, vr, sr)[s] for k, s in slices))
 
     # core contractions: each monomer-A term and its monomer-B mirror ...
-    t1 = nu1.transpose(0, 3, 2, 1)  # [p1,p2,q1,q2]
-    _core_terms_a(bk, vr, sr, t1, nu2, nta, ntb)
-    _core_terms_a(bk.swapped(), _swap(vr), sr.T, _swap(t1), _swap(nu3), ntb, nta)
+    _core_terms_a(bk, vr, sr, t1_core[0], lambda: _dressed(2, vr, sr), nta, ntb)
+    _core_terms_a(
+        bk.swapped(), _swap(vr), sr.T, t1_core[1], lambda: _swap(_dressed(3, vr, sr)), ntb, nta
+    )
     # ... and the self-mirrored terms
-    bk.const += -2.0 * np.einsum("iijj->", t1[ca, ca, cb, cb])
+    bk.const += -2.0 * t1_core[2]
     convert(bk, "lock", -4.0 * v0_core * np.einsum("ad,bc->abcd", s_tt, s_tt))
     convert(bk, "dir", -2.0 * ss_cc * v_tt)
     bk.const += -8.0 * v0_core * ss_cc

@@ -479,6 +479,7 @@ def load_factor_cache(path) -> FactorizedOperator:
 
 
 _FCIDUMP_ROW = np.dtype([("value", "f8"), ("i", "i8"), ("j", "i8"), ("k", "i8"), ("l", "i8")])
+_FORTRAN_EXPONENT = bytes.maketrans(b"Dd", b"Ee")
 
 
 def _last_per_key(key: np.ndarray) -> np.ndarray:
@@ -487,19 +488,24 @@ def _last_per_key(key: np.ndarray) -> np.ndarray:
     return len(key) - 1 - first_from_end
 
 
-def _unparsable_line(body: str, detail: str) -> ArchiveError:
+def _quoted(line: bytes) -> str:
+    """A body line as an error message quotes it: stripped, non-ASCII bytes as \\xNN."""
+    return repr(line.strip())[1:]  # the repr of bytes, without its b prefix
+
+
+def _unparsable_line(body: bytes, detail: str) -> ArchiveError:
     """The schema error quoting the first body line that does not parse."""
     for line in body.splitlines():
         parts = line.split()
         if not parts:
             continue
         if len(parts) != 5:
-            return ArchiveError("schema", f"FCIDUMP line does not have 5 fields: {line.strip()!r}")
+            return ArchiveError("schema", f"FCIDUMP line does not have 5 fields: {_quoted(line)}")
         try:
             float(parts[0])
             [int(x) for x in parts[1:]]
         except ValueError:
-            return ArchiveError("schema", f"FCIDUMP line does not parse: {line.strip()!r}")
+            return ArchiveError("schema", f"FCIDUMP line does not parse: {_quoted(line)}")
     return ArchiveError("schema", f"FCIDUMP body does not parse: {detail}")
 
 
@@ -517,16 +523,19 @@ def read_fcidump(path):
     path = Path(path)
     if not path.exists():
         raise ArchiveError("io", f"no such file: {path}")
-    text = path.read_text()
-    start = re.search("&fci", text, re.IGNORECASE)
-    end = start and re.compile("&end|/", re.IGNORECASE).search(text, start.end())
+    data = path.read_bytes()  # parsed as bytes: no decoding, no text copy of the body
+    start = re.search(b"&fci", data, re.IGNORECASE)
+    end = start and re.compile(b"&end|/", re.IGNORECASE).search(data, start.end())
     if not end:
         raise ArchiveError("schema", "not an FCIDUMP file (missing &FCI header)")
-    header = text[start.start() : end.start()]
-    body = text[end.end() :].replace("D", "E").replace("d", "e")  # Fortran exponents
+    header = data[start.start() : end.start()]
+    body = data[end.end() :]
+    del data
+    if b"D" in body or b"d" in body:
+        body = body.translate(_FORTRAN_EXPONENT)
 
     def header_int(key: str) -> int:
-        match = re.search(rf"{key}\s*=\s*(\d+)", header, re.IGNORECASE)
+        match = re.search(rb"%s\s*=\s*(\d+)" % key.encode(), header, re.IGNORECASE)
         if match is None:
             raise ArchiveError("schema", f"FCIDUMP header lacks {key}")
         return int(match.group(1))
@@ -536,7 +545,7 @@ def read_fcidump(path):
     rows = np.zeros(0, dtype=_FCIDUMP_ROW)
     if body and not body.isspace():
         try:
-            rows = np.loadtxt(io.StringIO(body), dtype=_FCIDUMP_ROW, comments=None, ndmin=1)
+            rows = np.loadtxt(io.BytesIO(body), dtype=_FCIDUMP_ROW, comments=None, ndmin=1)
         except ValueError as exc:
             raise _unparsable_line(body, str(exc)) from None
     val = rows["value"]
@@ -551,9 +560,9 @@ def read_fcidump(path):
     bad = ~(two | one | core | orbital_energy) | nonfinite
     if bad.any():
         row = int(np.argmax(bad))  # loadtxt skips blank lines, so count the others
-        line = [x.strip() for x in body.splitlines() if x.strip()][row]
+        line = [x for x in body.splitlines() if x.strip()][row]
         what = "value is not finite" if nonfinite[row] else f"index outside 1..{n_orb}"
-        raise ArchiveError("schema", f"FCIDUMP {what}: {line!r}")
+        raise ArchiveError("schema", f"FCIDUMP {what}: {_quoted(line)}")
 
     try:
         h1 = np.zeros((n_orb, n_orb))

@@ -84,12 +84,13 @@ def _read_archive(path, observables, lambdas: str | None = None):
     return basis, values, {name: sets[name] for name in observables}
 
 
-def _operators(coeffs: dict, truncation: float):
+def _operators(coeffs: dict, truncation: float, consume: bool = False):
     """Yield the factorized operator of each coefficient set, in order, one at
-    a time; a block two sets hold alike is factorized once."""
-    shared = shared_blocks(list(coeffs.values()))
+    a time; a block two sets hold alike is factorized once.  ``consume`` hands
+    the sets over: each block is freed once it is factorized."""
+    shared = shared_blocks(list(coeffs.values()), truncation)
     for c in coeffs.values():
-        yield factorize_coefficients(c, truncation, blocks=shared)
+        yield factorize_coefficients(c, truncation, blocks=shared, consume=consume)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ def cmd_factorize(args) -> int:
     check_threshold(args.truncation)  # before the archive is read
     basis, _, coeffs = _read_archive(args.archive, args.observables)
     out_prefix = Path(args.output or Path(args.archive).with_suffix(""))
-    for fop in _operators(coeffs, args.truncation):
+    for fop in _operators(coeffs, args.truncation, consume=True):
         path = Path(f"{out_prefix}.{fop.observable}.factors")
         ar.save_factor_cache(path, fop, basis)
         print(f"wrote {path}")

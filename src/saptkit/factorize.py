@@ -298,8 +298,14 @@ def inner_values(bf: BlockFactors) -> list[np.ndarray]:
     return _inner(bf.outer.left, bf.row_shape, vectors=False, packed=bf.packed[0])
 
 
-def factorize_block(block: np.ndarray, label: str) -> BlockFactors:
-    return second_factorize(first_factorize(block, label))
+def factorize_block(block: np.ndarray, label: str, threshold: float = 0.0) -> BlockFactors:
+    """Both steps; with a truncation threshold the inner step decomposes only
+    the outer vectors :func:`truncate_block` keeps, the only ones it reads."""
+    bf = first_factorize(block, label)
+    if threshold and bf.outer.rank:
+        keep = _keep_count(bf.outer.values, threshold)
+        bf.outer = replace(bf.outer, left=bf.outer.left[:, :keep], right=bf.outer.right[:, :keep])
+    return second_factorize(bf)
 
 
 def reconstruct_block(bf: BlockFactors) -> np.ndarray:
@@ -319,31 +325,34 @@ def check_threshold(threshold: float) -> None:
         raise DomainError("truncation threshold must lie in [0, 1)")
 
 
+def _keep_count(vals: np.ndarray, threshold: float) -> int:
+    """How many leading factors :func:`truncate_block` keeps of ``vals``."""
+    weights = np.abs(vals)
+    total = weights.sum()
+    if total == 0.0:
+        return len(vals)
+    return max(1, int(np.sum(np.cumsum(weights[::-1])[::-1] > threshold * total)))
+
+
 def truncate_block(bf: BlockFactors, threshold: float) -> BlockFactors:
     """Drop trailing factors whose cumulative weight is below threshold.
 
     Applied to the outer coefficients and to every inner factor list; a nonzero
     block always keeps at least one factor per level.  The discarded weight is
-    recorded (a bound on the reconstruction error scale, not asserted).
+    recorded (a bound on the reconstruction error scale, not asserted).  Inner
+    factors past the outer cut are never read, so they may be missing.
     """
     check_threshold(threshold)
     if threshold == 0.0 or bf.outer.rank == 0:
         return bf
 
-    def keep_count(vals: np.ndarray) -> int:
-        weights = np.abs(vals)
-        total = weights.sum()
-        if total == 0.0:
-            return len(vals)
-        return max(1, int(np.sum(np.cumsum(weights[::-1])[::-1] > threshold * total)))
-
-    keep = keep_count(bf.outer.values)
+    keep = _keep_count(bf.outer.values, threshold)
     discarded = float(np.abs(bf.outer.values[keep:]).sum())
     shared = bf.inner_right is bf.inner_left
     out = BlockFactors(label=bf.label, shape=bf.shape, outer=bf.outer.truncated(keep))
-    out.inner_left = [f.truncated(keep_count(f.values)) for f in bf.inner_left[:keep]]
+    out.inner_left = [f.truncated(_keep_count(f.values, threshold)) for f in bf.inner_left[:keep]]
     out.inner_right = out.inner_left if shared else [
-        f.truncated(keep_count(f.values)) for f in bf.inner_right[:keep]
+        f.truncated(_keep_count(f.values, threshold)) for f in bf.inner_right[:keep]
     ]
 
     def dropped(full: Factorization, cut: Factorization) -> float:
@@ -387,16 +396,16 @@ _ONE_BODY = {
 }
 
 
-def shared_blocks(sets: list[SaptCoefficients]) -> dict[str, BlockFactors]:
-    """Untruncated factors of each block that two or more of the sets factorize
-    and hold bit for bit alike, for :func:`factorize_coefficients`."""
+def shared_blocks(sets: list[SaptCoefficients], threshold: float = 0.0) -> dict[str, BlockFactors]:
+    """Factors of each block that two or more of the sets factorize and hold
+    bit for bit alike, for :func:`factorize_coefficients` with ``threshold``."""
     found: dict[str, list[np.ndarray]] = {}
     for coeffs in sets:
         for label in _BLOCK_LABELS.get(coeffs.observable, ()):
             if label in coeffs.two_body_blocks:
                 found.setdefault(label, []).append(coeffs.two_body_blocks[label])
     return {
-        label: factorize_block(same[0], label)
+        label: factorize_block(same[0], label, threshold)
         for label, same in found.items()
         if len(same) > 1 and all(b is same[0] or np.array_equal(same[0], b) for b in same[1:])
     }
@@ -406,9 +415,13 @@ def factorize_coefficients(
     coeffs: SaptCoefficients,
     threshold: float = 0.0,
     blocks: dict[str, BlockFactors] | None = None,
+    consume: bool = False,
 ) -> FactorizedOperator:
-    """Factorize every block and one-body tensor of a coefficient set; the
-    untruncated factors in ``blocks`` (see :func:`shared_blocks`) are used as given."""
+    """Factorize every block and one-body tensor of a coefficient set, each
+    block truncated as soon as it is factorized; the factors in ``blocks``
+    (see :func:`shared_blocks`) are used as given.  ``consume`` removes each
+    block from the set, so it is freed once factorized; by default the set is
+    left as it was."""
     check_threshold(threshold)
     if coeffs.observable not in _ONE_BODY:
         raise DomainError(f"unknown observable {coeffs.observable!r}")
@@ -417,11 +430,13 @@ def factorize_coefficients(
         out.one_body[name] = one_body_eigendecompose(getattr(coeffs, attr))
     if coeffs.overlap is not None:
         out.overlap = overlap_svd(coeffs.overlap)
+    take = coeffs.two_body_blocks.pop if consume else coeffs.two_body_blocks.get
     for label in _BLOCK_LABELS[coeffs.observable]:
         if label in coeffs.two_body_blocks:
-            block = coeffs.two_body_blocks[label]
-            out.blocks[label] = (blocks or {}).get(label) or factorize_block(block, label)
+            block = take(label)
+            out.blocks[label] = truncate_block(
+                (blocks or {}).get(label) or factorize_block(block, label, threshold), threshold
+            )
     if threshold:
-        out.blocks = {k: truncate_block(bf, threshold) for k, bf in out.blocks.items()}
         out.threshold = threshold
     return out

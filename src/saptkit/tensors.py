@@ -150,6 +150,22 @@ def sym_joint(T: np.ndarray) -> np.ndarray:
 # dressed tensors
 
 
+def _dressed(k: int, v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = None):
+    """The dressed tensor nu_k (k = 1, 2, 3) of :func:`build_dressed_nu`."""
+    if k == 1:
+        nu = np.einsum("axby,xj,qy->ajbq", v, S, S, optimize=True)
+        if mixed is not None:
+            nu = (
+                mixed.m1 + nu
+                - np.einsum("ajby,qy->ajbq", mixed.m3, S, optimize=True)
+                - np.einsum("axbq,xj->ajbq", mixed.m2, S, optimize=True)
+            )
+    else:
+        nu = np.einsum(("abcy,dy->abcd", "axcd,xb->abcd")[k - 2], v, S, optimize=True)
+        nu = -nu if mixed is None else (mixed.m2, mixed.m3)[k - 2] - nu
+    return np.ascontiguousarray(nu)
+
+
 def build_dressed_nu(v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = None):
     """Yield the overlap-dressed Coulomb tensors nu1 ``[p1,q2,q1,p2]``, nu2
     ``[p1,p2,q1,p4]`` and nu3 ``[p1,q4,q1,q2]`` over the full orbital ranges,
@@ -167,20 +183,8 @@ def build_dressed_nu(v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = 
     n_a, n_b = S.shape
     if v.shape != (n_a, n_a, n_b, n_b):
         raise ShapeError("v inconsistent with S")
-
-    if mixed is None:
-        yield np.ascontiguousarray(np.einsum("axby,xj,qy->ajbq", v, S, S, optimize=True))
-        yield np.ascontiguousarray(-np.einsum("abcy,dy->abcd", v, S, optimize=True))
-        yield np.ascontiguousarray(-np.einsum("axcd,xb->abcd", v, S, optimize=True))
-        return
-    yield np.ascontiguousarray(
-        mixed.m1
-        + np.einsum("axby,xj,qy->ajbq", v, S, S, optimize=True)
-        - np.einsum("ajby,qy->ajbq", mixed.m3, S, optimize=True)
-        - np.einsum("axbq,xj->ajbq", mixed.m2, S, optimize=True)
-    )
-    yield np.ascontiguousarray(mixed.m2 - np.einsum("abcy,dy->abcd", v, S, optimize=True))
-    yield np.ascontiguousarray(mixed.m3 - np.einsum("axcd,xb->abcd", v, S, optimize=True))
+    for k in (1, 2, 3):
+        yield _dressed(k, v, S, mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -385,22 +389,19 @@ def convert(bk: _Buckets, family: str, *tensors: np.ndarray) -> None:
         del term  # no 4-index term outlives its addition
 
 
-def _accumulate_vp_buckets(bk: _Buckets, v: np.ndarray, S: np.ndarray, dressed) -> None:
-    """Reduce the four-term exchange-electrostatic operator onto the buckets.
+def _accumulate_vp_buckets(bk: _Buckets, v: np.ndarray, S: np.ndarray, nus) -> None:
+    """Reduce the four-term exchange-electrostatic operator onto the buckets,
+    after its locked-pair term, the ``lock`` family of -nu1 [p1,p2,q1,q2].
 
     Each family goes through :func:`convert`.  No operator reordering is
     involved, so the bookkeeping is exact; the Fock-space oracle pins it down
     term by term.  The monomer-B terms are the monomer-A ones on the swapped
     buckets and tensors.
 
-    ``dressed`` yields nu1, nu2 and nu3 in that order: a tuple, or
-    :func:`build_dressed_nu`, which computes each when it is taken.  Only the
-    negated copy of a tensor is kept while its family is reduced, so a tensor
-    nothing else holds is freed before then.
+    The iterator ``nus`` yields nu2 and then nu3, each computed when it is
+    taken.  Only the negated copy of a tensor is kept while its family is
+    reduced, so a tensor nothing else holds is freed before then.
     """
-    nus = iter(dressed)
-    convert(bk, "lock", -next(nus).transpose(0, 3, 2, 1))  # [p1,p2,q1,q2]
-
     # symmetric product term, with the pure two-body factors kept as an
     # operator product (block 'v' against the exchange factors)
     v0 = float(np.einsum("ppqq->", v))
@@ -463,7 +464,9 @@ def build_vp_coefficients(
     S = np.asarray(S, dtype=float)
     n_a, n_b = S.shape
     bk = _Buckets.zeros(n_a, n_b)
-    _accumulate_vp_buckets(bk, v, S, build_dressed_nu(v, S, mixed))
+    nus = build_dressed_nu(v, S, mixed)
+    convert(bk, "lock", -next(nus).transpose(0, 3, 2, 1))  # [p1,p2,q1,q2]
+    _accumulate_vp_buckets(bk, v, S, nus)
     return _coefficients_from_buckets(bk, v, S, S @ S.T, S.T @ S, "full")
 
 

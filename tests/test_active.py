@@ -1,6 +1,10 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+import saptkit.active as active
 from saptkit.active import (
     SpacePartition,
     renormalize_electrostatic,
@@ -17,6 +21,7 @@ from saptkit.fock import (
     embed_with_core,
 )
 from saptkit.tensors import (
+    _Buckets,
     build_electrostatic_coefficients,
     build_exchange_coefficients,
     build_majorana_coefficients,
@@ -217,3 +222,46 @@ class TestSwapCovariance:
                 assert diff <= 1e-13 * scale, (ref.observable, key)
         if cores == "both":
             assert {"2r", "3r"} <= set(ref.two_body_blocks)
+
+
+class TestDressedLifetimes:
+    """The frozen-core build holds one dressed tensor at a time, as the
+    full-space build does: nu1 once, nu2 and nu3 once for their active slices
+    and again for the core terms."""
+
+    CORED = SpacePartition.from_counts([0, 1, 2], range(3, 12), [0, 1], range(2, 10), 10, 8)
+
+    def test_each_dressed_tensor_freed_before_the_next(self, rng, monkeypatch):
+        v, s = random_dimer(rng, 12, 10)
+        refs, dressed = [], active._dressed
+
+        def tracked(k, *args):
+            assert all(ref() is None for _, ref in refs), [k for k, ref in refs if ref()]
+            nu = dressed(k, *args)
+            refs.append((k, weakref.ref(nu)))
+            return nu
+
+        monkeypatch.setattr(active, "_dressed", tracked)
+        renormalize_vp(v, s, self.CORED)
+        assert [k for k, _ in refs] == [1, 2, 3, 2, 3]
+        assert all(ref() is None for _, ref in refs)
+
+    def test_traced_peak_below_three_dressed_tensors(self, rng):
+        # beyond its buckets (the returned blocks) and its reordered copy of v,
+        # the build needs the dressed tensor being computed (the contraction and
+        # its C-contiguous copy) and one reduction's temporaries; holding nu1,
+        # nu2 and nu3 together as well, as it once did, exceeds three tensors
+        v, s = random_dimer(rng, 12, 10)
+        renormalize_vp(v, s, self.CORED)  # cached contraction paths, imports
+        n_a, n_b = s.shape
+        nta, ntb = len(self.CORED.active_A), len(self.CORED.active_B)
+        buckets = sum(x.nbytes for x in vars(_Buckets.zeros(nta, ntb)).values())
+        dressed = 8 * max(n_a * n_b * n_b * n_a, n_a**3 * n_b, n_a * n_b**3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            renormalize_vp(v, s, self.CORED)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < buckets + v.nbytes + 3 * dressed

@@ -924,6 +924,34 @@ class TestFcidump:
         assert err.value.code == "schema"
         assert f"FCIDUMP {message}" in str(err.value)
 
+    def test_fortran_exponents(self, tmp_path):
+        plain = tmp_path / "plain.fcidump"
+        plain.write_text(FCIDUMP_TEXT)
+        fortran = tmp_path / "fortran.fcidump"
+        fortran.write_text(FCIDUMP_TEXT.replace("E+00", "D+00", 3).replace("E+00", "d+00"))
+        assert "D+00" in fortran.read_text() and "d+00" in fortran.read_text()
+        for got, want in zip(read_fcidump(fortran), read_fcidump(plain)):
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "line, quoted",
+        [
+            (b"  0.5x  1   1   1   1", "'0.5x  1   1   1   1'"),
+            (b"  0.5   1   1   1 \xff", "'0.5   1   1   1 \\xff'"),
+            (b"\xff\xfe0.5   1   1   1   1", "'\\xff\\xfe0.5   1   1   1   1'"),
+            (b"  0.5d0 1   1   1   e", "'0.5e0 1   1   1   e'"),
+        ],
+        ids=["letter", "byte-0xff", "utf16-mark", "fortran-exponent"],
+    )
+    def test_unparsable_line_is_quoted(self, tmp_path, line, quoted):
+        # the body is parsed as bytes: any byte is a schema error naming its line
+        path = tmp_path / "bad.fcidump"
+        path.write_bytes(FCIDUMP_TEXT.encode() + line + b"\n")
+        with pytest.raises(ArchiveError) as err:
+            read_fcidump(path)
+        assert err.value.code == "schema"
+        assert f"FCIDUMP line does not parse: {quoted}" in str(err.value)
+
     def test_blank_lines_do_not_shift_the_quoted_line(self, tmp_path):
         path = tmp_path / "bad.fcidump"
         path.write_text(FCIDUMP_TEXT.replace("\n", "\n\n   \n") + "  0.5   1   5   0   0\n")

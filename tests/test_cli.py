@@ -512,7 +512,7 @@ class TestSharedBlocks:
         assert [fop.observable for fop in fops] == ["V", "P", "VPs"]
         # each observable truncates the shared factors itself
         assert [fops[i].blocks["v"].outer.rank for i in (0, 2)] == [kept, kept]
-        monkeypatch.setattr(cli, "shared_blocks", lambda sets: {})
+        monkeypatch.setattr(cli, "shared_blocks", lambda sets, *args: {})
         factorized_labels.clear()
         unshared = command_outputs(command, path, tmp_path / "unshared", truncation)
         assert factorized_labels.count("v") == 2
@@ -527,7 +527,9 @@ class TestSharedBlocks:
         save_archive(path, partitioned_archive())
         held = []
         share = cli.shared_blocks
-        monkeypatch.setattr(cli, "shared_blocks", lambda sets: held.append(share(sets)) or held[-1])
+        monkeypatch.setattr(
+            cli, "shared_blocks", lambda *args: held.append(share(*args)) or held[-1]
+        )
         command_outputs(command, path, tmp_path / "out", "0")
         assert held == [{}]
         assert factorized_labels.count("v") == 2
@@ -584,6 +586,18 @@ class TestLifetimes:
     @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
     @pytest.mark.parametrize("command", ["estimate", "budget", "norms", "factorize"])
     def test_held_at_first_factorization(self, tmp_path, monkeypatch, capsys, command, partitioned):
+        self.check_held(tmp_path, monkeypatch, command, partitioned, "0")
+
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
+    @pytest.mark.parametrize("command", ["estimate", "budget", "norms", "factorize"])
+    def test_held_at_first_truncated_factorization(
+        self, tmp_path, monkeypatch, capsys, command, partitioned
+    ):
+        # the outer vectors cut before the inner step are freed with the kept ones
+        self.check_held(tmp_path, monkeypatch, command, partitioned, "1e-3")
+
+    @staticmethod
+    def check_held(tmp_path, monkeypatch, command, partitioned, truncation):
         path = tmp_path / "dimer.sapt"
         save_archive(path, partitioned_archive() if partitioned else decaying_archive())
         payloads, sets, seen, vectors = [], [], [], []
@@ -620,12 +634,47 @@ class TestLifetimes:
         monkeypatch.setattr(cli, "build_majorana_coefficients", built_full)
         monkeypatch.setattr(fz, "first_factorize", factorized)
         if command == "budget":
-            assert main(["budget", "--archive", str(path)]) == 0
+            assert main(["budget", "--archive", str(path), "--truncation", truncation]) == 0
         else:
-            command_outputs(command, path, tmp_path / "out", "0")
+            command_outputs(command, path, tmp_path / "out", truncation)
         assert seen and len(payloads) == len(sets) == 1
         assert {"v", "A2", "B2", "1m", "1l"} <= set(seen)
         assert all(ref() is None for ref in vectors)
+
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
+    @pytest.mark.parametrize("command", ["estimate", "budget", "norms", "factorize"])
+    def test_only_factorize_hands_its_sets_over(
+        self, tmp_path, monkeypatch, capsys, command, partitioned
+    ):
+        # `factorize` drops each block from its set once it is factorized, so a
+        # block nothing else holds (no block is shared with cores) is freed
+        # before the next one starts; the other commands keep their sets whole,
+        # as the library does by default: the sets are read after the call
+        path = tmp_path / "dimer.sapt"
+        save_archive(path, partitioned_archive() if partitioned else decaying_archive())
+        blocks, dropped = [], []
+        first, factorize = fz.first_factorize, cli.factorize_coefficients
+
+        def factorized(block, label, *args):
+            if partitioned and command == "factorize":
+                assert all(ref() is None for ref in blocks), label
+            blocks.append(weakref.ref(block))
+            return first(block, label, *args)
+
+        def recorded(coeffs, *args, **kwargs):
+            fop = factorize(coeffs, *args, **kwargs)
+            dropped.append((set(fop.blocks), set(fop.blocks) - set(coeffs.two_body_blocks)))
+            return fop
+
+        monkeypatch.setattr(fz, "first_factorize", factorized)
+        monkeypatch.setattr(cli, "factorize_coefficients", recorded)
+        if command == "budget":
+            assert main(["budget", "--archive", str(path)]) == 0
+        else:
+            command_outputs(command, path, tmp_path / "out", "0")
+        assert len(dropped) == 3 and {"v", "1l"} <= dropped[2][0]
+        for labels, gone in dropped:
+            assert gone == (labels if command == "factorize" else set())
 
     @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
     def test_1l_outer_step_beside_no_inner_factors(self, tmp_path, monkeypatch, capsys, partitioned):
@@ -735,6 +784,15 @@ class TestConvertFcidump:
         ])
         assert code == 3
         assert "[schema] FCIDUMP index outside 1..2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_byte_is_exit_3(self, tmp_path, capsys):
+        fcid = tmp_path / "m.fcidump"
+        fcid.write_bytes(FCIDUMP_TEXT.encode() + b"  0.5   1   1   1 \xff\n")
+        out = tmp_path / "mono.sapt"
+        assert main(["convert-fcidump", str(fcid), str(out), "--monomer", "A", "--new"]) == 3
+        err = capsys.readouterr().err
+        assert "[schema] FCIDUMP line does not parse: '0.5   1   1   1 \\xff'" in err
         assert not out.exists()
 
     def test_norb_too_large_to_allocate_is_exit_3(self, tmp_path, capsys):

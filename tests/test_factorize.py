@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saptkit.active import (
     SpacePartition,
@@ -30,7 +32,7 @@ from saptkit.factorize import (
     truncate_block,
 )
 from saptkit.norms import tf_norm
-from saptkit.tensors import BLOCKS, build_majorana_coefficients
+from saptkit.tensors import BLOCKS, SaptCoefficients, build_majorana_coefficients
 from .conftest import random_dimer
 
 
@@ -206,6 +208,17 @@ class TestInputUnchanged:
             assert coeffs.two_body_blocks == blocks  # same keys, same array objects
             for label, block in blocks.items():
                 assert block.tobytes() == copies[label].tobytes(), label
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-4])
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
+    def test_consume_hands_each_block_over(self, rng, threshold, partitioned):
+        # the same factors, and the set keeps no block it factorized
+        for coeffs in coefficient_sets(rng, partitioned):
+            kept = factorize_coefficients(coeffs, threshold)
+            fop = factorize_coefficients(coeffs, threshold, consume=True)
+            assert coeffs.two_body_blocks == {} and set(fop.blocks) == set(kept.blocks)
+            for label, bf in fop.blocks.items():
+                assert_same_block(bf, kept.blocks[label])
 
     def test_viewed_symmetric_block_unchanged(self, rng):
         # symmetric to SYM_TOL but neither exactly so nor pair-symmetric: the
@@ -527,3 +540,63 @@ class TestPackedOuter:
             assert np.array_equal(got, want)
         rec = reconstruct_block(second_factorize(first))
         assert np.abs(rec - block).max() <= 1e-10 * np.abs(block).max()
+
+
+def assert_same_block(got, want):
+    """Two BlockFactors bit for bit: outer values, inner factors, sharing, weight."""
+    assert (got.label, got.shape, got.packed) == (want.label, want.shape, want.packed)
+    assert got.outer.symmetric == want.outer.symmetric
+    assert got.outer.values.tobytes() == want.outer.values.tobytes()
+    assert (got.outer.left, got.outer.right) == (want.outer.left, want.outer.right) == (None, None)
+    assert (got.inner_right is got.inner_left) == (want.inner_right is want.inner_left)
+    for side in ("inner_left", "inner_right"):
+        assert len(getattr(got, side)) == len(getattr(want, side)), side
+        for t, (a, b) in enumerate(zip(getattr(got, side), getattr(want, side))):
+            assert_same_factors(a, b, f"{side}[{t}]")
+            assert a.values.tobytes() == b.values.tobytes()
+    assert np.array(got.discarded_weight).tobytes() == np.array(want.discarded_weight).tobytes()
+
+
+# grouped [row pair, col pair] shape of each label's block, in orbitals of a and b
+GROUPED = {"v": "aabb", "A2": "aaaa", "1l": "abab", "2": "aaba"}
+KEEP_ONE = 1.0 - 1e-9  # every level keeps only its largest factor
+
+
+class TestTruncateAsYouGo:
+    """Each block is truncated as soon as it is factorized, its inner step run
+    only on the outer vectors the truncation keeps: the factors are those of
+    first_factorize, second_factorize and truncate_block composed."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-12, 1e-3, KEEP_ONE])
+    @pytest.mark.parametrize("grouped_symmetric", [False, True], ids=["svd", "eigh"])
+    @pytest.mark.parametrize("pair", [False, True], ids=["unpacked", "packed"])
+    @pytest.mark.parametrize("label", sorted(GROUPED))
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(n=st.tuples(st.integers(1, 3), st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_composed_steps(self, label, pair, grouped_symmetric, threshold, n, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(n["ab".index(c)] for c in GROUPED[label])
+        rows, cols = shape[0] * shape[1], shape[2] * shape[3]
+        r = min(rows, cols)
+        # a grouped matrix with outer weights over six decades
+        u, w = (np.linalg.qr(rng.normal(size=(k, r)))[0] for k in (rows, cols))
+        m = (u * 10.0 ** -rng.uniform(0, 6, size=r)) @ w.T
+        if grouped_symmetric and rows == cols:
+            m = m + m.T  # an eigendecomposition
+        t = m.reshape(shape)
+        if pair:  # pair-symmetric sides are decomposed in packed pair space
+            if shape[0] == shape[1]:
+                t = t + t.transpose(1, 0, 2, 3)
+            if shape[2] == shape[3]:
+                t = t + t.transpose(0, 1, 3, 2)
+        block = np.ascontiguousarray(np.transpose(t, np.argsort(BLOCKS[label].axes)))
+        want = truncate_block(second_factorize(first_factorize(block, label)), threshold)
+        eye_a, eye_b = np.eye(n[0]), np.eye(n[1])
+        coeffs = SaptCoefficients(
+            "V" if label == "v" else "VPs", 0.0, eye_a, eye_b, {label: block},
+            vp4_one_body_A=eye_a, vp4_one_body_B=eye_b,
+        )
+        got = factorize_coefficients(coeffs, threshold).blocks[label]
+        assert_same_block(got, want)
+        if threshold == KEEP_ONE:
+            assert got.outer.rank == 1 and all(f.rank <= 1 for f in got.inner_left)

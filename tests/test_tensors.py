@@ -207,9 +207,9 @@ class TestSharedV:
         made, compared = [], []
         factorize_block, array_equal = factorize.factorize_block, np.array_equal
 
-        def counted(block, label):
+        def counted(block, label, *args):
             made.append(label)
-            return factorize_block(block, label)
+            return factorize_block(block, label, *args)
 
         monkeypatch.setattr(factorize, "factorize_block", counted)
         monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(1) or array_equal(a, b))
