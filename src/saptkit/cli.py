@@ -93,14 +93,21 @@ def _operators(coeffs: dict, truncation: float, consume: bool = False):
         yield factorize_coefficients(c, truncation, blocks=shared, consume=consume)
 
 
+def _check_output_dir(path) -> None:
+    """Refuse an output path whose directory does not exist, before any work."""
+    if not Path(path).parent.is_dir():
+        raise OSError(f"no output directory {Path(path).parent}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_factorize(args) -> int:
     check_threshold(args.truncation)  # before the archive is read
-    basis, _, coeffs = _read_archive(args.archive, args.observables)
     out_prefix = Path(args.output or Path(args.archive).with_suffix(""))
+    _check_output_dir(out_prefix)
+    basis, _, coeffs = _read_archive(args.archive, args.observables)
     for fop in _operators(coeffs, args.truncation, consume=True):
         path = Path(f"{out_prefix}.{fop.observable}.factors")
         ar.save_factor_cache(path, fop, basis)
@@ -110,9 +117,12 @@ def cmd_factorize(args) -> int:
 
 def cmd_norms(args) -> int:
     check_threshold(args.truncation)  # before the archive is read
+    if args.json:
+        _check_output_dir(args.json)
     _, _, coeffs = _read_archive(args.archive, args.observables)
     tf = args.representation in ("tf", "both")
-    fops = _operators(coeffs, args.truncation) if tf else None
+    # each set's sparse norms are taken before it is factorized: it can be handed over
+    fops = _operators(coeffs, args.truncation, consume=True) if tf else None
     reports = []
     for c in coeffs.values():
         if args.representation in ("sparse", "both"):
@@ -171,6 +181,7 @@ def cmd_budget(args) -> int:
 
 # valid monomer values for the flags to override, so that they are checked alone
 _PLACEHOLDERS = dict.fromkeys(("lambda_A", "lambda_B", "delta_A", "delta_B"), 1.0)
+_PLACEHOLDERS |= dict.fromkeys(("n_orb_A", "n_orb_B"), 1)
 
 
 def _system_params(args, values: dict) -> SystemParams:
@@ -186,7 +197,7 @@ def _system_params(args, values: dict) -> SystemParams:
         "n_orb_B": args.n_orb_b,
     }
     vals = values | {key: val for key, val in overrides.items() if val is not None}
-    missing = [k for k in ("lambda_A", "lambda_B", "delta_A", "delta_B") if not vals.get(k)]
+    missing = [k for k in _PLACEHOLDERS if vals.get(k) is None]
     if missing:
         raise DomainError(f"estimate needs {', '.join(missing)} (flags or archive data)")
     return SystemParams(**vals)
@@ -261,6 +272,9 @@ def cmd_verify(args) -> int:
 def cmd_convert_fcidump(args) -> int:
     if Path(args.archive).exists() and not args.new:
         archive = ar.merge_fcidump(ar.load_archive(args.archive), args.fcidump, args.monomer)
+    elif args.n_orb_other is None:
+        print("error: a new archive needs --n-orb-other", file=sys.stderr)
+        return 2
     else:
         h1, eri, n_orb, n_elec, _ = ar.read_fcidump(args.fcidump)
         if args.monomer == "A":
@@ -353,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("archive", help="archive to create or extend")
     p.add_argument("--monomer", choices=("A", "B"), required=True)
     p.add_argument("--new", action="store_true", help="start a fresh archive")
-    p.add_argument("--n-orb-other", type=int, default=1, help="orbitals of the other monomer")
+    p.add_argument("--n-orb-other", type=int, help="orbitals of the other monomer (new archive)")
     p.set_defaults(func=cmd_convert_fcidump)
     return parser
 

@@ -59,8 +59,8 @@ class SystemParams:
     delta_B: float
     overlap_A: float = 1.0
     overlap_B: float = 1.0
-    n_orb_A: int = 1
-    n_orb_B: int = 1
+    n_orb_A: int | None = None  # required: None is refused
+    n_orb_B: int | None = None
 
     def __post_init__(self):
         if not _positive(self.delta_A, self.delta_B):

@@ -149,16 +149,6 @@ def decompose_matrix(m: np.ndarray, symmetric: bool | None = None) -> Factorizat
     return _decompose_stack(m[None], *_check_stack(m[None], symmetric))[0]
 
 
-def one_body_eigendecompose(m: np.ndarray) -> Factorization:
-    """Spectral decomposition of a symmetric one-body tensor (else :class:`SymmetryError`)."""
-    return decompose_matrix(m, symmetric=True)
-
-
-def overlap_svd(s: np.ndarray) -> Factorization:
-    """SVD of the rectangular intermolecular overlap matrix."""
-    return decompose_matrix(np.asarray(s, dtype=float), symmetric=False)
-
-
 @dataclass
 class BlockFactors:
     """Nested factorization of one four-index coefficient block."""
@@ -299,13 +289,13 @@ def inner_values(bf: BlockFactors) -> list[np.ndarray]:
 
 
 def factorize_block(block: np.ndarray, label: str, threshold: float = 0.0) -> BlockFactors:
-    """Both steps; with a truncation threshold the inner step decomposes only
-    the outer vectors :func:`truncate_block` keeps, the only ones it reads."""
+    """The finished block: both steps, then :func:`truncate_block`; the inner
+    step decomposes only the outer vectors truncation keeps, the only ones it reads."""
     bf = first_factorize(block, label)
     if threshold and bf.outer.rank:
         keep = _keep_count(bf.outer.values, threshold)
         bf.outer = replace(bf.outer, left=bf.outer.left[:, :keep], right=bf.outer.right[:, :keep])
-    return second_factorize(bf)
+    return truncate_block(second_factorize(bf), threshold)
 
 
 def reconstruct_block(bf: BlockFactors) -> np.ndarray:
@@ -348,22 +338,16 @@ def truncate_block(bf: BlockFactors, threshold: float) -> BlockFactors:
 
     keep = _keep_count(bf.outer.values, threshold)
     discarded = float(np.abs(bf.outer.values[keep:]).sum())
-    shared = bf.inner_right is bf.inner_left
-    out = BlockFactors(label=bf.label, shape=bf.shape, outer=bf.outer.truncated(keep))
-    out.inner_left = [f.truncated(_keep_count(f.values, threshold)) for f in bf.inner_left[:keep]]
-    out.inner_right = out.inner_left if shared else [
-        f.truncated(_keep_count(f.values, threshold)) for f in bf.inner_right[:keep]
-    ]
-
-    def dropped(full: Factorization, cut: Factorization) -> float:
-        return float(np.abs(full.values[cut.rank :]).sum())
-
+    sides = (bf.inner_left,) if bf.inner_right is bf.inner_left else (bf.inner_left, bf.inner_right)
+    cut = tuple([] for _ in sides)
     # inner drops enter the error bound scaled by their outer coefficient
     for t in range(keep):
         s_t = abs(bf.outer.values[t])
-        discarded += s_t * dropped(bf.inner_left[t], out.inner_left[t])
-        if not shared:
-            discarded += s_t * dropped(bf.inner_right[t], out.inner_right[t])
+        for full, kept in zip(sides, cut):
+            kept.append(full[t].truncated(_keep_count(full[t].values, threshold)))
+            discarded += s_t * float(np.abs(full[t].values[kept[t].rank :]).sum())
+    out = BlockFactors(label=bf.label, shape=bf.shape, outer=bf.outer.truncated(keep))
+    out.inner_left, out.inner_right = cut[0], cut[-1]
     out.discarded_weight = bf.discarded_weight + discarded
     return out
 
@@ -418,7 +402,7 @@ def factorize_coefficients(
     consume: bool = False,
 ) -> FactorizedOperator:
     """Factorize every block and one-body tensor of a coefficient set, each
-    block truncated as soon as it is factorized; the factors in ``blocks``
+    block finished by :func:`factorize_block`; the factors in ``blocks``
     (see :func:`shared_blocks`) are used as given.  ``consume`` removes each
     block from the set, so it is freed once factorized; by default the set is
     left as it was."""
@@ -427,16 +411,15 @@ def factorize_coefficients(
         raise DomainError(f"unknown observable {coeffs.observable!r}")
     out = FactorizedOperator(observable=coeffs.observable, space_tag=coeffs.space_tag)
     for name, attr in _ONE_BODY[coeffs.observable].items():
-        out.one_body[name] = one_body_eigendecompose(getattr(coeffs, attr))
+        out.one_body[name] = decompose_matrix(getattr(coeffs, attr), symmetric=True)
     if coeffs.overlap is not None:
-        out.overlap = overlap_svd(coeffs.overlap)
+        out.overlap = decompose_matrix(coeffs.overlap, symmetric=False)
     take = coeffs.two_body_blocks.pop if consume else coeffs.two_body_blocks.get
+    blocks = blocks or {}
     for label in _BLOCK_LABELS[coeffs.observable]:
         if label in coeffs.two_body_blocks:
             block = take(label)
-            out.blocks[label] = truncate_block(
-                (blocks or {}).get(label) or factorize_block(block, label, threshold), threshold
-            )
+            out.blocks[label] = blocks.get(label) or factorize_block(block, label, threshold)
     if threshold:
         out.threshold = threshold
     return out

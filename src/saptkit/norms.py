@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .factorize import _ONE_BODY, BlockFactors, FactorizedOperator, first_factorize
-from .factorize import inner_values, one_body_eigendecompose
+from .factorize import _ONE_BODY, BlockFactors, FactorizedOperator, decompose_matrix
+from .factorize import first_factorize, inner_values
 from .tensors import BLOCKS, SaptCoefficients
 
 
@@ -221,6 +221,6 @@ def factorize_monomer_hamiltonian(h1: np.ndarray, eri: np.ndarray):
     h1 = np.asarray(h1, dtype=float)
     eri = np.asarray(eri, dtype=float)
     t_eff = h1 - 0.5 * np.einsum("prrq->pq", eri) + np.einsum("pqrr->pq", eri)
-    eigs = one_body_eigendecompose(2.0 * t_eff).values
+    eigs = decompose_matrix(2.0 * t_eff, symmetric=True).values
     bf = first_factorize(eri, "A2")
     return eigs, list(zip(bf.outer.values, inner_values(bf)))

@@ -54,7 +54,8 @@ def _oracle_operators(archive: TensorArchive):
     return space, v, s, ops, sector_operator(space)
 
 
-def _oracle_checks(rep: _Reporter, space, v, s, ops, sectors, rng: np.random.Generator):
+def _oracle_checks(rep: _Reporter, space, v, s, ops, sectors, rng: np.random.Generator) -> dict:
+    """The oracle's checks; returns the coefficient sets of ``v`` and ``s`` they build."""
     coeffs = build_majorana_coefficients(v, s)
     for kind, exc in ops.items():
         maj = assemble_majorana(space, coeffs[kind])
@@ -72,6 +73,7 @@ def _oracle_checks(rep: _Reporter, space, v, s, ops, sectors, rng: np.random.Gen
     p0 = assemble_exchange(space, zero_s).norm_estimate(rng)
     vp0 = assemble_vp_excitation(space, v, zero_s).norm_estimate(rng)
     rep.check("zero overlap kills exchange operators", max(p0, vp0) < 1e-12)
+    return coeffs
 
 
 def _embedding_check(rep: _Reporter, rng: np.random.Generator):
@@ -116,7 +118,7 @@ def run_verification(archive: TensorArchive) -> bool:
     except ShapeError as exc:  # refused by the oracle's memory model
         print(f"archive refused: {exc}; using the built-in dimer")
         oracle = _oracle_operators(demo_archive())
-    _oracle_checks(rep, *oracle, rng)
+    coeffs = _oracle_checks(rep, *oracle, rng)  # every check reads the dimer the oracle admitted
 
     residual = verify_complete_basis(2, np.random.default_rng(11))
     rep.check("complete-basis cancellation", residual < 1e-10, f"residual={residual:.2e}")
@@ -125,7 +127,6 @@ def run_verification(archive: TensorArchive) -> bool:
 
     _embedding_check(rep, rng)
 
-    coeffs = build_majorana_coefficients(_unit_v(archive), archive.S)
     worst = 0.0
     trace_ok = True
     for c in coeffs.values():

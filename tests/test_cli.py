@@ -71,6 +71,30 @@ class TestVerify:
         assert "using the built-in dimer" in capsys.readouterr().out
         assert built and max(n_a, n_b) not in built  # refused before its larger table
 
+    @pytest.mark.parametrize("n_a, n_b, refused", [(5, 3, True), (3, 2, False)])
+    def test_every_check_reads_the_admitted_dimer(
+        self, tmp_path, monkeypatch, capsys, n_a, n_b, refused
+    ):
+        # the round trip factorizes the sets the oracle checks built, once per verify
+        import saptkit.verify as verify
+
+        built, factorized = [], []
+        build, factorize = verify.build_majorana_coefficients, verify.factorize_coefficients
+        monkeypatch.setattr(
+            verify, "build_majorana_coefficients", lambda v, s: built.append(v.shape) or build(v, s)
+        )
+        monkeypatch.setattr(
+            verify, "factorize_coefficients",
+            lambda c, *args: factorized.append(c.one_body_A.shape) or factorize(c, *args),
+        )
+        path = tmp_path / "dimer.sapt"
+        save_archive(path, demo_archive(n_a, n_b))
+        assert main(["verify", str(path)]) == 0
+        assert ("archive refused" in capsys.readouterr().out) == refused
+        n_a, n_b = (2, 2) if refused else (n_a, n_b)  # the built-in dimer is 2x2
+        assert built == [(n_a, n_a, n_b, n_b)]
+        assert factorized == [(n_a, n_a)] * 3
+
     # 1x4 and 4x2 are admitted at the default budget; one byte under the model, each falls
     # back with the exact message, while the built-in and embedding dimers stay under it
     @pytest.mark.parametrize("n_a, n_b", [(1, 4), (4, 2)], ids=["1x4", "4x2"])
@@ -101,6 +125,28 @@ class TestNorms:
         data = json.loads(out.read_text())
         assert {d["observable"] for d in data} == {"V", "P", "VPs"}
 
+    @pytest.mark.parametrize("truncation", ["0", "1e-4"])
+    def test_sets_handed_over_with_the_same_json(self, tmp_path, monkeypatch, capsys, truncation):
+        # each set's sparse norms are taken before it is factorized and handed over
+        path = tmp_path / "full.sapt"
+        save_archive(path, decaying_archive())
+        sets, outputs = [], []
+        read, operators = cli._read_archive, cli._operators
+        monkeypatch.setattr(cli, "_read_archive", lambda *a: sets.append(read(*a)) or sets[-1])
+        for run in ("handed", "kept"):
+            out = tmp_path / f"{run}.json"
+            argv = ["norms", str(path), "--representation", "both", "--json", str(out)]
+            assert main(argv + ["--truncation", truncation]) == 0
+            outputs.append(out.read_bytes())
+            # the next run keeps its sets
+            monkeypatch.setattr(
+                cli, "_operators", lambda coeffs, t, consume: operators(coeffs, t, consume=False)
+            )
+        handed, kept = (s[2] for s in sets)
+        assert all(not c.two_body_blocks for c in handed.values())
+        assert kept["VPs"].two_body_blocks
+        assert outputs[0] == outputs[1]
+
     def test_sparse_rows_carry_the_overlap_norm(self, tmp_path, capsys):
         # the sparse P and VPs weights use s = l1(S); V holds no overlap term
         path = tmp_path / "demo.sapt"
@@ -115,6 +161,7 @@ class TestNorms:
 
 ESTIMATE = [
     "estimate", "--lambda-a", "53.9", "--lambda-b", "53.9", "--gap-a", "0.455", "--gap-b", "0.455",
+    "--n-orb-a", "7", "--n-orb-b", "7",
     "--lambda-v", "0.43", "--lambda-p", "0.04", "--lambda-vp", "0.11", "--observables", "V",
 ]
 SUPERMOLECULAR = [
@@ -336,6 +383,13 @@ class TestEstimate:
     def test_missing_parameters_is_data_error(self, capsys):
         assert main(["estimate", "--lambda-v", "1.0"]) == 3
 
+    def test_orbital_counts_are_required(self, monkeypatch, capsys):
+        # no 1-orbital placeholder: without an archive only the flags give them
+        monkeypatch.setattr(cli, "estimate_observable", lambda *a: pytest.fail("priced"))
+        argv = [a for a in ESTIMATE if a not in ("--n-orb-a", "--n-orb-b", "7")]
+        assert_data_error(argv, capsys, "estimate needs n_orb_A, n_orb_B (flags or archive data)")
+        assert_data_error(argv + ["--n-orb-a", "43"], capsys, "estimate needs n_orb_B (")
+
 
 class TestSupermolecular:
     def test_outputs_split(self, capsys, tmp_path):
@@ -429,7 +483,10 @@ class TestErrors:
             "factorize": ["factorize", str(archive_path), "-o", missing],
             "norms": ["norms", str(archive_path), "--json", missing],
             "estimate": ["estimate", "--archive", str(archive_path), "-o", str(a_file)],
-            "convert-fcidump": ["convert-fcidump", str(fcid), missing, "--monomer", "A", "--new"],
+            "convert-fcidump": [
+                "convert-fcidump", str(fcid), missing, "--monomer", "A", "--new",
+                "--n-orb-other", "2",
+            ],
             "supermolecular": [*SUPERMOLECULAR, "-o", missing],
         }[command]
         assert_data_error(argv, capsys, str(tmp_path))
@@ -491,15 +548,15 @@ def partitioned_archive():
 class TestSharedBlocks:
     COMMANDS = ("estimate", "norms", "factorize")
 
-    @pytest.mark.parametrize("truncation, kept", [("0", 3), ("1e-4", 2)])
+    @pytest.mark.parametrize("truncation, kept", [("0", 3), ("1e-4", 2), ("1e-3", 1)])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_v_factorized_once_with_unshared_outputs(
         self, tmp_path, monkeypatch, capsys, factorized_labels, command, truncation, kept
     ):
         path = tmp_path / "full.sapt"
         save_archive(path, decaying_archive())
-        fops = []
-        factorize = cli.factorize_coefficients
+        fops, truncated = [], []
+        factorize, truncate = cli.factorize_coefficients, fz.truncate_block
 
         def record(*args, **kwargs):
             fops.append(factorize(*args, **kwargs))
@@ -507,10 +564,15 @@ class TestSharedBlocks:
             return fops[-1]
 
         monkeypatch.setattr(cli, "factorize_coefficients", record)
+        monkeypatch.setattr(
+            fz, "truncate_block", lambda bf, *args: truncated.append(bf.label) or truncate(bf, *args)
+        )
         shared = command_outputs(command, path, tmp_path / "shared", truncation)
         assert factorized_labels.count("v") == 1
         assert [fop.observable for fop in fops] == ["V", "P", "VPs"]
-        # each observable truncates the shared factors itself
+        # each factorized block is truncated once, and both observables hold the shared one
+        assert sorted(truncated) == sorted({label for fop in fops for label in fop.blocks})
+        assert fops[0].blocks["v"] is fops[2].blocks["v"]
         assert [fops[i].blocks["v"].outer.rank for i in (0, 2)] == [kept, kept]
         monkeypatch.setattr(cli, "shared_blocks", lambda sets, *args: {})
         factorized_labels.clear()
@@ -646,17 +708,18 @@ class TestLifetimes:
     def test_only_factorize_hands_its_sets_over(
         self, tmp_path, monkeypatch, capsys, command, partitioned
     ):
-        # `factorize` drops each block from its set once it is factorized, so a
-        # block nothing else holds (no block is shared with cores) is freed
-        # before the next one starts; the other commands keep their sets whole,
-        # as the library does by default: the sets are read after the call
+        # `factorize` and `norms` drop each block from its set once it is
+        # factorized, so a block nothing else holds (no block is shared with
+        # cores) is freed before the next one starts; `estimate` and `budget`
+        # keep their sets whole, as the library does by default: the sets are
+        # read after the call
         path = tmp_path / "dimer.sapt"
         save_archive(path, partitioned_archive() if partitioned else decaying_archive())
         blocks, dropped = [], []
         first, factorize = fz.first_factorize, cli.factorize_coefficients
 
         def factorized(block, label, *args):
-            if partitioned and command == "factorize":
+            if partitioned and command in ("factorize", "norms"):
                 assert all(ref() is None for ref in blocks), label
             blocks.append(weakref.ref(block))
             return first(block, label, *args)
@@ -674,7 +737,7 @@ class TestLifetimes:
             command_outputs(command, path, tmp_path / "out", "0")
         assert len(dropped) == 3 and {"v", "1l"} <= dropped[2][0]
         for labels, gone in dropped:
-            assert gone == (labels if command == "factorize" else set())
+            assert gone == (labels if command in ("factorize", "norms") else set())
 
     @pytest.mark.parametrize("partitioned", [False, True], ids=["full", "cores"])
     def test_1l_outer_step_beside_no_inner_factors(self, tmp_path, monkeypatch, capsys, partitioned):
@@ -790,7 +853,11 @@ class TestConvertFcidump:
         fcid = tmp_path / "m.fcidump"
         fcid.write_bytes(FCIDUMP_TEXT.encode() + b"  0.5   1   1   1 \xff\n")
         out = tmp_path / "mono.sapt"
-        assert main(["convert-fcidump", str(fcid), str(out), "--monomer", "A", "--new"]) == 3
+        argv = [
+            "convert-fcidump", str(fcid), str(out), "--monomer", "A", "--new",
+            "--n-orb-other", "2",
+        ]
+        assert main(argv) == 3
         err = capsys.readouterr().err
         assert "[schema] FCIDUMP line does not parse: '0.5   1   1   1 \\xff'" in err
         assert not out.exists()
@@ -800,7 +867,10 @@ class TestConvertFcidump:
         fcid = tmp_path / "m.fcidump"
         fcid.write_text(FCIDUMP_TEXT.replace("NORB=2", "NORB=10000000000"))
         out = tmp_path / "mono.sapt"
-        argv = ["convert-fcidump", str(fcid), str(out), "--monomer", "A", "--new"]
+        argv = [
+            "convert-fcidump", str(fcid), str(out), "--monomer", "A", "--new",
+            "--n-orb-other", "2",
+        ]
         assert_data_error(argv, capsys, "[shape] FCIDUMP NORB=10000000000 needs 8")
         assert not out.exists()
 
@@ -816,6 +886,17 @@ class TestConvertFcidump:
         ])
         assert code == 3
         assert "at least one orbital" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("new", [["--new"], []], ids=["new", "missing"])
+    def test_new_archive_needs_the_other_count(self, tmp_path, monkeypatch, capsys, new):
+        import saptkit.archive as ar
+
+        monkeypatch.setattr(ar, "read_fcidump", lambda path: pytest.fail("FCIDUMP read"))
+        out = tmp_path / "mono.sapt"
+        assert main(["convert-fcidump", str(tmp_path / "m.fcidump"), str(out),
+                     "--monomer", "A", *new]) == 2
+        assert capsys.readouterr().err == "error: a new archive needs --n-orb-other\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("new", [True, False])
@@ -913,7 +994,7 @@ class TestInputContract:
         (tmp_path / "m.fcidump").write_text(FCIDUMP_TEXT)
         new = str(tmp_path / "new.sapt")
         assert main(["convert-fcidump", str(tmp_path / "m.fcidump"), new, "--monomer", "A",
-                     "--new"]) == 0
+                     "--new", "--n-orb-other", "2"]) == 0
         assert_data_error(["norms", new], capsys, "archive lacks array 'v'")
 
     @pytest.mark.parametrize("command", ARCHIVE_COMMANDS[:4])
@@ -948,6 +1029,15 @@ class TestInputContract:
         code, err = run_on_archive(command, tmp_path / "a.sapt", tmp_path, capsys)
         rep = "sparse" if command == "norms" else "tensor_factorized"
         assert (code, err) == (3, f"error: V {rep} norm overflows\n")
+
+    @pytest.mark.parametrize("command, flag", [("factorize", "-o"), ("norms", "--json")])
+    def test_missing_output_directory_refused_before_the_archive_is_read(
+        self, archive_path, tmp_path, monkeypatch, capsys, command, flag
+    ):
+        monkeypatch.setattr(cli.ar, "load_archive", lambda path: pytest.fail("archive read"))
+        missing = tmp_path / "missing"
+        argv = [command, str(archive_path), flag, str(missing / "x")]
+        assert_data_error(argv, capsys, f"no output directory {missing}")
 
     @pytest.mark.parametrize(
         "flag, value, message",

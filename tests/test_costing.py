@@ -249,7 +249,7 @@ def vp4_product_per_call(cost_v: int, cost_p: int) -> int:
 @pytest.mark.parametrize("count", [0, -2, 2.5, True])
 def test_orbital_counts_are_integers_from_one(count):
     with pytest.raises(DomainError, match="orbital count n_orb_B"):
-        SystemParams(1.0, 1.0, 1.0, 1.0, n_orb_B=count)
+        SystemParams(1.0, 1.0, 1.0, 1.0, n_orb_A=1, n_orb_B=count)
     with pytest.raises(DomainError, match="orbital count n_orb_A"):
         estimate_supermolecular(1.0, 1.0, 1.0, 0.0016, n_orbs=(2, count, 1))
 

@@ -23,8 +23,6 @@ from saptkit.factorize import (
     factorize_coefficients,
     first_factorize,
     inner_values,
-    one_body_eigendecompose,
-    overlap_svd,
     reconstruct_block,
     second_factorize,
     _symmetrize,
@@ -95,17 +93,17 @@ class TestSecondFactorize:
 
 class TestOverlapSvd:
     def test_identity(self):
-        f = overlap_svd(np.eye(2))
+        f = decompose_matrix(np.eye(2), symmetric=False)
         assert np.allclose(f.values, [1.0, 1.0])
         assert np.abs(f.values).sum() == pytest.approx(2.0)
 
     def test_diagonal(self):
-        f = overlap_svd(np.diag([1.0, 0.5]))
+        f = decompose_matrix(np.diag([1.0, 0.5]), symmetric=False)
         assert np.allclose(f.values, [1.0, 0.5])
 
     def test_rectangular_rank_and_reconstruction(self, rng):
         s = rng.normal(size=(4, 2))
-        f = overlap_svd(s)
+        f = decompose_matrix(s, symmetric=False)
         assert f.rank <= 2
         assert np.all(f.values >= 0)
         assert np.abs(f.reconstruct() - s).max() < 1e-12
@@ -113,22 +111,22 @@ class TestOverlapSvd:
 
 class TestOneBody:
     def test_zero_spectrum_empty(self):
-        assert one_body_eigendecompose(np.zeros((3, 3))).rank == 0
+        assert decompose_matrix(np.zeros((3, 3)), symmetric=True).rank == 0
 
     def test_diagonal(self):
-        f = one_body_eigendecompose(np.diag([3.0, -1.0]))
+        f = decompose_matrix(np.diag([3.0, -1.0]), symmetric=True)
         assert np.allclose(f.values, [3.0, -1.0])
 
     def test_random_reconstruction(self, rng):
         m = rng.normal(size=(5, 5))
         m = m + m.T
-        f = one_body_eigendecompose(m)
+        f = decompose_matrix(m, symmetric=True)
         assert np.abs(f.reconstruct() - m).max() < 1e-12
         assert np.allclose(f.left.T @ f.left, np.eye(5), atol=1e-12)
 
     def test_rejects_asymmetric(self, rng):
         with pytest.raises(SymmetryError):
-            one_body_eigendecompose(rng.normal(size=(3, 3)))
+            decompose_matrix(rng.normal(size=(3, 3)), symmetric=True)
 
 
 class TestRoundTrip:
@@ -598,5 +596,6 @@ class TestTruncateAsYouGo:
         )
         got = factorize_coefficients(coeffs, threshold).blocks[label]
         assert_same_block(got, want)
+        assert_same_block(factorize_block(block, label, threshold), want)
         if threshold == KEEP_ONE:
             assert got.outer.rank == 1 and all(f.rank <= 1 for f in got.inner_left)

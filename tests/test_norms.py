@@ -9,7 +9,7 @@ from saptkit.active import (
     renormalize_exchange,
     renormalize_vp,
 )
-from saptkit.factorize import factorize_block, factorize_coefficients, one_body_eigendecompose
+from saptkit.factorize import decompose_matrix, factorize_block, factorize_coefficients
 from saptkit.norms import (
     block_factor_sum,
     df_hamiltonian_norm,
@@ -195,7 +195,7 @@ def df_norm_reference(h1, eri):
     t_eff = h1 - 0.5 * np.einsum("prrq->pq", eri) + np.einsum("pqrr->pq", eri)
     bf = factorize_block(eri, "A2")
     pairs = [(s_t, f.values) for s_t, f in zip(bf.outer.values, bf.inner_left)]
-    return df_hamiltonian_norm(one_body_eigendecompose(2.0 * t_eff).values, pairs), bf
+    return df_hamiltonian_norm(decompose_matrix(2.0 * t_eff, symmetric=True).values, pairs), bf
 
 
 def grouped_sum(n, mats, weights):
