@@ -87,6 +87,30 @@ def _order(part: SpacePartition, n_a: int, n_b: int):
     return ia, ib
 
 
+def _ordered(t: np.ndarray, *orders: list[int]) -> np.ndarray:
+    """``t`` gathered along each axis in its order; ``t`` itself, made
+    C-contiguous as a gather would be, when every order is the identity."""
+    if all(o == list(range(n)) for o, n in zip(orders, t.shape)):
+        return np.ascontiguousarray(t)
+    return t[np.ix_(*orders)]
+
+
+def active_order(v: np.ndarray, S: np.ndarray, part: SpacePartition):
+    """(v, S, partition) gathered into the order of :func:`_order` and
+    re-indexed so that order is the identity: actives ``range(n_act)``, cores
+    after them, electron counts as given.  The renormalized sets of the result
+    are those of the arguments, bit for bit, and build without a reordered
+    copy; ``v`` and ``S`` are always gathered into arrays of their own."""
+    ia, ib = _order(part, *S.shape)
+    nta, ntb = len(part.active_A), len(part.active_B)
+    reindexed = SpacePartition(
+        tuple(range(nta, len(ia))), tuple(range(nta)),
+        tuple(range(ntb, len(ib))), tuple(range(ntb)),
+        part.n_act_elec_A, part.n_act_elec_B,
+    )
+    return v[np.ix_(ia, ia, ib, ib)], S[np.ix_(ia, ib)], reindexed
+
+
 def _coulomb_core(vr: np.ndarray, nta: int, ntb: int):
     """Core traces of the reordered Coulomb tensor (active output indices)."""
     a, b = slice(0, nta), slice(0, ntb)
@@ -115,7 +139,7 @@ def renormalize_electrostatic(v: np.ndarray, partition: SpacePartition) -> SaptC
     full-space coefficients.
     """
     ia, ib = _order(partition, v.shape[0], v.shape[2])
-    vr = v[np.ix_(ia, ia, ib, ib)]
+    vr = _ordered(v, ia, ia, ib, ib)
     nta, ntb = len(partition.active_A), len(partition.active_B)
     a, b = slice(0, nta), slice(0, ntb)
     f_core_b, f_core_a, v0_core = _coulomb_core(vr, nta, ntb)
@@ -150,7 +174,7 @@ def renormalize_electrostatic(v: np.ndarray, partition: SpacePartition) -> SaptC
 def renormalize_exchange(S: np.ndarray, partition: SpacePartition) -> SaptCoefficients:
     """Active single-exchange observable with core-dressed one-body tensors."""
     ia, ib = _order(partition, *S.shape)
-    sr = S[np.ix_(ia, ib)]
+    sr = _ordered(S, ia, ib)
     nta, ntb = len(partition.active_A), len(partition.active_B)
     ps_core_a, ps_core_b, ss_cc = _overlap_core(sr, nta, ntb)
 
@@ -251,7 +275,7 @@ def renormalize_vp(v: np.ndarray, S: np.ndarray, partition: SpacePartition) -> S
     every bucket gets its additions in the same order.
     """
     ia, ib = _order(partition, *S.shape)
-    vr, sr = v[np.ix_(ia, ia, ib, ib)], S[np.ix_(ia, ib)]
+    vr, sr = _ordered(v, ia, ia, ib, ib), _ordered(S, ia, ib)
     nta, ntb = len(partition.active_A), len(partition.active_B)
     a, b = slice(0, nta), slice(0, ntb)
     ca, cb = slice(nta, None), slice(ntb, None)

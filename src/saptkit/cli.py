@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import archive as ar
-from .active import renormalize_electrostatic, renormalize_exchange, renormalize_vp
+from .active import active_order, renormalize_electrostatic, renormalize_exchange, renormalize_vp
 from .costing import (
     CalibrationConstants,
     SystemParams,
@@ -70,15 +70,17 @@ def _read_archive(path, observables, lambdas: str | None = None):
     unless ``lambdas`` is None the monomer values (:func:`_monomer_values`),
     and the coefficient sets of ``observables``.  The payload is freed before
     the sets are built: they are built from copies of ``v`` (projected on
-    load) and ``S``."""
+    load) and ``S``, with a frozen core gathered into the active-then-core
+    order (:func:`active_order`), so the build makes no reordered copy."""
     archive = ar.load_archive(path)
     basis = archive.basis
     values = {} if lambdas is None else _monomer_values(archive, lambdas)
     if not observables:
         return basis, values, {}
-    cores = any(f"partition_{m}_core" in archive.arrays for m in "AB")
-    part = archive.partition() if cores else None
-    v, S = archive.v.copy(), archive.S.copy()
+    if any(f"partition_{m}_core" in archive.arrays for m in "AB"):
+        v, S, part = active_order(archive.v, archive.S, archive.partition())
+    else:
+        v, S, part = archive.v.copy(), archive.S.copy(), None
     del archive
     sets = _coefficient_sets(v, S, part)
     return basis, values, {name: sets[name] for name in observables}

@@ -5,8 +5,9 @@ pairs and decomposed exactly (eigendecomposition when the grouped matrix is
 symmetric, SVD otherwise); each resulting vector is reshaped and decomposed
 again the same way.  Factors are ordered by descending magnitude with a fixed
 sign convention (largest-magnitude entry of each vector positive, ties broken
-by lowest index), so identical input yields identical output across runs and
-platforms.
+by lowest index), so identical input yields identical output across runs,
+for one numpy/BLAS build and one BLAS thread count: another thread count can
+change the last bits, since the BLAS may sum in another order.
 
 Packed pair space: a side of the grouped matrix whose two indices run over
 the same range, and under whose swap the block is symmetric to
@@ -348,6 +349,7 @@ def truncate_block(bf: BlockFactors, threshold: float) -> BlockFactors:
             discarded += s_t * float(np.abs(full[t].values[kept[t].rank :]).sum())
     out = BlockFactors(label=bf.label, shape=bf.shape, outer=bf.outer.truncated(keep))
     out.inner_left, out.inner_right = cut[0], cut[-1]
+    out.packed = bf.packed  # not an init field: the constructor resets it
     out.discarded_weight = bf.discarded_weight + discarded
     return out
 

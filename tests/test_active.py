@@ -265,3 +265,47 @@ class TestDressedLifetimes:
         finally:
             tracemalloc.stop()
         assert peak < buckets + v.nbytes + 3 * dressed
+
+    def test_build_in_order_makes_no_reordered_copy(self, rng):
+        # on tensors already in active-then-core order the build reads them as
+        # given: the bound of the reordered build, without room for its copy of v
+        v, s = random_dimer(rng, 12, 10)
+        ia, ib = active._order(self.CORED, *s.shape)
+        v, s = v[np.ix_(ia, ia, ib, ib)], s[np.ix_(ia, ib)]
+        part = SpacePartition.from_counts(range(9, 12), range(9), range(8, 10), range(8), 10, 8)
+        renormalize_vp(v, s, part)
+        n_a, n_b = s.shape
+        buckets = sum(x.nbytes for x in vars(_Buckets.zeros(9, 8)).values())
+        dressed = 8 * max(n_a * n_b * n_b * n_a, n_a**3 * n_b, n_a * n_b**3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            renormalize_vp(v, s, part)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < buckets + 3 * dressed
+
+
+class TestInputsUntouched:
+    """The renormalized sets only read their tensors, in any orbital order:
+    a reordered build reads a gathered copy, one in order the arrays as given."""
+
+    ORDERS = {
+        "cores first": SpacePartition.from_counts([0, 1], range(2, 5), [0], range(1, 4), 6, 4),
+        "core inside": SpacePartition.from_counts([2], [0, 1, 3, 4], [1], [0, 2, 3], 6, 4),
+        "in order": SpacePartition.from_counts([3, 4], range(3), [3], range(3), 6, 4),
+        "no core": SpacePartition.from_counts([], range(5), [], range(4), 2, 2),
+    }
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_inputs_unmodified(self, rng, order):
+        v, s = random_dimer(rng, 5, 4)
+        want = v.tobytes(), s.tobytes()
+        for x in (v, s):
+            x.flags.writeable = False  # an in-place write raises
+        part = self.ORDERS[order]
+        sets = [renormalize_electrostatic(v, part), renormalize_exchange(s, part),
+                renormalize_vp(v, s, part)]
+        assert (v.tobytes(), s.tobytes()) == want
+        assert all(not np.shares_memory(block, v) for c in sets for block in arrays(c).values())

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 import warnings
 import weakref
 
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 import saptkit.cli as cli
 import saptkit.factorize as fz
 import saptkit.fock as fock
+from saptkit.active import renormalize_electrostatic, renormalize_exchange, renormalize_vp
 from saptkit.archive import (
     DimerBasis,
+    TensorArchive,
     demo_archive,
     load_archive,
     load_factor_cache,
@@ -23,6 +27,8 @@ from saptkit.factorize import factorize_coefficients
 from saptkit.norms import df_hamiltonian_norm, factorize_monomer_hamiltonian, tf_norm
 from saptkit.tensors import build_majorana_coefficients
 
+from .conftest import random_dimer
+from .test_active import arrays
 from .test_archive import assert_same_operator
 
 FCIDUMP_TEXT = """&FCI NORB=2,NELEC=2,MS2=0,
@@ -636,6 +642,65 @@ class TestFactorizedBlocks:
         every = command_outputs("estimate", path, tmp_path / "every", truncation)
         assert self.EXCLUDED <= set(factorized_labels)
         assert len(every) == 7 and every == totals_only
+
+
+def cored_archive(n_a, n_b, core_a, core_b, seed=3):
+    """A random n_a x n_b dimer with the given core lists, 4 active electrons per monomer."""
+    v, s = random_dimer(np.random.default_rng(seed), n_a, n_b)
+    named = {"v": v, "S": s}
+    for m, core in (("A", core_a), ("B", core_b)):
+        if core:
+            named[f"partition_{m}_core"] = np.array(core, dtype=float)
+    basis = DimerBasis(n_a, n_b, 4 + 2 * len(core_a), 4 + 2 * len(core_b))
+    return TensorArchive(basis, named)
+
+
+def set_digests(c):
+    """sha256 of every array of a coefficient set, by name, with its tag."""
+    out = {k: (x.shape, hashlib.sha256(x.tobytes()).hexdigest()) for k, x in arrays(c).items()}
+    return out | {"space_tag": c.space_tag}
+
+
+class TestFrozenCoreOrder:
+    """A cored archive's tensors are gathered into active-then-core order once,
+    as the archive is read; the sets are built from that one copy, as given."""
+
+    LAYOUTS = {"leading": ([0, 1], [0]), "middle": ([5], [4, 7]), "one monomer": ([], [3, 9])}
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_sets_equal_library_sets_on_archive_order(self, tmp_path, layout):
+        path = tmp_path / "cored.sapt"
+        save_archive(path, cored_archive(12, 10, *self.LAYOUTS[layout]))
+        sets = cli._read_archive(path, cli.OBSERVABLES)[2]
+        archive = load_archive(path)
+        part = archive.partition()
+        library = {
+            "V": renormalize_electrostatic(archive.v, part),
+            "P": renormalize_exchange(archive.S, part),
+            "VPs": renormalize_vp(archive.v, archive.S, part),
+        }
+        assert list(sets) == list(library)
+        for name, c in library.items():
+            assert set_digests(sets[name]) == set_digests(c), name
+
+    def test_one_v_sized_array_beside_the_build(self, tmp_path):
+        # at n_a = n_b a dressed tensor is the size of v: beside the sets it
+        # returns, the read holds one copy of v and the build's three dressed
+        # tensors' worth (the contraction, its C-contiguous copy and one
+        # reduction's temporaries), without room for a second copy of v
+        path = tmp_path / "cored.sapt"
+        save_archive(path, cored_archive(12, 12, [0, 1], [1]))
+        cli._read_archive(path, cli.OBSERVABLES)  # cached contraction paths, imports
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sets = cli._read_archive(path, cli.OBSERVABLES)[2]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held = sum(x.nbytes for c in sets.values() for x in arrays(c).values())
+        v_bytes = dressed = 8 * 12**4
+        assert peak < held + v_bytes + 3 * dressed
 
 
 class TestLifetimes:

@@ -509,6 +509,16 @@ class TestPackedOuter:
                     packed_labels.add(label)
         assert packed_labels == set(BLOCKS) - {"1l"}
 
+    @pytest.mark.parametrize("threshold", [0.0, 1e-3])
+    def test_finished_block_keeps_packing_record(self, rng, threshold):
+        # truncate_block builds a new block, and packed is not an init field
+        packed = set()
+        for label, block in blocks_of_every_label(rng):
+            want = first_factorize(block, label).packed
+            assert factorize_block(block, label, threshold).packed == want, label
+            packed.add(want)
+        assert (True, True) in packed
+
     @pytest.mark.parametrize("n1, n2", [(3, 3), (3, 2), (1, 1)])
     def test_packing_decision_matches_full_swap(self, rng, n1, n2):
         # the asymmetry read from the packed rows decides as the full
