@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import archive as ar
-from .active import active_order, renormalize_electrostatic, renormalize_exchange, renormalize_vp
+from .active import active_order, coefficient_sets as _coefficient_sets
 from .costing import (
     CalibrationConstants,
     SystemParams,
@@ -35,21 +35,8 @@ from .norms import (
     sparse_norms,
     tf_norm,
 )
-from .tensors import build_majorana_coefficients
 
 OBSERVABLES = ("V", "P", "VPs")
-
-
-def _coefficient_sets(v, S, part):
-    """The three coefficient sets of ``v`` and ``S``, in the active space of
-    the partition ``part`` unless it is None."""
-    if part is not None:
-        return {
-            "V": renormalize_electrostatic(v, part),
-            "P": renormalize_exchange(S, part),
-            "VPs": renormalize_vp(v, S, part),
-        }
-    return build_majorana_coefficients(v, S)
 
 
 def _monomer_values(archive: ar.TensorArchive, lambdas: str) -> dict:
@@ -69,20 +56,21 @@ def _read_archive(path, observables, lambdas: str | None = None):
     """Load the archive once and return what a command reads of it: the basis,
     unless ``lambdas`` is None the monomer values (:func:`_monomer_values`),
     and the coefficient sets of ``observables``.  The payload is freed before
-    the sets are built: they are built from copies of ``v`` (projected on
-    load) and ``S``, with a frozen core gathered into the active-then-core
-    order (:func:`active_order`), so the build makes no reordered copy."""
+    the sets are built: every archive's ``v`` (projected on load) and ``S`` are
+    gathered into arrays of their own in the active-then-core order of its
+    partition (:func:`active_order`; with no core lists, every orbital
+    active), and the one builder reads them as given, so it holds one ``v``.
+    The sets are tagged ``active`` when the archive carries core lists, even
+    empty ones, and ``full`` otherwise."""
     archive = ar.load_archive(path)
     basis = archive.basis
     values = {} if lambdas is None else _monomer_values(archive, lambdas)
     if not observables:
         return basis, values, {}
-    if any(f"partition_{m}_core" in archive.arrays for m in "AB"):
-        v, S, part = active_order(archive.v, archive.S, archive.partition())
-    else:
-        v, S, part = archive.v.copy(), archive.S.copy(), None
+    tag = "active" if any(f"partition_{m}_core" in archive.arrays for m in "AB") else "full"
+    v, S, part = active_order(archive.v, archive.S, archive.partition())
     del archive
-    sets = _coefficient_sets(v, S, part)
+    sets = _coefficient_sets(v, S, part, tag)
     return basis, values, {name: sets[name] for name in observables}
 
 

@@ -1,10 +1,11 @@
 """Spatial-orbital tensors for the first-order interaction observables.
 
-Builds, symmetrizes and dresses the intermolecular Coulomb tensor ``v`` and
-overlap matrix ``S``, and decomposes the three observables (electrostatic V,
-single-exchange P, and the symmetrized electrostatic-exchange product VPs)
-into the coefficient families used by the factorization, norm and oracle
-modules.
+Validates, symmetrizes and dresses the intermolecular Coulomb tensor ``v``
+and overlap matrix ``S``, and holds the coefficient families, the blocks and
+the bucket reduction that the one coefficient builder (``active``) uses to
+decompose the three observables (electrostatic V, single-exchange P, and the
+symmetrized electrostatic-exchange product VPs) for the factorization, norm
+and oracle modules.
 
 Index conventions (all arrays row-major float64):
 
@@ -194,33 +195,6 @@ def build_dressed_nu(v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = 
 def one_body_f(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coulomb traces f(A)[p1,p2] = sum_q v[p1,p2,q,q] and the B analogue."""
     return np.einsum("abqq->ab", v), np.einsum("ppab->ab", v)
-
-
-def build_electrostatic_coefficients(v: np.ndarray) -> SaptCoefficients:
-    return _electrostatic(v, sym_v4(v))
-
-
-def _electrostatic(v: np.ndarray, v_block: np.ndarray) -> SaptCoefficients:
-    """The V set with its two-body block given, already projected."""
-    f_a, f_b = one_body_f(v)
-    return SaptCoefficients(
-        observable="V",
-        constant=float(np.einsum("ppqq->", v)),
-        one_body_A=f_a,
-        one_body_B=f_b,
-        two_body_blocks={"v": v_block},
-    )
-
-
-def build_exchange_coefficients(S: np.ndarray) -> SaptCoefficients:
-    S = np.asarray(S, dtype=float)
-    return SaptCoefficients(
-        observable="P",
-        constant=float(-0.5 * np.sum(S * S)),
-        one_body_A=S @ S.T,
-        one_body_B=S.T @ S,
-        overlap=S,
-    )
 
 
 def _swap(T: np.ndarray) -> np.ndarray:
@@ -456,28 +430,18 @@ def _coefficients_from_buckets(
     )
 
 
-def build_vp_coefficients(
-    v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = None
-) -> SaptCoefficients:
-    """Full-space coefficient set of the electrostatic-exchange observable."""
-    v = np.asarray(v, dtype=float)
-    S = np.asarray(S, dtype=float)
-    n_a, n_b = S.shape
-    bk = _Buckets.zeros(n_a, n_b)
-    nus = build_dressed_nu(v, S, mixed)
-    convert(bk, "lock", -next(nus).transpose(0, 3, 2, 1))  # [p1,p2,q1,q2]
-    _accumulate_vp_buckets(bk, v, S, nus)
-    return _coefficients_from_buckets(bk, v, S, S @ S.T, S.T @ S, "full")
-
-
 def build_majorana_coefficients(
     v: np.ndarray, S: np.ndarray, mixed: MixedTensors | None = None
 ) -> dict[str, SaptCoefficients]:
-    """Coefficient sets of all three observables from full-space tensors."""
-    v = symmetrize_v(v)  # a projected v is held as given, not copied
-    S = validate_overlap(S)
-    return {  # v is projected, and sym_v4 is idempotent: V and VPs share the array
-        "V": _electrostatic(v, v),
-        "P": build_exchange_coefficients(S),
-        "VPs": build_vp_coefficients(v, S, mixed),
-    }
+    """Coefficient sets of all three observables from full-space tensors: the
+    one builder (``active.coefficient_sets``) on the partition with every
+    orbital active.  A projected ``v`` is held as given, not copied, and the
+    V and VPs sets share it (sym_v4 is idempotent)."""
+    from .active import SpacePartition, coefficient_sets  # active builds on this module
+
+    v, S = symmetrize_v(v), validate_overlap(S)
+    n_a, n_b = S.shape
+    if v.shape != (n_a, n_a, n_b, n_b):
+        raise ShapeError("v inconsistent with S")
+    part = SpacePartition((), tuple(range(n_a)), (), tuple(range(n_b)), 0, 0)
+    return coefficient_sets(v, S, part, "full", mixed)

@@ -20,13 +20,7 @@ from saptkit.fock import (
     assemble_vp_excitation,
     embed_with_core,
 )
-from saptkit.tensors import (
-    _Buckets,
-    build_electrostatic_coefficients,
-    build_exchange_coefficients,
-    build_majorana_coefficients,
-    build_vp_coefficients,
-)
+from saptkit.tensors import MixedTensors, _Buckets, build_majorana_coefficients
 from .conftest import random_dimer, random_sector_state
 
 
@@ -99,7 +93,7 @@ class TestEmptyCoreIdentity:
     def test_blocks_bit_for_bit(self, rng):
         v, s = random_dimer(rng, 2, 3)
         part = SpacePartition.from_counts([], range(2), [], range(3), 2, 4)
-        full = build_vp_coefficients(v, s)
+        full = build_majorana_coefficients(v, s)["VPs"]
         act = renormalize_vp(v, s, part)
         assert act.constant == full.constant
         assert np.array_equal(act.one_body_A, full.one_body_A)
@@ -111,13 +105,20 @@ class TestEmptyCoreIdentity:
     def test_exchange_and_electrostatic_reduce(self, rng):
         v, s = random_dimer(rng, 2, 2)
         part = SpacePartition.from_counts([], range(2), [], range(2), 2, 2)
+        full = build_majorana_coefficients(v, s)
         act_v = renormalize_electrostatic(v, part)
-        full_v = build_electrostatic_coefficients(v)
+        full_v = full["V"]
         assert np.array_equal(act_v.two_body_blocks["v"], full_v.two_body_blocks["v"])
         act_p = renormalize_exchange(s, part)
-        full_p = build_exchange_coefficients(s)
-        assert act_p.constant == pytest.approx(full_p.constant)
-        assert np.allclose(act_p.one_body_A, full_p.one_body_A)
+        full_p = full["P"]
+        assert act_p.constant == full_p.constant
+        assert np.array_equal(act_p.one_body_A, full_p.one_body_A)
+        # every array, the overlap too, bit for bit
+        for act, ref in ((act_v, full_v), (act_p, full_p)):
+            want, have = arrays(ref), arrays(act)
+            assert set(have) == set(want), ref.observable
+            for key, x in want.items():
+                assert np.array_equal(have[key], x), (ref.observable, key)
 
 
 FROZEN_A = SpacePartition.from_counts([0, 1, 2], [], [0], [1, 2], 6, 4)
@@ -147,6 +148,14 @@ class TestDegenerateCases:
         part = SpacePartition.from_counts([0], [1], [0], [1], 2, 2)
         with pytest.raises(PartitionError):
             renormalize_electrostatic(v, part)
+
+    def test_hybrid_blocks_refused_with_a_core(self, rng):
+        # the core contractions have no hybrid terms
+        v, s = random_dimer(rng, 3, 3)
+        mixed = MixedTensors(*(np.zeros((3, 3, 3, 3)) for _ in range(3)))
+        v, s, part = active.active_order(v, s, PARTS[0])
+        with pytest.raises(PartitionError):
+            active.coefficient_sets(v, s, part, "active", mixed)
 
     def test_zero_overlap_gives_zero_active_exchange(self, rng):
         v, _ = random_dimer(rng, 3, 3)
@@ -232,7 +241,9 @@ class TestDressedLifetimes:
     CORED = SpacePartition.from_counts([0, 1, 2], range(3, 12), [0, 1], range(2, 10), 10, 8)
 
     def test_each_dressed_tensor_freed_before_the_next(self, rng, monkeypatch):
+        # with no core there are no core terms, so nu2 and nu3 are computed once
         v, s = random_dimer(rng, 12, 10)
+        no_core = SpacePartition.from_counts([], range(12), [], range(10), 4, 4)
         refs, dressed = [], active._dressed
 
         def tracked(k, *args):
@@ -242,9 +253,11 @@ class TestDressedLifetimes:
             return nu
 
         monkeypatch.setattr(active, "_dressed", tracked)
-        renormalize_vp(v, s, self.CORED)
-        assert [k for k, _ in refs] == [1, 2, 3, 2, 3]
-        assert all(ref() is None for _, ref in refs)
+        for part, calls in ((self.CORED, [1, 2, 3, 2, 3]), (no_core, [1, 2, 3])):
+            refs.clear()
+            renormalize_vp(v, s, part)
+            assert [k for k, _ in refs] == calls
+            assert all(ref() is None for _, ref in refs)
 
     def test_traced_peak_below_three_dressed_tensors(self, rng):
         # beyond its buckets (the returned blocks) and its reordered copy of v,

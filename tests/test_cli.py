@@ -661,9 +661,22 @@ def set_digests(c):
     return out | {"space_tag": c.space_tag}
 
 
+def traced_peak(f) -> int:
+    """Traced peak of ``f()`` above the memory held before it, after a warm-up call."""
+    f()  # cached contraction paths, imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestFrozenCoreOrder:
     """A cored archive's tensors are gathered into active-then-core order once,
-    as the archive is read; the sets are built from that one copy, as given."""
+    as the archive is read; the sets are built from that one copy, as given.
+    A full-space archive takes the same path with every orbital active."""
 
     LAYOUTS = {"leading": ([0, 1], [0]), "middle": ([5], [4, 7]), "one monomer": ([], [3, 9])}
 
@@ -702,6 +715,33 @@ class TestFrozenCoreOrder:
         v_bytes = dressed = 8 * 12**4
         assert peak < held + v_bytes + 3 * dressed
 
+    @pytest.mark.parametrize("core_lists", [False, True], ids=["none", "empty"])
+    def test_full_space_sets_equal_library_sets(self, tmp_path, core_lists):
+        # core lists of length zero give the full-space arrays, tagged as a cored read
+        archive = cored_archive(12, 10, [], [])
+        if core_lists:
+            archive.arrays |= {f"partition_{m}_core": np.zeros(0) for m in "AB"}
+        path = tmp_path / "full.sapt"
+        save_archive(path, archive)
+        sets = cli._read_archive(path, cli.OBSERVABLES)[2]
+        archive = load_archive(path)
+        library = build_majorana_coefficients(archive.v, archive.S)
+        assert list(sets) == list(library)
+        tag = "active" if core_lists else "full"
+        for name, c in library.items():
+            assert set_digests(sets[name]) == set_digests(c) | {"space_tag": tag}, name
+        assert sets["V"].two_body_blocks["v"] is sets["VPs"].two_body_blocks["v"]
+
+    def test_full_space_read_holds_one_v(self, tmp_path):
+        # the read peaks at the library build's peak plus the one v it gathers:
+        # no second copy of v, held beside the build or made and freed in it
+        path = tmp_path / "full.sapt"
+        save_archive(path, cored_archive(12, 12, [], []))
+        archive = load_archive(path)
+        build = traced_peak(lambda: build_majorana_coefficients(archive.v, archive.S))
+        read = traced_peak(lambda: cli._read_archive(path, cli.OBSERVABLES))
+        assert read < build + 1.5 * archive.v.nbytes
+
 
 class TestLifetimes:
     """The archive's payload is freed before the coefficient sets are built.
@@ -729,7 +769,6 @@ class TestLifetimes:
         save_archive(path, partitioned_archive() if partitioned else decaying_archive())
         payloads, sets, seen, vectors = [], [], [], []
         load, build, first = cli.ar.load_archive, cli._coefficient_sets, fz.first_factorize
-        majorana = cli.build_majorana_coefficients
 
         def loaded(p):
             archive = load(p)
@@ -741,10 +780,6 @@ class TestLifetimes:
             assert payloads[-1]() is None
             sets.append(build(*args))
             return sets[-1]
-
-        def built_full(*args):
-            assert payloads[-1]() is None
-            return majorana(*args)
 
         def factorized(block, label, *args):
             assert all(ref() is None for ref in vectors), label
@@ -758,7 +793,6 @@ class TestLifetimes:
 
         monkeypatch.setattr(cli.ar, "load_archive", loaded)
         monkeypatch.setattr(cli, "_coefficient_sets", built)
-        monkeypatch.setattr(cli, "build_majorana_coefficients", built_full)
         monkeypatch.setattr(fz, "first_factorize", factorized)
         if command == "budget":
             assert main(["budget", "--archive", str(path), "--truncation", truncation]) == 0

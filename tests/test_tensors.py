@@ -4,13 +4,13 @@ import weakref
 import numpy as np
 import pytest
 
-from saptkit import factorize, fock, tensors
+from saptkit import active, factorize, fock, tensors
+from saptkit.active import SpacePartition, renormalize_electrostatic
 from saptkit.errors import ShapeError, SymmetryError
 from saptkit.fock import FockSpace, PairSum, one_body_matrix
 from saptkit.tensors import (
     MixedTensors,
     build_dressed_nu,
-    build_electrostatic_coefficients,
     build_majorana_coefficients,
     one_body_f,
     sym_joint,
@@ -173,12 +173,12 @@ class TestSharedV:
 
     def test_each_dressed_tensor_freed_before_its_converter(self, rng, monkeypatch):
         v, s = random_dimer(rng, 3, 2)
-        refs, dressed = [], tensors.build_dressed_nu
+        refs, dressed = [], active._dressed
 
         def tracked(*args):
-            for nu in dressed(*args):
-                refs.append(weakref.ref(nu))
-                yield nu
+            nu = dressed(*args)
+            refs.append(weakref.ref(nu))
+            return nu
 
         convert, families = tensors.convert, []
 
@@ -188,15 +188,17 @@ class TestSharedV:
             families.append(family)
             return convert(bk, family, *args)
 
-        monkeypatch.setattr(tensors, "build_dressed_nu", tracked)
-        monkeypatch.setattr(tensors, "convert", checked)
-        tensors.build_vp_coefficients(v, s)
+        monkeypatch.setattr(active, "_dressed", tracked)
+        for module in (active, tensors):  # the lock family is reduced in one, g2 in the other
+            monkeypatch.setattr(module, "convert", checked)
+        build_majorana_coefficients(v, s)
         assert len(refs) == 3 and all(ref() is None for ref in refs)
         assert families == ["lock", "g2", "g2"]
 
     def test_electrostatic_alone_projects_raw_v(self, rng):
         raw = rng.normal(size=(3, 3, 2, 2))
-        coeffs = build_electrostatic_coefficients(raw)
+        all_active = SpacePartition.from_counts([], range(3), [], range(2), 2, 2)
+        coeffs = renormalize_electrostatic(raw, all_active)
         assert np.array_equal(coeffs.two_body_blocks["v"], sym_v4(raw))
         f_a, f_b = one_body_f(raw)
         assert np.array_equal(coeffs.one_body_A, f_a) and np.array_equal(coeffs.one_body_B, f_b)
