@@ -26,7 +26,7 @@ from .costing import (
     qrom_cost,
 )
 from .factorize import FactorizedOperator, factorize_coefficients
-from .fock import FockSpace, build_operator_matrix, first_order_energy
+from .fock import FockSpace, first_order_energy
 from .norms import NormReport, df_hamiltonian_norm, sparse_norms, tf_norm, tf_norms
 from .tensors import (
     DimerBasis,
@@ -52,7 +52,6 @@ __all__ = [
     "budget_errors",
     "build_dressed_nu",
     "build_majorana_coefficients",
-    "build_operator_matrix",
     "demo_archive",
     "df_hamiltonian_norm",
     "emit_callgraph",

@@ -14,8 +14,9 @@ creation/annihilation pair of a same-monomer product (which flips the index
 order of the surviving factor and locks its spin).  The resulting emissions
 go through the family reduction (``tensors.convert``).  The operator is
 symmetric under exchanging the monomers, so the monomer-A half of the core
-contractions is written once and run again on ``_Buckets.swapped()`` with
-swapped tensors and ``S.T``; only the self-mirrored terms stand on their own.
+contractions is written once and run again on the mirrored buckets
+(``tensors._swapped``) with swapped tensors and ``S.T``; only the
+self-mirrored terms stand on their own.
 Products of the two-body electrostatic factor with the core-dressed one-body
 exchange tensors are not emitted separately but absorbed into the
 product-form term through the dressed tensors p~ (the same bookkeeping the
@@ -35,11 +36,12 @@ import numpy as np
 from .errors import PartitionError, ShapeError
 from .tensors import (
     SaptCoefficients,
-    _Buckets,
     _accumulate_vp_buckets,
+    _buckets,
     _coefficients_from_buckets,
     _dressed,
     _swap,
+    _swapped,
     convert,
     one_body_f,
     sym_v4,
@@ -211,7 +213,7 @@ def renormalize_exchange(S: np.ndarray, partition: SpacePartition) -> SaptCoeffi
     return _exchange(_ordered(S, ia, ib), partition, "active")
 
 
-def _core_terms_a(bk: _Buckets, vr, sr, t1_core, dressed, nta: int, ntb: int) -> None:
+def _core_terms_a(bk: dict, vr, sr, t1_core, dressed, nta: int, ntb: int) -> None:
     """Monomer-A half of the core contractions of :func:`_vp`: locked
     pair (its B-core trace ``t1_core``), triple term lam2[p1,p2,q1,p4] (computed
     by ``dressed()``, and freed before the product term) and product term."""
@@ -221,7 +223,7 @@ def _core_terms_a(bk: _Buckets, vr, sr, t1_core, dressed, nta: int, ntb: int) ->
     s_tc, s_ct, s_cc = sr[a, cb], sr[ca, b], sr[ca, cb]
     f_core_b, f_core_a, v0_core = _coulomb_core(vr, nta, ntb)
     ps_core_a, _, ss_cc = _overlap_core(sr, nta, ntb)
-    bs = bk.swapped()  # one-body terms on monomer B
+    bs = _swapped(bk)  # one-body terms on monomer B
 
     # ---- locked pair term: internal core contraction
     convert(bk, "one_a", -t1_core)
@@ -234,10 +236,10 @@ def _core_terms_a(bk: _Buckets, vr, sr, t1_core, dressed, nta: int, ntb: int) ->
     convert(bk, "dir", -np.einsum("abci,id->abcd", lam2[a, a, b, ca], s_ct))
     convert(bk, "one_a", -2.0 * np.einsum("abji,ij->ab", lam2[a, a, cb, ca], s_cc))
     convert(bs, "one_a", -2.0 * np.einsum("iicx,xd->cd", lam2[ca, ca, b, ca], s_ct))
-    bk.const += -4.0 * np.einsum("iijx,xj->", lam2[ca, ca, cb, ca], s_cc)
+    bk["const"] += -4.0 * np.einsum("iijx,xj->", lam2[ca, ca, cb, ca], s_cc)
     convert(bs, "one_a", -np.einsum("itci,td->cd", lam2[ca, a, b, ca], s_tt))
     convert(bk, "lock", np.einsum("ibci,ad->abcd", lam2[ca, a, b, ca], s_tt))
-    bk.const += -2.0 * np.einsum("itji,tj->", lam2[ca, a, cb, ca], s_tc)
+    bk["const"] += -2.0 * np.einsum("itji,tj->", lam2[ca, a, cb, ca], s_tc)
     convert(bk, "one_a", np.einsum("ibji,aj->ab", lam2[ca, a, cb, ca], s_tc))
     del lam2
 
@@ -266,7 +268,7 @@ def _core_terms_a(bk: _Buckets, vr, sr, t1_core, dressed, nta: int, ntb: int) ->
         -2.0 * np.einsum("abju,iu,ij->ab", vr[a, a, cb, b], s_ct, s_cc, optimize=True),
     )
     convert(bk, "dir", np.einsum("abjd,ic,ij->abcd", vr[a, a, cb, b], s_ct, s_cc, optimize=True))
-    bk.const += -4.0 * np.einsum("iiju,xu,xj->", vr[ca, ca, cb, b], s_ct, s_cc, optimize=True)
+    bk["const"] += -4.0 * np.einsum("iiju,xu,xj->", vr[ca, ca, cb, b], s_ct, s_cc, optimize=True)
     convert(
         bs, "one_a",
         2.0 * np.einsum("iijd,xc,xj->cd", vr[ca, ca, cb, b], s_ct, s_cc, optimize=True),
@@ -299,7 +301,7 @@ def _vp(vr, sr, part: SpacePartition, tag: str, v_block=None, mixed=None) -> Sap
     a, b = slice(0, nta), slice(0, ntb)
     ca, cb = slice(nta, None), slice(ntb, None)
     v_tt, s_tt = vr[a, a, b, b], sr[a, b]
-    bk = _Buckets.zeros(nta, ntb)
+    bk = _buckets(nta, ntb)
 
     # fully active assignments reduce to the full-space bookkeeping on the
     # active slices of the (core+active)-range dressed tensors
@@ -322,17 +324,17 @@ def _vp(vr, sr, part: SpacePartition, tag: str, v_block=None, mixed=None) -> Sap
         # core contractions: each monomer-A term and its monomer-B mirror ...
         _core_terms_a(bk, vr, sr, t1_core[0], lambda: _dressed(2, vr, sr), nta, ntb)
         _core_terms_a(
-            bk.swapped(), _swap(vr), sr.T, t1_core[1], lambda: _swap(_dressed(3, vr, sr)), ntb, nta
+            _swapped(bk), _swap(vr), sr.T, t1_core[1], lambda: _swap(_dressed(3, vr, sr)), ntb, nta
         )
         # ... and the self-mirrored terms
         s_tc, s_ct = sr[a, cb], sr[ca, b]
         v0_core = _coulomb_core(vr, nta, ntb)[2]
         ps_core_a, ps_core_b, ss_cc = _overlap_core(sr, nta, ntb)
-        bk.const += -2.0 * t1_core[2]
+        bk["const"] += -2.0 * t1_core[2]
         convert(bk, "lock", -4.0 * v0_core * np.einsum("ad,bc->abcd", s_tt, s_tt))
         convert(bk, "dir", -2.0 * ss_cc * v_tt)
-        bk.const += -8.0 * v0_core * ss_cc
-        bk.const += -2.0 * np.einsum("itju,tj,iu->", vr[ca, a, cb, b], s_tc, s_ct, optimize=True)
+        bk["const"] += -8.0 * v0_core * ss_cc
+        bk["const"] += -2.0 * np.einsum("itju,tj,iu->", vr[ca, a, cb, b], s_tc, s_ct, optimize=True)
         convert(
             bk, "lock", -np.einsum("ibjd,aj,ic->abcd", vr[ca, a, cb, b], s_tc, s_ct, optimize=True)
         )

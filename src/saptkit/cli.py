@@ -84,9 +84,13 @@ def _operators(coeffs: dict, truncation: float, consume: bool = False):
 
 
 def _check_output_dir(path) -> None:
-    """Refuse an output path whose directory does not exist, before any work."""
-    if not Path(path).parent.is_dir():
-        raise OSError(f"no output directory {Path(path).parent}")
+    """Refuse an output file path that is a directory, or whose directory does
+    not exist, before any work."""
+    path = Path(path)
+    if path.is_dir():
+        raise OSError(f"output path {path} is a directory")
+    if not path.parent.is_dir():
+        raise OSError(f"no output directory {path.parent}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +100,12 @@ def _check_output_dir(path) -> None:
 def cmd_factorize(args) -> int:
     check_threshold(args.truncation)  # before the archive is read
     out_prefix = Path(args.output or Path(args.archive).with_suffix(""))
-    _check_output_dir(out_prefix)
+    paths = {name: Path(f"{out_prefix}.{name}.factors") for name in args.observables}
+    for path in paths.values():
+        _check_output_dir(path)
     basis, _, coeffs = _read_archive(args.archive, args.observables)
     for fop in _operators(coeffs, args.truncation, consume=True):
-        path = Path(f"{out_prefix}.{fop.observable}.factors")
+        path = paths[fop.observable]
         ar.save_factor_cache(path, fop, basis)
         print(f"wrote {path}")
     return 0
@@ -206,6 +212,9 @@ def _calibration(path: str | None) -> CalibrationConstants:
 def cmd_estimate(args) -> int:
     calib = _calibration(args.calibration)
     _system_params(args, _PLACEHOLDERS)  # the monomer flags, before the archive is read
+    out_dir = Path(args.output) if args.output else None
+    if out_dir:  # before the archive is read: a path that cannot be a directory fails at once
+        out_dir.mkdir(parents=True, exist_ok=True)
     flags = zip("AB", (args.lambda_a, args.lambda_b))
     lam, values, coeffs = _norm_inputs(args, "".join(m for m, val in flags if val is None))
     params = _system_params(args, values)
@@ -217,9 +226,6 @@ def cmd_estimate(args) -> int:
             name, lam[name], params, budget.for_observable(name), calib
         )
 
-    out_dir = Path(args.output) if args.output else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
     for name, graph in graphs.items():
         for fmt in ("json", "dot"):
             if args.format in (fmt, "all"):

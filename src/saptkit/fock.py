@@ -491,45 +491,6 @@ def assemble_majorana(space: FockSpace, coeffs: SaptCoefficients) -> PairSum:
     raise DomainError(f"unknown observable {coeffs.observable!r}")
 
 
-def build_operator_matrix(
-    space: FockSpace,
-    kind: str,
-    source,
-    form: str = "excitation",
-    mixed: MixedTensors | None = None,
-) -> PairSum:
-    """Assemble one operator as a PairSum.
-
-    ``source`` is a :class:`SaptCoefficients` for the majorana form, the raw
-    ``(v, S)`` tensors for the excitation form, or ``(h1, eri)`` for the
-    monomer Hamiltonian kinds 'H_A'/'H_B'.  ``kind`` also accepts the
-    individual product-observable terms ('VP_A', 'VP_B', 'VP_1m', 'VP_1l',
-    'VP_2', 'VP_3', 'VP_4') against a coefficient-set source.
-    """
-    if kind in ("H_A", "H_B"):
-        h1, eri = source
-        return assemble_monomer_hamiltonian(space, kind[-1], h1, eri)
-    if kind.startswith("VP_"):
-        if not isinstance(source, SaptCoefficients):
-            raise DomainError("product-term assembly requires a SaptCoefficients source")
-        families = assemble_vp_majorana_families(space, source)
-        if kind not in families:
-            raise DomainError(f"unknown product term {kind!r}")
-        return families[kind]
-    if form == "majorana":
-        if not isinstance(source, SaptCoefficients):
-            raise DomainError("majorana form requires a SaptCoefficients source")
-        return assemble_majorana(space, source)
-    v, S = source
-    if kind == "V":
-        return assemble_electrostatic(space, np.asarray(v, dtype=float))
-    if kind == "P":
-        return assemble_exchange(space, np.asarray(S, dtype=float))
-    if kind == "VPs":
-        return assemble_vp_excitation(space, v, S, mixed)
-    raise DomainError(f"unknown operator kind {kind!r}")
-
-
 def assemble_monomer_hamiltonian(
     space: FockSpace, which: str, h1: np.ndarray, eri: np.ndarray
 ) -> PairSum:

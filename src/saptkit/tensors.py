@@ -202,57 +202,40 @@ def _swap(T: np.ndarray) -> np.ndarray:
     return T.transpose(2, 3, 0, 1)
 
 
-@dataclass
-class _Buckets:
-    """Accumulators of the exchange-electrostatic decomposition.
+# Every accumulator of the exchange-electrostatic decomposition, in the order
+# it is allocated: its index layout ('a' a monomer-A index, 'b' a monomer-B
+# one) and the bucket it becomes with the monomers exchanged (one mirror pair
+# a line).  Each two-body bucket holds the non-Hermitian half M of its family;
+# the assembled operator is (M + M^dagger)/2 per family.
+BUCKETS = {
+    "const": ("", "const"),
+    "h_a": ("aa", "h_b"), "h_b": ("bb", "h_a"),
+    "lock": ("aabb", "lock"),
+    "dir": ("aabb", "dir"),
+    "aa": ("aaaa", "bb"), "bb": ("bbbb", "aa"),
+    "g2": ("aaba", "g3"), "g3": ("abbb", "g2"),
+    "g2r": ("aaba", "g3r"), "g3r": ("abbb", "g2r"),
+}
 
-    Each two-body bucket holds the non-Hermitian half ``M`` of its family;
-    the assembled operator is (M + M^dagger)/2 per family.  :meth:`swapped`
-    views them with the monomers exchanged: ``h_a``/``h_b`` and ``aa``/``bb``
-    trade places, the inter-monomer blocks are transposed (2, 3, 0, 1), which
-    maps ``g2`` onto ``g3`` and ``g2r`` onto ``g3r``, and the 0-d ``const``
-    is shared.
+
+def _buckets(n_a: int, n_b: int) -> dict[str, np.ndarray]:
+    """Every bucket of :data:`BUCKETS`, zeroed, in table order."""
+    n = {"a": n_a, "b": n_b}
+    return {name: np.zeros([n[c] for c in layout]) for name, (layout, _) in BUCKETS.items()}
+
+
+def _swapped(bk: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of the buckets with monomer B first: each name views its mirror,
+    through :func:`_swap` where the bucket has indices on both monomers.
+
+    Every ``+=`` on a view lands in ``bk``, so a monomer-A family reduced on
+    the views with swapped tensors and ``S.T`` emits the mirrored monomer-B
+    term.
     """
-
-    const: np.ndarray
-    h_a: np.ndarray
-    h_b: np.ndarray
-    lock: np.ndarray
-    dir: np.ndarray
-    aa: np.ndarray
-    bb: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-    g2r: np.ndarray
-    g3r: np.ndarray
-
-    @staticmethod
-    def zeros(n_a: int, n_b: int) -> "_Buckets":
-        return _Buckets(
-            const=np.zeros(()),
-            h_a=np.zeros((n_a, n_a)),
-            h_b=np.zeros((n_b, n_b)),
-            lock=np.zeros((n_a, n_a, n_b, n_b)),
-            dir=np.zeros((n_a, n_a, n_b, n_b)),
-            aa=np.zeros((n_a, n_a, n_a, n_a)),
-            bb=np.zeros((n_b, n_b, n_b, n_b)),
-            g2=np.zeros((n_a, n_a, n_b, n_a)),
-            g3=np.zeros((n_a, n_b, n_b, n_b)),
-            g2r=np.zeros((n_a, n_a, n_b, n_a)),
-            g3r=np.zeros((n_a, n_b, n_b, n_b)),
-        )
-
-    def swapped(self) -> "_Buckets":
-        """Views of these accumulators with monomer B first.
-
-        Every ``+=`` on the view lands here, so a monomer-A family reduced on
-        the view with swapped tensors and ``S.T`` emits the mirrored monomer-B
-        term.
-        """
-        return _Buckets(
-            self.const, self.h_b, self.h_a, _swap(self.lock), _swap(self.dir), self.bb,
-            self.aa, _swap(self.g3), _swap(self.g2), _swap(self.g3r), _swap(self.g2r),
-        )
+    return {
+        name: _swap(bk[mirror]) if "a" in layout and "b" in layout else bk[mirror]
+        for name, (layout, mirror) in BUCKETS.items()
+    }
 
 
 # Every coefficient family: sum_spins einsum(spec, *tensors) * prod_k
@@ -348,10 +331,10 @@ def _reduction(family: str) -> tuple[tuple[str | None, str, float], ...]:
     return tuple(terms)
 
 
-def convert(bk: _Buckets, family: str, *tensors: np.ndarray) -> None:
+def convert(bk: dict[str, np.ndarray], family: str, *tensors: np.ndarray) -> None:
     """Add the terms of :func:`_reduction` of one family to the buckets."""
     for subscripts, name, scale in _reduction(family):
-        acc = getattr(bk, name)
+        acc = bk[name]
         if subscripts is None:
             acc += tensors[0]
             continue
@@ -363,7 +346,7 @@ def convert(bk: _Buckets, family: str, *tensors: np.ndarray) -> None:
         del term  # no 4-index term outlives its addition
 
 
-def _accumulate_vp_buckets(bk: _Buckets, v: np.ndarray, S: np.ndarray, nus) -> None:
+def _accumulate_vp_buckets(bk: dict[str, np.ndarray], v: np.ndarray, S: np.ndarray, nus) -> None:
     """Reduce the four-term exchange-electrostatic operator onto the buckets,
     after its locked-pair term, the ``lock`` family of -nu1 [p1,p2,q1,q2].
 
@@ -380,21 +363,21 @@ def _accumulate_vp_buckets(bk: _Buckets, v: np.ndarray, S: np.ndarray, nus) -> N
     # operator product (block 'v' against the exchange factors)
     v0 = float(np.einsum("ppqq->", v))
     p0 = float(-0.5 * np.sum(S * S))
-    bk.const += v0 * p0
-    bk.lock += -v0 * np.einsum("ad,bc->abcd", S, S)
-    bk.dir += p0 * v
-    for side, ss, axes in ((bk, S, (0, 1, 2, 3)), (bk.swapped(), S.T, (2, 3, 0, 1))):
+    bk["const"] += v0 * p0
+    bk["lock"] += -v0 * np.einsum("ad,bc->abcd", S, S)
+    bk["dir"] += p0 * v
+    for side, ss, axes in ((bk, S, (0, 1, 2, 3)), (_swapped(bk), S.T, (2, 3, 0, 1))):
         vs = v.transpose(axes)
         convert(side, "g2", -next(nus).transpose(axes), ss)  # nu2, then nu3 swapped
         f, p = np.einsum("abqq->ab", vs), ss @ ss.T
-        side.h_a += -0.5 * v0 * p + p0 * f
-        side.aa += -0.5 * np.einsum("ab,cd->abcd", f, p)
-        side.dir += -0.5 * np.einsum("ab,cd->abcd", f, ss.T @ ss)
-        side.g2 += -np.einsum("ab,dc->abcd", f, ss)
+        side["h_a"] += -0.5 * v0 * p + p0 * f
+        side["aa"] += -0.5 * np.einsum("ab,cd->abcd", f, p)
+        side["dir"] += -0.5 * np.einsum("ab,cd->abcd", f, ss.T @ ss)
+        side["g2"] += -np.einsum("ab,dc->abcd", f, ss)
 
 
 def _coefficients_from_buckets(
-    bk: _Buckets,
+    bk: dict[str, np.ndarray],
     v_block: np.ndarray,
     S: np.ndarray,
     p_a: np.ndarray,
@@ -409,7 +392,7 @@ def _coefficients_from_buckets(
     """
     blocks = {}
     for label, block in BLOCKS.items():
-        acc = getattr(bk, block.family)
+        acc = bk[block.family]
         if label == "v" or (label in OPTIONAL_BLOCKS and not acc.any()):
             continue
         if block.family in ("lock", "dir"):
@@ -419,9 +402,9 @@ def _coefficients_from_buckets(
     blocks["v"] = v_block  # the table's last row
     return SaptCoefficients(
         observable="VPs",
-        constant=float(bk.const),
-        one_body_A=-2.0 * 0.5 * (bk.h_a + bk.h_a.T),
-        one_body_B=-2.0 * 0.5 * (bk.h_b + bk.h_b.T),
+        constant=float(bk["const"]),
+        one_body_A=-2.0 * 0.5 * (bk["h_a"] + bk["h_a"].T),
+        one_body_B=-2.0 * 0.5 * (bk["h_b"] + bk["h_b"].T),
         two_body_blocks=blocks,
         space_tag=space_tag,
         overlap=S,

@@ -20,7 +20,7 @@ from saptkit.fock import (
     assemble_vp_excitation,
     embed_with_core,
 )
-from saptkit.tensors import MixedTensors, _Buckets, build_majorana_coefficients
+from saptkit.tensors import MixedTensors, _buckets, build_majorana_coefficients
 from .conftest import random_dimer, random_sector_state
 
 
@@ -167,6 +167,20 @@ class TestDegenerateCases:
         assert p_op.norm_estimate(rng) < 1e-14
         assert vp_op.norm_estimate(rng) < 1e-14
 
+    @pytest.mark.parametrize(
+        "core_a, core_b, held",
+        [([0], [], {"3r"}), ([], [2], {"2r"}), ([0], [0], {"2r", "3r"})],
+    )
+    def test_row_coupled_blocks_follow_the_cores(self, rng, core_a, core_b, held):
+        # '2r' comes from a contraction over B's core and '3r' from one over
+        # A's; a row-coupled block that stays all zero is dropped
+        v, s = random_dimer(rng, 3, 3)
+        act_a = [p for p in range(3) if p not in core_a]
+        act_b = [q for q in range(3) if q not in core_b]
+        part = SpacePartition.from_counts(core_a, act_a, core_b, act_b, 4, 4)
+        blocks = renormalize_vp(v, s, part).two_body_blocks
+        assert {"2r", "3r"} & set(blocks) == held
+
 
 # block label -> label of its mirror when the monomers swap roles
 MIRROR_LABELS = {"A2": "B2", "B2": "A2", "2": "3", "3": "2", "2r": "3r", "3r": "2r"}
@@ -268,7 +282,7 @@ class TestDressedLifetimes:
         renormalize_vp(v, s, self.CORED)  # cached contraction paths, imports
         n_a, n_b = s.shape
         nta, ntb = len(self.CORED.active_A), len(self.CORED.active_B)
-        buckets = sum(x.nbytes for x in vars(_Buckets.zeros(nta, ntb)).values())
+        buckets = sum(x.nbytes for x in _buckets(nta, ntb).values())
         dressed = 8 * max(n_a * n_b * n_b * n_a, n_a**3 * n_b, n_a * n_b**3)
         tracemalloc.start()
         try:
@@ -288,7 +302,7 @@ class TestDressedLifetimes:
         part = SpacePartition.from_counts(range(9, 12), range(9), range(8, 10), range(8), 10, 8)
         renormalize_vp(v, s, part)
         n_a, n_b = s.shape
-        buckets = sum(x.nbytes for x in vars(_Buckets.zeros(9, 8)).values())
+        buckets = sum(x.nbytes for x in _buckets(9, 8).values())
         dressed = 8 * max(n_a * n_b * n_b * n_a, n_a**3 * n_b, n_a * n_b**3)
         tracemalloc.start()
         try:

@@ -1129,14 +1129,32 @@ class TestInputContract:
         rep = "sparse" if command == "norms" else "tensor_factorized"
         assert (code, err) == (3, f"error: V {rep} norm overflows\n")
 
-    @pytest.mark.parametrize("command, flag", [("factorize", "-o"), ("norms", "--json")])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["factorize", "{archive}", "-o", "{tmp}/missing/x"], "no output directory {missing}"),
+            (["norms", "{archive}", "--json", "{tmp}/missing/x"], "no output directory {missing}"),
+            # a cache path that is a directory, and a JSON path that is one
+            (["factorize", "{archive}", "-o", "{tmp}/x"], "output path {tmp}/x.VPs.factors is a"),
+            (["norms", "{archive}", "--json", "{tmp}/dir"], "output path {tmp}/dir is a directory"),
+            # an estimate directory that is a file, or that would sit under one
+            (["estimate", "--archive", "{archive}", "-o", "{tmp}/file"], "[Errno 17]"),
+            (["estimate", "--archive", "{archive}", "-o", "{tmp}/file/x"], "[Errno 20]"),
+        ],
+        ids=[
+            "factorize--o", "norms---json", "factorize-dir", "norms-dir",
+            "estimate-file", "estimate-under-file",
+        ],
+    )
     def test_missing_output_directory_refused_before_the_archive_is_read(
-        self, archive_path, tmp_path, monkeypatch, capsys, command, flag
+        self, archive_path, tmp_path, monkeypatch, capsys, argv, message
     ):
         monkeypatch.setattr(cli.ar, "load_archive", lambda path: pytest.fail("archive read"))
-        missing = tmp_path / "missing"
-        argv = [command, str(archive_path), flag, str(missing / "x")]
-        assert_data_error(argv, capsys, f"no output directory {missing}")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "x.VPs.factors").mkdir()
+        (tmp_path / "file").write_text("")
+        argv = [arg.format(archive=archive_path, tmp=tmp_path) for arg in argv]
+        assert_data_error(argv, capsys, message.format(tmp=tmp_path, missing=tmp_path / "missing"))
 
     @pytest.mark.parametrize(
         "flag, value, message",

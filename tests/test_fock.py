@@ -25,9 +25,9 @@ from saptkit.fock import (
     assemble_exchange,
     assemble_majorana,
     assemble_modified_factors,
+    assemble_monomer_hamiltonian,
     assemble_vp_excitation,
     assemble_vp_majorana_families,
-    build_operator_matrix,
     embed_with_core,
     first_order_energy,
     one_body_matrix,
@@ -67,14 +67,21 @@ def monomer_matrix(f):
     return np.kron(f.mat, eye) if f.spin == 0 else np.kron(eye, f.mat)
 
 
+def excitation_ops(space, v, s, mixed=None):
+    """V, P and VPs assembled from the raw tensors (excitation-operator form)."""
+    return {
+        "V": assemble_electrostatic(space, v),
+        "P": assemble_exchange(space, s),
+        "VPs": assemble_vp_excitation(space, v, s, mixed),
+    }
+
+
 def dense_ops(space, v, s, mixed=None):
     coeffs = build_majorana_coefficients(v, s, mixed)
-    out = {}
-    for kind in ("V", "P", "VPs"):
-        exc = build_operator_matrix(space, kind, (v, s), form="excitation", mixed=mixed)
-        maj = build_operator_matrix(space, kind, coeffs[kind], form="majorana")
-        out[kind] = (exc, maj)
-    return out
+    return {
+        kind: (exc, assemble_majorana(space, coeffs[kind]))
+        for kind, exc in excitation_ops(space, v, s, mixed).items()
+    }
 
 
 class TestEquivalence:
@@ -190,12 +197,12 @@ class TestDressingVariant:
         v, s = random_dimer(rng, 2, 2)
         space = FockSpace(2, 2)
         coeffs = build_majorana_coefficients(v, s)["VPs"]
-        vp4 = build_operator_matrix(space, "VP_4", coeffs)
-        total = build_operator_matrix(space, "VPs", coeffs, form="majorana")
+        vp4 = assemble_vp_majorana_families(space, coeffs)["VP_4"]
+        total = assemble_majorana(space, coeffs)
         assert vp4.norm_estimate(rng) <= total.norm_estimate(rng) + 1e-9
         h1 = np.eye(2)
         eri = np.zeros((2, 2, 2, 2))
-        h_op = build_operator_matrix(space, "H_A", (h1, eri))
+        h_op = assemble_monomer_hamiltonian(space, "A", h1, eri)
         assert np.abs(h_op.pairs[0][0] - jw_reference(2).number).max() < 1e-12
 
 
@@ -372,7 +379,7 @@ class TestOperatorAlgebra:
     def test_products_adjoints_and_scaling(self, rng, n_a, n_b):
         v, s = random_dimer(rng, n_a, n_b)
         space = FockSpace(n_a, n_b)
-        ops = {kind: build_operator_matrix(space, kind, (v, s)) for kind in ("V", "P", "VPs")}
+        ops = excitation_ops(space, v, s)
         n_op = reference_counts(space, SECTOR_WEIGHTS)
         dense = {kind: kron_dense(op) for kind, op in ops.items()}
         vp = ops["V"] @ ops["P"]
@@ -396,7 +403,7 @@ class TestOperatorAlgebra:
     def test_expectation_and_energy_through_a_chain(self, rng, n_a, n_b):
         v, s = random_dimer(rng, n_a, n_b)
         space = FockSpace(n_a, n_b)
-        ops = {kind: build_operator_matrix(space, kind, (v, s)) for kind in ("V", "P", "VPs")}
+        ops = excitation_ops(space, v, s)
         assert ops["VPs"].chains  # the V P term stays a product
         psi_a = random_sector_state(space, "A", n_a, rng)
         psi_b = random_sector_state(space, "B", n_b, rng)

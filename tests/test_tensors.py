@@ -230,13 +230,13 @@ FAMILY_SHAPES = {
 def bucket_operator(space, bk, S):
     """The w-basis operator of filled buckets: const I, the one-body terms and
     each two-body bucket as its family."""
-    op = PairSum(space).add_scalar(float(bk.const))
-    op.add_monomer("A", one_body_matrix(space, "A", bk.h_a, "w"))
-    op.add_monomer("B", one_body_matrix(space, "B", bk.h_b, "w"))
-    for name, block in (("lock", bk.lock), ("dir", bk.dir), ("aa", bk.aa), ("bb", bk.bb)):
-        op = op + fock.family(space, name, [block], "w")
+    op = PairSum(space).add_scalar(float(bk["const"]))
+    op.add_monomer("A", one_body_matrix(space, "A", bk["h_a"], "w"))
+    op.add_monomer("B", one_body_matrix(space, "B", bk["h_b"], "w"))
+    for name in ("lock", "dir", "aa", "bb"):
+        op = op + fock.family(space, name, [bk[name]], "w")
     for name in ("g2", "g2r", "g3", "g3r"):
-        op = op + fock.family(space, name, [getattr(bk, name), S], "w")
+        op = op + fock.family(space, name, [bk[name], S], "w")
     return op
 
 
@@ -256,9 +256,9 @@ class TestFamilyReduction:
             args.append(S)
         elif name == "t3a":
             args.append(rng.normal(size=(n_a, n_a)))
-        bk = tensors._Buckets.zeros(n_a, n_b)
+        bk = tensors._buckets(n_a, n_b)
         if family == "g2 swapped":  # the g3 family, reduced as g2 on the swapped view
-            tensors.convert(bk.swapped(), "g2", tensors._swap(T), S.T)
+            tensors.convert(tensors._swapped(bk), "g2", tensors._swap(T), S.T)
         else:
             tensors.convert(bk, name, *args)
         if name == "one_a":
@@ -270,3 +270,43 @@ class TestFamilyReduction:
             op = op + fock.family(space, "t3a", args, "w")
         ref = ref.to_dense()
         assert np.abs(op.to_dense() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestBucketTable:
+    """BUCKETS alone writes each bucket's shape and its monomer mirror."""
+
+    N_A, N_B = 3, 2  # unequal, so a view with the wrong monomer order shows in its shape
+
+    def test_buckets_allocated_zeroed_in_table_order(self):
+        bk = tensors._buckets(self.N_A, self.N_B)
+        n = {"a": self.N_A, "b": self.N_B}
+        assert list(bk) == list(tensors.BUCKETS)
+        for name, (layout, _) in tensors.BUCKETS.items():
+            assert bk[name].shape == tuple(n[c] for c in layout), name
+            assert not bk[name].any(), name
+
+    def test_mirror_is_an_involution(self):
+        for name, (_, mirror) in tensors.BUCKETS.items():
+            assert tensors.BUCKETS[mirror][1] == name, name
+
+    def test_swapped_twice_views_the_bucket_itself(self):
+        bk = tensors._buckets(self.N_A, self.N_B)
+        twice = tensors._swapped(tensors._swapped(bk))
+        for name, acc in bk.items():
+            assert np.shares_memory(twice[name], acc), name
+            assert twice[name].shape == acc.shape, name
+            assert twice[name].strides == acc.strides, name
+
+    def test_swapped_views_have_the_exchanged_layout(self):
+        view = tensors._swapped(tensors._buckets(self.N_A, self.N_B))
+        n = {"a": self.N_B, "b": self.N_A}  # monomer B first
+        for name, (layout, _) in tensors.BUCKETS.items():
+            assert view[name].shape == tuple(n[c] for c in layout), name
+
+    def test_an_addition_on_a_view_lands_in_its_mirror(self):
+        bk = tensors._buckets(self.N_A, self.N_B)
+        view = tensors._swapped(bk)
+        for i, name in enumerate(tensors.BUCKETS):
+            view[name] += i + 1
+        for i, (name, (_, mirror)) in enumerate(tensors.BUCKETS.items()):
+            assert (bk[mirror] == i + 1).all(), name
